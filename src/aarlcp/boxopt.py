@@ -16,7 +16,6 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
-from scipy.stats import qmc
 
 __all__ = [
     "min_affine_over_box",
@@ -56,6 +55,10 @@ def box_vertices(k: int) -> np.ndarray:
 
 def halton_points(k: int, count: int, seed: int = 0) -> np.ndarray:
     """Low-discrepancy points in [-1, 1]^k."""
+    # imported here: scipy.stats costs about a second of import time and
+    # only the sampling fallback beyond EXACT_FACE_LIMIT needs it
+    from scipy.stats import qmc
+
     sampler = qmc.Halton(d=k, scramble=True, seed=seed)
     return 2.0 * sampler.random(count) - 1.0
 

@@ -3,7 +3,7 @@
 Subcommands: solve, verify, gen, market-build, report. Exit codes:
 0 solution found / verified, 1 no solution (proved) or verification
 failed, 2 no solution under the bounded big-M search only, 3 input
-error, 4 internal limit hit.
+error, 4 internal limit hit (a budget, or numerical trouble).
 """
 
 from __future__ import annotations
@@ -62,12 +62,11 @@ def _add_solve_flags(p: argparse.ArgumentParser):
                    help="starting big-M constant for the mip pathway")
     p.add_argument("--node-limit", type=int, default=None,
                    help="branch-and-bound node budget")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _options(args) -> SolveOptions:
     return SolveOptions(pathway=args.pathway, big_m=args.big_m,
-                        node_limit=args.node_limit, seed=args.seed)
+                        node_limit=args.node_limit)
 
 
 def _cmd_solve(args, as_json: bool) -> int:

@@ -1,5 +1,5 @@
-"""Dense linear-algebra substrate: validated arrays, index sets, LU solves,
-and a Jacobi eigenvalue routine backing the definiteness tests.
+"""Dense linear-algebra substrate: validated arrays, index sets, LU solves
+and symmetric eigenvalues for the definiteness tests, both on LAPACK.
 
 All matrices are dense float64 numpy arrays. Index sets are strictly
 increasing integer arrays; submatrix extraction preserves that order.
@@ -11,6 +11,7 @@ scaling a matrix does not flip the verdict.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.lapack import dgetrf, dgetrs
 
 from .tolerances import TOL_PIVOT_FACTOR, TOL_PSD
 
@@ -21,8 +22,6 @@ __all__ = [
     "index_set",
     "complement",
     "submatrix",
-    "lu_factor",
-    "lu_solve_factored",
     "solve",
     "invert",
     "symmetric_eigenvalues",
@@ -89,64 +88,10 @@ def submatrix(a: np.ndarray, rows, cols) -> np.ndarray:
     return a[np.ix_(r, c)]
 
 
-def _pivot_threshold(a: np.ndarray, tol_factor: float) -> float:
-    scale = np.max(np.abs(a)) if a.size else 0.0
-    return tol_factor * scale
-
-
-def lu_factor(a, tol_factor: float = TOL_PIVOT_FACTOR):
-    """LU factorization with partial pivoting, PA = LU.
-
-    Parameters
-    ----------
-    a : array_like, square
-    tol_factor : float
-        A pivot with magnitude <= tol_factor * max|a| triggers
-        SingularMatrixError.
-
-    Returns
-    -------
-    lu : ndarray
-        Combined factors; strict lower triangle holds L (unit diagonal
-        implied), upper triangle holds U.
-    perm : ndarray
-        Row permutation: row perm[i] of `a` is row i of the factored
-        matrix.
-    """
-    m = as_matrix(a, square=True).copy()
-    n = m.shape[0]
-    perm = np.arange(n)
-    thresh = _pivot_threshold(m, tol_factor)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(m[k:, k])))
-        if abs(m[p, k]) <= thresh:
-            raise SingularMatrixError(
-                f"pivot {m[p, k]:.3e} at column {k} below threshold {thresh:.3e}"
-            )
-        if p != k:
-            m[[k, p]] = m[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-        m[k + 1 :, k] /= m[k, k]
-        m[k + 1 :, k + 1 :] -= np.outer(m[k + 1 :, k], m[k, k + 1 :])
-    return m, perm
-
-
-def lu_solve_factored(lu: np.ndarray, perm: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve using factors from lu_factor. b may be a vector or matrix."""
-    n = lu.shape[0]
-    vec = b.ndim == 1
-    x = (b[perm].reshape(n, -1)).astype(float).copy()
-    for k in range(n):  # forward: L y = Pb
-        x[k + 1 :] -= np.outer(lu[k + 1 :, k], x[k])
-    for k in range(n - 1, -1, -1):  # back: U x = y
-        x[k] /= lu[k, k]
-        if k:
-            x[:k] -= np.outer(lu[:k, k], x[k])
-    return x[:, 0] if vec else x
-
-
 def solve(a, b, tol_factor: float = TOL_PIVOT_FACTOR) -> np.ndarray:
-    """Solve a x = b for square a. Raises SingularMatrixError.
+    """Solve a x = b for square a by LAPACK LU with partial pivoting
+    (getrf/getrs); b may be a vector or a matrix. A pivot with magnitude
+    <= tol_factor * max|a|, or NaN, raises SingularMatrixError.
 
     Empty systems (0 x 0) return an empty solution, which keeps callers
     that slice by possibly-empty index sets uniform.
@@ -155,55 +100,30 @@ def solve(a, b, tol_factor: float = TOL_PIVOT_FACTOR) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[0] == 0:
         return np.zeros(0) if b.ndim == 1 else np.zeros((0, b.shape[1]))
-    lu, perm = lu_factor(a, tol_factor)
-    return lu_solve_factored(lu, perm, b)
+    # getrf does not stop at a small pivot, so the whole diagonal of U is
+    # checked; NaN fails the comparison and counts as singular
+    lu, piv, _ = dgetrf(a)
+    thresh = tol_factor * np.max(np.abs(a))
+    bad = np.flatnonzero(~(np.abs(np.diagonal(lu)) > thresh))
+    if bad.size:
+        k = int(bad[0])
+        raise SingularMatrixError(
+            f"pivot {lu[k, k]:.3e} at column {k} below threshold {thresh:.3e}"
+        )
+    return dgetrs(lu, piv, b)[0]
 
 
 def invert(a, tol_factor: float = TOL_PIVOT_FACTOR) -> np.ndarray:
     """Inverse via LU. Raises SingularMatrixError for singular input."""
     a = as_matrix(a, square=True)
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
     return solve(a, np.eye(a.shape[0]), tol_factor)
 
 
-def symmetric_eigenvalues(a, sweeps: int = 50) -> np.ndarray:
-    """Eigenvalues of the symmetric part of `a` by cyclic Jacobi rotations.
-
-    Returns eigenvalues in increasing order. Convergence: off-diagonal
-    Frobenius mass below 1e-14 times the initial matrix norm (or exactly
-    diagonal), typically within a handful of sweeps.
-    """
+def symmetric_eigenvalues(a) -> np.ndarray:
+    """Eigenvalues of the symmetric part of `a` (LAPACK via
+    numpy.linalg.eigvalsh), in increasing order."""
     a = as_matrix(a, square=True)
-    s = 0.5 * (a + a.T)
-    n = s.shape[0]
-    if n == 0:
-        return np.zeros(0)
-    norm0 = np.linalg.norm(s)
-    if norm0 == 0.0:
-        return np.zeros(n)
-    stop = 1e-14 * norm0
-    for _ in range(sweeps):
-        off = np.sqrt(max(0.0, np.linalg.norm(s) ** 2 - np.sum(np.diag(s) ** 2)))
-        if off <= stop:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = s[p, q]
-                if abs(apq) <= stop / max(1, n):
-                    continue
-                # stable rotation angle (Golub & Van Loan style)
-                tau = (s[q, q] - s[p, p]) / (2.0 * apq)
-                t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0 else 1.0
-                c = 1.0 / np.sqrt(1.0 + t * t)
-                sn = t * c
-                rp = c * s[p, :] - sn * s[q, :]
-                rq = sn * s[p, :] + c * s[q, :]
-                s[p, :], s[q, :] = rp, rq
-                cp = c * s[:, p] - sn * s[:, q]
-                cq = sn * s[:, p] + c * s[:, q]
-                s[:, p], s[:, q] = cp, cq
-    return np.sort(np.diag(s))
+    return np.linalg.eigvalsh(0.5 * (a + a.T))
 
 
 def min_symmetric_eigenvalue(a) -> float:
@@ -218,7 +138,4 @@ def is_psd(a, tol: float = TOL_PSD) -> bool:
     z^T a z = z^T sym(a) z, so positive semidefiniteness of a (as a
     quadratic form) reduces to its symmetric part.
     """
-    a = as_matrix(a, square=True)
-    if a.shape[0] == 0:
-        return True
     return min_symmetric_eigenvalue(a) >= -tol

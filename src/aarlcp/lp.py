@@ -3,10 +3,11 @@ two-phase bounded-variable revised simplex method.
 
 Infinite bounds are encoded internally by the sentinels +/-1e30 and never
 exposed. The basis inverse is kept explicitly, updated by the product
-form after each pivot and refactorized from scratch every 50 pivots.
-Degenerate stretches switch pricing to Bland's rule, whose lowest-index
-tie-breaking (applied to entering and leaving variables alike) prevents
-cycling. Each phase is capped at 50 * (rows + cols) iterations.
+form after each pivot and refactorized from scratch (LAPACK LU) every
+30 pivots. Degenerate stretches switch pricing to Bland's rule, whose
+lowest-index tie-breaking (applied to entering and leaving variables
+alike) prevents cycling. Both phases draw on one shared budget of
+50 * (rows + columns) iterations, columns counting the row slacks.
 """
 
 from __future__ import annotations

@@ -15,13 +15,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .lp import IterationLimitError
 from .market import MarketModel, build_lcp
-from .mip import NodeLimitError
 from .robust_m import (AffineSolutionM, UncertainLcpM,
                        solve_enumeration_m_detailed, uniqueness_m,
                        verify_affine_m)
-from .robust_q import (AffineSolutionQ, SizeLimitError, UncertainLcpQ,
+from .robust_q import (AffineSolutionQ, UncertainLcpQ,
                        ENUMERATION_SIZE_CAP, solve_enumeration, solve_mip_q,
                        solve_psd, uniqueness_check_psd, verify_affine_q)
 
@@ -38,8 +36,6 @@ SCHEMA_VERSION = 1
 
 PATHWAYS = ("auto", "enumeration", "psd-lp", "mip", "uncertain-m")
 
-_LIMIT_ERRORS = (IterationLimitError, NodeLimitError, SizeLimitError)
-
 
 @dataclass
 class SolveOptions:
@@ -48,13 +44,11 @@ class SolveOptions:
     pathway: one of auto, enumeration, psd-lp, mip, uncertain-m
     big_m: starting big-M for the mip pathway (None = scale-derived)
     node_limit: branch-and-bound node budget (None = solver default)
-    seed: recorded for reproducibility; dispatch itself is deterministic
     """
 
     pathway: str = "auto"
     big_m: float | None = None
     node_limit: int | None = None
-    seed: int = 0
 
     def __post_init__(self):
         if self.pathway not in PATHWAYS:
@@ -63,13 +57,18 @@ class SolveOptions:
 
 
 class DispatchError(RuntimeError):
-    """A solver error annotated with the pathway that raised it."""
+    """A solver error annotated with the pathway that raised it.
+
+    A ValueError cause is an input error. Any other RuntimeError cause is
+    a limit: a node, iteration or size budget, or numerical trouble such
+    as a stalled simplex or a singular basis.
+    """
 
     def __init__(self, pathway: str, cause: BaseException):
         self.pathway = pathway
         self.cause = cause
-        self.is_limit = isinstance(cause, _LIMIT_ERRORS)
         self.is_input = isinstance(cause, ValueError)
+        self.is_limit = isinstance(cause, RuntimeError) and not self.is_input
         super().__init__(f"pathway {pathway}: {cause}")
 
 

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -107,3 +112,15 @@ def test_zero_dimension():
     val, arg, exact = min_quadratic_over_box(np.zeros((0, 0)), [], 3.5)
     assert (val, exact) == (3.5, True)
     assert arg.size == 0
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only the sampling fallback uses it
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, aarlcp; print('scipy.stats' in sys.modules)"],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

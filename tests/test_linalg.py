@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,69 @@ def test_solve_rejects_non_square():
         linalg.solve(np.ones((2, 3)), np.ones(2))
 
 
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_singularity_is_scale_relative(scale):
+    rng = np.random.default_rng(11)
+    g = rng.normal(size=(5, 2))
+    for a in (np.array([[1.0, 1.0], [2.0, 2.0]]), g @ g.T):  # ranks 1, 2
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.solve(scale * a, np.ones(a.shape[0]))
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.invert(scale * a)
+    a = np.eye(4) + rng.uniform(-0.3, 0.3, (4, 4))
+    x = rng.uniform(-5.0, 5.0, 4)
+    got = linalg.solve(scale * a, scale * (a @ x))
+    assert np.max(np.abs(got - x)) <= 1e-8 * (1.0 + np.max(np.abs(x)))
+
+
+def test_pivot_threshold_boundary():
+    # the default factor 1e-10 sits between the two small pivots
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.solve(np.diag([1.0, 1e-11]), np.ones(2))
+    assert linalg.solve(np.diag([1.0, 1e-9]), np.ones(2)) == \
+        pytest.approx([1.0, 1e9])
+
+
+def test_exactly_singular_raises_without_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a in (np.zeros((3, 3)), np.array([[1.0, 2.0], [2.0, 4.0]])):
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.solve(a, np.ones(a.shape[0]))
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.invert(a)
+
+
+def test_nan_pivot_counts_as_singular(monkeypatch):
+    def nan_lu(a):
+        lu = np.array(a, dtype=float)
+        lu[-1, -1] = np.nan
+        return lu, np.arange(a.shape[0], dtype=np.int32), 0
+
+    monkeypatch.setattr(linalg, "dgetrf", nan_lu)
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.solve(np.eye(3), np.ones(3))
+
+
+def test_solve_matrix_right_hand_side():
+    rng = np.random.default_rng(12)
+    a = np.eye(4) + rng.uniform(-0.3, 0.3, (4, 4))
+    x = rng.uniform(-5.0, 5.0, (4, 3))
+    got = linalg.solve(a, a @ x)
+    assert got.shape == (4, 3)
+    assert got == pytest.approx(x, abs=1e-9)
+
+
+def test_empty_conventions():
+    e = np.zeros((0, 0))
+    assert linalg.solve(e, np.zeros(0)).shape == (0,)
+    assert linalg.solve(e, np.zeros((0, 3))).shape == (0, 3)
+    assert linalg.invert(e).shape == (0, 0)
+    assert linalg.is_psd(e)
+    assert linalg.symmetric_eigenvalues(e).shape == (0,)
+    assert linalg.min_symmetric_eigenvalue(e) == 0.0
+
+
 def test_invert_scalars():
     assert linalg.invert(np.array([[4.0]])) == pytest.approx(np.array([[0.25]]))
     assert linalg.invert(np.array([[2.0]])) == pytest.approx(np.array([[0.5]]))
@@ -106,6 +171,14 @@ def test_symmetric_eigenvalues_match_numpy():
         mine = np.sort(linalg.symmetric_eigenvalues(s))
         ref = np.sort(np.linalg.eigvalsh(s))
         assert mine == pytest.approx(ref, abs=1e-9)
+
+
+def test_eigenvalues_of_nonsymmetric_input_are_those_of_its_symmetric_part():
+    a = np.array([[4.0, 10.0], [1.0, 2.0]])  # symmetric part [[4, 5.5], [5.5, 2]]
+    ev = linalg.symmetric_eigenvalues(a)
+    disc = np.sqrt(1.0 + 5.5 ** 2)
+    assert ev == pytest.approx([3.0 - disc, 3.0 + disc])
+    assert linalg.min_symmetric_eigenvalue(a) == pytest.approx(3.0 - disc)
 
 
 def test_complement():

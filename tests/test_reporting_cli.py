@@ -210,6 +210,16 @@ def test_cli_node_limit_exit_four(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
+def test_cli_numerical_trouble_exit_four(tmp_path, capsys):
+    # (qbar, ubar) scaled by 1e9 stalls the phase-1 simplex of the MIP;
+    # that is a limit of the solver, not a fault in the input
+    scaled = UncertainLcpQ(m=MULTI.m, qbar=1e9 * MULTI.qbar,
+                           ubar=1e9 * MULTI.ubar, h=0)
+    path = _write(tmp_path, "scaled.txt", serialize_instance(scaled))
+    assert main(["solve", path, "--pathway", "mip"]) == 4
+    assert "phase-1 simplex stalled numerically" in capsys.readouterr().err
+
+
 def test_cli_gen_deterministic(capsys):
     assert main(["gen", "uncertain-q", "3", "--seed", "7"]) == 0
     first = capsys.readouterr().out
