@@ -2,21 +2,24 @@
 w = M z + q >= 0 and z^T w = 0.
 
 solve_lemke runs complementary pivoting with the all-ones covering
-vector. The ratio test is lexicographic over (rhs | initial identity
-columns), which breaks every degenerate tie deterministically and
-prevents cycling. Ray termination certifies that no solution exists only
-for positive semidefinite (more generally copositive-plus) M; for other
-matrices a ray is reported as such and the caller decides.
+vector on a dense tableau, one rank-1 update per pivot. The ratio test
+is lexicographic over (rhs | initial identity columns), which breaks
+every degenerate tie deterministically and prevents cycling. Ray
+termination certifies that no solution exists only for positive
+semidefinite (more generally copositive-plus) M; for other matrices a
+ray is reported as such and the caller decides.
 
 describe_solution_set encodes, for PSD M, the full solution set as a
 polyhedron around any one solution; compute_support_P maximizes each
-coordinate over that polyhedron to find which coordinates are positive
-somewhere in the set.
+coordinate over that polyhedron to find P, the coordinates positive
+somewhere in the set. The psd-lp pathway (robust_q.solve_psd) builds
+its LP on P, and its uniqueness check minimizes and maximizes only the
+coordinates in P over the same polyhedron.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -113,13 +116,14 @@ def solve_lemke(prob: NominalLcp, max_iterations: int | None = None,
     z0 = 2 * n
     rhs = 2 * n + 1
 
-    def lex_min_row(col, candidates):
-        # minimize (rhs, w-part) / pivot entry lexicographically
-        best = None
-        best_key = None
+    def lex_min_row(candidates, col=None):
+        # minimize (rhs, w-part), divided by the entry in col when one is
+        # given, lexicographically
+        best = best_key = None
         for i in candidates:
-            piv = t[i, col]
-            key = np.concatenate(([t[i, rhs]], t[i, :n])) / piv
+            key = np.concatenate(([t[i, rhs]], t[i, :n]))
+            if col is not None:
+                key = key / t[i, col]
             if best is None or _lex_less(key, best_key):
                 best, best_key = i, key
         return best
@@ -135,13 +139,7 @@ def solve_lemke(prob: NominalLcp, max_iterations: int | None = None,
     # initial pivot: bring z0 in against the lexicographic minimum of
     # (q_i, e_i) / 1 over rows with q_i < 0 (the most negative q wins;
     # the identity part breaks ties deterministically)
-    neg = [i for i in range(n) if prob.q[i] < 0]
-    row = None
-    best_key = None
-    for i in neg:
-        key = np.concatenate(([t[i, rhs]], t[i, :n]))
-        if row is None or _lex_less(key, best_key):
-            row, best_key = i, key
+    row = lex_min_row([i for i in range(n) if prob.q[i] < 0])
     entering = z0
     iterations = 0
     while True:
@@ -154,13 +152,13 @@ def solve_lemke(prob: NominalLcp, max_iterations: int | None = None,
             piv_candidates = [i for i in range(n) if t[i, entering] > 1e-10]
             if not piv_candidates:
                 return LemkeOutcome("ray", None, iterations)
-            row = lex_min_row(entering, piv_candidates)
+            row = lex_min_row(piv_candidates, entering)
         # pivot on (row, entering)
         leaving = basis[row]
         t[row] /= t[row, entering]
-        for i in range(n):
-            if i != row and t[i, entering] != 0.0:
-                t[i] -= t[i, entering] * t[row]
+        col = t[:, entering].copy()
+        col[row] = 0.0
+        t -= np.outer(col, t[row])
         basis[row] = entering
         if leaving == z0:
             z = np.zeros(n)
@@ -214,9 +212,7 @@ def compute_support_P(prob: NominalLcp, zbar, tol: float = TOL_SUPPORT) -> np.nd
     for j in range(prob.n):
         obj = np.zeros(prob.n)
         obj[j] = -1.0  # maximize z_j
-        lp = LinearProgram(obj, skeleton.lhs, skeleton.senses, skeleton.rhs,
-                           skeleton.lower, skeleton.upper)
-        out = solve_lp(lp)
+        out = solve_lp(replace(skeleton, objective=obj))
         if out.status == "unbounded" or (out.status == "optimal" and -out.objective > tol):
             members.append(j)
         elif out.status == "infeasible":

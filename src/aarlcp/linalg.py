@@ -91,7 +91,8 @@ def submatrix(a: np.ndarray, rows, cols) -> np.ndarray:
 def solve(a, b, tol_factor: float = TOL_PIVOT_FACTOR) -> np.ndarray:
     """Solve a x = b for square a by LAPACK LU with partial pivoting
     (getrf/getrs); b may be a vector or a matrix. A pivot with magnitude
-    <= tol_factor * max|a|, or NaN, raises SingularMatrixError.
+    <= tol_factor * max|a|, an infinite one, or NaN raises
+    SingularMatrixError.
 
     Empty systems (0 x 0) return an empty solution, which keeps callers
     that slice by possibly-empty index sets uniform.
@@ -101,14 +102,16 @@ def solve(a, b, tol_factor: float = TOL_PIVOT_FACTOR) -> np.ndarray:
     if a.shape[0] == 0:
         return np.zeros(0) if b.ndim == 1 else np.zeros((0, b.shape[1]))
     # getrf does not stop at a small pivot, so the whole diagonal of U is
-    # checked; NaN fails the comparison and counts as singular
+    # checked; NaN and overflow to inf fail the comparisons: singular
     lu, piv, _ = dgetrf(a)
     thresh = tol_factor * np.max(np.abs(a))
-    bad = np.flatnonzero(~(np.abs(np.diagonal(lu)) > thresh))
+    diag = np.abs(np.diagonal(lu))
+    bad = np.flatnonzero(~((diag > thresh) & (diag < np.inf)))
     if bad.size:
         k = int(bad[0])
         raise SingularMatrixError(
-            f"pivot {lu[k, k]:.3e} at column {k} below threshold {thresh:.3e}"
+            f"pivot {lu[k, k]:.3e} at column {k}: magnitude not in "
+            f"({thresh:.3e}, inf)"
         )
     return dgetrs(lu, piv, b)[0]
 

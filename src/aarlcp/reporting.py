@@ -252,7 +252,7 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
                              "L": _one_based(out.support_l)}
                 report.solutions = [_record_q(inst, out.solution, pathway,
                                               extra)]
-            report.uniqueness = uniqueness_check_psd(inst)
+            report.uniqueness = uniqueness_check_psd(inst, out)
         elif pathway == "mip":
             kwargs = {}
             if options.node_limit is not None:

@@ -141,6 +141,54 @@ def _residual_coefficients(inst: UncertainLcpM, sol: AffineSolutionM,
     return const, lin, quad
 
 
+def _affine_rows_min(inst: UncertainLcpM, sol: AffineSolutionM, rows):
+    """(min over the box and the given rows of z_t(zeta), its argmin);
+    the minimum is 0.0 for no rows."""
+    ones = np.ones(inst.k)
+    worst_val, worst_pt = np.inf, np.zeros(inst.k)
+    for row in rows:
+        val, arg = min_affine_over_box(sol.d[row], sol.r[row], ones)
+        if val < worst_val:
+            worst_val, worst_pt = val, arg
+    if len(rows) == 0:
+        worst_val = 0.0
+    return worst_val, worst_pt
+
+
+def _active_residual(inst: UncertainLcpM, sol: AffineSolutionM,
+                     rows: np.ndarray) -> float:
+    """Largest constant, linear or quadratic coefficient of w(zeta) on
+    the given rows; zero exactly when those rows vanish identically."""
+    const, lin, quad = _residual_coefficients(inst, sol, rows)
+    worst = float(np.max(np.abs(const), initial=0.0))
+    worst = max(worst, float(np.max(np.abs(lin), initial=0.0)))
+    for block in quad.values():
+        worst = max(worst, float(np.max(np.abs(block), initial=0.0)))
+    return worst
+
+
+def _inactive_rows_min(inst: UncertainLcpM, sol: AffineSolutionM,
+                       rows: np.ndarray):
+    """(min over the box and the given rows of w_t(zeta), its argmin,
+    whether every row's minimum was exact); the minimum is 0.0 for no
+    rows."""
+    k = inst.k
+    const, lin, quad = _residual_coefficients(inst, sol, rows)
+    worst_val, worst_pt = np.inf, np.zeros(k)
+    certified = True
+    for t in range(rows.size):
+        qmat = np.zeros((k, k))
+        for (i, jj), block in quad.items():
+            qmat[i, jj] = block[t]
+        val, arg, exact = min_quadratic_over_box(qmat, lin[t], float(const[t]))
+        certified = certified and exact
+        if val < worst_val:
+            worst_val, worst_pt = val, arg
+    if rows.size == 0:
+        worst_val = 0.0
+    return worst_val, worst_pt, certified
+
+
 def check_necessary_m(inst: UncertainLcpM, sol: AffineSolutionM,
                       tol: float = TOL_FEAS) -> bool:
     """Whether the support rows of M(zeta) z(zeta) + q vanish as a
@@ -149,14 +197,8 @@ def check_necessary_m(inst: UncertainLcpM, sol: AffineSolutionM,
     the closed form."""
     if sol.r.size != inst.n or sol.d.shape != (inst.n, inst.k):
         raise ValueError("solution dimensions do not match the instance")
-    j_set = sol.support(tol=TOL_SUPPORT)
     scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
-    const, lin, quad = _residual_coefficients(inst, sol, j_set)
-    worst = float(np.max(np.abs(const), initial=0.0))
-    worst = max(worst, float(np.max(np.abs(lin), initial=0.0)))
-    for block in quad.values():
-        worst = max(worst, float(np.max(np.abs(block), initial=0.0)))
-    return worst <= tol * scale
+    return _active_residual(inst, sol, sol.support(tol=TOL_SUPPORT)) <= tol * scale
 
 
 def characterize_for_J(inst: UncertainLcpM, j_set) -> AffineSolutionM | None:
@@ -218,43 +260,20 @@ def check_box_conditions(inst: UncertainLcpM, j_set, cand: AffineSolutionM,
     """
     j = linalg.index_set(j_set, inst.n)
     n_set = linalg.complement(j, inst.n)
-    k = inst.k
     scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
-    ones = np.ones(k)
     checks = []
-    certified = True
 
-    worst_val, worst_pt = np.inf, np.zeros(k)
-    for row in j:
-        val, arg = min_affine_over_box(cand.d[row], cand.r[row], ones)
-        if val < worst_val:
-            worst_val, worst_pt = val, arg
-    if j.size == 0:
-        worst_val = 0.0
+    worst_val, worst_pt = _affine_rows_min(inst, cand, j)
     checks.append(ConditionCheck(
         "support-rows-nonnegative", bool(worst_val >= -tol * scale),
         float(worst_val), worst_pt))
 
-    const, lin, quad = _residual_coefficients(inst, cand, n_set)
-    worst_val, worst_pt = np.inf, np.zeros(k)
-    exact_all = True
-    for t in range(n_set.size):
-        qmat = np.zeros((k, k))
-        for (i, jj), block in quad.items():
-            qmat[i, jj] = block[t]
-        val, arg, exact = min_quadratic_over_box(qmat, lin[t], float(const[t]))
-        exact_all = exact_all and exact
-        if val < worst_val:
-            worst_val, worst_pt = val, arg
-    if n_set.size == 0:
-        worst_val = 0.0
-    certified = certified and exact_all
+    worst_val, worst_pt, certified = _inactive_rows_min(inst, cand, n_set)
     checks.append(ConditionCheck(
         "off-support-rows-nonnegative", bool(worst_val >= -tol * scale),
         float(worst_val), worst_pt))
 
-    overall = all(c.passed for c in checks)
-    return VerificationReport(overall, checks, certified)
+    return VerificationReport(all(c.passed for c in checks), checks, certified)
 
 
 def _structural_check_m(inst: UncertainLcpM, sol: AffineSolutionM, tol: float):
@@ -285,47 +304,23 @@ def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM,
     j_set = sol.support()
     n_set = linalg.complement(j_set, n)
     scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
-    ones = np.ones(k)
     checks = []
 
-    worst_val, worst_pt = np.inf, np.zeros(k)
-    for i in range(n):
-        val, arg = min_affine_over_box(sol.d[i], sol.r[i], ones)
-        if val < worst_val:
-            worst_val, worst_pt = val, arg
-    if n == 0:
-        worst_val = 0.0
+    worst_val, worst_pt = _affine_rows_min(inst, sol, range(n))
     checks.append(ConditionCheck(
         "z-nonnegative", bool(worst_val >= -tol), float(worst_val), worst_pt))
 
-    const, lin, quad = _residual_coefficients(inst, sol, j_set)
-    worst = float(np.max(np.abs(const), initial=0.0))
-    worst = max(worst, float(np.max(np.abs(lin), initial=0.0)))
-    for block in quad.values():
-        worst = max(worst, float(np.max(np.abs(block), initial=0.0)))
+    worst = _active_residual(inst, sol, j_set)
     checks.append(ConditionCheck(
         "active-rows-vanish", bool(worst <= tol * scale), float(worst),
         np.zeros(k)))
 
-    const, lin, quad = _residual_coefficients(inst, sol, n_set)
-    worst_val, worst_pt = np.inf, np.zeros(k)
-    certified = True
-    for t in range(n_set.size):
-        qmat = np.zeros((k, k))
-        for (i, jj), block in quad.items():
-            qmat[i, jj] = block[t]
-        val, arg, exact = min_quadratic_over_box(qmat, lin[t], float(const[t]))
-        certified = certified and exact
-        if val < worst_val:
-            worst_val, worst_pt = val, arg
-    if n_set.size == 0:
-        worst_val = 0.0
+    worst_val, worst_pt, certified = _inactive_rows_min(inst, sol, n_set)
     checks.append(ConditionCheck(
         "inactive-rows-nonnegative", bool(worst_val >= -tol * scale),
         float(worst_val), worst_pt))
 
-    overall = all(c.passed for c in checks)
-    return VerificationReport(overall, checks, certified)
+    return VerificationReport(all(c.passed for c in checks), checks, certified)
 
 
 @dataclass

@@ -23,7 +23,7 @@ positive semidefinite M (exact both ways).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -349,6 +349,55 @@ class MipVariableLayout:
         return AffineSolutionQ(d.copy(), r.copy())
 
 
+class _Rows:
+    """Dense constraint rows over ncols columns, in the order added."""
+
+    def __init__(self, ncols: int):
+        self.ncols = ncols
+        self.rows, self.senses, self.rhs = [], [], []
+
+    def add(self, cols, coefs, sense: str, b) -> None:
+        row = np.zeros(self.ncols)
+        row[np.asarray(cols, dtype=int)] = coefs
+        self.rows.append(row)
+        self.senses.append(sense)
+        self.rhs.append(float(b))
+
+    def program(self, lower: np.ndarray, upper: np.ndarray) -> LinearProgram:
+        return LinearProgram(np.zeros(self.ncols), np.vstack(self.rows),
+                             self.senses, np.array(self.rhs), lower, upper)
+
+
+def _envelope_rows(rows: _Rows, inst: UncertainLcpQ, i: int, u_set: np.ndarray,
+                   r_idx: np.ndarray, d_idx: np.ndarray,
+                   a_cols: np.ndarray | None = None,
+                   c_cols: np.ndarray | None = None) -> None:
+    """Box envelopes of row i over u_set: with a_cols (one column per j
+    in u_set), z_i(u) >= 0 as a_ij <= -+ d_ij ubar_j, sum_j a_ij + r_i >= 0;
+    with c_cols, (M z(u) + q(u))_i >= 0 as c_ij <= -+ (M_i . D_col_j +
+    delta_ij) ubar_j, sum_j c_ij + M_i r >= -qbar_i. r_idx and d_idx map r
+    and D to columns. Per j the a rows precede the c rows; the sums come
+    last."""
+    m, ub = inst.m, inst.ubar
+    for uj, j in enumerate(u_set):
+        if a_cols is not None:
+            rows.add([a_cols[uj], d_idx[i, j]], [1.0, ub[j]], "<=", 0.0)
+            rows.add([a_cols[uj], d_idx[i, j]], [1.0, -ub[j]], "<=", 0.0)
+        if c_cols is not None:
+            delta = 1.0 if i == j else 0.0
+            cols = np.concatenate([[c_cols[uj]], d_idx[:, j]])
+            rows.add(cols, np.concatenate([[1.0], ub[j] * m[i]]), "<=",
+                     -delta * ub[j])
+            rows.add(cols, np.concatenate([[1.0], -ub[j] * m[i]]), "<=",
+                     delta * ub[j])
+    if a_cols is not None:
+        rows.add(np.concatenate([a_cols, [r_idx[i]]]),
+                 np.concatenate([np.ones(u_set.size), [1.0]]), ">=", 0.0)
+    if c_cols is not None:
+        rows.add(np.concatenate([c_cols, r_idx]),
+                 np.concatenate([np.ones(u_set.size), m[i]]), ">=", -inst.qbar[i])
+
+
 def build_mip(inst: UncertainLcpQ, big_m: float):
     """Mixed-binary feasibility encoding of the robust-solution
     conditions with indicator binaries x_i (x_i = 1 marks r_i free to be
@@ -389,67 +438,29 @@ def build_mip(inst: UncertainLcpQ, big_m: float):
         lower[lay.d[: inst.h, :].reshape(-1)] = 0.0
         upper[lay.d[: inst.h, :].reshape(-1)] = 0.0
 
-    rows, senses, rhs = [], [], []
-
-    def add(cols, coefs, sense, b):
-        row = np.zeros(ncols)
-        row[np.asarray(cols, dtype=int)] = coefs
-        rows.append(row)
-        senses.append(sense)
-        rhs.append(float(b))
-
+    rows = _Rows(ncols)
     for i in range(n):
         # r_i <= big_m x_i
-        add([lay.r[i], lay.x[i]], [1.0, -big_m], "<=", 0.0)
+        rows.add([lay.r[i], lay.x[i]], [1.0, -big_m], "<=", 0.0)
         # 0 <= M_i r + qbar_i <= big_m (1 - x_i)
-        add(lay.r, m[i], ">=", -inst.qbar[i])
-        add(np.concatenate([lay.r, [lay.x[i]]]), np.concatenate([m[i], [big_m]]),
-            "<=", big_m - inst.qbar[i])
+        rows.add(lay.r, m[i], ">=", -inst.qbar[i])
+        rows.add(np.concatenate([lay.r, [lay.x[i]]]), np.concatenate([m[i], [big_m]]),
+                 "<=", big_m - inst.qbar[i])
 
+    # M_i . D_col_j = -delta_ij unless x_i = 0 relaxes row i
     for j in u_set:
         dcol = lay.d[:, j]
         for i in range(n):
-            md = m[i]  # coefficients of M_i . D_col_j over the d grid
-            if i in s_set:
-                add(np.concatenate([dcol, [lay.x[i]]]), np.concatenate([md, [big_m]]),
-                    "<=", big_m)
-                add(np.concatenate([dcol, [lay.x[i]]]), np.concatenate([md, [-big_m]]),
-                    ">=", -big_m)
-            elif i == j:
-                add(np.concatenate([dcol, [lay.x[i]]]), np.concatenate([md, [big_m]]),
-                    "<=", big_m - 1.0)
-                add(np.concatenate([dcol, [lay.x[i]]]), np.concatenate([md, [-big_m]]),
-                    ">=", -big_m - 1.0)
-            else:
-                add(np.concatenate([dcol, [lay.x[i]]]), np.concatenate([md, [big_m]]),
-                    "<=", big_m)
-                add(np.concatenate([dcol, [lay.x[i]]]), np.concatenate([md, [-big_m]]),
-                    ">=", -big_m)
-
-    ub = inst.ubar
-    for i in range(n):
-        for j in u_set:
-            # a_ij <= -+ d_ij ubar_j
-            add([lay.a[i, j], lay.d[i, j]], [1.0, ub[j]], "<=", 0.0)
-            add([lay.a[i, j], lay.d[i, j]], [1.0, -ub[j]], "<=", 0.0)
-            # c_ij <= -+ (M_i . D_col_j + delta_ij) ubar_j
             delta = 1.0 if i == j else 0.0
-            add(np.concatenate([[lay.c[i, j]], lay.d[:, j]]),
-                np.concatenate([[1.0], ub[j] * m[i]]), "<=", -delta * ub[j])
-            add(np.concatenate([[lay.c[i, j]], lay.d[:, j]]),
-                np.concatenate([[1.0], -ub[j] * m[i]]), "<=", delta * ub[j])
-        if u_set.size:
-            add(np.concatenate([lay.a[i, u_set], [lay.r[i]]]),
-                np.concatenate([np.ones(u_set.size), [1.0]]), ">=", 0.0)
-            add(np.concatenate([lay.c[i, u_set], lay.r]),
-                np.concatenate([np.ones(u_set.size), m[i]]), ">=", -inst.qbar[i])
-        else:
-            add([lay.r[i]], [1.0], ">=", 0.0)
-            add(lay.r, m[i], ">=", -inst.qbar[i])
+            cols = np.concatenate([dcol, [lay.x[i]]])
+            rows.add(cols, np.concatenate([m[i], [big_m]]), "<=", big_m - delta)
+            rows.add(cols, np.concatenate([m[i], [-big_m]]), ">=", -big_m - delta)
 
-    lp = LinearProgram(np.zeros(ncols), np.vstack(rows), senses,
-                       np.array(rhs), lower, upper)
-    return MixedBinaryProgram(lp, lay.x), lay
+    for i in range(n):
+        _envelope_rows(rows, inst, i, u_set, lay.r, lay.d,
+                       a_cols=lay.a[i, u_set], c_cols=lay.c[i, u_set])
+
+    return MixedBinaryProgram(rows.program(lower, upper), lay.x), lay
 
 
 @dataclass
@@ -538,6 +549,18 @@ class PsdPathOutcome:
     nominal: np.ndarray | None = None
 
 
+def _nominal_support(inst: UncertainLcpQ):
+    """(zbar, P) for PSD M: a nominal solution by complementary pivoting
+    and the coordinates positive somewhere in the nominal solution set;
+    (None, None) on a ray, which proves there is no nominal solution."""
+    prob = NominalLcp(inst.m, inst.qbar)
+    nominal = solve_lemke(prob)
+    if nominal.status == "ray":
+        return None, None
+    zbar = nominal.solution.z
+    return zbar, compute_support_P(prob, zbar)
+
+
 def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     """Exact pathway for positive semidefinite M via one linear program.
 
@@ -553,11 +576,9 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     if not linalg.is_psd(inst.m):
         raise ValueError("psd pathway requires a positive semidefinite matrix")
     n = inst.n
-    nominal = solve_lemke(NominalLcp(inst.m, inst.qbar))
-    if nominal.status == "ray":
+    zbar, p_set = _nominal_support(inst)
+    if zbar is None:
         return PsdPathOutcome("no-solution")
-    zbar = nominal.solution.z
-    p_set = compute_support_P(NominalLcp(inst.m, inst.qbar), zbar)
     l_set = linalg.complement(p_set, n)
     u_set = inst.uncertain_set()
     s_set = inst.certain_set()
@@ -583,55 +604,29 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     lower[pin] = 0.0
     upper[pin] = 0.0
 
-    rows, senses, rhs = [], [], []
-
-    def add(cols, coefs, sense, b):
-        row = np.zeros(ncols)
-        row[np.asarray(cols, dtype=int)] = coefs
-        rows.append(row)
-        senses.append(sense)
-        rhs.append(float(b))
-
+    rows = _Rows(ncols)
     # r in the nominal solution set
     for i in range(n):
-        add(r_idx, m[i], ">=", -inst.qbar[i])
-    add(r_idx, inst.qbar, "=", float(inst.qbar @ zbar))
+        rows.add(r_idx, m[i], ">=", -inst.qbar[i])
+    rows.add(r_idx, inst.qbar, "=", float(inst.qbar @ zbar))
     sym = m + m.T
     for i in range(n):
-        add(r_idx, sym[i], "=", float(sym[i] @ zbar))
+        rows.add(r_idx, sym[i], "=", float(sym[i] @ zbar))
 
     # P-rows of the affine part: M_i . D_col_j = -delta_ij on P x U
     for i in p_set:
         for j in u_set:
             delta = 1.0 if (i == j) else 0.0
-            add(d_idx[:, j], m[i], "=", -delta)
+            rows.add(d_idx[:, j], m[i], "=", -delta)
 
-    # envelopes: z_P(u) >= 0
-    for pi, i in enumerate(p_set):
-        for uj, j in enumerate(u_set):
-            add([a_idx[pi, uj], d_idx[i, j]], [1.0, inst.ubar[j]], "<=", 0.0)
-            add([a_idx[pi, uj], d_idx[i, j]], [1.0, -inst.ubar[j]], "<=", 0.0)
-        if u_set.size:
-            add(np.concatenate([a_idx[pi], [r_idx[i]]]),
-                np.concatenate([np.ones(u_set.size), [1.0]]), ">=", 0.0)
+    # envelopes: z_P(u) >= 0, then (M z(u) + q(u))_L >= 0
+    if u_set.size:
+        for pi, i in enumerate(p_set):
+            _envelope_rows(rows, inst, i, u_set, r_idx, d_idx, a_cols=a_idx[pi])
+        for li, i in enumerate(l_set):
+            _envelope_rows(rows, inst, i, u_set, r_idx, d_idx, c_cols=c_idx[li])
 
-    # envelopes: (M z(u) + q(u))_L >= 0
-    for li, i in enumerate(l_set):
-        for uj, j in enumerate(u_set):
-            delta = 1.0 if (i == j) else 0.0
-            add(np.concatenate([[c_idx[li, uj]], d_idx[:, j]]),
-                np.concatenate([[1.0], inst.ubar[j] * m[i]]), "<=",
-                -delta * inst.ubar[j])
-            add(np.concatenate([[c_idx[li, uj]], d_idx[:, j]]),
-                np.concatenate([[1.0], -inst.ubar[j] * m[i]]), "<=",
-                delta * inst.ubar[j])
-        if u_set.size:
-            add(np.concatenate([c_idx[li], r_idx]),
-                np.concatenate([np.ones(u_set.size), m[i]]), ">=", -inst.qbar[i])
-
-    lp = LinearProgram(np.zeros(ncols), np.vstack(rows), senses,
-                       np.array(rhs), lower, upper)
-    out = check_feasibility(lp)
+    out = check_feasibility(rows.program(lower, upper))
     if out.status != "optimal":
         return PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
                               nominal=zbar)
@@ -644,29 +639,36 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar)
 
 
-def uniqueness_check_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> str:
+def uniqueness_check_psd(inst: UncertainLcpQ, outcome: PsdPathOutcome | None = None,
+                         tol: float = TOL_FEAS) -> str:
     """Uniqueness verdict for PSD instances with every coordinate
     uncertain: "multiple-nominal-no-aar" when the nominal solution set
     has more than one point (then no robust rule exists), otherwise
     "unique-if-exists". Instances outside that class: "not-applicable".
+
+    outcome, solve_psd's result on the same instance, supplies zbar and
+    P (and stands for its PSD test); without it both are computed here.
+    Only coordinates in P are minimized and maximized over the nominal
+    solution set: outside P every solution has z_j in [0, TOL_SUPPORT].
     """
-    if not linalg.is_psd(inst.m) or inst.certain_set().size:
+    if inst.certain_set().size:
         return "not-applicable"
-    nominal = solve_lemke(NominalLcp(inst.m, inst.qbar))
-    if nominal.status == "ray":
+    if outcome is not None:
+        zbar, p_set = outcome.nominal, outcome.support_p
+    elif linalg.is_psd(inst.m):
+        zbar, p_set = _nominal_support(inst)
+    else:
+        return "not-applicable"
+    if zbar is None:
         return "unique-if-exists"  # vacuous: no nominal solution at all
-    zbar = nominal.solution.z
     skeleton = describe_solution_set(NominalLcp(inst.m, inst.qbar), zbar)
-    for j in range(inst.n):
+    for j in p_set:
         for sense in (-1.0, 1.0):
             obj = np.zeros(inst.n)
             obj[j] = sense
-            lp = LinearProgram(obj, skeleton.lhs, skeleton.senses, skeleton.rhs,
-                               skeleton.lower, skeleton.upper)
-            out = solve_lp(lp)
-            if out.status == "unbounded":
-                return "multiple-nominal-no-aar"
-            if out.status == "optimal" and abs(out.x[j] - zbar[j]) > TOL_SUPPORT:
+            out = solve_lp(replace(skeleton, objective=obj))
+            if out.status == "unbounded" or (
+                    out.status == "optimal" and abs(out.x[j] - zbar[j]) > TOL_SUPPORT):
                 return "multiple-nominal-no-aar"
     return "unique-if-exists"
 

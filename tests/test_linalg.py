@@ -101,6 +101,16 @@ def test_nan_pivot_counts_as_singular(monkeypatch):
         linalg.solve(np.eye(3), np.ones(3))
 
 
+def test_infinite_pivot_counts_as_singular():
+    # the elimination overflows: U[2, 2] becomes -inf, which once let the
+    # solve return [nan, nan, -0.] without raising
+    a = 1e308 * np.array([[1.0, 0.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, 1.0, 1.7]])
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.solve(a, np.ones(3))
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.invert(a)
+
+
 def test_solve_matrix_right_hand_side():
     rng = np.random.default_rng(12)
     a = np.eye(4) + rng.uniform(-0.3, 0.3, (4, 4))

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
-from aarlcp.lcp import NominalLcp, lcp_residuals
+from aarlcp import robust_q
+from aarlcp.lcp import (NominalLcp, describe_solution_set, lcp_residuals,
+                        solve_lemke)
+from aarlcp.lp import LinearProgram, solve_lp
 from aarlcp.mip import solve_mip_feasibility
 from aarlcp.robust_q import (AffineSolutionQ, SizeLimitError, UncertainLcpQ,
                              build_mip, check_char_system, default_big_m,
                              sample_violation_q, solve_enumeration,
                              solve_mip_q, solve_psd, uniqueness_check_psd,
                              verify_affine_q)
+from aarlcp.tolerances import TOL_SUPPORT
 from conftest import random_psd_matrix
 
 # recurring instances: a 2x2 with multiple robust rules, and a positive
@@ -228,6 +232,89 @@ def test_uniqueness_verdicts():
     flat = UncertainLcpQ(m=np.zeros((1, 1)), qbar=np.zeros(1),
                          ubar=np.ones(1), h=0)
     assert uniqueness_check_psd(flat) == "multiple-nominal-no-aar"
+
+
+def _psd_sweep_instances(seed=2026, count=60):
+    """PSD M of every rank, a skew part on every third; on every second
+    instance qbar = -M y with y >= 0, so y solves the nominal problem and
+    a rank-deficient M leaves room for a non-singleton solution set. On
+    every fourth, M is a singular block beside a positive definite one,
+    shuffled, so that only some coordinates of P can move."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(count):
+        n = int(rng.integers(2, 6))
+        b = rng.uniform(-1.0, 1.0, (n, int(rng.integers(1, n + 1))))
+        m = b @ b.T
+        if t % 4 == 2:
+            k = int(rng.integers(1, n))
+            b = rng.uniform(-1.0, 1.0, (n, n))
+            b[:k, k - 1:] = 0.0  # rank k - 1 on the first k coordinates
+            b[k:, :k] = 0.0
+            perm = rng.permutation(n)
+            m = (b @ b.T + np.diag([0.0] * k + [0.5] * (n - k)))[np.ix_(perm, perm)]
+        if t % 3 == 0:
+            c = rng.uniform(-1.0, 1.0, (n, n))
+            m = m + 0.5 * (c - c.T)
+        if t % 2 == 0:
+            qbar = -m @ (rng.uniform(0.2, 1.0, n) * (rng.random(n) < 0.8))
+        else:
+            qbar = rng.uniform(-2.0, 0.5, n)
+        out.append(UncertainLcpQ(m=m, qbar=qbar, ubar=rng.uniform(0.02, 0.3, n)))
+    return out
+
+
+def _uniqueness_all_coordinates(inst):
+    """Minimize and maximize every coordinate over the nominal solution
+    set; any move beyond TOL_SUPPORT from zbar means several points."""
+    prob = NominalLcp(inst.m, inst.qbar)
+    nominal = solve_lemke(prob)
+    if nominal.status == "ray":
+        return "unique-if-exists"
+    zbar = nominal.solution.z
+    skeleton = describe_solution_set(prob, zbar)
+    for j in range(inst.n):
+        for sense in (-1.0, 1.0):
+            obj = np.zeros(inst.n)
+            obj[j] = sense
+            out = solve_lp(LinearProgram(obj, skeleton.lhs, skeleton.senses,
+                                         skeleton.rhs, skeleton.lower,
+                                         skeleton.upper))
+            if out.status == "unbounded" or (
+                    out.status == "optimal" and abs(out.x[j] - zbar[j]) > TOL_SUPPORT):
+                return "multiple-nominal-no-aar"
+    return "unique-if-exists"
+
+
+def test_uniqueness_over_p_matches_the_all_coordinate_sweep():
+    verdicts = []
+    for inst in _psd_sweep_instances():
+        out = solve_psd(inst)
+        verdict = uniqueness_check_psd(inst, out)
+        assert verdict == _uniqueness_all_coordinates(inst)
+        assert uniqueness_check_psd(inst) == verdict
+        if verdict == "multiple-nominal-no-aar":
+            assert out.status == "no-solution"
+            assert solve_enumeration(inst) == []
+        verdicts.append((verdict, out.status))
+    # the sweep reaches every verdict the PSD pathway can pair
+    assert {("multiple-nominal-no-aar", "no-solution"),
+            ("unique-if-exists", "no-solution"),
+            ("unique-if-exists", "solution")} <= set(verdicts)
+    assert verdicts.count(("multiple-nominal-no-aar", "no-solution")) >= 5
+
+
+def test_uniqueness_reuses_the_psd_outcome(monkeypatch):
+    inst = _psd_sweep_instances(count=1)[0]
+    out = solve_psd(inst)
+    verdict = uniqueness_check_psd(inst)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the outcome already holds the nominal point and P")
+
+    monkeypatch.setattr(robust_q, "solve_lemke", refuse)
+    monkeypatch.setattr(robust_q, "compute_support_P", refuse)
+    assert uniqueness_check_psd(inst, out) == verdict
 
 
 def test_psd_enumeration_returns_at_most_one_with_inverse_block():
