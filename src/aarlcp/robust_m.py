@@ -125,19 +125,17 @@ def mtilde(inst: UncertainLcpM, j_set, i: int) -> np.ndarray:
 
 def _residual_coefficients(inst: UncertainLcpM, sol: AffineSolutionM,
                            rows: np.ndarray):
-    """Coefficients of w(zeta) = M(zeta) z(zeta) + q on the given rows,
-    as (constant, linear columns, quadratic dict keyed by (i, j) with
-    i <= j). w is quadratic in zeta because both M and z are affine."""
+    """Coefficients of w(zeta) = M(zeta) z(zeta) + q on the given rows:
+    w_t(zeta) = const[t] + lin[t] @ zeta + zeta @ quad[t] @ zeta with
+    const (rows,), lin (rows, k) and quad (rows, k, k), where quad[t] is
+    upper triangular: [t, i, j] is the zeta_i zeta_j coefficient of row
+    t for i <= j. w is quadratic in zeta because both M and z are
+    affine."""
+    perts = [p[rows] for p in inst.perturbations]
     const = inst.m0[rows] @ sol.r + inst.q[rows]
-    k = inst.k
-    lin = np.empty((rows.size, k))
-    for i, p in enumerate(inst.perturbations):
-        lin[:, i] = p[rows] @ sol.r + inst.m0[rows] @ sol.d[:, i]
-    quad = {}
-    for i, pi in enumerate(inst.perturbations):
-        quad[(i, i)] = pi[rows] @ sol.d[:, i]
-        for j in range(i + 1, k):
-            quad[(i, j)] = pi[rows] @ sol.d[:, j] + inst.perturbations[j][rows] @ sol.d[:, i]
+    lin = np.column_stack([p @ sol.r for p in perts]) + inst.m0[rows] @ sol.d
+    pd = np.stack([p @ sol.d for p in perts], axis=1)  # [t, i, j] = (P_i D_j)_t
+    quad = np.triu(pd) + np.triu(pd.transpose(0, 2, 1), 1)
     return const, lin, quad
 
 
@@ -159,12 +157,8 @@ def _active_residual(inst: UncertainLcpM, sol: AffineSolutionM,
                      rows: np.ndarray) -> float:
     """Largest constant, linear or quadratic coefficient of w(zeta) on
     the given rows; zero exactly when those rows vanish identically."""
-    const, lin, quad = _residual_coefficients(inst, sol, rows)
-    worst = float(np.max(np.abs(const), initial=0.0))
-    worst = max(worst, float(np.max(np.abs(lin), initial=0.0)))
-    for block in quad.values():
-        worst = max(worst, float(np.max(np.abs(block), initial=0.0)))
-    return worst
+    return max(float(np.max(np.abs(c), initial=0.0))
+               for c in _residual_coefficients(inst, sol, rows))
 
 
 def _inactive_rows_min(inst: UncertainLcpM, sol: AffineSolutionM,
@@ -172,15 +166,11 @@ def _inactive_rows_min(inst: UncertainLcpM, sol: AffineSolutionM,
     """(min over the box and the given rows of w_t(zeta), its argmin,
     whether every row's minimum was exact); the minimum is 0.0 for no
     rows."""
-    k = inst.k
     const, lin, quad = _residual_coefficients(inst, sol, rows)
-    worst_val, worst_pt = np.inf, np.zeros(k)
+    worst_val, worst_pt = np.inf, np.zeros(inst.k)
     certified = True
     for t in range(rows.size):
-        qmat = np.zeros((k, k))
-        for (i, jj), block in quad.items():
-            qmat[i, jj] = block[t]
-        val, arg, exact = min_quadratic_over_box(qmat, lin[t], float(const[t]))
+        val, arg, exact = min_quadratic_over_box(quad[t], lin[t], float(const[t]))
         certified = certified and exact
         if val < worst_val:
             worst_val, worst_pt = val, arg
@@ -208,53 +198,55 @@ def characterize_for_J(inst: UncertainLcpM, j_set) -> AffineSolutionM | None:
     candidate is unvalidated: positivity of r_J, the kernel condition
     and the box conditions are separate checks."""
     j = linalg.index_set(j_set, inst.n)
-    n, k = inst.n, inst.k
-    d = np.zeros((n, k))
-    r = np.zeros(n)
+    d = np.zeros((inst.n, inst.k))
+    r = np.zeros(inst.n)
     if j.size == 0:
         return AffineSolutionM(d, r)
+    block = np.ix_(j, j)
     try:
-        inv0 = linalg.invert(linalg.submatrix(inst.m0, j, j))
+        inv0 = linalg.invert(inst.m0[block])
     except linalg.SingularMatrixError:
         return None
-    qj = inst.q[j]
-    v = inv0 @ qj  # equals -r_J
+    v = inv0 @ inst.q[j]  # equals -r_J
     r[j] = -v
     for i, p in enumerate(inst.perturbations):
-        d[j, i] = inv0 @ (linalg.submatrix(p, j, j) @ v)
+        d[j, i] = inv0 @ (p[block] @ v)
     return AffineSolutionM(d, r)
 
 
-def check_kernel_condition(inst: UncertainLcpM, j_set,
-                           tol: float = TOL_FEAS) -> bool:
-    """Whether (P_i_J mtilde_j + P_j_J mtilde_i) q_J = 0 for all pairs
-    i <= j. Substituting the closed-form D into the quadratic residual
-    coefficients gives exactly these products, so the condition is what
-    cancels the zeta_i zeta_j terms. Raises on a singular m0_J."""
+def check_kernel_condition(inst: UncertainLcpM, j_set, tol: float = TOL_FEAS,
+                           cand: AffineSolutionM | None = None) -> bool:
+    """Whether the zeta_i zeta_j terms of the support rows of w(zeta)
+    cancel: (P_i_J mtilde_j + P_j_J mtilde_i) q_J = 0 for all pairs
+    i <= j, within tol * (1 + max|q_J|). With the closed-form D these
+    products are exactly the quadratic coefficients of the J rows of
+    M(zeta) z(zeta) + q, so they are read off the candidate's own
+    residual polynomial (the diagonal counted twice, as in the sum).
+    Without `cand` the closed form of J is computed here; a singular
+    m0_J then raises SingularMatrixError."""
     j = linalg.index_set(j_set, inst.n)
-    if j.size == 0:
-        return True
-    inv0 = linalg.invert(linalg.submatrix(inst.m0, j, j))
-    qj = inst.q[j]
-    scale = 1.0 + float(np.max(np.abs(qj), initial=0.0))
-    blocks = [linalg.submatrix(p, j, j) for p in inst.perturbations]
-    tilde_q = [inv0 @ (b @ (inv0 @ qj)) for b in blocks]  # mtilde_i q_J
-    for i in range(inst.k):
-        for jj in range(i, inst.k):
-            res = blocks[i] @ tilde_q[jj] + blocks[jj] @ tilde_q[i]
-            if float(np.max(np.abs(res), initial=0.0)) > tol * scale:
-                return False
-    return True
+    if cand is None:
+        cand = characterize_for_J(inst, j)
+        if cand is None:
+            raise linalg.SingularMatrixError(
+                f"m0_J is singular for J = {j.tolist()}; no kernel condition")
+    _, _, quad = _residual_coefficients(inst, cand, j)
+    scale = 1.0 + float(np.max(np.abs(inst.q[j]), initial=0.0))
+    worst = float(np.max(np.abs(quad + quad.transpose(0, 2, 1)), initial=0.0))
+    return worst <= tol * scale
 
 
 def check_box_conditions(inst: UncertainLcpM, j_set, cand: AffineSolutionM,
                          tol: float = TOL_FEAS) -> VerificationReport:
     """The two quantified sign conditions for a closed-form candidate.
 
-      support-rows-nonnegative      min over the box of z_j(zeta), j in J
-                                    (affine, vertex minimum, exact)
+      support-rows-nonnegative      min over the box of z_j(zeta), j in J,
+                                    at least -tol (affine, vertex
+                                    minimum, exact); the threshold of
+                                    verify_affine_m's z-nonnegative
       off-support-rows-nonnegative  min over the box of w_t(zeta), t not
-                                    in J (quadratic; exact by face
+                                    in J, at least -tol * (1 + max|q|)
+                                    (quadratic; exact by face
                                     enumeration for small k, sampled
                                     beyond with certified=False)
     """
@@ -265,7 +257,7 @@ def check_box_conditions(inst: UncertainLcpM, j_set, cand: AffineSolutionM,
 
     worst_val, worst_pt = _affine_rows_min(inst, cand, j)
     checks.append(ConditionCheck(
-        "support-rows-nonnegative", bool(worst_val >= -tol * scale),
+        "support-rows-nonnegative", bool(worst_val >= -tol),
         float(worst_val), worst_pt))
 
     worst_val, worst_pt, certified = _inactive_rows_min(inst, cand, n_set)
@@ -328,7 +320,6 @@ class EnumerationOutcomeM:
     """Everything the subset sweep learned."""
 
     solutions: list = field(default_factory=list)
-    reports: list = field(default_factory=list)  # parallel to solutions
     singular_supports: list = field(default_factory=list)
 
 
@@ -352,20 +343,17 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM,
                 continue
             if j.size and np.min(cand.r[j]) <= TOL_SUPPORT:
                 continue  # support demands strictly positive r
-            if inst.h:
-                rows = j[j < inst.h]
-                if rows.size and np.max(np.abs(cand.d[rows, :]), initial=0.0) > tol:
-                    continue  # here-and-now rows refuse to stay fixed
-                cand.d[: inst.h, :] = 0.0
-            if not check_kernel_condition(inst, j, tol):
+            rows = j[j < inst.h]
+            if rows.size and np.max(np.abs(cand.d[rows, :])) > tol:
+                continue  # here-and-now rows refuse to stay fixed
+            if not check_kernel_condition(inst, j, tol, cand):
                 continue
-            report = check_box_conditions(inst, j, cand, tol)
-            if not report.overall:
+            cand.d[: inst.h, :] = 0.0
+            if not check_box_conditions(inst, j, cand, tol).overall:
                 continue
             if sample_violation_m(inst, cand, count=1000, seed=0) > tol * 10:
                 continue  # sampling backstop against tolerance leaks
             out.solutions.append(cand)
-            out.reports.append(report)
     return out
 
 
@@ -388,15 +376,11 @@ def uniqueness_m(inst: UncertainLcpM) -> str:
 def sample_violation_m(inst: UncertainLcpM, sol: AffineSolutionM,
                        count: int = 1000, seed: int = 0) -> float:
     """Largest violation of the LCP conditions over `count` uniform box
-    samples: max of -z_i, -w_i and |z . w| with w = M(zeta) z + q."""
+    samples: max of -z_i, -w_i and |z_i w_i| with w = M(zeta) z + q."""
     rng = np.random.default_rng(seed)
     pts = rng.uniform(-1.0, 1.0, (count, inst.k))
-    worst = 0.0
-    for zeta in pts:
-        z = sol.evaluate(zeta)
-        w = inst.matrix_at(zeta) @ z + inst.q
-        worst = max(worst,
-                    float(np.max(-z, initial=0.0)),
-                    float(np.max(-w, initial=0.0)),
-                    float(np.max(np.abs(z * w), initial=0.0)))
-    return worst
+    zs = pts @ sol.d.T + sol.r
+    ws = (zs @ inst.m0.T + inst.q
+          + np.einsum("si,itj,sj->st", pts, np.stack(inst.perturbations), zs))
+    return float(max(np.max(-zs, initial=0.0), np.max(-ws, initial=0.0),
+                     np.max(np.abs(zs * ws), initial=0.0)))

@@ -185,6 +185,18 @@ def test_cli_solve_no_solution_exit_one(tmp_path, capsys):
     assert "no-solution" in capsys.readouterr().out
 
 
+def test_cli_uncertain_m_near_threshold_exit_one(tmp_path, capsys):
+    # the full-support rule dips to z_0 = -1.5e-8 on the box: the sweep
+    # must reject it rather than hand dispatch a rule that fails
+    # verification
+    inst = UncertainLcpM(m0=np.eye(2),
+                         perturbations=[np.array([[0.0, 1.0], [0.0, 0.0]])],
+                         q=np.array([-1.0, -1.000000015]), h=0)
+    path = _write(tmp_path, "near.txt", serialize_instance(inst))
+    assert main(["solve", path]) == 1
+    assert "no-solution" in capsys.readouterr().out
+
+
 def test_cli_big_m_caveat_exit_two(tmp_path, capsys):
     path = _write(tmp_path, "caveat.txt", serialize_instance(BIG_M_CAVEAT))
     assert main(["solve", path, "--big-m", "10"]) == 2

@@ -1,6 +1,10 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from aarlcp import linalg, robust_m
+from aarlcp.linalg import SingularMatrixError
 from aarlcp.robust_m import (AffineSolutionM, UncertainLcpM,
                              characterize_for_J, check_box_conditions,
                              check_kernel_condition, check_necessary_m,
@@ -94,6 +98,23 @@ def test_kernel_condition_variant_q():
     assert check_kernel_condition(inst, j)
     cand = characterize_for_J(inst, j)
     assert cand.r == pytest.approx([17.0 / 16.0, 15.0 / 4.0], abs=1e-12)
+
+
+def test_kernel_condition_reads_the_candidate_polynomial():
+    # D = P q = (-2, -1), so the zeta^2 coefficients P D = (-1, -2) of
+    # the support rows survive
+    inst = UncertainLcpM(m0=np.eye(2),
+                         perturbations=[np.array([[0.0, 1.0], [1.0, 0.0]])],
+                         q=np.array([-1.0, -2.0]), h=0)
+    j = np.array([0, 1])
+    cand = characterize_for_J(inst, j)
+    assert not check_kernel_condition(inst, j)
+    assert not check_kernel_condition(inst, j, cand=cand)
+    singular = UncertainLcpM(m0=np.array([[0.0, 0.0], [1.0, 1.0]]),
+                             perturbations=[np.zeros((2, 2))],
+                             q=np.array([-1.0, -1.0]), h=0)
+    with pytest.raises(SingularMatrixError):
+        check_kernel_condition(singular, np.array([0]))
 
 
 def test_box_conditions_pass_on_worked_instance():
@@ -250,3 +271,128 @@ def test_here_and_now_rows_force_rejection():
     h1 = UncertainLcpM(m0=INST.m0, perturbations=INST.perturbations,
                        q=INST.q, h=1)
     assert solve_enumeration_m(h1) == []
+
+
+def test_box_conditions_support_rows_use_verification_threshold():
+    # min z_0 = 1 - 1.000000015 = -1.5e-8 at zeta = 1: below -tol, so the
+    # rule fails verify_affine_m and the sweep must not return it
+    inst = UncertainLcpM(m0=np.eye(2),
+                         perturbations=[np.array([[0.0, 1.0], [0.0, 0.0]])],
+                         q=np.array([-1.0, -1.000000015]), h=0)
+    cand = characterize_for_J(inst, np.array([0, 1]))
+    assert not verify_affine_m(inst, cand).overall
+    assert not check_box_conditions(inst, np.array([0, 1]), cand).overall
+    assert solve_enumeration_m(inst) == []
+
+
+def _sweep_instance(rng, n, k, h, planted, rank_deficient):
+    """Random uncertain-M instance. Planted ones have a block-diagonal,
+    upper-triangular m0 (no coupling between the first h coordinates
+    and the rest) and perturbations confined to the last column below
+    row h, so the kernel condition holds on every support and the
+    here-and-now rows of D vanish; q = -m0 r* + slack plants r*.
+    Rank-deficient ones repeat a column of m0, so every support that
+    holds both copies is singular."""
+    if planted:
+        m0 = np.triu(rng.uniform(-0.5, 0.5, (n, n))) + np.diag(rng.uniform(1.5, 3.0, n))
+        m0[:h, h:] = 0.0
+        perts = []
+        for _ in range(k):
+            p = np.zeros((n, n))
+            p[h: n - 1, n - 1] = rng.uniform(-0.1, 0.1, n - 1 - h)
+            perts.append(p)
+        rstar = rng.uniform(1.0, 3.0, n) * (rng.uniform(size=n) < 0.8)
+        q = -(m0 @ rstar) + np.where(rstar == 0.0, rng.uniform(0.5, 1.5, n), 0.0)
+    else:
+        m0 = np.eye(n) * 2.0 + rng.uniform(-0.5, 0.5, (n, n))
+        perts = [rng.uniform(-0.3, 0.3, (n, n)) for _ in range(k)]
+        q = rng.uniform(-4.0, 2.0, n)
+    if rank_deficient:
+        a, b = rng.choice(n, 2, replace=False)
+        m0[:, b] = m0[:, a]
+    return UncertainLcpM(m0=m0.round(3), perturbations=[p.round(3) for p in perts],
+                         q=q.round(3), h=h)
+
+
+def _reference_sweep(inst, tol=1e-8):
+    """The support sweep written out: closed form, kernel residual from
+    mtilde, box conditions and the sampling backstop."""
+    solutions, singular = [], []
+    for size in range(inst.n + 1):
+        for j_tuple in itertools.combinations(range(inst.n), size):
+            j = np.array(j_tuple, dtype=int)
+            cand = characterize_for_J(inst, j)
+            if cand is None:
+                singular.append(j)
+                continue
+            if j.size and np.min(cand.r[j]) <= 1e-7:
+                continue
+            here = j[j < inst.h]
+            if here.size and np.max(np.abs(cand.d[here])) > tol:
+                continue
+            if j.size:
+                qj = inst.q[j]
+                tq = [mtilde(inst, j, i) @ qj for i in range(inst.k)]
+                pj = [p[np.ix_(j, j)] for p in inst.perturbations]
+                resid = max(np.max(np.abs(pj[a] @ tq[b] + pj[b] @ tq[a]))
+                            for a in range(inst.k) for b in range(a, inst.k))
+                if resid > tol * (1.0 + np.max(np.abs(qj))):
+                    continue
+            cand.d[: inst.h] = 0.0
+            if not check_box_conditions(inst, j, cand, tol).overall:
+                continue
+            if sample_violation_m(inst, cand, count=1000, seed=0) > tol * 10:
+                continue
+            solutions.append(cand)
+    return solutions, singular
+
+
+def test_sweep_matches_written_out_reference():
+    rng = np.random.default_rng(41)
+    accepted = singular = 0
+    for case in range(40):
+        k, h = 1 + case % 3, (case // 3) % 3
+        inst = _sweep_instance(rng, n=4, k=k, h=h, planted=case % 2 == 0,
+                               rank_deficient=case % 5 == 1)
+        out = solve_enumeration_m_detailed(inst)
+        ref_sols, ref_singular = _reference_sweep(inst)
+        assert len(out.solutions) == len(ref_sols)
+        for got, want in zip(out.solutions, ref_sols):
+            assert np.array_equal(got.r, want.r) and np.array_equal(got.d, want.d)
+        assert [s.tolist() for s in out.singular_supports] == \
+            [s.tolist() for s in ref_singular]
+        accepted += len(ref_sols)
+        singular += len(ref_singular)
+    assert accepted >= 10 and singular >= 10
+
+
+def test_sweep_inverts_each_nonempty_support_once(monkeypatch):
+    inverts, kernels = [], []
+    invert, kernel = linalg.invert, robust_m.check_kernel_condition
+    monkeypatch.setattr(linalg, "invert", lambda a: inverts.append(1) or invert(a))
+    monkeypatch.setattr(robust_m, "check_kernel_condition",
+                        lambda *a: kernels.append(1) or kernel(*a))
+    rng = np.random.default_rng(42)
+    inst = _sweep_instance(rng, n=4, k=2, h=0, planted=True, rank_deficient=False)
+    assert solve_enumeration_m(inst)
+    assert len(kernels) >= 4
+    assert len(inverts) == 2 ** inst.n - 1
+
+
+def test_sample_violation_matches_pointwise_loop():
+    rng = np.random.default_rng(43)
+    for case in range(6):
+        inst = _sweep_instance(rng, n=4, k=1 + case % 3, h=0,
+                               planted=False, rank_deficient=False)
+        sol = AffineSolutionM(d=rng.uniform(-1.0, 1.0, (4, inst.k)),
+                              r=rng.uniform(0.0, 2.0, 4))
+        pts = np.random.default_rng(7).uniform(-1.0, 1.0, (300, inst.k))
+        worst = zmax = 0.0
+        for zeta in pts:
+            z = sol.evaluate(zeta)
+            w = inst.matrix_at(zeta) @ z + inst.q
+            worst = max(worst, np.max(-z), np.max(-w), np.max(np.abs(z * w)))
+            zmax = max(zmax, np.max(np.abs(z)))
+        scale = (1.0 + np.max(np.abs(inst.q))) * (1.0 + zmax)
+        got = sample_violation_m(inst, sol, count=300, seed=7)
+        assert abs(got - worst) <= 1e-12 * scale
