@@ -32,5 +32,7 @@ tight = UncertainLcpQ(m=np.array([[1.0, 0.5], [0.5, 1.0]]),
 print("\ntight instance:", solve_psd(tight).status)
 prob = NominalLcp(tight.m, tight.qbar)
 zbar = solve_lemke(prob).solution.z
-print("support P for the tight instance:",
-      [int(i) for i in compute_support_P(prob, zbar) + 1])
+p_set, zmax = compute_support_P(prob, zbar)
+print("support P for the tight instance:", [int(i) for i in p_set + 1])
+print("largest value of each coordinate over its nominal solutions:",
+      zmax.round(6))

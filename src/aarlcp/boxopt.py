@@ -53,13 +53,13 @@ def box_vertices(k: int) -> np.ndarray:
     return np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
 
 
-def halton_points(k: int, count: int, seed: int = 0) -> np.ndarray:
-    """Low-discrepancy points in [-1, 1]^k."""
+def halton_points(k: int, count: int) -> np.ndarray:
+    """Low-discrepancy points in [-1, 1]^k, the same on every call."""
     # imported here: scipy.stats costs about a second of import time and
     # only the sampling fallback beyond EXACT_FACE_LIMIT needs it
     from scipy.stats import qmc
 
-    sampler = qmc.Halton(d=k, scramble=True, seed=seed)
+    sampler = qmc.Halton(d=k, scramble=True, seed=0)
     return 2.0 * sampler.random(count) - 1.0
 
 
@@ -67,25 +67,18 @@ def _eval_quadratic(q: np.ndarray, b: np.ndarray, c: float, pts: np.ndarray) -> 
     return c + pts @ b + np.einsum("ij,jk,ik->i", pts, q, pts)
 
 
-def min_quadratic_over_box(
-    q,
-    b,
-    c: float,
-    exact_limit: int = EXACT_FACE_LIMIT,
-    sample_count: int = SAMPLE_COUNT,
-    seed: int = 0,
-):
+def min_quadratic_over_box(q, b, c: float):
     """Minimize c + b . z + z^T q z over the box [-1, 1]^k.
+
+    Dimensions up to EXACT_FACE_LIMIT use exhaustive face enumeration and
+    the result is exact; beyond it the vertices (up to k = 16) plus
+    SAMPLE_COUNT Halton points give an upper estimate of the minimum.
 
     Parameters
     ----------
     q : (k, k) array_like
     b : (k,) array_like
     c : float
-    exact_limit : int
-        Dimensions up to this bound use exhaustive face enumeration and
-        the result is exact; beyond it vertices plus Halton samples give
-        an upper estimate of the minimum.
 
     Returns
     -------
@@ -101,8 +94,8 @@ def min_quadratic_over_box(
         return float(c), np.zeros(0), True
     qs = 0.5 * (qm + qm.T)  # the quadratic form only sees the symmetric part
 
-    if k > exact_limit:
-        pts = halton_points(k, sample_count, seed)
+    if k > EXACT_FACE_LIMIT:
+        pts = halton_points(k, SAMPLE_COUNT)
         if k <= 16:  # vertex sweep stays affordable up to 2^16 points
             pts = np.vstack([box_vertices(k), pts])
         vals = _eval_quadratic(qs, bv, c, pts)

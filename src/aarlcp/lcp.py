@@ -11,10 +11,10 @@ ray is reported as such and the caller decides.
 
 describe_solution_set encodes, for PSD M, the full solution set as a
 polyhedron around any one solution; compute_support_P maximizes each
-coordinate over that polyhedron to find P, the coordinates positive
-somewhere in the set. The psd-lp pathway (robust_q.solve_psd) builds
-its LP on P, and its uniqueness check minimizes and maximizes only the
-coordinates in P over the same polyhedron.
+coordinate over that polyhedron and returns the maxima zmax together
+with P, the coordinates positive somewhere in the set. The psd-lp
+pathway (robust_q.solve_psd) builds its LP on P, and its uniqueness
+check reads zmax and solves one more LP over the same polyhedron.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import linalg
-from .lp import INF, LinearProgram, IterationLimitError, solve_lp
+from .lp import LinearProgram, IterationLimitError, solve_lp
 from .tolerances import TOL_COMP, TOL_FEAS, TOL_SUPPORT
 
 __all__ = [
@@ -90,18 +90,17 @@ def _validate_solution(prob: NominalLcp, z, tol: float) -> LcpSolution:
     return LcpSolution(z=z, comp_residual=comp)
 
 
-def solve_lemke(prob: NominalLcp, max_iterations: int | None = None,
-                tol: float = TOL_FEAS) -> LemkeOutcome:
+def solve_lemke(prob: NominalLcp, tol: float = TOL_FEAS) -> LemkeOutcome:
     """Complementary pivoting from the all-ones covering vector.
 
     Returns status "solution" with a validated LcpSolution, or "ray" when
     the entering column has no positive entries (secondary ray). The
     returned solution is re-checked against the original data,
-    independently of the tableau arithmetic.
+    independently of the tableau arithmetic. More than
+    max(200, 25 n^2) pivots raise IterationLimitError.
     """
     n = prob.n
-    if max_iterations is None:
-        max_iterations = max(200, 25 * n * n)
+    max_iterations = max(200, 25 * n * n)
     if np.all(prob.q >= 0):
         return LemkeOutcome("solution", _validate_solution(prob, np.zeros(n), tol), 0)
 
@@ -170,7 +169,7 @@ def solve_lemke(prob: NominalLcp, max_iterations: int | None = None,
         row = None
 
 
-def describe_solution_set(prob: NominalLcp, zbar, tol: float = TOL_FEAS) -> LinearProgram:
+def describe_solution_set(prob: NominalLcp, zbar) -> LinearProgram:
     """Polyhedral description of the full solution set of a PSD instance
     around the known solution zbar:
 
@@ -178,16 +177,15 @@ def describe_solution_set(prob: NominalLcp, zbar, tol: float = TOL_FEAS) -> Line
 
     The returned LinearProgram has a zero objective; callers set one.
     Raises ValueError when M is not positive semidefinite or zbar fails
-    to solve the instance.
+    the check solve_lemke applies to its own solutions.
     """
     if not linalg.is_psd(prob.m):
         raise ValueError("solution-set description requires a PSD matrix")
     zbar = linalg.as_vector(zbar, prob.n)
-    zmin, wmin, comp = lcp_residuals(prob, zbar)
-    qscale = 1.0 + float(np.max(np.abs(prob.q), initial=0.0))
-    zscale = 1.0 + float(np.max(np.abs(zbar), initial=0.0))
-    if zmin < -tol or wmin < -tol * qscale or comp > TOL_COMP * qscale * zscale:
-        raise ValueError("zbar does not solve the instance")
+    try:
+        _validate_solution(prob, zbar, TOL_FEAS)
+    except RuntimeError as exc:
+        raise ValueError("zbar does not solve the instance") from exc
     n = prob.n
     sym = prob.m + prob.m.T
     lhs = np.vstack([prob.m, prob.q.reshape(1, n), sym])
@@ -203,18 +201,18 @@ def describe_solution_set(prob: NominalLcp, zbar, tol: float = TOL_FEAS) -> Line
     )
 
 
-def compute_support_P(prob: NominalLcp, zbar, tol: float = TOL_SUPPORT) -> np.ndarray:
-    """Indices j whose coordinate is positive somewhere in the solution
-    set of a PSD instance (one LP maximizing z_j per coordinate;
-    unbounded coordinates count as positive)."""
+def compute_support_P(prob: NominalLcp, zbar) -> tuple[np.ndarray, np.ndarray]:
+    """(P, zmax) for a PSD instance. zmax[j] is the largest value of z_j
+    over the solution set (one LP per coordinate; inf when unbounded), and
+    P holds the indices j with zmax[j] > TOL_SUPPORT, the coordinates
+    positive somewhere in the set."""
     skeleton = describe_solution_set(prob, zbar)
-    members = []
+    zmax = np.empty(prob.n)
     for j in range(prob.n):
         obj = np.zeros(prob.n)
         obj[j] = -1.0  # maximize z_j
         out = solve_lp(replace(skeleton, objective=obj))
-        if out.status == "unbounded" or (out.status == "optimal" and -out.objective > tol):
-            members.append(j)
-        elif out.status == "infeasible":
+        if out.status == "infeasible":
             raise RuntimeError("solution-set polyhedron reported infeasible")
-    return np.array(members, dtype=int)
+        zmax[j] = np.inf if out.status == "unbounded" else out.x[j]
+    return np.flatnonzero(zmax > TOL_SUPPORT), zmax

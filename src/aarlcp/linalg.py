@@ -11,7 +11,7 @@ scaling a matrix does not flip the verdict.
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetrs
+from scipy.linalg.lapack import dgetrf, dgetri, dgetrs
 
 from .tolerances import TOL_PIVOT_FACTOR, TOL_PSD
 
@@ -88,10 +88,27 @@ def submatrix(a: np.ndarray, rows, cols) -> np.ndarray:
     return a[np.ix_(r, c)]
 
 
-def solve(a, b, tol_factor: float = TOL_PIVOT_FACTOR) -> np.ndarray:
+def _factor(a: np.ndarray):
+    """getrf of a nonempty square a, with the pivot check of solve."""
+    # getrf does not stop at a small pivot, so the whole diagonal of U is
+    # checked; NaN and overflow to inf fail the comparisons: singular
+    lu, piv, _ = dgetrf(a)
+    thresh = TOL_PIVOT_FACTOR * np.max(np.abs(a))
+    diag = np.abs(np.diagonal(lu))
+    bad = np.flatnonzero(~((diag > thresh) & (diag < np.inf)))
+    if bad.size:
+        k = int(bad[0])
+        raise SingularMatrixError(
+            f"pivot {lu[k, k]:.3e} at column {k}: magnitude not in "
+            f"({thresh:.3e}, inf)"
+        )
+    return lu, piv
+
+
+def solve(a, b) -> np.ndarray:
     """Solve a x = b for square a by LAPACK LU with partial pivoting
     (getrf/getrs); b may be a vector or a matrix. A pivot with magnitude
-    <= tol_factor * max|a|, an infinite one, or NaN raises
+    <= TOL_PIVOT_FACTOR * max|a|, an infinite one, or NaN raises
     SingularMatrixError.
 
     Empty systems (0 x 0) return an empty solution, which keeps callers
@@ -101,25 +118,17 @@ def solve(a, b, tol_factor: float = TOL_PIVOT_FACTOR) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[0] == 0:
         return np.zeros(0) if b.ndim == 1 else np.zeros((0, b.shape[1]))
-    # getrf does not stop at a small pivot, so the whole diagonal of U is
-    # checked; NaN and overflow to inf fail the comparisons: singular
-    lu, piv, _ = dgetrf(a)
-    thresh = tol_factor * np.max(np.abs(a))
-    diag = np.abs(np.diagonal(lu))
-    bad = np.flatnonzero(~((diag > thresh) & (diag < np.inf)))
-    if bad.size:
-        k = int(bad[0])
-        raise SingularMatrixError(
-            f"pivot {lu[k, k]:.3e} at column {k}: magnitude not in "
-            f"({thresh:.3e}, inf)"
-        )
-    return dgetrs(lu, piv, b)[0]
+    return dgetrs(*_factor(a), b)[0]
 
 
-def invert(a, tol_factor: float = TOL_PIVOT_FACTOR) -> np.ndarray:
-    """Inverse via LU. Raises SingularMatrixError for singular input."""
+def invert(a) -> np.ndarray:
+    """Inverse via LU (getrf/getri), with the conventions of solve."""
     a = as_matrix(a, square=True)
-    return solve(a, np.eye(a.shape[0]), tol_factor)
+    if a.shape[0] == 0:
+        return np.zeros((0, 0))
+    # not getrs against the identity: OpenBLAS threads a solve with many
+    # right-hand sides, which on small blocks costs more than the work
+    return dgetri(*_factor(a))[0]
 
 
 def symmetric_eigenvalues(a) -> np.ndarray:

@@ -65,10 +65,9 @@ class MipOutcome:
 def solve_mip_feasibility(
     prob: MixedBinaryProgram,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    tol_int: float = TOL_INT,
     tol: float = TOL_FEAS,
 ) -> MipOutcome:
-    """Find any point satisfying all constraints with integral binaries.
+    """Find any point satisfying all constraints, binaries integral to TOL_INT.
 
     Returns MipOutcome("feasible", x, nodes) or MipOutcome("infeasible",
     None, nodes). Raises NodeLimitError if the budget runs out first.
@@ -102,7 +101,7 @@ def solve_mip_feasibility(
         frac = np.abs(xb - np.round(xb))
         worst = float(frac.max()) if frac.size else 0.0
         unfixed = np.flatnonzero(bup - blo > 0.5)
-        if worst <= tol_int:
+        if worst <= TOL_INT:
             if unfixed.size == 0:
                 x = out.x.copy()
                 x[bins] = np.round(xb)  # bounds pin these already

@@ -253,10 +253,10 @@ def check_char_system(inst: UncertainLcpQ, sol: AffineSolutionQ,
     return resid <= tol * wscale
 
 
-def solve_enumeration(inst: UncertainLcpQ, size_cap: int = ENUMERATION_SIZE_CAP,
-                      tol: float = TOL_FEAS) -> list:
+def solve_enumeration(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> list:
     """All robust solutions of an instance with every coordinate
-    uncertain (S empty), by enumerating adjustable support sets J.
+    uncertain (S empty), by enumerating adjustable support sets J; more
+    than ENUMERATION_SIZE_CAP adjustable coordinates raise SizeLimitError.
 
     For each J with invertible block M[J, J] the candidate is
     D[J, J] = -inv(M[J, J]), r[J] = -inv(M[J, J]) qbar[J], zeros
@@ -275,10 +275,10 @@ def solve_enumeration(inst: UncertainLcpQ, size_cap: int = ENUMERATION_SIZE_CAP,
             "enumeration requires every coordinate uncertain (ubar > 0); "
             "use the MIP pathway for instances with certain coordinates"
         )
-    if n - inst.h > size_cap:
+    if n - inst.h > ENUMERATION_SIZE_CAP:
         raise SizeLimitError(
             f"enumeration over {n - inst.h} adjustable coordinates exceeds "
-            f"the cap of {size_cap}"
+            f"the cap of {ENUMERATION_SIZE_CAP}"
         )
     wscale = 1.0 + float(np.max(np.abs(inst.qbar), initial=0.0))
     adjustable = list(range(inst.h, n))
@@ -547,18 +547,19 @@ class PsdPathOutcome:
     support_p: np.ndarray | None = None
     support_l: np.ndarray | None = None
     nominal: np.ndarray | None = None
+    nominal_max: np.ndarray | None = None
 
 
 def _nominal_support(inst: UncertainLcpQ):
-    """(zbar, P) for PSD M: a nominal solution by complementary pivoting
-    and the coordinates positive somewhere in the nominal solution set;
-    (None, None) on a ray, which proves there is no nominal solution."""
+    """(zbar, P, zmax) for PSD M: a nominal solution by complementary
+    pivoting, then compute_support_P on it; all None on a ray, which
+    proves there is no nominal solution."""
     prob = NominalLcp(inst.m, inst.qbar)
     nominal = solve_lemke(prob)
     if nominal.status == "ray":
-        return None, None
+        return None, None, None
     zbar = nominal.solution.z
-    return zbar, compute_support_P(prob, zbar)
+    return (zbar, *compute_support_P(prob, zbar))
 
 
 def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
@@ -576,7 +577,7 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     if not linalg.is_psd(inst.m):
         raise ValueError("psd pathway requires a positive semidefinite matrix")
     n = inst.n
-    zbar, p_set = _nominal_support(inst)
+    zbar, p_set, zmax = _nominal_support(inst)
     if zbar is None:
         return PsdPathOutcome("no-solution")
     l_set = linalg.complement(p_set, n)
@@ -629,48 +630,53 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     out = check_feasibility(rows.program(lower, upper))
     if out.status != "optimal":
         return PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
-                              nominal=zbar)
+                              nominal=zbar, nominal_max=zmax)
     d = out.x[d_idx.reshape(-1)].reshape(n, n)
     r = out.x[r_idx]
     sol = _clean_solution(inst, AffineSolutionQ(d, r), tol)
     report = verify_affine_q(inst, sol, tol)
     if not report.overall:
         raise RuntimeError("psd pathway produced a point that fails verification")
-    return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar)
+    return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, zmax)
 
 
-def uniqueness_check_psd(inst: UncertainLcpQ, outcome: PsdPathOutcome | None = None,
-                         tol: float = TOL_FEAS) -> str:
+def uniqueness_check_psd(inst: UncertainLcpQ,
+                         outcome: PsdPathOutcome | None = None) -> str:
     """Uniqueness verdict for PSD instances with every coordinate
     uncertain: "multiple-nominal-no-aar" when the nominal solution set
     has more than one point (then no robust rule exists), otherwise
     "unique-if-exists". Instances outside that class: "not-applicable".
 
-    outcome, solve_psd's result on the same instance, supplies zbar and
-    P (and stands for its PSD test); without it both are computed here.
-    Only coordinates in P are minimized and maximized over the nominal
-    solution set: outside P every solution has z_j in [0, TOL_SUPPORT].
+    outcome, solve_psd's result on the same instance, supplies zbar, P
+    and the maxima zmax (and stands for its PSD test); without it all
+    three are computed here. Several points exist when some zmax_j on P
+    exceeds zbar_j by more than TOL_SUPPORT, or else (all solutions then
+    lie at or below zbar on P) when one LP finds sum_P z_j more than
+    TOL_SUPPORT below sum_P zbar_j; outside P every solution has z_j in
+    [0, TOL_SUPPORT]. Only a solution set that spreads by less than
+    |P| TOL_SUPPORT can get another verdict from a sweep that minimizes
+    each coordinate on its own.
     """
     if inst.certain_set().size:
         return "not-applicable"
     if outcome is not None:
-        zbar, p_set = outcome.nominal, outcome.support_p
+        zbar, p_set, zmax = outcome.nominal, outcome.support_p, outcome.nominal_max
     elif linalg.is_psd(inst.m):
-        zbar, p_set = _nominal_support(inst)
+        zbar, p_set, zmax = _nominal_support(inst)
     else:
         return "not-applicable"
-    if zbar is None:
-        return "unique-if-exists"  # vacuous: no nominal solution at all
+    if zbar is None or p_set.size == 0:
+        return "unique-if-exists"  # no nominal solution, or only zbar
+    if np.any(zmax[p_set] - zbar[p_set] > TOL_SUPPORT):
+        return "multiple-nominal-no-aar"
     skeleton = describe_solution_set(NominalLcp(inst.m, inst.qbar), zbar)
-    for j in p_set:
-        for sense in (-1.0, 1.0):
-            obj = np.zeros(inst.n)
-            obj[j] = sense
-            out = solve_lp(replace(skeleton, objective=obj))
-            if out.status == "unbounded" or (
-                    out.status == "optimal" and abs(out.x[j] - zbar[j]) > TOL_SUPPORT):
-                return "multiple-nominal-no-aar"
-    return "unique-if-exists"
+    obj = np.zeros(inst.n)
+    obj[p_set] = 1.0
+    out = solve_lp(replace(skeleton, objective=obj))
+    if out.status != "optimal":
+        raise RuntimeError("solution-set polyhedron reported infeasible")
+    several = float(np.sum(zbar[p_set])) - out.objective > TOL_SUPPORT
+    return "multiple-nominal-no-aar" if several else "unique-if-exists"
 
 
 def sample_violation_q(inst: UncertainLcpQ, sol: AffineSolutionQ,

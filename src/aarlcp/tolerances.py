@@ -1,8 +1,8 @@
 """Default numerical tolerances shared across the package.
 
-Every solver routine takes explicit tolerance arguments; these are the
-defaults they fall back to. Keeping them in one place makes the contract
-between layers auditable.
+Solver routines either read these directly or take them as the
+defaults of a tolerance argument. Keeping them in one place makes the
+contract between layers auditable.
 """
 
 # feasibility slack on linear constraints and sign conditions

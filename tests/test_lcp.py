@@ -101,7 +101,7 @@ def test_cross_complementarity_on_degenerate_continuum():
     assert abs(z2 @ (q + m @ z1)) <= 1e-12
     out = solve_lemke(NominalLcp(m, q))
     assert out.status == "solution"
-    p = compute_support_P(NominalLcp(m, q), out.solution.z)
+    p, _ = compute_support_P(NominalLcp(m, q), out.solution.z)
     assert np.array_equal(p, [0, 1])  # each coordinate positive somewhere
 
 
@@ -112,7 +112,7 @@ def test_support_p_with_unbounded_direction():
     q = np.array([0.0, -1.0])
     out = solve_lemke(NominalLcp(m, q))
     assert out.status == "solution"
-    p = compute_support_P(NominalLcp(m, q), out.solution.z)
+    p, _ = compute_support_P(NominalLcp(m, q), out.solution.z)
     assert np.array_equal(p, [0, 1])
 
 
@@ -154,14 +154,15 @@ def test_support_p_singleton():
     m = np.array([[1.0, 0.5], [0.5, 1.0]])
     q = np.array([-5.0, -3.0])
     z = lcp_brute_force(m, q)[0]
-    p = compute_support_P(NominalLcp(m, q), z)
+    p, _ = compute_support_P(NominalLcp(m, q), z)
     assert np.array_equal(p, np.flatnonzero(z > 1e-7))
 
 
 def test_support_p_unbounded_coordinate_included():
-    p = compute_support_P(NominalLcp(np.zeros((1, 1)), np.zeros(1)),
-                          np.zeros(1))
+    p, zmax = compute_support_P(NominalLcp(np.zeros((1, 1)), np.zeros(1)),
+                                np.zeros(1))
     assert np.array_equal(p, [0])
+    assert np.array_equal(zmax, [np.inf])
 
 
 def test_support_p_matches_vertex_enumeration_on_random_psd():
@@ -172,9 +173,22 @@ def test_support_p_matches_vertex_enumeration_on_random_psd():
         q = rng.uniform(-3.0, 2.0, n).round(2)
         out = solve_lemke(NominalLcp(m, q))
         assert out.status == "solution"
-        p = compute_support_P(NominalLcp(m, q), out.solution.z)
+        p, zmax = compute_support_P(NominalLcp(m, q), out.solution.z)
         # oracle: union of supports over all complementary-basis solutions
         union = set()
         for z in lcp_brute_force(m, q):
             union |= set(np.flatnonzero(z > 1e-7).tolist())
         assert union <= set(p.tolist())
+        # zmax: the max-LP of each coordinate, written out from the
+        # solution-set conditions z >= 0, M z + q >= 0, q.(z - zbar) = 0
+        # and (M + M^T)(z - zbar) = 0
+        zbar, sym = out.solution.z, m + m.T
+        lhs = np.vstack([m, q.reshape(1, n), sym])
+        rhs = np.concatenate([-q, [q @ zbar], sym @ zbar])
+        senses = [">="] * n + ["="] * (n + 1)
+        for j in range(n):
+            lp = solve_lp(LinearProgram(-np.eye(n)[j], lhs, senses, rhs,
+                                        np.zeros(n), np.full(n, np.inf)))
+            expected = np.inf if lp.status == "unbounded" else -lp.objective
+            assert zmax[j] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        assert np.array_equal(p, np.flatnonzero(zmax > 1e-7))

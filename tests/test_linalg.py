@@ -158,6 +158,22 @@ def test_invert_matches_numpy_on_random_matrices():
         assert linalg.invert(a) == pytest.approx(np.linalg.inv(a), abs=1e-8)
 
 
+def test_invert_does_not_solve_against_the_identity(monkeypatch):
+    # OpenBLAS threads a triangular solve with several right-hand sides,
+    # and on the small blocks the solvers invert that threading costs
+    # many times the arithmetic, so invert uses getri, not getrs
+    # against the identity
+    def refuse(*args, **kwargs):
+        raise AssertionError("invert called getrs")
+
+    monkeypatch.setattr(linalg, "dgetrs", refuse)
+    rng = np.random.default_rng(11)
+    a = np.eye(6) + rng.uniform(-0.4, 0.4, (6, 6))
+    assert linalg.invert(a) == pytest.approx(np.linalg.inv(a), abs=1e-10)
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.invert(np.ones((3, 3)))
+
+
 def test_is_psd_examples():
     assert linalg.is_psd(np.array([[1.0, 0.5], [0.5, 1.0]]))
     assert not linalg.is_psd(np.array([[4.0, 10.0], [1.0, 2.0]]))

@@ -2,15 +2,15 @@ import numpy as np
 import pytest
 
 from aarlcp import robust_q
-from aarlcp.lcp import (NominalLcp, describe_solution_set, lcp_residuals,
-                        solve_lemke)
+from aarlcp.lcp import (NominalLcp, compute_support_P, describe_solution_set,
+                        lcp_residuals, solve_lemke)
 from aarlcp.lp import LinearProgram, solve_lp
 from aarlcp.mip import solve_mip_feasibility
-from aarlcp.robust_q import (AffineSolutionQ, SizeLimitError, UncertainLcpQ,
-                             build_mip, check_char_system, default_big_m,
-                             sample_violation_q, solve_enumeration,
-                             solve_mip_q, solve_psd, uniqueness_check_psd,
-                             verify_affine_q)
+from aarlcp.robust_q import (AffineSolutionQ, PsdPathOutcome, SizeLimitError,
+                             UncertainLcpQ, build_mip, check_char_system,
+                             default_big_m, sample_violation_q,
+                             solve_enumeration, solve_mip_q, solve_psd,
+                             uniqueness_check_psd, verify_affine_q)
 from aarlcp.tolerances import TOL_SUPPORT
 from conftest import random_psd_matrix
 
@@ -232,6 +232,18 @@ def test_uniqueness_verdicts():
     flat = UncertainLcpQ(m=np.zeros((1, 1)), qbar=np.zeros(1),
                          ubar=np.ones(1), h=0)
     assert uniqueness_check_psd(flat) == "multiple-nominal-no-aar"
+    # nominal solutions (t, 0, 1), 0 <= t <= 1: from the top end no
+    # coordinate can rise, and only the LP over sum_P z finds the others
+    seg = UncertainLcpQ(m=np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
+                                    [0.0, 0.0, 1.0]]),
+                        qbar=np.array([0.0, 1.0, -1.0]), ubar=np.ones(3))
+    top = np.array([1.0, 0.0, 1.0])
+    p, zmax = compute_support_P(NominalLcp(seg.m, seg.qbar), top)
+    assert np.array_equal(p, [0, 2]) and np.array_equal(zmax, top)
+    top_outcome = PsdPathOutcome("no-solution", support_p=p, nominal=top,
+                                 nominal_max=zmax)
+    assert uniqueness_check_psd(seg, top_outcome) == "multiple-nominal-no-aar"
+    assert uniqueness_check_psd(seg) == "multiple-nominal-no-aar"
 
 
 def _psd_sweep_instances(seed=2026, count=60):
@@ -305,16 +317,41 @@ def test_uniqueness_over_p_matches_the_all_coordinate_sweep():
 
 
 def test_uniqueness_reuses_the_psd_outcome(monkeypatch):
-    inst = _psd_sweep_instances(count=1)[0]
-    out = solve_psd(inst)
-    verdict = uniqueness_check_psd(inst)
+    # the sweep plus a nominal set that is a half-line (zmax = inf) and
+    # one whose only solution is zero (P empty)
+    insts = _psd_sweep_instances(count=24) + [
+        UncertainLcpQ(m=np.zeros((1, 1)), qbar=np.zeros(1), ubar=np.ones(1)),
+        UncertainLcpQ(m=np.eye(2), qbar=np.ones(2), ubar=np.ones(2))]
+    outs = [solve_psd(inst) for inst in insts]
+    verdicts = [uniqueness_check_psd(inst) for inst in insts]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the outcome already holds the nominal point and P")
+        raise AssertionError("the outcome already holds the nominal point, "
+                             "P and the maxima")
 
+    lps = []
     monkeypatch.setattr(robust_q, "solve_lemke", refuse)
     monkeypatch.setattr(robust_q, "compute_support_P", refuse)
-    assert uniqueness_check_psd(inst, out) == verdict
+    monkeypatch.setattr(robust_q, "solve_lp",
+                        lambda lp: lps.append(lp) or solve_lp(lp))
+    cases = set()
+    for inst, out, verdict in zip(insts, outs, verdicts):
+        lps.clear()
+        assert uniqueness_check_psd(inst, out) == verdict
+        assert len(lps) <= 1
+        if out.nominal is None:
+            continue
+        p = out.support_p
+        if p.size == 0:
+            cases.add("P empty")
+            assert not lps
+        elif np.any(out.nominal_max[p] - out.nominal[p] > TOL_SUPPORT):
+            cases.add("a maximum above zbar")
+            assert not lps and verdict == "multiple-nominal-no-aar"
+        else:
+            cases.add("one LP")
+            assert len(lps) == 1
+    assert cases == {"P empty", "a maximum above zbar", "one LP"}
 
 
 def test_psd_enumeration_returns_at_most_one_with_inverse_block():

@@ -6,6 +6,7 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import aarlcp
 
@@ -26,15 +27,59 @@ def test_patched_names_resolve():
     assert callable(aarlcp.reporting.SolveReport.to_json)
 
 
-def test_uncertain_m_patches_are_on_the_call_path():
+# per pathway: a small instance and the spans its solve must record
+# besides those of dispatch (for uncertain-m: every robust_m patch)
+CASES = {
+    "uncertain-m": (
+        aarlcp.UncertainLcpM(m0=np.array([[4.0, 1.0], [0.0, 4.0]]),
+                             perturbations=[np.array([[0.0, 1.0], [0.0, 0.0]])],
+                             q=np.array([-8.0, -16.0]), h=0),
+        None),
+    # positive definite: a one-point nominal set, so the uniqueness check
+    # reaches its LP
+    "psd-lp": (
+        aarlcp.UncertainLcpQ(m=np.array([[2.0, 1.0], [1.0, 2.0]]),
+                             qbar=np.array([-3.0, -3.0]),
+                             ubar=np.array([0.1, 0.1])),
+        {"robust_q.solve_psd", "robust_q.uniqueness_check_psd",
+         "lcp.solve_lemke", "lcp.compute_support_P", "lp.solve_lp",
+         "lp.check_feasibility", "robust_q.verify_affine_q",
+         "boxopt.min_affine_over_box", "linalg.is_psd"}),
+    "mip": (
+        aarlcp.UncertainLcpQ(m=np.array([[4.0, 10.0], [1.0, 2.0]]),
+                             qbar=np.array([-100.0, -22.0]),
+                             ubar=np.array([1.0, 1.0])),
+        {"robust_q.solve_mip_q", "robust_q.build_mip",
+         "mip.solve_mip_feasibility", "lp.check_feasibility",
+         "robust_q.verify_affine_q", "boxopt.min_affine_over_box",
+         "linalg.invert"}),
+}
+
+
+@pytest.mark.parametrize("pathway", sorted(CASES))
+def test_patches_are_on_the_call_path(pathway):
     spans = _spans()
-    inst = aarlcp.UncertainLcpM(m0=np.array([[4.0, 1.0], [0.0, 4.0]]),
-                                perturbations=[np.array([[0.0, 1.0], [0.0, 0.0]])],
-                                q=np.array([-8.0, -16.0]), h=0)
+    inst, wanted = CASES[pathway]
+    if wanted is None:
+        wanted = {span for mod_name, _, span in spans.PATCHES
+                  if mod_name == "robust_m" or span.startswith("robust_m.")}
     tracer = spans.Tracer()
     with tracer.patched(aarlcp):
-        assert aarlcp.dispatch_solve(inst).status == "solution"
-    seen = {s[spans.NAME] for s in tracer.spans}
-    wanted = {span for mod_name, _, span in spans.PATCHES
-              if mod_name == "robust_m" or span.startswith("robust_m.")}
-    assert wanted <= seen, wanted - seen
+        report = aarlcp.dispatch_solve(inst, aarlcp.SolveOptions(pathway=pathway))
+    assert report.status == "solution"
+    names = [s[spans.NAME] for s in tracer.spans]
+    assert wanted <= set(names), wanted - set(names)
+
+    def lps_under(parent):
+        return sum(1 for s in tracer.spans if s[spans.NAME] == "lp.solve_lp"
+                   and s[spans.PARENT] != -1
+                   and names[s[spans.PARENT]] == parent)
+
+    support = lps_under("lcp.compute_support_P")
+    uniqueness = lps_under("robust_q.uniqueness_check_psd")
+    # perfbench counts the support-P LPs as the solve_lp children of
+    # compute_support_P, one per coordinate; the only other solve_lp is
+    # the uniqueness LP, which the psd-lp instance reaches
+    assert support == inst.n * names.count("lcp.compute_support_P")
+    assert uniqueness == (1 if pathway == "psd-lp" else 0)
+    assert names.count("lp.solve_lp") == support + uniqueness
