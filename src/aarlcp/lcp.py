@@ -13,8 +13,11 @@ describe_solution_set encodes, for PSD M, the full solution set as a
 polyhedron around any one solution; compute_support_P maximizes each
 coordinate over that polyhedron and returns the maxima zmax together
 with P, the coordinates positive somewhere in the set. The psd-lp
-pathway (robust_q.solve_psd) builds its LP on P, and its uniqueness
-check reads zmax and solves one more LP over the same polyhedron.
+pathway (robust_q.solve_psd) fixes D from P by linear algebra and
+decides the rest with one feasibility LP over the same polyhedron in r
+alone, its bounds and right-hand sides shifted by the box envelopes;
+its uniqueness check reads zmax and solves one more LP over the
+polyhedron.
 """
 
 from __future__ import annotations

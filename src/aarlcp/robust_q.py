@@ -16,8 +16,9 @@ Index-set conventions (0-based internally):
 
 Three solvers cover the pathways: support-set enumeration (complete for
 S empty), a big-M mixed-binary encoding (general, with an exactness
-caveat tied to the big-M constant), and a single linear program for
-positive semidefinite M (exact both ways).
+caveat tied to the big-M constant), and for positive semidefinite M
+linear algebra for D plus one small linear program in r over the
+nominal solution set (exact both ways; see solve_psd).
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .boxopt import min_affine_over_box
 from .lcp import NominalLcp, compute_support_P, describe_solution_set, solve_lemke
 from .lp import LinearProgram, solve_lp, check_feasibility
 from .mip import DEFAULT_NODE_LIMIT, MixedBinaryProgram, solve_mip_feasibility
-from .tolerances import TOL_DEDUP, TOL_FEAS, TOL_SUPPORT
+from .tolerances import TOL_DEDUP, TOL_FEAS, TOL_RANK, TOL_SUPPORT
 
 __all__ = [
     "SizeLimitError",
@@ -370,32 +371,27 @@ class _Rows:
 
 def _envelope_rows(rows: _Rows, inst: UncertainLcpQ, i: int, u_set: np.ndarray,
                    r_idx: np.ndarray, d_idx: np.ndarray,
-                   a_cols: np.ndarray | None = None,
-                   c_cols: np.ndarray | None = None) -> None:
-    """Box envelopes of row i over u_set: with a_cols (one column per j
-    in u_set), z_i(u) >= 0 as a_ij <= -+ d_ij ubar_j, sum_j a_ij + r_i >= 0;
-    with c_cols, (M z(u) + q(u))_i >= 0 as c_ij <= -+ (M_i . D_col_j +
-    delta_ij) ubar_j, sum_j c_ij + M_i r >= -qbar_i. r_idx and d_idx map r
-    and D to columns. Per j the a rows precede the c rows; the sums come
-    last."""
+                   a_cols: np.ndarray, c_cols: np.ndarray) -> None:
+    """Box envelopes of row i over u_set (a_cols and c_cols hold one
+    column per j in u_set): z_i(u) >= 0 as a_ij <= -+ d_ij ubar_j,
+    sum_j a_ij + r_i >= 0, and (M z(u) + q(u))_i >= 0 as c_ij <= -+
+    (M_i . D_col_j + delta_ij) ubar_j, sum_j c_ij + M_i r >= -qbar_i.
+    r_idx and d_idx map r and D to columns. Per j the a rows precede the
+    c rows; the sums come last."""
     m, ub = inst.m, inst.ubar
     for uj, j in enumerate(u_set):
-        if a_cols is not None:
-            rows.add([a_cols[uj], d_idx[i, j]], [1.0, ub[j]], "<=", 0.0)
-            rows.add([a_cols[uj], d_idx[i, j]], [1.0, -ub[j]], "<=", 0.0)
-        if c_cols is not None:
-            delta = 1.0 if i == j else 0.0
-            cols = np.concatenate([[c_cols[uj]], d_idx[:, j]])
-            rows.add(cols, np.concatenate([[1.0], ub[j] * m[i]]), "<=",
-                     -delta * ub[j])
-            rows.add(cols, np.concatenate([[1.0], -ub[j] * m[i]]), "<=",
-                     delta * ub[j])
-    if a_cols is not None:
-        rows.add(np.concatenate([a_cols, [r_idx[i]]]),
-                 np.concatenate([np.ones(u_set.size), [1.0]]), ">=", 0.0)
-    if c_cols is not None:
-        rows.add(np.concatenate([c_cols, r_idx]),
-                 np.concatenate([np.ones(u_set.size), m[i]]), ">=", -inst.qbar[i])
+        rows.add([a_cols[uj], d_idx[i, j]], [1.0, ub[j]], "<=", 0.0)
+        rows.add([a_cols[uj], d_idx[i, j]], [1.0, -ub[j]], "<=", 0.0)
+        delta = 1.0 if i == j else 0.0
+        cols = np.concatenate([[c_cols[uj]], d_idx[:, j]])
+        rows.add(cols, np.concatenate([[1.0], ub[j] * m[i]]), "<=",
+                 -delta * ub[j])
+        rows.add(cols, np.concatenate([[1.0], -ub[j] * m[i]]), "<=",
+                 delta * ub[j])
+    rows.add(np.concatenate([a_cols, [r_idx[i]]]),
+             np.concatenate([np.ones(u_set.size), [1.0]]), ">=", 0.0)
+    rows.add(np.concatenate([c_cols, r_idx]),
+             np.concatenate([np.ones(u_set.size), m[i]]), ">=", -inst.qbar[i])
 
 
 def build_mip(inst: UncertainLcpQ, big_m: float):
@@ -562,16 +558,67 @@ def _nominal_support(inst: UncertainLcpQ):
     return (zbar, *compute_support_P(prob, zbar))
 
 
+def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
+    """Every solution X of m_pa X = -e, as (x0, kernel) with X = x0 +
+    kernel T for any T, or None when there is none.
+
+    A square m_pa that linalg.invert accepts gives x0 = -inv(m_pa) e and
+    an empty kernel. Otherwise one SVD decides: singular values at or
+    below TOL_RANK times the largest count as zero, e having a component
+    beyond TOL_FEAS outside the range of m_pa means no solution, and
+    kernel entries at or below TOL_RANK (its columns have unit norm) are
+    set to zero, so that rows the kernel does not reach stay exact."""
+    if m_pa.shape[0] == m_pa.shape[1]:
+        try:
+            return -linalg.invert(m_pa) @ e, np.zeros((m_pa.shape[1], 0))
+        except linalg.SingularMatrixError:
+            pass
+    u, s, vt = np.linalg.svd(m_pa)
+    rank = int(np.sum(s > TOL_RANK * np.max(s, initial=0.0)))
+    if np.max(np.abs(u[:, rank:].T @ e), initial=0.0) > TOL_FEAS:
+        return None
+    x0 = -vt[:rank].T @ ((u[:, :rank].T @ e) / s[:rank, None])
+    kernel = vt[rank:].T
+    kernel[np.abs(kernel) <= TOL_RANK] = 0.0
+    return x0, kernel
+
+
+def _moving_envelope(rows: _Rows, ub: np.ndarray, const: np.ndarray,
+                     coef: np.ndarray, t_idx: np.ndarray, env_cols: np.ndarray,
+                     sum_cols, sum_coefs, sum_rhs: float) -> None:
+    """Box envelope of a row whose u-coefficients const_j + coef . T_j
+    move with the kernel coefficients T (column j of T at t_idx[:, j]):
+    e_j <= -+ (const_j + coef . T_j) ubar_j at env_cols, and
+    sum_j e_j + sum_coefs . x[sum_cols] >= sum_rhs."""
+    for j in range(ub.size):
+        cols = np.concatenate([[env_cols[j]], t_idx[:, j]])
+        rows.add(cols, np.concatenate([[1.0], ub[j] * coef]), "<=", -ub[j] * const[j])
+        rows.add(cols, np.concatenate([[1.0], -ub[j] * coef]), "<=", ub[j] * const[j])
+    rows.add(np.concatenate([env_cols, sum_cols]),
+             np.concatenate([np.ones(ub.size), sum_coefs]), ">=", sum_rhs)
+
+
 def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
-    """Exact pathway for positive semidefinite M via one linear program.
+    """Exact pathway for positive semidefinite M via one small linear
+    program.
 
     The nominal problem is solved by complementary pivoting (a ray
     certifies nonexistence outright for PSD data). P collects the
     coordinates positive somewhere in the nominal solution set, L the
-    rest; a robust rule exists iff the feasibility LP below has a point:
-    r ranges over the nominal solution set, rows of D outside P vanish,
-    the P-rows of M z(u) + q(u) vanish identically, and envelope
-    variables enforce z_P(u) >= 0 and (M z(u) + q(u))_L >= 0 on the box.
+    rest, and A the adjustable part of P. A robust rule has r in the
+    nominal solution set, rows of D outside A zero, columns of D on
+    certain coordinates zero, and P-rows of M z(u) + q(u) that vanish
+    identically: M[P, A] D[A, U] = -E[P, U] (E the identity). So D needs
+    no LP. When M[P, A] is square and nonsingular, D[A, U] =
+    -inv(M[P, A]) E[P, U], enumeration's candidate for the support P,
+    and the box conditions have closed forms: z_P(u) >= 0 is the bound
+    r_P >= |D_P| ubar, and (M z(u) + q(u))_L >= 0 is M_L r + qbar_L >=
+    |M_L D + I|_{:,U} ubar_U. The LP is then the nominal solution set
+    (lcp.describe_solution_set) with those bounds and right-hand sides:
+    n columns and 2n + 1 rows. Otherwise (here-and-now rows in P or a
+    singular block) an inconsistent system proves nonexistence, and a
+    kernel leaves D[A, U] = X0 + N T: the LP gains columns for T and
+    envelope columns for the rows of z and of M z + q that T moves.
     Infeasibility is a proof of nonexistence (no big-M caveat).
     """
     if not linalg.is_psd(inst.m):
@@ -581,57 +628,60 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     if zbar is None:
         return PsdPathOutcome("no-solution")
     l_set = linalg.complement(p_set, n)
+    a_set = p_set[p_set >= inst.h]
     u_set = inst.uncertain_set()
-    s_set = inst.certain_set()
-    m = inst.m
+    m, ub = inst.m, inst.ubar[u_set]
+    nothing = PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
+                             nominal=zbar, nominal_max=zmax)
 
-    # columns: r (n) | d (n^2) | a (P x U) | c (L x U)
-    na = p_set.size * u_set.size
-    nc = l_set.size * u_set.size
-    ncols = n + n * n + na + nc
+    block = _pinned_block(m[np.ix_(p_set, a_set)],
+                          (p_set[:, None] == u_set).astype(float))
+    if block is None:
+        return nothing
+    x0, kernel = block
+    # u-coefficients of M z(u) + q(u) on L: g0 + g_t T
+    m_la = m[np.ix_(l_set, a_set)]
+    g0 = m_la @ x0 + (l_set[:, None] == u_set)
+    g_t = m_la @ kernel
+    z_moves = np.any(kernel != 0.0, axis=1)
+    w_moves = np.any(g_t != 0.0, axis=1)
     r_idx = np.arange(n)
-    d_idx = (n + np.arange(n * n)).reshape(n, n)
-    a_idx = (n + n * n + np.arange(na)).reshape(p_set.size, u_set.size)
-    c_idx = (n + n * n + na + np.arange(nc)).reshape(l_set.size, u_set.size)
+    # rows that T moves: (const, coef on T, r columns, r coefs, rhs)
+    moved = ([(x0[k], kernel[k], [a_set[k]], [1.0], 0.0)
+              for k in np.flatnonzero(z_moves)]
+             + [(g0[k], g_t[k], r_idx, m[l_set[k]], -inst.qbar[l_set[k]])
+                for k in np.flatnonzero(w_moves)])
 
+    # columns: r (n) | T (kernel x U) | envelopes (moved rows x U)
+    nt = kernel.shape[1] * u_set.size
+    ncols = n + nt + len(moved) * u_set.size
+    t_idx = (n + np.arange(nt)).reshape(kernel.shape[1], u_set.size)
+    env_idx = (n + nt + np.arange(len(moved) * u_set.size)).reshape(
+        len(moved), u_set.size)
     lower = np.full(ncols, -np.inf)
     upper = np.full(ncols, np.inf)
     lower[r_idx] = 0.0
-    dead = np.zeros((n, n), dtype=bool)
-    dead[l_set, :] = True
-    dead[: inst.h, :] = True
-    dead[:, s_set] = True
-    pin = d_idx[dead]
-    lower[pin] = 0.0
-    upper[pin] = 0.0
+    lower[a_set[~z_moves]] = np.abs(x0[~z_moves]) @ ub
+    w_floor = np.zeros(n)
+    w_floor[l_set[~w_moves]] = np.abs(g0[~w_moves]) @ ub
 
     rows = _Rows(ncols)
-    # r in the nominal solution set
+    # r in the nominal solution set, M_L r + qbar_L above the floor
     for i in range(n):
-        rows.add(r_idx, m[i], ">=", -inst.qbar[i])
+        rows.add(r_idx, m[i], ">=", w_floor[i] - inst.qbar[i])
     rows.add(r_idx, inst.qbar, "=", float(inst.qbar @ zbar))
     sym = m + m.T
     for i in range(n):
         rows.add(r_idx, sym[i], "=", float(sym[i] @ zbar))
-
-    # P-rows of the affine part: M_i . D_col_j = -delta_ij on P x U
-    for i in p_set:
-        for j in u_set:
-            delta = 1.0 if (i == j) else 0.0
-            rows.add(d_idx[:, j], m[i], "=", -delta)
-
-    # envelopes: z_P(u) >= 0, then (M z(u) + q(u))_L >= 0
-    if u_set.size:
-        for pi, i in enumerate(p_set):
-            _envelope_rows(rows, inst, i, u_set, r_idx, d_idx, a_cols=a_idx[pi])
-        for li, i in enumerate(l_set):
-            _envelope_rows(rows, inst, i, u_set, r_idx, d_idx, c_cols=c_idx[li])
+    for env_cols, (const, coef, sum_cols, sum_coefs, rhs) in zip(env_idx, moved):
+        _moving_envelope(rows, ub, const, coef, t_idx, env_cols,
+                         sum_cols, sum_coefs, rhs)
 
     out = check_feasibility(rows.program(lower, upper))
     if out.status != "optimal":
-        return PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
-                              nominal=zbar, nominal_max=zmax)
-    d = out.x[d_idx.reshape(-1)].reshape(n, n)
+        return nothing
+    d = np.zeros((n, n))
+    d[np.ix_(a_set, u_set)] = x0 + kernel @ out.x[t_idx]
     r = out.x[r_idx]
     sol = _clean_solution(inst, AffineSolutionQ(d, r), tol)
     report = verify_affine_q(inst, sol, tol)

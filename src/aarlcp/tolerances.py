@@ -24,6 +24,10 @@ TOL_INT = 1e-6
 # absolute entry of the matrix is treated as zero
 TOL_PIVOT_FACTOR = 1e-10
 
+# rank threshold of the singular value decomposition: singular values at
+# or below this times the largest count as zero
+TOL_RANK = 1e-10
+
 # eigenvalue tolerance for positive semidefiniteness tests
 TOL_PSD = 1e-9
 

@@ -4,7 +4,7 @@ import pytest
 from aarlcp import robust_q
 from aarlcp.lcp import (NominalLcp, compute_support_P, describe_solution_set,
                         lcp_residuals, solve_lemke)
-from aarlcp.lp import LinearProgram, solve_lp
+from aarlcp.lp import LinearProgram, check_feasibility, solve_lp
 from aarlcp.mip import solve_mip_feasibility
 from aarlcp.robust_q import (AffineSolutionQ, PsdPathOutcome, SizeLimitError,
                              UncertainLcpQ, build_mip, check_char_system,
@@ -352,6 +352,177 @@ def test_uniqueness_reuses_the_psd_outcome(monkeypatch):
             cases.add("one LP")
             assert len(lps) == 1
     assert cases == {"P empty", "a maximum above zbar", "one LP"}
+
+
+def _psd_lp_oracle(inst, zbar, p_set):
+    """The psd-lp LP with D among its variables: r in the nominal
+    solution set, D pinned to zero off (P minus here-and-now rows) x U,
+    M_i . D_col_j = -delta_ij on P x U, and envelope variables a (P x U)
+    for z_P(u) >= 0 and c (L x U) for (M z(u) + q(u))_L >= 0. Returns
+    the status solve_psd should report."""
+    n, m, ub = inst.n, inst.m, inst.ubar
+    l_set = np.setdiff1d(np.arange(n), p_set)
+    u_set = inst.uncertain_set()
+    na, nc = p_set.size * u_set.size, l_set.size * u_set.size
+    ncols = n + n * n + na + nc
+    r_idx = np.arange(n)
+    d_idx = (n + np.arange(n * n)).reshape(n, n)
+    a_idx = (n + n * n + np.arange(na)).reshape(p_set.size, u_set.size)
+    c_idx = (n + n * n + na + np.arange(nc)).reshape(l_set.size, u_set.size)
+    lower = np.full(ncols, -np.inf)
+    upper = np.full(ncols, np.inf)
+    lower[r_idx] = 0.0
+    dead = np.zeros((n, n), dtype=bool)
+    dead[l_set, :] = True
+    dead[: inst.h, :] = True
+    dead[:, inst.certain_set()] = True
+    lower[d_idx[dead]] = 0.0
+    upper[d_idx[dead]] = 0.0
+    lhs, senses, rhs = [], [], []
+
+    def add(cols, coefs, sense, b):
+        row = np.zeros(ncols)
+        row[np.asarray(cols, dtype=int)] = coefs
+        lhs.append(row)
+        senses.append(sense)
+        rhs.append(float(b))
+
+    sym = m + m.T
+    for i in range(n):
+        add(r_idx, m[i], ">=", -inst.qbar[i])
+    add(r_idx, inst.qbar, "=", inst.qbar @ zbar)
+    for i in range(n):
+        add(r_idx, sym[i], "=", sym[i] @ zbar)
+    for i in p_set:
+        for j in u_set:
+            add(d_idx[:, j], m[i], "=", -float(i == j))
+    if u_set.size:
+        for pi, i in enumerate(p_set):
+            for uj, j in enumerate(u_set):
+                add([a_idx[pi, uj], d_idx[i, j]], [1.0, ub[j]], "<=", 0.0)
+                add([a_idx[pi, uj], d_idx[i, j]], [1.0, -ub[j]], "<=", 0.0)
+            add(np.append(a_idx[pi], i), np.ones(u_set.size + 1), ">=", 0.0)
+        for li, i in enumerate(l_set):
+            for uj, j in enumerate(u_set):
+                cols = np.append(c_idx[li, uj], d_idx[:, j])
+                add(cols, np.append(1.0, ub[j] * m[i]), "<=", -float(i == j) * ub[j])
+                add(cols, np.append(1.0, -ub[j] * m[i]), "<=", float(i == j) * ub[j])
+            add(np.append(c_idx[li], r_idx), np.append(np.ones(u_set.size), m[i]),
+                ">=", -inst.qbar[i])
+    out = check_feasibility(LinearProgram(np.zeros(ncols), np.array(lhs), senses,
+                                          np.array(rhs), lower, upper))
+    return "solution" if out.status == "optimal" else "no-solution"
+
+
+def _psd_variants(seed=2027):
+    """Per sweep instance three variants that leave the square block:
+    here-and-now rows and certain coordinates at random; the nominal
+    support P made certain, with the first coordinate here-and-now on
+    every second one (M[P, A] rectangular or singular, E[P, U] = 0);
+    and, on half of them, a shuffled extra coordinate with a zero
+    diagonal and a skew coupling, so that the kernel of M[P, A] can move
+    rows of M z + q outside P."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t, inst in enumerate(_psd_sweep_instances()):
+        n = inst.n
+        out.append(UncertainLcpQ(m=inst.m, qbar=inst.qbar, h=int(rng.integers(1, n)),
+                                 ubar=inst.ubar * (rng.random(n) < 0.6)))
+        prob = NominalLcp(inst.m, inst.qbar)
+        nominal = solve_lemke(prob)
+        if nominal.status == "solution":
+            ubar = inst.ubar.copy()
+            ubar[compute_support_P(prob, nominal.solution.z)[0]] = 0.0
+            out.append(UncertainLcpQ(m=inst.m, qbar=inst.qbar, ubar=ubar, h=t % 2))
+        if t % 2:
+            continue
+        m = np.zeros((n + 1, n + 1))
+        m[:n, :n] = inst.m
+        c = rng.uniform(-1.0, 1.0, n) * (rng.random(n) < 0.5)
+        m[n, :n], m[:n, n] = c, -c
+        qbar = np.append(inst.qbar, 0.0 if rng.random() < 0.7 else 0.3)
+        ubar = np.append(inst.ubar, 0.0 if rng.random() < 0.7 else 0.1)
+        perm = rng.permutation(n + 1)
+        out.append(UncertainLcpQ(m=m[np.ix_(perm, perm)], qbar=qbar[perm],
+                                 ubar=ubar[perm]))
+    return out
+
+
+def test_psd_lp_matches_the_lp_over_d(monkeypatch):
+    """solve_psd finds D by linear algebra; the LP that kept D among its
+    variables must give the same status on every branch."""
+    blocks = []
+    pinned = robust_q._pinned_block
+
+    def spy(m_pa, e):
+        out = pinned(m_pa, e)
+        blocks.append((m_pa.shape, out))
+        return out
+
+    monkeypatch.setattr(robust_q, "_pinned_block", spy)
+    branches = []
+    for inst in _psd_sweep_instances() + _psd_variants():
+        blocks.clear()
+        out = solve_psd(inst)
+        if out.nominal is None:
+            continue  # a ray: no nominal solution, neither LP is built
+        assert out.status == _psd_lp_oracle(inst, out.nominal, out.support_p)
+        if out.status == "solution":
+            assert verify_affine_q(inst, out.solution).overall
+            assert sample_violation_q(inst, out.solution) <= 1e-7
+        ((rows, cols), block), = blocks
+        if block is None:
+            branches.append(("inconsistent", out.status))
+        elif rows == cols and block[1].shape[1] == 0:
+            branches.append(("square nonsingular", out.status))
+        else:
+            moved = np.any(inst.m[np.ix_(out.support_l, out.support_p[
+                out.support_p >= inst.h])] @ block[1] != 0.0)
+            branches.append(("kernel moves M z + q" if moved
+                             else "kernel or rectangular", out.status))
+    assert branches.count(("inconsistent", "no-solution")) >= 5
+    assert branches.count(("square nonsingular", "solution")) >= 5
+    assert branches.count(("square nonsingular", "no-solution")) >= 5
+    assert (branches.count(("kernel or rectangular", "solution"))
+            + branches.count(("kernel moves M z + q", "solution"))) >= 5
+    assert ("kernel moves M z + q", "solution") in branches
+    assert ("kernel moves M z + q", "no-solution") in branches
+
+
+def _planted_psd(rng, n, support):
+    """Positive definite M with qbar planted so that the rule with
+    D[K, K] = -inv(M[K, K]) and r_K above its envelope solves the
+    instance with margin; the rule is unique."""
+    m = random_psd_matrix(rng, n, ridge=1.0)
+    ubar = rng.uniform(0.05, 0.3, n)
+    k = np.sort(rng.choice(n, size=support, replace=False))
+    rest = np.setdiff1d(np.arange(n), k)
+    inv = np.linalg.inv(m[np.ix_(k, k)])
+    r = np.zeros(n)
+    r[k] = np.abs(inv) @ ubar[k] + rng.uniform(0.5, 1.5, k.size)
+    g = m[np.ix_(rest, k)] @ inv
+    qbar = -m[:, k] @ r[k]
+    qbar[rest] += ubar[rest] + np.abs(g) @ ubar[k] + rng.uniform(0.5, 1.5, rest.size)
+    d = np.zeros((n, n))
+    d[np.ix_(k, k)] = -inv
+    return UncertainLcpQ(m=m, qbar=qbar, ubar=ubar), d, r
+
+
+def test_psd_lp_is_an_lp_in_r_alone(monkeypatch):
+    """With M[P, A] square and nonsingular the LP has the n columns of r
+    and the 2n + 1 rows of the nominal solution set, small enough that a
+    planted rule at n = 30 comes back quickly."""
+    inst, d, r = _planted_psd(np.random.default_rng(30), 30, 12)
+    lps = []
+    monkeypatch.setattr(robust_q, "check_feasibility",
+                        lambda lp: lps.append(lp) or check_feasibility(lp))
+    out = solve_psd(inst)
+    assert out.status == "solution"
+    assert np.array_equal(out.support_p, np.flatnonzero(r))
+    (lp,) = lps
+    assert lp.lhs.shape == (2 * inst.n + 1, inst.n)
+    assert np.allclose(out.solution.d, d, atol=1e-9)
+    assert np.allclose(out.solution.r, r, atol=1e-9)
 
 
 def test_psd_enumeration_returns_at_most_one_with_inverse_block():

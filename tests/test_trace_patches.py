@@ -83,3 +83,10 @@ def test_patches_are_on_the_call_path(pathway):
     assert support == inst.n * names.count("lcp.compute_support_P")
     assert uniqueness == (1 if pathway == "psd-lp" else 0)
     assert names.count("lp.solve_lp") == support + uniqueness
+    if pathway == "psd-lp":
+        # perfbench's lp.check_feasibility.* metrics measure the psd-lp LP:
+        # exactly one per solve, under solve_psd
+        psd = [k for k, name in enumerate(names) if name == "robust_q.solve_psd"]
+        feas = [s[spans.PARENT] for s in tracer.spans
+                if s[spans.NAME] == "lp.check_feasibility"]
+        assert sorted(feas) == psd
