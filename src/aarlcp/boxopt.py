@@ -8,11 +8,14 @@ quadratic in the free coordinates whose interior minimizers (if any) are
 stationary points, and the boundary of the face is covered by smaller
 faces, so vertices plus per-face stationary points contain a global
 minimizer. Beyond the exact cutoff a vertex sweep plus Halton sampling
-gives a certified-false lower estimate.
+gives a certified-false lower estimate. A stack of quadratics (the
+off-support rows of one candidate rule) shares one face loop; a single
+quadratic is a stack of one.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -31,6 +34,8 @@ EXACT_FACE_LIMIT = 10
 
 # quasi-random sample count used beyond the exact cutoff
 SAMPLE_COUNT = 100_000
+
+_EPS = np.finfo(float).eps
 
 
 def min_affine_over_box(coeff, const: float, half_widths):
@@ -63,73 +68,116 @@ def halton_points(k: int, count: int) -> np.ndarray:
     return 2.0 * sampler.random(count) - 1.0
 
 
-def _eval_quadratic(q: np.ndarray, b: np.ndarray, c: float, pts: np.ndarray) -> np.ndarray:
-    return c + pts @ b + np.einsum("ij,jk,ik->i", pts, q, pts)
+@functools.cache
+def _faces(k: int) -> list:
+    """The 3^k faces of [-1, 1]^k grouped by their free coordinates, one
+    group per set of free coordinates: (free indices, fixed indices,
+    signs (P, fixed) of the group's P faces on the fixed coordinates,
+    position of each face in the product order of (-1, 1, free) per
+    coordinate). Cached and shared, so the arrays are read-only."""
+    groups = {}
+    for pos, pattern in enumerate(itertools.product((-1.0, 1.0, None), repeat=k)):
+        free = tuple(i for i, p in enumerate(pattern) if p is None)
+        signs = [p for p in pattern if p is not None]
+        groups.setdefault(free, []).append((signs, pos))
+    faces = [(np.array(free, dtype=int),
+              np.array([i for i in range(k) if i not in free], dtype=int),
+              np.array([s for s, _ in g]).reshape(len(g), k - len(free)),
+              np.array([pos for _, pos in g]))
+             for free, g in groups.items()]
+    for group in faces:
+        for a in group:
+            a.setflags(write=False)
+    return faces
 
 
-def min_quadratic_over_box(q, b, c: float):
-    """Minimize c + b . z + z^T q z over the box [-1, 1]^k.
+def min_quadratic_over_box(q, b, c):
+    """Minimize c + b . z + z^T q z over the box [-1, 1]^k, for one row
+    or for a stack of rows at once.
 
     Dimensions up to EXACT_FACE_LIMIT use exhaustive face enumeration and
     the result is exact; beyond it the vertices (up to k = 16) plus
     SAMPLE_COUNT Halton points give an upper estimate of the minimum.
+    The face loop runs once per set of free coordinates, for every row
+    and every sign pattern of the fixed coordinates together; the
+    stationary points come from one batched pseudo-inverse (the
+    minimum-norm least-squares solution, with lstsq's singular-value
+    cutoff). Among equal minima the first face in the product order of
+    (-1, 1, free) per coordinate wins.
 
     Parameters
     ----------
-    q : (k, k) array_like
-    b : (k,) array_like
-    c : float
+    q : (k, k) or (R, k, k) array_like
+    b : (k,) or (R, k) array_like
+    c : float or (R,) array_like
 
     Returns
     -------
-    value : float
-    argmin : ndarray
+    value : float, or (R,) ndarray for a stack
+    argmin : (k,) or (R, k) ndarray
     exact : bool
-        False when the sampling fallback was used.
+        False when the sampling fallback was used (one flag for the
+        whole stack: the branch depends on k alone).
     """
     qm = np.asarray(q, dtype=float)
-    bv = np.asarray(b, dtype=float)
-    k = bv.size
-    if k == 0:
-        return float(c), np.zeros(0), True
-    qs = 0.5 * (qm + qm.T)  # the quadratic form only sees the symmetric part
+    single = qm.ndim == 2
+    cv = np.asarray(c, dtype=float).reshape(-1)
+    rows, k = cv.size, qm.shape[-1]
+    qs = qm.reshape(rows, k, k)
+    qs = 0.5 * (qs + qs.transpose(0, 2, 1))  # the form only sees the symmetric part
+    bv = np.asarray(b, dtype=float).reshape(rows, k)
+    best_val = np.full(rows, np.inf)
+    best_arg = np.zeros((rows, k))
+    exact = k <= EXACT_FACE_LIMIT
+    every = np.arange(rows)
 
-    if k > EXACT_FACE_LIMIT:
+    if k == 0:
+        best_val = cv.copy()
+    elif not exact:
         pts = halton_points(k, SAMPLE_COUNT)
         if k <= 16:  # vertex sweep stays affordable up to 2^16 points
             pts = np.vstack([box_vertices(k), pts])
-        vals = _eval_quadratic(qs, bv, c, pts)
-        i = int(np.argmin(vals))
-        return float(vals[i]), pts[i].copy(), False
-
-    best_val = np.inf
-    best_arg = np.zeros(k)
-    scale = 1.0 + abs(c) + np.max(np.abs(bv)) + np.max(np.abs(qs))
-    for pattern in itertools.product((-1.0, 1.0, None), repeat=k):
-        fixed = np.array([p is not None for p in pattern])
-        free = ~fixed
-        s = np.array([p if p is not None else 0.0 for p in pattern])
-        if not free.any():
-            val = float(c + bv @ s + s @ qs @ s)
-            if val < best_val:
-                best_val, best_arg = val, s
-            continue
-        # restrict to the face: quadratic in the free coordinates
-        qff = qs[np.ix_(free, free)]
-        bpr = bv[free] + 2.0 * qs[np.ix_(free, fixed)] @ s[fixed]
-        # stationary points: 2 qff z = -bpr; singular-but-consistent
-        # systems are handled by the minimum-norm solution, which is the
-        # stationary point nearest the face center
-        zf, residual, _, _ = np.linalg.lstsq(2.0 * qff, -bpr, rcond=None)
-        if residual.size and residual[0] > (1e-18 * scale * scale):
-            continue
-        if np.max(np.abs(2.0 * qff @ zf + bpr)) > 1e-9 * scale:
-            continue
-        if np.any(np.abs(zf) >= 1.0):  # outside the open face: covered elsewhere
-            continue
-        z = s.copy()
-        z[free] = zf
-        val = float(c + bv @ z + z @ qs @ z)
-        if val < best_val:
-            best_val, best_arg = val, z
-    return best_val, best_arg, True
+        for t in every:
+            vals = cv[t] + pts @ bv[t] + np.einsum("ij,jk,ik->i", pts, qs[t], pts)
+            i = int(np.argmin(vals))
+            best_val[t], best_arg[t] = vals[i], pts[i]
+    else:
+        scale = (1.0 + np.abs(cv) + np.max(np.abs(bv), axis=1)
+                 + np.max(np.abs(qs), axis=(1, 2)))
+        best_pos = np.zeros(rows, dtype=int)
+        for free, fixed, signs, pos in _faces(k):
+            z = np.empty((rows, pos.size, k))
+            z[:, :, fixed] = signs
+            ok = True
+            if free.size:
+                # restrict to the face: quadratic in the free coordinates;
+                # stationary points solve 2 qff z = -bpr, singular but
+                # consistent systems by the minimum-norm solution (the
+                # stationary point nearest the face center): the
+                # pseudo-inverse of the symmetric qff from its
+                # eigenvalues, whose magnitudes are its singular values,
+                # cut off as lstsq does at f * eps times the largest
+                qff = 2.0 * qs[:, free[:, None], free]
+                bpr = bv[:, None, free] + 2.0 * signs @ qs[:, fixed[:, None], free]
+                w, v = np.linalg.eigh(qff)
+                cut = free.size * _EPS * np.max(np.abs(w), axis=1, keepdims=True)
+                with np.errstate(divide="ignore"):
+                    winv = np.where(np.abs(w) > cut, 1.0 / w, 0.0)
+                zf = -((bpr @ v) * winv[:, None, :]) @ v.transpose(0, 2, 1)
+                resid = zf @ qff + bpr
+                # inconsistent systems, and points outside the open face
+                # (covered by smaller faces), are dropped
+                ok = ~(np.max(np.abs(resid), axis=2) > 1e-9 * scale[:, None])
+                ok &= ~np.any(np.abs(zf) >= 1.0, axis=2)
+                z[:, :, free] = zf
+            val = cv[:, None] + np.einsum("tpi,tpi->tp", z, bv[:, None] + z @ qs)
+            val = np.where(ok & (val < np.inf), val, np.inf)  # NaN never wins
+            p = np.argmin(val, axis=1)
+            val, at = val[every, p], pos[p]
+            better = (val < best_val) | ((val == best_val) & (at < best_pos)
+                                         & (val < np.inf))
+            best_val[better], best_pos[better] = val[better], at[better]
+            best_arg[better] = z[every, p][better]
+    if single:
+        return float(best_val[0]), best_arg[0], exact
+    return best_val, best_arg, exact

@@ -1,14 +1,25 @@
 """Dense linear-algebra substrate: validated arrays, index sets, LU solves
-and symmetric eigenvalues for the definiteness tests, both on LAPACK.
+and symmetric eigenvalues for the definiteness tests, both on LAPACK,
+and a stacked LU that factors many small blocks at once.
 
 All matrices are dense float64 numpy arrays. Index sets are strictly
 increasing integer arrays; submatrix extraction preserves that order.
 Singularity is decided against a pivot threshold that scales with the
 largest absolute entry of the matrix, so the zero matrix is singular and
-scaling a matrix does not flip the verdict.
+scaling a matrix does not flip the verdict. One rule (_singular_pivots)
+states it for the LAPACK factorization and for the stacked one.
+
+The support sweeps visit every subset J of a coordinate range and need
+the principal block a[J, J] of each. support_chunks hands them the
+subsets of one size in lexicographic order, at most _SUPPORT_CHUNK at a
+time, which bounds the memory of the stacked blocks; factor_stack and
+solve_stack then do each chunk's LU and solves with one numpy
+expression per elimination step instead of one LAPACK call per block.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from scipy.linalg.lapack import dgetrf, dgetri, dgetrs
@@ -24,6 +35,9 @@ __all__ = [
     "submatrix",
     "solve",
     "invert",
+    "support_chunks",
+    "factor_stack",
+    "solve_stack",
     "symmetric_eigenvalues",
     "min_symmetric_eigenvalue",
     "is_psd",
@@ -88,19 +102,32 @@ def submatrix(a: np.ndarray, rows, cols) -> np.ndarray:
     return a[np.ix_(r, c)]
 
 
+# supports per chunk of the stacked sweeps. It bounds the (C, s, s)
+# blocks, their inverses and temporaries: an uncertain-q sweep at n = 20
+# peaks about 15 MB above the interpreter, and larger chunks buy no speed
+_SUPPORT_CHUNK = 1024
+
+
+def _singular_pivots(diag: np.ndarray, scale) -> np.ndarray:
+    """The pivot rule of every LU here: True where a pivot of U counts as
+    zero, its magnitude not in (TOL_PIVOT_FACTOR * scale, inf), with
+    scale the largest absolute entry of the factored matrix. The LU does
+    not stop at a small pivot, so the whole diagonal is checked; NaN and
+    overflow to inf fail the comparisons: singular."""
+    mag = np.abs(diag)
+    return ~((mag > TOL_PIVOT_FACTOR * scale) & (mag < np.inf))
+
+
 def _factor(a: np.ndarray):
     """getrf of a nonempty square a, with the pivot check of solve."""
-    # getrf does not stop at a small pivot, so the whole diagonal of U is
-    # checked; NaN and overflow to inf fail the comparisons: singular
     lu, piv, _ = dgetrf(a)
-    thresh = TOL_PIVOT_FACTOR * np.max(np.abs(a))
-    diag = np.abs(np.diagonal(lu))
-    bad = np.flatnonzero(~((diag > thresh) & (diag < np.inf)))
+    scale = np.max(np.abs(a))
+    bad = np.flatnonzero(_singular_pivots(np.diagonal(lu), scale))
     if bad.size:
         k = int(bad[0])
         raise SingularMatrixError(
             f"pivot {lu[k, k]:.3e} at column {k}: magnitude not in "
-            f"({thresh:.3e}, inf)"
+            f"({TOL_PIVOT_FACTOR * scale:.3e}, inf)"
         )
     return lu, piv
 
@@ -129,6 +156,66 @@ def invert(a) -> np.ndarray:
     # not getrs against the identity: OpenBLAS threads a solve with many
     # right-hand sides, which on small blocks costs more than the work
     return dgetri(*_factor(a))[0]
+
+
+def support_chunks(items, size: int):
+    """The size-subsets of items in lexicographic order, as int arrays
+    (C, size) of at most _SUPPORT_CHUNK rows each; size 0 gives one
+    empty subset."""
+    combos = itertools.combinations(items, size)
+    # the chunk size is read per chunk, so tests can shrink it
+    while chunk := list(itertools.islice(combos, _SUPPORT_CHUNK)):
+        yield np.array(chunk, dtype=int).reshape(len(chunk), size)
+
+
+def factor_stack(a):
+    """LU with partial pivoting of a stack of square blocks a (C, s, s),
+    one elimination step for all blocks at a time.
+
+    Returns (lu, perm, singular). singular[c] applies the pivot rule of
+    solve (_singular_pivots against the largest absolute entry of a[c])
+    to block c; the pivot is the first entry of largest magnitude in its
+    column, as in getrf. lu and perm are for solve_stack: they keep the
+    block index last, which makes every step one contiguous numpy
+    expression. Past a failed pivot the entries of a block are
+    meaningless; no warning is raised.
+    """
+    a = np.asarray(a, dtype=float)
+    lu = np.ascontiguousarray(np.moveaxis(a, 0, -1))  # (s, s, C)
+    s, c = lu.shape[0], lu.shape[-1]
+    perm = np.tile(np.arange(s)[:, None], (1, c))
+    cols = np.arange(c)
+    with np.errstate(all="ignore"):
+        for k in range(s):
+            p = k + np.argmax(np.abs(lu[k:, k]), axis=0)
+            row = lu[k].copy()
+            lu[k] = lu[p, :, cols].T
+            lu[p, :, cols] = row.T
+            perm[k], perm[p, cols] = perm[p, cols], perm[k].copy()
+            lu[k + 1:, k] /= lu[k, k]
+            lu[k + 1:, k + 1:] -= lu[k + 1:, k, None] * lu[k, None, k + 1:]
+    scale = np.max(np.abs(a), axis=(1, 2), initial=0.0)
+    singular = np.any(_singular_pivots(np.diagonal(lu), scale[:, None]), axis=1)
+    return lu, perm, singular
+
+
+def solve_stack(lu, perm, b) -> np.ndarray:
+    """Solve a[c] x[c] = b[c] for every block from factor_stack's
+    (lu, perm); b is (C, s) or (C, s, m) and x has its shape. Entries of
+    blocks flagged singular are meaningless."""
+    b = np.asarray(b, dtype=float)
+    vector = b.ndim == 2
+    x = np.moveaxis(b[:, :, None] if vector else b, 0, -1)  # (s, m, C)
+    x = x[perm, :, np.arange(perm.shape[1])].transpose(0, 2, 1)
+    s = lu.shape[0]
+    with np.errstate(all="ignore"):
+        for k in range(s):  # unit lower factor
+            x[k + 1:] -= lu[k + 1:, k, None] * x[k]
+        for k in reversed(range(s)):
+            x[k] /= lu[k, k]
+            x[:k] -= lu[:k, k, None] * x[k]
+    x = np.moveaxis(x, -1, 0)
+    return x[:, :, 0] if vector else x
 
 
 def symmetric_eigenvalues(a) -> np.ndarray:

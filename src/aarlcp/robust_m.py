@@ -17,11 +17,17 @@ Rows outside J carry r_j = 0 and zero D rows, so their z component is
 identically zero. The first h coordinates are here-and-now decisions:
 their D rows must be zero, which is checked on each closed-form
 candidate and rejects supports whose rows refuse to comply.
+
+The sweep screens the supports of one size in chunks: one stacked LU of
+the blocks m0_J (linalg.factor_stack, the pivot rule of linalg.invert)
+finds the singular supports and solves for r_J. Only supports whose r_J
+can be positive get the closed form and the checks above, one support
+at a time; the off-support rows of a candidate go to
+min_quadratic_over_box as one stack.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -166,17 +172,16 @@ def _inactive_rows_min(inst: UncertainLcpM, sol: AffineSolutionM,
     """(min over the box and the given rows of w_t(zeta), its argmin,
     whether every row's minimum was exact); the minimum is 0.0 for no
     rows."""
-    const, lin, quad = _residual_coefficients(inst, sol, rows)
-    worst_val, worst_pt = np.inf, np.zeros(inst.k)
-    certified = True
-    for t in range(rows.size):
-        val, arg, exact = min_quadratic_over_box(quad[t], lin[t], float(const[t]))
-        certified = certified and exact
-        if val < worst_val:
-            worst_val, worst_pt = val, arg
     if rows.size == 0:
-        worst_val = 0.0
-    return worst_val, worst_pt, certified
+        return 0.0, np.zeros(inst.k), True
+    const, lin, quad = _residual_coefficients(inst, sol, rows)
+    vals, args, certified = min_quadratic_over_box(quad, lin, const)
+    # the first smallest row; a NaN minimum never counts as the worst
+    vals = np.where(np.isnan(vals), np.inf, vals)
+    t = int(np.argmin(vals))
+    if vals[t] == np.inf:
+        return np.inf, np.zeros(inst.k), certified
+    return float(vals[t]), args[t], certified
 
 
 def check_necessary_m(inst: UncertainLcpM, sol: AffineSolutionM,
@@ -327,7 +332,9 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM,
                                  tol: float = TOL_FEAS) -> EnumerationOutcomeM:
     """Sweep supports J by cardinality; keep candidates that pass every
     gate. Supports with a singular m0_J have no characterization and
-    are collected, not searched (the caller may report the caveat)."""
+    are collected, not searched (the caller may report the caveat).
+    A stacked LU per chunk of supports screens out the singular ones and
+    those whose r_J is not positive (see the module docstring)."""
     n = inst.n
     if n - inst.h > ENUMERATION_SIZE_CAP_M or n > TOTAL_SIZE_CAP_M:
         raise SizeLimitError(
@@ -335,25 +342,33 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM,
             f"(limit n - h <= {ENUMERATION_SIZE_CAP_M}, n <= {TOTAL_SIZE_CAP_M})")
     out = EnumerationOutcomeM()
     for size in range(n + 1):
-        for j_tuple in itertools.combinations(range(n), size):
-            j = np.array(j_tuple, dtype=int)
-            cand = characterize_for_J(inst, j)
-            if cand is None:
-                out.singular_supports.append(j)
-                continue
-            if j.size and np.min(cand.r[j]) <= TOL_SUPPORT:
-                continue  # support demands strictly positive r
-            rows = j[j < inst.h]
-            if rows.size and np.max(np.abs(cand.d[rows, :])) > tol:
-                continue  # here-and-now rows refuse to stay fixed
-            if not check_kernel_condition(inst, j, tol, cand):
-                continue
-            cand.d[: inst.h, :] = 0.0
-            if not check_box_conditions(inst, j, cand, tol).overall:
-                continue
-            if sample_violation_m(inst, cand, count=1000, seed=0) > tol * 10:
-                continue  # sampling backstop against tolerance leaks
-            out.solutions.append(cand)
+        for chunk in linalg.support_chunks(range(n), size):
+            lu, perm, singular = linalg.factor_stack(
+                inst.m0[chunk[:, :, None], chunk[:, None, :]])
+            r = -linalg.solve_stack(lu, perm, inst.q[chunk])
+            # a superset of the supports with r_J > TOL_SUPPORT (half of it
+            # absorbs the rounding between the two solves): the closed form
+            # below re-derives r_J by linalg.invert and tests it exactly
+            maybe = ~np.any(r <= 0.5 * TOL_SUPPORT, axis=1)
+            for c in np.flatnonzero(singular | maybe):
+                j = chunk[c].copy()
+                cand = None if singular[c] else characterize_for_J(inst, j)
+                if cand is None:
+                    out.singular_supports.append(j)
+                    continue
+                if j.size and np.min(cand.r[j]) <= TOL_SUPPORT:
+                    continue  # support demands strictly positive r
+                rows = j[j < inst.h]
+                if rows.size and np.max(np.abs(cand.d[rows, :])) > tol:
+                    continue  # here-and-now rows refuse to stay fixed
+                if not check_kernel_condition(inst, j, tol, cand):
+                    continue
+                cand.d[: inst.h, :] = 0.0
+                if not check_box_conditions(inst, j, cand, tol).overall:
+                    continue
+                if sample_violation_m(inst, cand, count=1000, seed=0) > tol * 10:
+                    continue  # sampling backstop against tolerance leaks
+                out.solutions.append(cand)
     return out
 
 

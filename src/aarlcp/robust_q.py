@@ -19,11 +19,17 @@ S empty), a big-M mixed-binary encoding (general, with an exactness
 caveat tied to the big-M constant), and for positive semidefinite M
 linear algebra for D plus one small linear program in r over the
 nominal solution set (exact both ways; see solve_psd).
+
+Enumeration visits 2^(n-h) supports J, each fixing D[J, J] =
+-inv(M[J, J]) and r_J. It works per support size in chunks: one stacked
+LU of the chunk's principal blocks (linalg.factor_stack) decides
+singularity by the pivot rule of linalg.invert and yields the inverses,
+and both box conditions are array expressions over the chunk: no
+LAPACK call per support, and Python work only per rule that passes.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -281,38 +287,40 @@ def solve_enumeration(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> list:
             f"enumeration over {n - inst.h} adjustable coordinates exceeds "
             f"the cap of {ENUMERATION_SIZE_CAP}"
         )
-    wscale = 1.0 + float(np.max(np.abs(inst.qbar), initial=0.0))
-    adjustable = list(range(inst.h, n))
+    m, qbar, ubar = inst.m, inst.qbar, inst.ubar
+    wscale = 1.0 + float(np.max(np.abs(qbar), initial=0.0))
     found: list[AffineSolutionQ] = []
-    for size in range(len(adjustable) + 1):
-        for j_tuple in itertools.combinations(adjustable, size):
-            j = np.array(j_tuple, dtype=int)
-            try:
-                inv = linalg.invert(inst.m[np.ix_(j, j)])
-            except linalg.SingularMatrixError:
-                continue
-            r_j = -inv @ inst.qbar[j]
+    for size in range(n - inst.h + 1):
+        for j in linalg.support_chunks(range(inst.h, n), size):
+            lu, perm, singular = linalg.factor_stack(m[j[:, :, None], j[:, None, :]])
+            eye = np.broadcast_to(np.eye(size), (j.shape[0], size, size))
+            inv = linalg.solve_stack(lu, perm, eye)
+            inv[singular] = 0.0  # no inverse there; dropped below
+            r_j = -np.einsum("cij,cj->ci", inv, qbar[j])
             # own rows: min z_J(u) = r_J - |inv| ubar_J rowwise
-            if np.any(r_j - np.abs(inv) @ inst.ubar[j] < -tol):
-                continue
-            n_rows = linalg.complement(j, n)
-            if n_rows.size:
-                g = inst.m[np.ix_(n_rows, j)] @ inv
-                margin = (inst.qbar[n_rows] - g @ inst.qbar[j]
-                          - inst.ubar[n_rows] - np.abs(g) @ inst.ubar[j])
-                if np.any(margin < -tol * wscale):
-                    continue
-            d = np.zeros((n, n))
-            r = np.zeros(n)
-            if j.size:
-                d[np.ix_(j, j)] = -inv
+            own = r_j - np.einsum("cij,cj->ci", np.abs(inv), ubar[j])
+            keep = np.flatnonzero(~singular & ~np.any(own < -tol, axis=1))
+            j, inv, r_j = j[keep], inv[keep], r_j[keep]
+            # rows outside J: min (M z(u) + q(u))_N over the box, per row
+            outside = np.ones((keep.size, n), dtype=bool)
+            outside[np.arange(keep.size)[:, None], j] = False
+            n_rows = np.nonzero(outside)[1].reshape(keep.size, n - size)
+            g = m[n_rows[:, :, None], j[:, None, :]] @ inv
+            margin = (qbar[n_rows] - np.einsum("cij,cj->ci", g, qbar[j])
+                      - ubar[n_rows] - np.einsum("cij,cj->ci", np.abs(g), ubar[j]))
+            ok = ~np.any(margin < -tol * wscale, axis=1)
+            j, inv, r_j = j[ok], inv[ok], r_j[ok]
+            for jc, inv_c, r_c in zip(j, inv, r_j):
+                d = np.zeros((n, n))
+                r = np.zeros(n)
+                d[np.ix_(jc, jc)] = -inv_c
                 d += 0.0  # normalize -0.0 entries
-                r[j] = r_j
-            sol = AffineSolutionQ(d, r)
-            if not any(np.max(np.abs(sol.d - s.d)) <= TOL_DEDUP
-                       and np.max(np.abs(sol.r - s.r)) <= TOL_DEDUP
-                       for s in found):
-                found.append(sol)
+                r[jc] = r_c
+                sol = AffineSolutionQ(d, r)
+                if not any(np.max(np.abs(sol.d - s.d)) <= TOL_DEDUP
+                           and np.max(np.abs(sol.r - s.r)) <= TOL_DEDUP
+                           for s in found):
+                    found.append(sol)
     return found
 
 

@@ -1,3 +1,4 @@
+import itertools
 import os
 import subprocess
 import sys
@@ -6,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aarlcp.boxopt import (box_vertices, min_affine_over_box,
+from aarlcp.boxopt import (EXACT_FACE_LIMIT, box_vertices, min_affine_over_box,
                            min_quadratic_over_box)
 
 
@@ -124,3 +125,76 @@ def test_import_leaves_scipy_stats_unloaded():
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def _min_quadratic_oracle(q, b, c):
+    """The single-row face enumeration the stacked one replaced: one
+    lstsq per face, in the product order of (-1, 1, free)."""
+    qs = 0.5 * (q + q.T)
+    k = b.size
+    best_val, best_arg = np.inf, np.zeros(k)
+    scale = 1.0 + abs(c) + np.max(np.abs(b), initial=0.0) + np.max(np.abs(qs), initial=0.0)
+    for pattern in itertools.product((-1.0, 1.0, None), repeat=k):
+        free = np.array([p is None for p in pattern], dtype=bool)
+        z = np.array([0.0 if p is None else p for p in pattern])
+        if free.any():
+            qff = 2.0 * qs[np.ix_(free, free)]
+            bpr = b[free] + 2.0 * qs[np.ix_(free, ~free)] @ z[~free]
+            zf = np.linalg.lstsq(qff, -bpr, rcond=None)[0]
+            if np.max(np.abs(qff @ zf + bpr)) > 1e-9 * scale or np.any(np.abs(zf) >= 1.0):
+                continue
+            z[free] = zf
+        val = c + b @ z + z @ qs @ z
+        if val < best_val:
+            best_val, best_arg = val, z
+    return (c if k == 0 else best_val), best_arg
+
+
+def _quadratic_rows(rng, k, rows=16):
+    """Indefinite, singular (rank one) and zero q, some b and c zero."""
+    q = rng.uniform(-2.0, 2.0, (rows, k, k))
+    v = rng.uniform(-1.0, 1.0, (rows, k))
+    q[1::4] = v[1::4, :, None] * v[1::4, None, :]
+    q[2::4] = 0.0
+    q[3::4] = np.round(q[3::4])
+    b = rng.uniform(-2.0, 2.0, (rows, k))
+    b[::3] = 0.0
+    c = rng.uniform(-1.0, 1.0, rows)
+    c[::5] = 0.0
+    return q, b, c
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_stacked_rows_equal_per_row_calls(k):
+    q, b, c = _quadratic_rows(np.random.default_rng(60 + k), k)
+    vals, args, exact = min_quadratic_over_box(q, b, c)
+    assert type(exact) is bool and exact  # perfbench reads a plain bool
+    assert vals.shape == (16,) and args.shape == (16, k)
+    for t in range(16):
+        val, arg, one_exact = min_quadratic_over_box(q[t], b[t], c[t])
+        assert type(val) is float and type(one_exact) is bool and one_exact
+        assert val == pytest.approx(vals[t], rel=1e-12, abs=1e-12)
+        assert arg == pytest.approx(args[t], abs=1e-12)
+        ref, _ = _min_quadratic_oracle(q[t], b[t], c[t])
+        assert val == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        qs = 0.5 * (q[t] + q[t].T)
+        assert c[t] + b[t] @ arg + arg @ qs @ arg == pytest.approx(val, rel=1e-12, abs=1e-12)
+
+
+def test_equal_minima_keep_the_first_face():
+    # b = 0 and q = 0: every face ties; the first vertex (-1, ..., -1) wins
+    vals, args, _ = min_quadratic_over_box(np.zeros((2, 3, 3)), np.zeros((2, 3)),
+                                           [1.0, -1.0])
+    assert vals.tolist() == [1.0, -1.0]
+    assert args.tolist() == [[-1.0] * 3] * 2
+
+
+def test_stacked_rows_beyond_the_face_limit_are_sampled():
+    k = EXACT_FACE_LIMIT + 1
+    q, b, c = _quadratic_rows(np.random.default_rng(65), k, rows=2)
+    vals, args, exact = min_quadratic_over_box(q, b, c)
+    assert exact is False
+    for t in range(2):
+        val, arg, one_exact = min_quadratic_over_box(q[t], b[t], c[t])
+        assert one_exact is False
+        assert (val, arg.tolist()) == (vals[t], args[t].tolist())

@@ -11,6 +11,7 @@ from aarlcp.robust_m import (AffineSolutionM, UncertainLcpM,
                              mtilde, sample_violation_m, solve_enumeration_m,
                              solve_enumeration_m_detailed, uniqueness_m,
                              verify_affine_m)
+from aarlcp.tolerances import TOL_SUPPORT
 
 # worked instance: one perturbation direction in the top-right entry
 INST = UncertainLcpM(m0=np.array([[4.0, 1.0], [0.0, 4.0]]),
@@ -366,17 +367,25 @@ def test_sweep_matches_written_out_reference():
     assert accepted >= 10 and singular >= 10
 
 
-def test_sweep_inverts_each_nonempty_support_once(monkeypatch):
-    inverts, kernels = [], []
-    invert, kernel = linalg.invert, robust_m.check_kernel_condition
+def test_sweep_inverts_each_surviving_support_once(monkeypatch):
+    # the stacked LU screens every support; linalg.invert runs once per
+    # support that reaches the closed form, and every support whose r_J
+    # is positive reaches it
+    inverts, closed = [], []
+    invert, characterize = linalg.invert, robust_m.characterize_for_J
     monkeypatch.setattr(linalg, "invert", lambda a: inverts.append(1) or invert(a))
-    monkeypatch.setattr(robust_m, "check_kernel_condition",
-                        lambda *a: kernels.append(1) or kernel(*a))
+    monkeypatch.setattr(robust_m, "characterize_for_J",
+                        lambda inst, j: closed.append(tuple(j)) or characterize(inst, j))
     rng = np.random.default_rng(42)
     inst = _sweep_instance(rng, n=4, k=2, h=0, planted=True, rank_deficient=False)
     assert solve_enumeration_m(inst)
-    assert len(kernels) >= 4
-    assert len(inverts) == 2 ** inst.n - 1
+    positive = [j for size in range(1, inst.n + 1)
+                for j in itertools.combinations(range(inst.n), size)
+                if np.min(-np.linalg.solve(inst.m0[np.ix_(j, j)], inst.q[list(j)]))
+                > TOL_SUPPORT]
+    assert len(set(closed)) == len(closed)
+    assert set(positive) <= set(closed)
+    assert len(inverts) == sum(1 for j in closed if j) < 2 ** inst.n - 1
 
 
 def test_sample_violation_matches_pointwise_loop():
