@@ -220,9 +220,10 @@ def solve_stack(lu, perm, b) -> np.ndarray:
 
 def symmetric_eigenvalues(a) -> np.ndarray:
     """Eigenvalues of the symmetric part of `a` (LAPACK via
-    numpy.linalg.eigvalsh), in increasing order."""
+    numpy.linalg.eigvalsh), in increasing order. Each half is scaled
+    before the sum, which stays finite for entries near the float max."""
     a = as_matrix(a, square=True)
-    return np.linalg.eigvalsh(0.5 * (a + a.T))
+    return np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)
 
 
 def min_symmetric_eigenvalue(a) -> float:

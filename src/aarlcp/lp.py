@@ -1,6 +1,13 @@
 """Linear programs with row senses and variable bounds, solved by a
 two-phase bounded-variable revised simplex method.
 
+Phase 1 starts from a slack crash basis (Bixby, ORSA J. Computing 4(3),
+1992). Every column starts at a finite bound (0 if free). A row whose
+own slack can take up the residual within the slack's bounds starts
+with that slack basic; only the other rows, equality rows among them,
+start with a basic artificial, so rows the start point already
+satisfies cost no pivot. The basis inverse starts diagonal either way.
+
 Infinite bounds are encoded internally by the sentinels +/-1e30 and never
 exposed. The basis inverse is kept explicitly, updated by the product
 form after each pivot and refactorized from scratch (LAPACK LU) every
@@ -160,18 +167,27 @@ class _Simplex:
     def __init__(self, a, b, lo, up, cap):
         m, nreal = a.shape
         self.m, self.nreal = m, nreal
-        resid = b - a @ self._initial_values(lo, up)
+        x0 = self._initial_values(lo, up)
+        resid = b - a @ x0
+        # slack crash (module docstring); the slacks are the last m columns
+        rows = np.arange(m)
+        slack = nreal - m + rows
+        coef = a[rows, slack]
+        s0 = x0[slack] + resid / coef
+        crash = (lo[slack] < up[slack]) & (s0 >= lo[slack]) & (s0 <= up[slack])
+        x0[slack[crash]] = s0[crash]
+        resid[crash] = 0.0
         sign = np.where(resid >= 0, 1.0, -1.0)
         self.a = np.hstack([a, np.diag(sign)]) if m else a
         self.b = b
         self.lo = np.concatenate([lo, np.zeros(m)])
         self.up = np.concatenate([up, np.full(m, INF)])
         self.ntot = nreal + m
-        self.val = np.concatenate([self._initial_values(lo, up), np.abs(resid)])
-        self.basis = np.arange(nreal, nreal + m)
+        self.val = np.concatenate([x0, np.abs(resid)])
+        self.basis = np.where(crash, slack, nreal + rows)
         self.is_basic = np.zeros(self.ntot, dtype=bool)
         self.is_basic[self.basis] = True
-        self.binv = np.diag(sign)
+        self.binv = np.diag(np.where(crash, 1.0 / coef, sign))
         self.cap = cap
         self.iterations = 0
         self.pivots_since_refresh = 0

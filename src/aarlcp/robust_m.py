@@ -382,8 +382,7 @@ def solve_enumeration_m(inst: UncertainLcpM,
 def uniqueness_m(inst: UncertainLcpM) -> str:
     """"unique-if-exists" when the symmetric part of m0 is positive
     definite, else "unknown"."""
-    sym = 0.5 * (inst.m0 + inst.m0.T)
-    if inst.n and linalg.min_symmetric_eigenvalue(sym) > TOL_PSD:
+    if inst.n and linalg.min_symmetric_eigenvalue(inst.m0) > TOL_PSD:
         return "unique-if-exists"
     return "unknown"
 

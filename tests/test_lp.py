@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from aarlcp.lp import LinearProgram, check_feasibility, check_point, solve_lp
 from conftest import lcp_brute_force
@@ -104,12 +106,36 @@ def test_feasibility_invariant_under_row_permutation():
         assert check_feasibility(lp).status == check_feasibility(lp2).status
 
 
+def _linprog(lp, objective):
+    """scipy's HiGHS on the same program: "optimal", "infeasible" or
+    "unbounded", plus the optimal value."""
+    from scipy.optimize import linprog
+
+    a_ub, b_ub, a_eq, b_eq = [], [], [], []
+    for row, s, b in zip(lp.lhs, lp.senses, lp.rhs):
+        if s == "<=":
+            a_ub.append(row); b_ub.append(b)
+        elif s == ">=":
+            a_ub.append(-row); b_ub.append(-b)
+        else:
+            a_eq.append(row); b_eq.append(b)
+    ref = linprog(
+        objective,
+        A_ub=np.array(a_ub) if a_ub else None,
+        b_ub=np.array(b_ub) if b_ub else None,
+        A_eq=np.array(a_eq) if a_eq else None,
+        b_eq=np.array(b_eq) if b_eq else None,
+        bounds=[(lo if lo > -1e29 else None, up if up < 1e29 else None)
+                for lo, up in zip(lp.lower, lp.upper)],
+        method="highs",
+    )
+    return {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status), ref.fun
+
+
 def test_matches_scipy_on_random_problems():
     """Independent route: statuses and objectives against scipy's HiGHS
     on a mixed stream of bounded/unbounded, all senses, free and fixed
     variables."""
-    from scipy.optimize import linprog
-
     rng = np.random.default_rng(12345)
     agree = 0
     for trial in range(120):
@@ -124,31 +150,66 @@ def test_matches_scipy_on_random_problems():
                          rng.uniform(0.5, 5.0, ncols).round(3), INF)
         lp = _lp(cost, lhs, senses, rhs, lower=lower, upper=upper)
         out = solve_lp(lp)
-
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-        for i, s in enumerate(senses):
-            if s == "<=":
-                a_ub.append(lhs[i]); b_ub.append(rhs[i])
-            elif s == ">=":
-                a_ub.append(-lhs[i]); b_ub.append(-rhs[i])
-            else:
-                a_eq.append(lhs[i]); b_eq.append(rhs[i])
-        ref = linprog(
-            cost,
-            A_ub=np.array(a_ub) if a_ub else None,
-            b_ub=np.array(b_ub) if b_ub else None,
-            A_eq=np.array(a_eq) if a_eq else None,
-            b_eq=np.array(b_eq) if b_eq else None,
-            bounds=[(lo if lo > -1e29 else None, up if up < 1e29 else None)
-                    for lo, up in zip(lower, upper)],
-            method="highs",
-        )
-        ref_status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status)
+        ref_status, ref_fun = _linprog(lp, cost)
         assert out.status == ref_status, f"trial {trial}"
         if out.status == "optimal":
-            assert out.objective == pytest.approx(ref.fun, abs=1e-6)
+            assert out.objective == pytest.approx(ref_fun, abs=1e-6)
         agree += 1
     assert agree == 120
+
+
+def test_start_point_satisfying_every_row_needs_no_pivot():
+    # x = 0 (the lower bounds) satisfies each inequality, so every row
+    # starts on its own slack and phase 1 is optimal at once
+    lp = _lp([0.0, 0.0, 0.0], [[1.0, 2.0, 0.0], [1.0, -1.0, 3.0], [0.0, 1.0, 1.0]],
+             ["<=", ">=", "<="], [5.0, -3.0, 0.0], lower=[0.0, 0.0, 0.0])
+    out = check_feasibility(lp)
+    assert out.status == "optimal"
+    assert out.iterations == 1
+    assert out.x == pytest.approx([0.0, 0.0, 0.0])
+
+
+# bounds a column may draw: nonnegative, free, boxed, fixed, nonpositive
+_BOUNDS = [(0.0, INF), (-INF, INF), (-2.0, 3.0), (1.0, 1.0), (-INF, 0.0)]
+
+
+@st.composite
+def _small_lps(draw):
+    ncols = draw(st.integers(1, 4))
+    nrows = draw(st.integers(1, 4))
+    ints = st.integers(-3, 3).map(float)
+    lhs = np.array(draw(st.lists(st.lists(ints, min_size=ncols, max_size=ncols),
+                                 min_size=nrows, max_size=nrows)))
+    senses = draw(st.lists(st.sampled_from(("<=", "=", ">=")),
+                           min_size=nrows, max_size=nrows))
+    # right-hand sides of either sign, so the start point misses some
+    # rows on the wrong side of their slack's bound
+    rhs = np.array(draw(st.lists(st.integers(-6, 6).map(float),
+                                 min_size=nrows, max_size=nrows)))
+    bounds = draw(st.lists(st.sampled_from(_BOUNDS), min_size=ncols, max_size=ncols))
+    cost = np.array(draw(st.lists(ints, min_size=ncols, max_size=ncols)))
+    lower, upper = (np.array(b) for b in zip(*bounds))
+    return _lp(cost, lhs, senses, rhs, lower=lower, upper=upper)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_small_lps())
+def test_crash_start_agrees_with_scipy(lp):
+    feasible, _ = _linprog(lp, np.zeros(lp.shape[1]))
+    feas = check_feasibility(lp)
+    assert feas.status == feasible
+    if feas.status == "optimal":
+        assert check_point(lp, feas.x) <= 1e-7
+
+    out = solve_lp(lp)
+    if feasible == "infeasible":
+        assert out.status == "infeasible"
+        return
+    ref_status, ref_fun = _linprog(lp, lp.objective)
+    assert out.status == ref_status
+    if out.status == "optimal":
+        assert check_point(lp, out.x) <= 1e-7
+        assert out.objective == pytest.approx(ref_fun, abs=1e-6)
 
 
 def test_rejects_dimension_mismatch():

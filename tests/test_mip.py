@@ -3,6 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
+from aarlcp import dispatch_solve, parse_instance
 from aarlcp.lp import LinearProgram, check_feasibility, check_point
 from aarlcp.mip import (MixedBinaryProgram, NodeLimitError,
                         solve_mip_feasibility)
@@ -100,3 +101,35 @@ def test_deterministic_node_counts():
     assert a.status == b.status == "feasible"
     assert a.nodes == b.nodes
     assert np.array_equal(a.x, b.x)
+
+
+# perfbench mip pool candidate mip-p1k1-fixed-6: a market with its one
+# producer fixed, whose node LPs used to stall in phase 1
+FIXED_PRODUCER_MARKET = """\
+kind market
+producers 1
+constraints 1
+markets 1
+costs
+1.3928
+technology
+0.27400000000000002
+capacity
+-3.9529999999999998
+demand-matrix
+1.3023
+sensitivity
+1.5299
+demand
+2.0217999999999998
+demand-halfwidth
+0.071300000000000002
+nonadjustable-producers 1
+"""
+
+
+def test_fixed_producer_market_decided_without_stall():
+    report = dispatch_solve(parse_instance(FIXED_PRODUCER_MARKET))
+    assert report.pathway == "mip"
+    assert report.status == "no-solution"
+    assert "big-M" in report.caveat

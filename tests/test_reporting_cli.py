@@ -222,12 +222,26 @@ def test_cli_node_limit_exit_four(tmp_path, capsys):
     assert "limit" in capsys.readouterr().err
 
 
-def test_cli_numerical_trouble_exit_four(tmp_path, capsys):
-    # (qbar, ubar) scaled by 1e9 stalls the phase-1 simplex of the MIP;
-    # that is a limit of the solver, not a fault in the input
+def test_cli_scaled_worked_example_mip_falls_back(tmp_path, capsys):
+    # (qbar, ubar) scaled by 1e9: the MIP is infeasible at the first rung
+    # and the enumeration fallback answers with enumeration's first rule
     scaled = UncertainLcpQ(m=MULTI.m, qbar=1e9 * MULTI.qbar,
                            ubar=1e9 * MULTI.ubar, h=0)
     path = _write(tmp_path, "scaled.txt", serialize_instance(scaled))
+    assert main(["solve", path, "--pathway", "mip", "--json"]) == 0
+    rule = json.loads(capsys.readouterr().out)["solutions"][0]
+    expected = solve_enumeration(scaled)[0]
+    np.testing.assert_allclose(rule["d"], expected.d, rtol=1e-12)
+    np.testing.assert_allclose(rule["r"], expected.r, rtol=1e-12)
+
+
+def test_cli_numerical_trouble_exit_four(tmp_path, capsys, monkeypatch):
+    # a stalled simplex is a limit of the solver, not a fault in the input
+    def stalled(*args, **kwargs):
+        raise RuntimeError("phase-1 simplex stalled numerically")
+
+    monkeypatch.setattr("aarlcp.mip.check_feasibility", stalled)
+    path = _write(tmp_path, "multi.txt", serialize_instance(MULTI))
     assert main(["solve", path, "--pathway", "mip"]) == 4
     assert "phase-1 simplex stalled numerically" in capsys.readouterr().err
 

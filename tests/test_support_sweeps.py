@@ -229,8 +229,6 @@ def test_stacked_enumeration_matches_the_per_support_loop(monkeypatch):
 
 def test_stacked_m_sweep_matches_the_per_support_loop(monkeypatch):
     monkeypatch.setattr(linalg, "_SUPPORT_CHUNK", 7)
-    # uniqueness_m is not under test (it overflows on the 1e308 block)
-    monkeypatch.setattr(reporting, "uniqueness_m", lambda inst: "unknown")
     rng = np.random.default_rng(71)
     branches = Counter()
     for case in range(45):
@@ -251,6 +249,20 @@ def test_stacked_m_sweep_matches_the_per_support_loop(monkeypatch):
     for branch in ("singular", "r not positive", "here-and-now", "kernel",
                    "box", "kept"):
         assert branches[branch] >= 5, branches
+
+
+def test_overflow_block_dispatches_with_a_uniqueness_verdict():
+    # the symmetric part of the 1e308 block is finite and positive
+    # definite, so uniqueness holds; the singular supports get a caveat
+    m0 = np.zeros((4, 4))
+    m0[:3, :3] = 1e308 * OVERFLOW
+    m0[3, 3] = 1.0
+    inst = UncertainLcpM(m0=m0, perturbations=[np.zeros((4, 4))],
+                         q=np.array([1.0, 1.0, 1.0, -1.0]), h=0)
+    report = reporting.dispatch_solve(inst)
+    assert report.status == "solution"
+    assert report.uniqueness == "unique-if-exists"
+    assert report.caveat is not None
 
 
 def _blocks(rng):

@@ -45,10 +45,15 @@ CASES = {
          "lcp.solve_lemke", "lcp.compute_support_P", "lp.solve_lp",
          "lp.check_feasibility", "robust_q.verify_affine_q",
          "boxopt.min_affine_over_box", "linalg.is_psd"}),
+    # general 3x3 (`aarlcp gen uncertain-q 3 --seed 1`): some node LP runs
+    # past the refactorization interval, so the simplex reaches
+    # linalg.invert
     "mip": (
-        aarlcp.UncertainLcpQ(m=np.array([[4.0, 10.0], [1.0, 2.0]]),
-                             qbar=np.array([-100.0, -22.0]),
-                             ubar=np.array([1.0, 1.0])),
+        aarlcp.UncertainLcpQ(m=np.array([[0.0709, 2.7028, -2.135],
+                                         [2.6919, -1.129, -0.46],
+                                         [1.9662, -0.5448, 0.2976]]),
+                             qbar=np.array([-4.7795, 1.0281, -0.6949]),
+                             ubar=np.array([0.3968, 0.8096, 0.3729])),
         {"robust_q.solve_mip_q", "robust_q.build_mip",
          "mip.solve_mip_feasibility", "lp.check_feasibility",
          "robust_q.verify_affine_q", "boxopt.min_affine_over_box",
