@@ -2,8 +2,9 @@
 
 import numpy as np
 
-from aarlcp import (NominalLcp, UncertainLcpQ, compute_support_P, is_psd,
-                    sample_violation_q, solve_lemke, solve_psd)
+from aarlcp import (NominalLcp, UncertainLcpQ, compute_support_P,
+                    describe_solution_set, is_psd, sample_violation_q,
+                    solve_lemke, solve_psd)
 
 rng = np.random.default_rng(3)
 g = rng.uniform(-1.5, 1.5, (4, 3))
@@ -30,9 +31,11 @@ tight = UncertainLcpQ(m=np.array([[1.0, 0.5], [0.5, 1.0]]),
                       qbar=np.array([-5.0, -3.0]),
                       ubar=np.array([1.0, 1.0]), h=0)
 print("\ntight instance:", solve_psd(tight).status)
+# the supports by hand: one nominal solution, the polyhedron of all
+# nominal solutions around it, and one max-LP per coordinate over it
 prob = NominalLcp(tight.m, tight.qbar)
 zbar = solve_lemke(prob).solution.z
-p_set, zmax = compute_support_P(prob, zbar)
+p_set, zmax = compute_support_P(describe_solution_set(prob, zbar))
 print("support P for the tight instance:", [int(i) for i in p_set + 1])
 print("largest value of each coordinate over its nominal solutions:",
       zmax.round(6))

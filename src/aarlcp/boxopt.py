@@ -8,9 +8,10 @@ quadratic in the free coordinates whose interior minimizers (if any) are
 stationary points, and the boundary of the face is covered by smaller
 faces, so vertices plus per-face stationary points contain a global
 minimizer. Beyond the exact cutoff a vertex sweep plus Halton sampling
-gives a certified-false lower estimate. A stack of quadratics (the
-off-support rows of one candidate rule) shares one face loop; a single
-quadratic is a stack of one.
+gives a certified-false lower estimate. Both minima take a stack of
+rows in one call: the affine one row by row in one array expression,
+the quadratic one (the off-support rows of one candidate rule) in one
+shared face loop; a single row is a stack of one.
 """
 
 from __future__ import annotations
@@ -38,17 +39,21 @@ SAMPLE_COUNT = 100_000
 _EPS = np.finfo(float).eps
 
 
-def min_affine_over_box(coeff, const: float, half_widths):
-    """Minimize const + coeff . u over the box |u_j| <= half_widths[j].
+def min_affine_over_box(coeff, const, half_widths):
+    """Minimize const + coeff . u over the box |u_j| <= half_widths[j],
+    for one row or for a stack of rows at once.
 
-    Returns (value, argmin) with argmin a vertex of the box. Coordinates
-    whose coefficient is zero sit at +half_width, an arbitrary but fixed
-    vertex choice.
+    coeff is (k,) with a float const, or (R, k) with const (R,). Returns
+    (value, argmin), value a float or an (R,) array, argmin a vertex of
+    the box per row. Coordinates whose coefficient is zero sit at
+    +half_width, an arbitrary but fixed vertex choice.
     """
     a = np.asarray(coeff, dtype=float)
     u = np.asarray(half_widths, dtype=float)
     arg = np.where(a > 0, -u, u)
-    return float(const + a @ arg), arg
+    # row-by-row dot products: each row rounds as its own a @ arg would
+    val = const + (a[..., None, :] @ arg[..., :, None])[..., 0, 0]
+    return (float(val), arg) if a.ndim == 1 else (val, arg)
 
 
 def box_vertices(k: int) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Subcommands: solve, verify, gen, market-build, report. Exit codes:
 0 solution found / verified, 1 no solution (proved) or verification
-failed, 2 no solution under the bounded big-M search only, 3 input
-error, 4 internal limit hit (a budget, or numerical trouble).
+failed, 2 no solution found but nonexistence not proved (the report's
+caveat says why), 3 input error, 4 internal limit hit (a budget, or
+numerical trouble).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .robust_q import AffineSolutionQ, UncertainLcpQ, verify_affine_q
 
 EXIT_SOLUTION = 0
 EXIT_NO_SOLUTION = 1
-EXIT_BIG_M_CAVEAT = 2
+EXIT_NOT_PROVED = 2
 EXIT_INPUT = 3
 EXIT_LIMIT = 4
 

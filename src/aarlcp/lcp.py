@@ -10,14 +10,14 @@ semidefinite (more generally copositive-plus) M; for other matrices a
 ray is reported as such and the caller decides.
 
 describe_solution_set encodes, for PSD M, the full solution set as a
-polyhedron around any one solution; compute_support_P maximizes each
-coordinate over that polyhedron and returns the maxima zmax together
-with P, the coordinates positive somewhere in the set. The psd-lp
-pathway (robust_q.solve_psd) fixes D from P by linear algebra and
-decides the rest with one feasibility LP over the same polyhedron in r
-alone, its bounds and right-hand sides shifted by the box envelopes;
-its uniqueness check reads zmax and solves one more LP over the
-polyhedron.
+polyhedron around any one solution; compute_support_P takes that
+LinearProgram, maximizes each coordinate over it and returns the maxima
+zmax together with P, the coordinates positive somewhere in the set.
+The psd-lp pathway (robust_q.solve_psd) states the polyhedron once per
+instance: it fixes D from P by linear algebra and decides the rest with
+one feasibility LP built from the same rows in r alone, its bounds and
+right-hand sides raised by the box envelopes; its uniqueness check
+reads zmax and solves one more LP over the same polyhedron.
 """
 
 from __future__ import annotations
@@ -204,17 +204,18 @@ def describe_solution_set(prob: NominalLcp, zbar) -> LinearProgram:
     )
 
 
-def compute_support_P(prob: NominalLcp, zbar) -> tuple[np.ndarray, np.ndarray]:
-    """(P, zmax) for a PSD instance. zmax[j] is the largest value of z_j
-    over the solution set (one LP per coordinate; inf when unbounded), and
-    P holds the indices j with zmax[j] > TOL_SUPPORT, the coordinates
-    positive somewhere in the set."""
-    skeleton = describe_solution_set(prob, zbar)
-    zmax = np.empty(prob.n)
-    for j in range(prob.n):
-        obj = np.zeros(prob.n)
+def compute_support_P(nominal_set: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
+    """(P, zmax) over nominal_set, the solution set of a PSD instance as
+    describe_solution_set states it. zmax[j] is the largest value of z_j
+    over the set (one LP per coordinate; inf when unbounded), and P holds
+    the indices j with zmax[j] > TOL_SUPPORT, the coordinates positive
+    somewhere in the set."""
+    n = nominal_set.objective.size
+    zmax = np.empty(n)
+    for j in range(n):
+        obj = np.zeros(n)
         obj[j] = -1.0  # maximize z_j
-        out = solve_lp(replace(skeleton, objective=obj))
+        out = solve_lp(replace(nominal_set, objective=obj))
         if out.status == "infeasible":
             raise RuntimeError("solution-set polyhedron reported infeasible")
         zmax[j] = np.inf if out.status == "unbounded" else out.x[j]

@@ -246,12 +246,8 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
                 report.psd_info = {"P": _one_based(out.support_p),
                                    "L": _one_based(out.support_l)}
             if out.solution is not None:
-                extra = None
-                if out.support_p is not None:
-                    extra = {"P": _one_based(out.support_p),
-                             "L": _one_based(out.support_l)}
                 report.solutions = [_record_q(inst, out.solution, pathway,
-                                              extra)]
+                                              report.psd_info)]
             report.uniqueness = uniqueness_check_psd(inst, out)
         elif pathway == "mip":
             kwargs = {}

@@ -146,17 +146,14 @@ def _residual_coefficients(inst: UncertainLcpM, sol: AffineSolutionM,
 
 
 def _affine_rows_min(inst: UncertainLcpM, sol: AffineSolutionM, rows):
-    """(min over the box and the given rows of z_t(zeta), its argmin);
-    the minimum is 0.0 for no rows."""
-    ones = np.ones(inst.k)
-    worst_val, worst_pt = np.inf, np.zeros(inst.k)
-    for row in rows:
-        val, arg = min_affine_over_box(sol.d[row], sol.r[row], ones)
-        if val < worst_val:
-            worst_val, worst_pt = val, arg
-    if len(rows) == 0:
-        worst_val = 0.0
-    return worst_val, worst_pt
+    """(min over the box and the given rows of z_t(zeta), its argmin),
+    the first smallest row winning; the minimum is 0.0 for no rows."""
+    rows = np.asarray(rows, dtype=int)
+    if rows.size == 0:
+        return 0.0, np.zeros(inst.k)
+    vals, args = min_affine_over_box(sol.d[rows], sol.r[rows], np.ones(inst.k))
+    t = int(np.argmin(vals))
+    return float(vals[t]), args[t]
 
 
 def _active_residual(inst: UncertainLcpM, sol: AffineSolutionM,

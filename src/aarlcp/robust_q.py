@@ -149,6 +149,20 @@ def _structural_check(inst: UncertainLcpQ, sol: AffineSolutionQ, tol: float):
         raise ValueError("columns of D on certain coordinates must be zero")
 
 
+def _worst_vertex(inst: UncertainLcpQ, u_set: np.ndarray, coeff: np.ndarray,
+                  const: np.ndarray):
+    """(smallest minimum over the box of const_t + coeff_t . u_U among
+    the rows t, a full-length u attaining it), the first smallest row
+    winning; (0.0, zeros) for no rows."""
+    worst_u = np.zeros(inst.n)
+    if const.size == 0:
+        return 0.0, worst_u
+    vals, args = min_affine_over_box(coeff, const, inst.ubar[u_set])
+    t = int(np.argmin(vals))
+    worst_u[u_set] = args[t]
+    return float(vals[t]), worst_u
+
+
 def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ,
                     tol: float = TOL_FEAS) -> VerificationReport:
     """Check the three robust-solution conditions over the whole box.
@@ -177,15 +191,7 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ,
     checks = []
 
     # z_i(u) >= 0 for all rows
-    worst_val, worst_row_u = np.inf, np.zeros(n)
-    for i in range(n):
-        val, arg = min_affine_over_box(sol.d[i, u_set], sol.r[i], inst.ubar[u_set])
-        if val < worst_val:
-            worst_val = val
-            worst_row_u = np.zeros(n)
-            worst_row_u[u_set] = arg
-    if n == 0:
-        worst_val = 0.0
+    worst_val, worst_row_u = _worst_vertex(inst, u_set, sol.d[:, u_set], sol.r)
     checks.append(ConditionCheck(
         "z-nonnegative", bool(worst_val >= -tol), float(worst_val), worst_row_u))
 
@@ -205,15 +211,8 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ,
         "active-rows-vanish", bool(worst_val <= tol * wscale), float(worst_val),
         worst_row_u))
 
-    worst_val, worst_row_u = np.inf, np.zeros(n)
-    for i in n_set:
-        val, arg = min_affine_over_box(coeff[i, u_set], const[i], inst.ubar[u_set])
-        if val < worst_val:
-            worst_val = val
-            worst_row_u = np.zeros(n)
-            worst_row_u[u_set] = arg
-    if n_set.size == 0:
-        worst_val = 0.0
+    worst_val, worst_row_u = _worst_vertex(inst, u_set, coeff[np.ix_(n_set, u_set)],
+                                           const[n_set])
     checks.append(ConditionCheck(
         "inactive-rows-nonnegative", bool(worst_val >= -tol * wscale),
         float(worst_val), worst_row_u))
@@ -347,10 +346,6 @@ class MipVariableLayout:
     a: np.ndarray
     c: np.ndarray
 
-    @property
-    def columns(self) -> int:
-        return 2 * self.n + 3 * self.n * self.n
-
     def extract(self, point: np.ndarray) -> AffineSolutionQ:
         """Read the affine rule out of a feasible point."""
         d = point[self.d.reshape(-1)].reshape(self.n, self.n)
@@ -377,29 +372,22 @@ class _Rows:
                              self.senses, np.array(self.rhs), lower, upper)
 
 
-def _envelope_rows(rows: _Rows, inst: UncertainLcpQ, i: int, u_set: np.ndarray,
-                   r_idx: np.ndarray, d_idx: np.ndarray,
-                   a_cols: np.ndarray, c_cols: np.ndarray) -> None:
-    """Box envelopes of row i over u_set (a_cols and c_cols hold one
-    column per j in u_set): z_i(u) >= 0 as a_ij <= -+ d_ij ubar_j,
-    sum_j a_ij + r_i >= 0, and (M z(u) + q(u))_i >= 0 as c_ij <= -+
-    (M_i . D_col_j + delta_ij) ubar_j, sum_j c_ij + M_i r >= -qbar_i.
-    r_idx and d_idx map r and D to columns. Per j the a rows precede the
-    c rows; the sums come last."""
-    m, ub = inst.m, inst.ubar
-    for uj, j in enumerate(u_set):
-        rows.add([a_cols[uj], d_idx[i, j]], [1.0, ub[j]], "<=", 0.0)
-        rows.add([a_cols[uj], d_idx[i, j]], [1.0, -ub[j]], "<=", 0.0)
-        delta = 1.0 if i == j else 0.0
-        cols = np.concatenate([[c_cols[uj]], d_idx[:, j]])
-        rows.add(cols, np.concatenate([[1.0], ub[j] * m[i]]), "<=",
-                 -delta * ub[j])
-        rows.add(cols, np.concatenate([[1.0], -ub[j] * m[i]]), "<=",
-                 delta * ub[j])
-    rows.add(np.concatenate([a_cols, [r_idx[i]]]),
-             np.concatenate([np.ones(u_set.size), [1.0]]), ">=", 0.0)
-    rows.add(np.concatenate([c_cols, r_idx]),
-             np.concatenate([np.ones(u_set.size), m[i]]), ">=", -inst.qbar[i])
+def _envelopes(rows: _Rows, ub: np.ndarray, families) -> None:
+    """Box envelopes of rows whose u-coefficients are affine in LP
+    columns. A family (env, const, var, coef, sum_cols, sum_coefs, rhs)
+    is one row with u_j-coefficient const[j] + coef . x[var[:, j]]: the
+    envelope column env[j] takes e_j <= -+ that coefficient times ub[j],
+    and the row stays nonnegative over the box when sum_j e_j +
+    sum_coefs . x[sum_cols] >= rhs. Per j each family's two rows follow
+    in the order given; one sum row per family comes last."""
+    for j, b in enumerate(ub):
+        for env, const, var, coef, *_ in families:
+            cols = np.concatenate([[env[j]], var[:, j]])
+            rows.add(cols, np.concatenate([[1.0], b * coef]), "<=", -b * const[j])
+            rows.add(cols, np.concatenate([[1.0], -b * coef]), "<=", b * const[j])
+    for env, _, _, _, sum_cols, sum_coefs, rhs in families:
+        rows.add(np.concatenate([env, sum_cols]),
+                 np.concatenate([np.ones(ub.size), sum_coefs]), ">=", rhs)
 
 
 def build_mip(inst: UncertainLcpQ, big_m: float):
@@ -460,9 +448,15 @@ def build_mip(inst: UncertainLcpQ, big_m: float):
             rows.add(cols, np.concatenate([m[i], [big_m]]), "<=", big_m - delta)
             rows.add(cols, np.concatenate([m[i], [-big_m]]), ">=", -big_m - delta)
 
+    # box envelopes of row i: z_i(u) >= 0 on the grid a, (M z(u) + q(u))_i
+    # >= 0 on the grid c, whose u_j-coefficients are d_ij and M_i . D_col_j
+    # + delta_ij
     for i in range(n):
-        _envelope_rows(rows, inst, i, u_set, lay.r, lay.d,
-                       a_cols=lay.a[i, u_set], c_cols=lay.c[i, u_set])
+        _envelopes(rows, inst.ubar[u_set], [
+            (lay.a[i, u_set], np.zeros(u_set.size), lay.d[i, u_set][None], np.ones(1),
+             [lay.r[i]], [1.0], 0.0),
+            (lay.c[i, u_set], (u_set == i).astype(float), lay.d[:, u_set], m[i],
+             lay.r, m[i], -inst.qbar[i])])
 
     return MixedBinaryProgram(rows.program(lower, upper), lay.x), lay
 
@@ -552,18 +546,21 @@ class PsdPathOutcome:
     support_l: np.ndarray | None = None
     nominal: np.ndarray | None = None
     nominal_max: np.ndarray | None = None
+    nominal_set: LinearProgram | None = None
 
 
 def _nominal_support(inst: UncertainLcpQ):
-    """(zbar, P, zmax) for PSD M: a nominal solution by complementary
-    pivoting, then compute_support_P on it; all None on a ray, which
-    proves there is no nominal solution."""
+    """(zbar, P, zmax, nominal solution set) for PSD M: a nominal
+    solution by complementary pivoting, the set around it
+    (describe_solution_set), then compute_support_P over the set; all
+    None on a ray, which proves there is no nominal solution."""
     prob = NominalLcp(inst.m, inst.qbar)
     nominal = solve_lemke(prob)
     if nominal.status == "ray":
-        return None, None, None
+        return None, None, None, None
     zbar = nominal.solution.z
-    return (zbar, *compute_support_P(prob, zbar))
+    nominal_set = describe_solution_set(prob, zbar)
+    return (zbar, *compute_support_P(nominal_set), nominal_set)
 
 
 def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
@@ -589,21 +586,6 @@ def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
     kernel = vt[rank:].T
     kernel[np.abs(kernel) <= TOL_RANK] = 0.0
     return x0, kernel
-
-
-def _moving_envelope(rows: _Rows, ub: np.ndarray, const: np.ndarray,
-                     coef: np.ndarray, t_idx: np.ndarray, env_cols: np.ndarray,
-                     sum_cols, sum_coefs, sum_rhs: float) -> None:
-    """Box envelope of a row whose u-coefficients const_j + coef . T_j
-    move with the kernel coefficients T (column j of T at t_idx[:, j]):
-    e_j <= -+ (const_j + coef . T_j) ubar_j at env_cols, and
-    sum_j e_j + sum_coefs . x[sum_cols] >= sum_rhs."""
-    for j in range(ub.size):
-        cols = np.concatenate([[env_cols[j]], t_idx[:, j]])
-        rows.add(cols, np.concatenate([[1.0], ub[j] * coef]), "<=", -ub[j] * const[j])
-        rows.add(cols, np.concatenate([[1.0], -ub[j] * coef]), "<=", ub[j] * const[j])
-    rows.add(np.concatenate([env_cols, sum_cols]),
-             np.concatenate([np.ones(ub.size), sum_coefs]), ">=", sum_rhs)
 
 
 def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
@@ -632,7 +614,7 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     if not linalg.is_psd(inst.m):
         raise ValueError("psd pathway requires a positive semidefinite matrix")
     n = inst.n
-    zbar, p_set, zmax = _nominal_support(inst)
+    zbar, p_set, zmax, nominal_set = _nominal_support(inst)
     if zbar is None:
         return PsdPathOutcome("no-solution")
     l_set = linalg.complement(p_set, n)
@@ -640,7 +622,7 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     u_set = inst.uncertain_set()
     m, ub = inst.m, inst.ubar[u_set]
     nothing = PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
-                             nominal=zbar, nominal_max=zmax)
+                             nominal=zbar, nominal_max=zmax, nominal_set=nominal_set)
 
     block = _pinned_block(m[np.ix_(p_set, a_set)],
                           (p_set[:, None] == u_set).astype(float))
@@ -666,24 +648,20 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     t_idx = (n + np.arange(nt)).reshape(kernel.shape[1], u_set.size)
     env_idx = (n + nt + np.arange(len(moved) * u_set.size)).reshape(
         len(moved), u_set.size)
-    lower = np.full(ncols, -np.inf)
-    upper = np.full(ncols, np.inf)
-    lower[r_idx] = 0.0
-    lower[a_set[~z_moves]] = np.abs(x0[~z_moves]) @ ub
-    w_floor = np.zeros(n)
-    w_floor[l_set[~w_moves]] = np.abs(g0[~w_moves]) @ ub
+    # r in the nominal solution set, whose first n rows are M r + qbar
+    # >= 0: z_A and M_L r + qbar_L raised to their envelope floors where
+    # T does not move them
+    lower = np.concatenate([nominal_set.lower, np.full(ncols - n, -np.inf)])
+    upper = np.concatenate([nominal_set.upper, np.full(ncols - n, np.inf)])
+    lower[a_set[~z_moves]] += np.abs(x0[~z_moves]) @ ub
+    rhs = nominal_set.rhs.copy()
+    rhs[l_set[~w_moves]] += np.abs(g0[~w_moves]) @ ub
 
     rows = _Rows(ncols)
-    # r in the nominal solution set, M_L r + qbar_L above the floor
-    for i in range(n):
-        rows.add(r_idx, m[i], ">=", w_floor[i] - inst.qbar[i])
-    rows.add(r_idx, inst.qbar, "=", float(inst.qbar @ zbar))
-    sym = m + m.T
-    for i in range(n):
-        rows.add(r_idx, sym[i], "=", float(sym[i] @ zbar))
-    for env_cols, (const, coef, sum_cols, sum_coefs, rhs) in zip(env_idx, moved):
-        _moving_envelope(rows, ub, const, coef, t_idx, env_cols,
-                         sum_cols, sum_coefs, rhs)
+    for row, sense, b in zip(nominal_set.lhs, nominal_set.senses, rhs):
+        rows.add(r_idx, row, sense, b)
+    for env_cols, (const, coef, sum_cols, sum_coefs, b) in zip(env_idx, moved):
+        _envelopes(rows, ub, [(env_cols, const, t_idx, coef, sum_cols, sum_coefs, b)])
 
     out = check_feasibility(rows.program(lower, upper))
     if out.status != "optimal":
@@ -695,7 +673,8 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     report = verify_affine_q(inst, sol, tol)
     if not report.overall:
         raise RuntimeError("psd pathway produced a point that fails verification")
-    return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, zmax)
+    return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, zmax,
+                          nominal_set)
 
 
 def uniqueness_check_psd(inst: UncertainLcpQ,
@@ -705,32 +684,33 @@ def uniqueness_check_psd(inst: UncertainLcpQ,
     has more than one point (then no robust rule exists), otherwise
     "unique-if-exists". Instances outside that class: "not-applicable".
 
-    outcome, solve_psd's result on the same instance, supplies zbar, P
-    and the maxima zmax (and stands for its PSD test); without it all
-    three are computed here. Several points exist when some zmax_j on P
-    exceeds zbar_j by more than TOL_SUPPORT, or else (all solutions then
-    lie at or below zbar on P) when one LP finds sum_P z_j more than
-    TOL_SUPPORT below sum_P zbar_j; outside P every solution has z_j in
-    [0, TOL_SUPPORT]. Only a solution set that spreads by less than
-    |P| TOL_SUPPORT can get another verdict from a sweep that minimizes
-    each coordinate on its own.
+    outcome, solve_psd's result on the same instance, supplies zbar, P,
+    the maxima zmax and the nominal solution set (and stands for its PSD
+    test); without it all four are computed here. Several points exist
+    when some zmax_j on P exceeds zbar_j by more than TOL_SUPPORT, or
+    else (all solutions then lie at or below zbar on P) when one LP over
+    the set finds sum_P z_j more than TOL_SUPPORT below sum_P zbar_j;
+    outside P every solution has z_j in [0, TOL_SUPPORT]. Only a
+    solution set that spreads by less than |P| TOL_SUPPORT can get
+    another verdict from a sweep that minimizes each coordinate on its
+    own.
     """
     if inst.certain_set().size:
         return "not-applicable"
     if outcome is not None:
         zbar, p_set, zmax = outcome.nominal, outcome.support_p, outcome.nominal_max
+        nominal_set = outcome.nominal_set
     elif linalg.is_psd(inst.m):
-        zbar, p_set, zmax = _nominal_support(inst)
+        zbar, p_set, zmax, nominal_set = _nominal_support(inst)
     else:
         return "not-applicable"
     if zbar is None or p_set.size == 0:
         return "unique-if-exists"  # no nominal solution, or only zbar
     if np.any(zmax[p_set] - zbar[p_set] > TOL_SUPPORT):
         return "multiple-nominal-no-aar"
-    skeleton = describe_solution_set(NominalLcp(inst.m, inst.qbar), zbar)
     obj = np.zeros(inst.n)
     obj[p_set] = 1.0
-    out = solve_lp(replace(skeleton, objective=obj))
+    out = solve_lp(replace(nominal_set, objective=obj))
     if out.status != "optimal":
         raise RuntimeError("solution-set polyhedron reported infeasible")
     several = float(np.sum(zbar[p_set])) - out.objective > TOL_SUPPORT

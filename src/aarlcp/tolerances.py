@@ -8,9 +8,6 @@ contract between layers auditable.
 # feasibility slack on linear constraints and sign conditions
 TOL_FEAS = 1e-8
 
-# objective-value agreement (duality gaps, oracle comparisons)
-TOL_OBJ = 1e-8
-
 # threshold above which a coordinate counts as support (r_i > 0 etc.)
 TOL_SUPPORT = 1e-7
 

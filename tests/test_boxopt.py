@@ -37,6 +37,17 @@ def test_affine_min_dominates_sampling_and_attains():
         assert sampled >= val - 1e-8
         # the returned vertex attains the analytic value exactly
         assert c + a @ arg == val
+    # a stack of rows gives each row's own value and vertex
+    a = rng.uniform(-3.0, 3.0, (7, 4))
+    a[2, 1] = 0.0
+    c = rng.uniform(-2.0, 2.0, 7)
+    u = rng.uniform(0.0, 2.0, 4)
+    vals, args = min_affine_over_box(a, c, u)
+    assert vals.shape == (7,) and args.shape == (7, 4)
+    for t in range(7):
+        val, arg = min_affine_over_box(a[t], c[t], u)
+        assert vals[t] == val
+        assert np.array_equal(args[t], arg)
 
 
 def test_box_vertices_counts():

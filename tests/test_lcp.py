@@ -101,7 +101,8 @@ def test_cross_complementarity_on_degenerate_continuum():
     assert abs(z2 @ (q + m @ z1)) <= 1e-12
     out = solve_lemke(NominalLcp(m, q))
     assert out.status == "solution"
-    p, _ = compute_support_P(NominalLcp(m, q), out.solution.z)
+    p, _ = compute_support_P(describe_solution_set(NominalLcp(m, q),
+                                                   out.solution.z))
     assert np.array_equal(p, [0, 1])  # each coordinate positive somewhere
 
 
@@ -112,7 +113,8 @@ def test_support_p_with_unbounded_direction():
     q = np.array([0.0, -1.0])
     out = solve_lemke(NominalLcp(m, q))
     assert out.status == "solution"
-    p, _ = compute_support_P(NominalLcp(m, q), out.solution.z)
+    p, _ = compute_support_P(describe_solution_set(NominalLcp(m, q),
+                                                   out.solution.z))
     assert np.array_equal(p, [0, 1])
 
 
@@ -154,13 +156,13 @@ def test_support_p_singleton():
     m = np.array([[1.0, 0.5], [0.5, 1.0]])
     q = np.array([-5.0, -3.0])
     z = lcp_brute_force(m, q)[0]
-    p, _ = compute_support_P(NominalLcp(m, q), z)
+    p, _ = compute_support_P(describe_solution_set(NominalLcp(m, q), z))
     assert np.array_equal(p, np.flatnonzero(z > 1e-7))
 
 
 def test_support_p_unbounded_coordinate_included():
-    p, zmax = compute_support_P(NominalLcp(np.zeros((1, 1)), np.zeros(1)),
-                                np.zeros(1))
+    p, zmax = compute_support_P(describe_solution_set(
+        NominalLcp(np.zeros((1, 1)), np.zeros(1)), np.zeros(1)))
     assert np.array_equal(p, [0])
     assert np.array_equal(zmax, [np.inf])
 
@@ -173,7 +175,8 @@ def test_support_p_matches_vertex_enumeration_on_random_psd():
         q = rng.uniform(-3.0, 2.0, n).round(2)
         out = solve_lemke(NominalLcp(m, q))
         assert out.status == "solution"
-        p, zmax = compute_support_P(NominalLcp(m, q), out.solution.z)
+        p, zmax = compute_support_P(describe_solution_set(NominalLcp(m, q),
+                                                          out.solution.z))
         # oracle: union of supports over all complementary-basis solutions
         union = set()
         for z in lcp_brute_force(m, q):

@@ -108,6 +108,8 @@ def test_dispatch_singular_support_caveat():
     assert report.singular_supports  # 1-based supports that were skipped
     assert [1] in report.singular_supports
     assert report.caveat is not None
+    assert report.status == "no-solution"
+    assert report.exit_code() == 2
 
 
 def test_dispatch_big_m_caveat_exit_two():

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from aarlcp import robust_q
+from aarlcp import dispatch_solve, lcp, linalg, robust_q
 from aarlcp.lcp import (NominalLcp, compute_support_P, describe_solution_set,
                         lcp_residuals, solve_lemke)
 from aarlcp.lp import LinearProgram, check_feasibility, solve_lp
@@ -165,6 +167,83 @@ def test_build_mip_pins_here_and_now_rows():
     assert out.status == "feasible"  # constant r = 0 is robust here
 
 
+def _build_mip_oracle(inst, big_m):
+    """build_mip's LP written out row by row: per row i the binary link
+    and the bracket on M_i r + qbar_i; per uncertain j and row i the
+    bracketed rule row M_i . D_col_j = -delta_ij; then per row i the box
+    envelopes, per uncertain j two rows on a_ij (for z_i) and two on c_ij
+    (for (M z + q)_i), and last the two worst-case sums. Returns (lhs,
+    senses, rhs, lower, upper, binaries)."""
+    n, m, ub = inst.n, inst.m, inst.ubar
+    u_set = inst.uncertain_set()
+    ncols = 2 * n + 3 * n * n
+    x_idx, r_idx = np.arange(n), n + np.arange(n)
+    d_idx, a_idx, c_idx = (2 * n + k * n * n + np.arange(n * n).reshape(n, n)
+                           for k in range(3))
+    lower = np.full(ncols, -np.inf)
+    upper = np.full(ncols, np.inf)
+    lower[x_idx], upper[x_idx], lower[r_idx] = 0.0, 1.0, 0.0
+    for grid in (d_idx, a_idx, c_idx):
+        lower[grid[:, inst.certain_set()]] = upper[grid[:, inst.certain_set()]] = 0.0
+    lower[d_idx[: inst.h]] = upper[d_idx[: inst.h]] = 0.0
+    lhs, senses, rhs = [], [], []
+
+    def add(cols, coefs, sense, b):
+        row = np.zeros(ncols)
+        row[np.asarray(cols, dtype=int)] = coefs
+        lhs.append(row)
+        senses.append(sense)
+        rhs.append(float(b))
+
+    for i in range(n):
+        add([r_idx[i], x_idx[i]], [1.0, -big_m], "<=", 0.0)
+        add(r_idx, m[i], ">=", -inst.qbar[i])
+        add(np.append(r_idx, x_idx[i]), np.append(m[i], big_m), "<=",
+            big_m - inst.qbar[i])
+    for j in u_set:
+        for i in range(n):
+            cols = np.append(d_idx[:, j], x_idx[i])
+            add(cols, np.append(m[i], big_m), "<=", big_m - float(i == j))
+            add(cols, np.append(m[i], -big_m), ">=", -big_m - float(i == j))
+    for i in range(n):
+        for j in u_set:
+            add([a_idx[i, j], d_idx[i, j]], [1.0, ub[j]], "<=", 0.0)
+            add([a_idx[i, j], d_idx[i, j]], [1.0, -ub[j]], "<=", 0.0)
+            cols = np.append(c_idx[i, j], d_idx[:, j])
+            add(cols, np.append(1.0, ub[j] * m[i]), "<=", -float(i == j) * ub[j])
+            add(cols, np.append(1.0, -ub[j] * m[i]), "<=", float(i == j) * ub[j])
+        add(np.append(a_idx[i, u_set], r_idx[i]), np.ones(u_set.size + 1), ">=", 0.0)
+        add(np.append(c_idx[i, u_set], r_idx), np.append(np.ones(u_set.size), m[i]),
+            ">=", -inst.qbar[i])
+    return np.array(lhs), senses, np.array(rhs), lower, upper, x_idx
+
+
+def test_build_mip_matches_the_row_by_row_oracle():
+    rng = np.random.default_rng(2031)
+    shapes = set()
+    for t in range(40):
+        n = int(rng.integers(1, 6))
+        inst = _random_instance(rng, n, int(rng.integers(0, n + 1)) if t % 2 else 0)
+        if t % 3 == 1:
+            inst = replace(inst, ubar=inst.ubar * (rng.random(n) < 0.5))
+        elif t % 5 == 4:
+            inst = replace(inst, ubar=np.zeros(n))
+        shapes.add((inst.h > 0, inst.certain_set().size > 0,
+                    inst.uncertain_set().size > 0))
+        big_m = float(rng.uniform(10.0, 1000.0))
+        prob, _ = build_mip(inst, big_m)
+        lhs, senses, rhs, lower, upper, binaries = _build_mip_oracle(inst, big_m)
+        assert np.array_equal(prob.lp.lhs, lhs)
+        assert list(prob.lp.senses) == senses
+        assert np.array_equal(prob.lp.rhs, rhs)
+        assert np.array_equal(prob.lp.lower, lower)
+        assert np.array_equal(prob.lp.upper, upper)
+        assert np.array_equal(prob.binaries, binaries)
+    # here-and-now rows, certain beside uncertain coordinates, empty U
+    assert {(True, True, True), (False, True, True), (True, False, True),
+            (False, False, True), (False, True, False)} <= shapes
+
+
 def test_mip_solution_on_multi_instance_matches_enumeration():
     out = solve_mip_q(MULTI, big_m=1000.0)
     assert out.status == "solution"
@@ -238,10 +317,11 @@ def test_uniqueness_verdicts():
                                     [0.0, 0.0, 1.0]]),
                         qbar=np.array([0.0, 1.0, -1.0]), ubar=np.ones(3))
     top = np.array([1.0, 0.0, 1.0])
-    p, zmax = compute_support_P(NominalLcp(seg.m, seg.qbar), top)
+    top_set = describe_solution_set(NominalLcp(seg.m, seg.qbar), top)
+    p, zmax = compute_support_P(top_set)
     assert np.array_equal(p, [0, 2]) and np.array_equal(zmax, top)
     top_outcome = PsdPathOutcome("no-solution", support_p=p, nominal=top,
-                                 nominal_max=zmax)
+                                 nominal_max=zmax, nominal_set=top_set)
     assert uniqueness_check_psd(seg, top_outcome) == "multiple-nominal-no-aar"
     assert uniqueness_check_psd(seg) == "multiple-nominal-no-aar"
 
@@ -354,6 +434,30 @@ def test_uniqueness_reuses_the_psd_outcome(monkeypatch):
     assert cases == {"P empty", "a maximum above zbar", "one LP"}
 
 
+def test_psd_dispatch_states_the_nominal_set_once(monkeypatch):
+    # positive definite with a one-point nominal set: the auto dispatch
+    # reaches the uniqueness LP, and M is tested for PSD by auto_pathway
+    # and by the input guards of solve_psd and describe_solution_set
+    inst = UncertainLcpQ(m=np.array([[2.0, 1.0], [1.0, 2.0]]),
+                         qbar=np.array([-3.0, -3.0]), ubar=np.array([0.1, 0.1]))
+    calls = []
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    describe = counted("describe", lcp.describe_solution_set)
+    for module in (lcp, robust_q):
+        monkeypatch.setattr(module, "describe_solution_set", describe)
+    monkeypatch.setattr(robust_q, "solve_lp", counted("lp", robust_q.solve_lp))
+    monkeypatch.setattr(linalg, "is_psd", counted("psd", linalg.is_psd))
+    report = dispatch_solve(inst)
+    assert (report.pathway, report.status) == ("psd-lp", "solution")
+    assert report.uniqueness == "unique-if-exists"
+    assert calls.count("lp") == 1  # the uniqueness LP
+    assert calls.count("describe") == 1
+    assert calls.count("psd") == 3
+
+
 def _psd_lp_oracle(inst, zbar, p_set):
     """The psd-lp LP with D among its variables: r in the nominal
     solution set, D pinned to zero off (P minus here-and-now rows) x U,
@@ -432,7 +536,8 @@ def _psd_variants(seed=2027):
         nominal = solve_lemke(prob)
         if nominal.status == "solution":
             ubar = inst.ubar.copy()
-            ubar[compute_support_P(prob, nominal.solution.z)[0]] = 0.0
+            nominal_set = describe_solution_set(prob, nominal.solution.z)
+            ubar[compute_support_P(nominal_set)[0]] = 0.0
             out.append(UncertainLcpQ(m=inst.m, qbar=inst.qbar, ubar=ubar, h=t % 2))
         if t % 2:
             continue
