@@ -108,7 +108,8 @@ def min_quadratic_over_box(q, b, c):
     stationary points come from one batched pseudo-inverse (the
     minimum-norm least-squares solution, with lstsq's singular-value
     cutoff). Among equal minima the first face in the product order of
-    (-1, 1, free) per coordinate wins.
+    (-1, 1, free) per coordinate wins. A row whose arithmetic breaks
+    down (NaN on some face or sample, as after an overflow) reads NaN.
 
     Parameters
     ----------
@@ -129,7 +130,9 @@ def min_quadratic_over_box(q, b, c):
     cv = np.asarray(c, dtype=float).reshape(-1)
     rows, k = cv.size, qm.shape[-1]
     qs = qm.reshape(rows, k, k)
-    qs = 0.5 * (qs + qs.transpose(0, 2, 1))  # the form only sees the symmetric part
+    # the form only sees the symmetric part; halving each term before the
+    # sum keeps it finite for entries near the float max
+    qs = 0.5 * qs + 0.5 * qs.transpose(0, 2, 1)
     bv = np.asarray(b, dtype=float).reshape(rows, k)
     best_val = np.full(rows, np.inf)
     best_arg = np.zeros((rows, k))
@@ -150,6 +153,7 @@ def min_quadratic_over_box(q, b, c):
         scale = (1.0 + np.abs(cv) + np.max(np.abs(bv), axis=1)
                  + np.max(np.abs(qs), axis=(1, 2)))
         best_pos = np.zeros(rows, dtype=int)
+        broken = np.zeros(rows, dtype=bool)
         for free, fixed, signs, pos in _faces(k):
             z = np.empty((rows, pos.size, k))
             z[:, :, fixed] = signs
@@ -169,20 +173,25 @@ def min_quadratic_over_box(q, b, c):
                 with np.errstate(divide="ignore"):
                     winv = np.where(np.abs(w) > cut, 1.0 / w, 0.0)
                 zf = -((bpr @ v) * winv[:, None, :]) @ v.transpose(0, 2, 1)
-                resid = zf @ qff + bpr
+                resid = np.max(np.abs(zf @ qff + bpr), axis=2)
+                # a system the arithmetic cannot state (an overflow) leaves
+                # the face's minimum unknown
+                broken |= np.any(~np.isfinite(resid), axis=1)
                 # inconsistent systems, and points outside the open face
                 # (covered by smaller faces), are dropped
-                ok = ~(np.max(np.abs(resid), axis=2) > 1e-9 * scale[:, None])
+                ok = ~(resid > 1e-9 * scale[:, None])
                 ok &= ~np.any(np.abs(zf) >= 1.0, axis=2)
                 z[:, :, free] = zf
             val = cv[:, None] + np.einsum("tpi,tpi->tp", z, bv[:, None] + z @ qs)
-            val = np.where(ok & (val < np.inf), val, np.inf)  # NaN never wins
+            broken |= np.any(ok & np.isnan(val), axis=1)
+            val = np.where(ok & (val < np.inf), val, np.inf)
             p = np.argmin(val, axis=1)
             val, at = val[every, p], pos[p]
             better = (val < best_val) | ((val == best_val) & (at < best_pos)
                                          & (val < np.inf))
             best_val[better], best_pos[better] = val[better], at[better]
             best_arg[better] = z[every, p][better]
+        best_val[broken] = np.nan  # some face's value is unknown
     if single:
         return float(best_val[0]), best_arg[0], exact
     return best_val, best_arg, exact

@@ -93,6 +93,13 @@ class _Reader:
                 f"line {self.rows[self.pos - 1][0]}: '{key}' needs an "
                 f"integer, got {val!r}") from None
 
+    def positive_int(self, key: str) -> int:
+        val = self.int_scalar(key)
+        if val < 1:
+            raise InstanceFormatError(
+                f"line {self.rows[self.pos - 1][0]}: {key} must be at least 1")
+        return val
+
     def numbers(self, count: int) -> np.ndarray:
         ln, toks = self.take()
         if len(toks) != count:
@@ -124,14 +131,8 @@ class _Reader:
                 f"line {ln}: unexpected trailing content {' '.join(toks)!r}")
 
 
-def _positive(name: str, value: int, lineno_hint: str = "") -> int:
-    if value < 1:
-        raise InstanceFormatError(f"{name} must be at least 1{lineno_hint}")
-    return value
-
-
 def _parse_uncertain_q(r: _Reader) -> UncertainLcpQ:
-    n = _positive("n", r.int_scalar("n"))
+    n = r.positive_int("n")
     h = r.int_scalar("h")
     m = r.matrix("m", n, n)
     qbar = r.vector("qbar", n)
@@ -144,8 +145,8 @@ def _parse_uncertain_q(r: _Reader) -> UncertainLcpQ:
 
 
 def _parse_uncertain_m(r: _Reader) -> UncertainLcpM:
-    n = _positive("n", r.int_scalar("n"))
-    k = _positive("k", r.int_scalar("k"))
+    n = r.positive_int("n")
+    k = r.positive_int("k")
     h = r.int_scalar("h")
     m0 = r.matrix("m0", n, n)
     perts = []
@@ -172,9 +173,9 @@ def _parse_bool(r: _Reader, key: str) -> bool:
 
 
 def _parse_market(r: _Reader) -> MarketModel:
-    n = _positive("producers", r.int_scalar("producers"))
-    m = _positive("constraints", r.int_scalar("constraints"))
-    k = _positive("markets", r.int_scalar("markets"))
+    n = r.positive_int("producers")
+    m = r.positive_int("constraints")
+    k = r.positive_int("markets")
     costs = r.vector("costs", n)
     technology = r.matrix("technology", m, n)
     capacity = r.vector("capacity", m)
@@ -213,7 +214,7 @@ def _parse_market(r: _Reader) -> MarketModel:
 
 
 def _parse_solution_q(r: _Reader) -> AffineSolutionQ:
-    n = _positive("n", r.int_scalar("n"))
+    n = r.positive_int("n")
     rr = r.vector("r", n)
     d = r.matrix("d", n, n)
     r.expect_done()
@@ -221,8 +222,8 @@ def _parse_solution_q(r: _Reader) -> AffineSolutionQ:
 
 
 def _parse_solution_m(r: _Reader) -> AffineSolutionM:
-    n = _positive("n", r.int_scalar("n"))
-    k = _positive("k", r.int_scalar("k"))
+    n = r.positive_int("n")
+    k = r.positive_int("k")
     rr = r.vector("r", n)
     d = r.matrix("d", n, k)
     r.expect_done()

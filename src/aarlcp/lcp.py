@@ -80,20 +80,20 @@ def lcp_residuals(prob: NominalLcp, z) -> tuple[float, float, float]:
     )
 
 
-def _validate_solution(prob: NominalLcp, z, tol: float) -> LcpSolution:
+def _validate_solution(prob: NominalLcp, z) -> LcpSolution:
     zmin, wmin, comp = lcp_residuals(prob, z)
     qscale = 1.0 + float(np.max(np.abs(prob.q), initial=0.0))
     zscale = 1.0 + float(np.max(np.abs(z), initial=0.0))
-    if zmin < -tol:
+    if zmin < -TOL_FEAS:
         raise RuntimeError(f"pivoting produced z with entry {zmin:.3e}")
-    if wmin < -tol * qscale:
+    if wmin < -TOL_FEAS * qscale:
         raise RuntimeError(f"pivoting produced M z + q with entry {wmin:.3e}")
     if comp > TOL_COMP * qscale * zscale:
         raise RuntimeError(f"complementarity residual {comp:.3e} too large")
     return LcpSolution(z=z, comp_residual=comp)
 
 
-def solve_lemke(prob: NominalLcp, tol: float = TOL_FEAS) -> LemkeOutcome:
+def solve_lemke(prob: NominalLcp) -> LemkeOutcome:
     """Complementary pivoting from the all-ones covering vector.
 
     Returns status "solution" with a validated LcpSolution, or "ray" when
@@ -105,7 +105,7 @@ def solve_lemke(prob: NominalLcp, tol: float = TOL_FEAS) -> LemkeOutcome:
     n = prob.n
     max_iterations = max(200, 25 * n * n)
     if np.all(prob.q >= 0):
-        return LemkeOutcome("solution", _validate_solution(prob, np.zeros(n), tol), 0)
+        return LemkeOutcome("solution", _validate_solution(prob, np.zeros(n)), 0)
 
     # tableau columns: w (n) | z (n) | z0 | rhs; lexicographic part is the
     # w block, which starts as the identity
@@ -167,7 +167,7 @@ def solve_lemke(prob: NominalLcp, tol: float = TOL_FEAS) -> LemkeOutcome:
             for i, var in enumerate(basis):
                 if n <= var < 2 * n:
                     z[var - n] = max(0.0, t[i, rhs])
-            return LemkeOutcome("solution", _validate_solution(prob, z, tol), iterations)
+            return LemkeOutcome("solution", _validate_solution(prob, z), iterations)
         entering = leaving + n if leaving < n else leaving - n  # complement
         row = None
 
@@ -186,7 +186,7 @@ def describe_solution_set(prob: NominalLcp, zbar) -> LinearProgram:
         raise ValueError("solution-set description requires a PSD matrix")
     zbar = linalg.as_vector(zbar, prob.n)
     try:
-        _validate_solution(prob, zbar, TOL_FEAS)
+        _validate_solution(prob, zbar)
     except RuntimeError as exc:
         raise ValueError("zbar does not solve the instance") from exc
     n = prob.n

@@ -232,10 +232,10 @@ def min_symmetric_eigenvalue(a) -> float:
     return float(ev[0]) if ev.size else 0.0
 
 
-def is_psd(a, tol: float = TOL_PSD) -> bool:
-    """True if the symmetric part of `a` has all eigenvalues >= -tol.
+def is_psd(a) -> bool:
+    """True if the symmetric part of `a` has all eigenvalues >= -TOL_PSD.
 
     z^T a z = z^T sym(a) z, so positive semidefiniteness of a (as a
     quadratic form) reduces to its symmetric part.
     """
-    return min_symmetric_eigenvalue(a) >= -tol
+    return min_symmetric_eigenvalue(a) >= -TOL_PSD

@@ -112,7 +112,7 @@ class LpOutcome:
     iterations: int = 0
 
 
-def check_point(lp: LinearProgram, x, tol: float = TOL_FEAS) -> float:
+def check_point(lp: LinearProgram, x) -> float:
     """Largest constraint/bound violation of x, computed directly."""
     x = linalg.as_vector(x, lp.lhs.shape[1])
     ax = lp.lhs @ x
@@ -376,7 +376,7 @@ class _Simplex:
             if self.pivots_since_refresh >= _REFRESH:
                 self._refactor()
 
-    def pin_artificials(self, feas_tol):
+    def pin_artificials(self):
         """After phase 1: pivot artificials out of the basis where
         possible and freeze them at zero."""
         nreal, ntot = self.nreal, self.ntot
@@ -403,7 +403,7 @@ class _Simplex:
         self.val[nreal:][~self.is_basic[nreal:]] = 0.0
 
 
-def _run(lp: LinearProgram, tol: float, feasibility_only: bool) -> LpOutcome:
+def _run(lp: LinearProgram, feasibility_only: bool) -> LpOutcome:
     a, b, c, lo, up, row_scale = _standardize(lp)
     m, n = lp.lhs.shape
     cap = 50 * (m + a.shape[1])
@@ -415,9 +415,9 @@ def _run(lp: LinearProgram, tol: float, feasibility_only: bool) -> LpOutcome:
         raise RuntimeError("phase-1 simplex reported unbounded")
     x = sx.x_full()
     p1 = float(x[sx.nreal :].sum())
-    if p1 > tol * (1.0 + float(np.max(np.abs(b), initial=0.0))):
+    if p1 > TOL_FEAS * (1.0 + float(np.max(np.abs(b), initial=0.0))):
         return LpOutcome(status="infeasible", iterations=sx.iterations)
-    sx.pin_artificials(tol)
+    sx.pin_artificials()
 
     cost2 = np.concatenate([c, np.zeros(m)])
     if not feasibility_only:
@@ -439,13 +439,13 @@ def _run(lp: LinearProgram, tol: float, feasibility_only: bool) -> LpOutcome:
     )
 
 
-def solve_lp(lp: LinearProgram, tol: float = TOL_FEAS) -> LpOutcome:
+def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Minimize. Returns status optimal/infeasible/unbounded; optimal
     outcomes carry the point, objective, duals and reduced costs."""
-    return _run(lp, tol, feasibility_only=False)
+    return _run(lp, feasibility_only=False)
 
 
-def check_feasibility(lp: LinearProgram, tol: float = TOL_FEAS) -> LpOutcome:
+def check_feasibility(lp: LinearProgram) -> LpOutcome:
     """Phase-1 only: status "optimal" with some feasible point, or
     "infeasible". The objective is ignored."""
-    return _run(lp, tol, feasibility_only=True)
+    return _run(lp, feasibility_only=True)

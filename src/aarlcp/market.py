@@ -105,8 +105,9 @@ class MarketBlockMap:
     """Where each market quantity landed in the permuted LCP vector.
 
     perm[i] is the canonical coordinate sitting at LCP position i,
-    canonical order being (x, lam, p). The positions arrays give the
-    LCP indices of each block in canonical member order.
+    canonical order being (x, lam, p). The positions arrays, derived
+    from perm, give the LCP indices of each block in canonical member
+    order.
     """
 
     n_producers: int
@@ -114,12 +115,9 @@ class MarketBlockMap:
     n_prices: int
     perm: np.ndarray
     h: int
-    nonadjustable_producers: tuple = ()
-    adjustable_duals: bool = True
-    adjustable_prices: bool = True
-    producer_positions: np.ndarray = field(default=None)
-    dual_positions: np.ndarray = field(default=None)
-    price_positions: np.ndarray = field(default=None)
+    producer_positions: np.ndarray = field(init=False)
+    dual_positions: np.ndarray = field(init=False)
+    price_positions: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.perm = np.asarray(self.perm, dtype=int)
@@ -175,7 +173,4 @@ def build_lcp(mm: MarketModel, artificial_halfwidth: float = 0.0):
 
     inst = UncertainLcpQ(m=big_m[np.ix_(perm, perm)], qbar=qbar[perm],
                          ubar=ubar[perm], h=len(fixed))
-    bmap = MarketBlockMap(n, m, k, perm, len(fixed),
-                          mm.nonadjustable_producers,
-                          mm.adjustable_duals, mm.adjustable_prices)
-    return inst, bmap
+    return inst, MarketBlockMap(n, m, k, perm, len(fixed))

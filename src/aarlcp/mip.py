@@ -65,7 +65,6 @@ class MipOutcome:
 def solve_mip_feasibility(
     prob: MixedBinaryProgram,
     node_limit: int = DEFAULT_NODE_LIMIT,
-    tol: float = TOL_FEAS,
 ) -> MipOutcome:
     """Find any point satisfying all constraints, binaries integral to TOL_INT.
 
@@ -84,7 +83,7 @@ def solve_mip_feasibility(
         lo[bins] = blo
         up[bins] = bup
         node_lp = LinearProgram(lp.objective, lp.lhs, lp.senses, lp.rhs, lo, up)
-        return node_lp, check_feasibility(node_lp, tol)
+        return node_lp, check_feasibility(node_lp)
 
     nodes = 0
     # stack entries: (lower-override, upper-override) for the binaries only
@@ -105,7 +104,7 @@ def solve_mip_feasibility(
             if unfixed.size == 0:
                 x = out.x.copy()
                 x[bins] = np.round(xb)  # bounds pin these already
-                if check_point(node_lp, x, tol) <= tol * scale:
+                if check_point(node_lp, x) <= TOL_FEAS * scale:
                     return MipOutcome("feasible", x, nodes)
                 continue
             # nearly integral: try pinning every binary at its rounding
@@ -115,7 +114,7 @@ def solve_mip_feasibility(
             if fout.status == "optimal":
                 x = fout.x.copy()
                 x[bins] = flo
-                if check_point(flp, x, tol) <= tol * scale:
+                if check_point(flp, x) <= TOL_FEAS * scale:
                     return MipOutcome("feasible", x, nodes)
             j = int(unfixed[0])  # pinning failed: split on an unfixed binary
         else:

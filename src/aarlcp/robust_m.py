@@ -113,9 +113,9 @@ class AffineSolutionM:
         self.d = linalg.as_matrix(self.d)
         self.r = linalg.as_vector(self.r, self.d.shape[0])
 
-    def support(self, tol: float = TOL_SUPPORT) -> np.ndarray:
-        """J: coordinates with strictly positive r."""
-        return np.flatnonzero(self.r > tol)
+    def support(self) -> np.ndarray:
+        """J: coordinates with r above TOL_SUPPORT."""
+        return np.flatnonzero(self.r > TOL_SUPPORT)
 
     def evaluate(self, zeta) -> np.ndarray:
         return self.d @ np.asarray(zeta, dtype=float) + self.r
@@ -168,29 +168,27 @@ def _inactive_rows_min(inst: UncertainLcpM, sol: AffineSolutionM,
                        rows: np.ndarray):
     """(min over the box and the given rows of w_t(zeta), its argmin,
     whether every row's minimum was exact); the minimum is 0.0 for no
-    rows."""
+    rows, and NaN when some row's minimum reads NaN or +inf (an
+    overflow), which no sign condition accepts."""
     if rows.size == 0:
         return 0.0, np.zeros(inst.k), True
     const, lin, quad = _residual_coefficients(inst, sol, rows)
     vals, args, certified = min_quadratic_over_box(quad, lin, const)
-    # the first smallest row; a NaN minimum never counts as the worst
-    vals = np.where(np.isnan(vals), np.inf, vals)
-    t = int(np.argmin(vals))
-    if vals[t] == np.inf:
-        return np.inf, np.zeros(inst.k), certified
+    # a minimum over a bounded box reads +inf only after an overflow
+    vals = np.where(vals == np.inf, np.nan, vals)
+    t = int(np.argmin(vals))  # the first NaN row, else the first smallest
     return float(vals[t]), args[t], certified
 
 
-def check_necessary_m(inst: UncertainLcpM, sol: AffineSolutionM,
-                      tol: float = TOL_FEAS) -> bool:
+def check_necessary_m(inst: UncertainLcpM, sol: AffineSolutionM) -> bool:
     """Whether the support rows of M(zeta) z(zeta) + q vanish as a
     polynomial in zeta: constant, linear and quadratic coefficients all
-    zero. Necessary for any solution; with an invertible m0_J it pins
-    the closed form."""
+    zero, within TOL_FEAS * (1 + max|q|). Necessary for any solution;
+    with an invertible m0_J it pins the closed form."""
     if sol.r.size != inst.n or sol.d.shape != (inst.n, inst.k):
         raise ValueError("solution dimensions do not match the instance")
     scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
-    return _active_residual(inst, sol, sol.support(tol=TOL_SUPPORT)) <= tol * scale
+    return _active_residual(inst, sol, sol.support()) <= TOL_FEAS * scale
 
 
 def characterize_for_J(inst: UncertainLcpM, j_set) -> AffineSolutionM | None:
@@ -216,38 +214,32 @@ def characterize_for_J(inst: UncertainLcpM, j_set) -> AffineSolutionM | None:
     return AffineSolutionM(d, r)
 
 
-def check_kernel_condition(inst: UncertainLcpM, j_set, tol: float = TOL_FEAS,
-                           cand: AffineSolutionM | None = None) -> bool:
+def check_kernel_condition(inst: UncertainLcpM, j_set,
+                           cand: AffineSolutionM) -> bool:
     """Whether the zeta_i zeta_j terms of the support rows of w(zeta)
     cancel: (P_i_J mtilde_j + P_j_J mtilde_i) q_J = 0 for all pairs
-    i <= j, within tol * (1 + max|q_J|). With the closed-form D these
-    products are exactly the quadratic coefficients of the J rows of
+    i <= j, within TOL_FEAS * (1 + max|q_J|). cand is the closed form of
+    J (characterize_for_J). With the closed-form D these products are
+    exactly the quadratic coefficients of the J rows of
     M(zeta) z(zeta) + q, so they are read off the candidate's own
-    residual polynomial (the diagonal counted twice, as in the sum).
-    Without `cand` the closed form of J is computed here; a singular
-    m0_J then raises SingularMatrixError."""
+    residual polynomial (the diagonal counted twice, as in the sum)."""
     j = linalg.index_set(j_set, inst.n)
-    if cand is None:
-        cand = characterize_for_J(inst, j)
-        if cand is None:
-            raise linalg.SingularMatrixError(
-                f"m0_J is singular for J = {j.tolist()}; no kernel condition")
     _, _, quad = _residual_coefficients(inst, cand, j)
     scale = 1.0 + float(np.max(np.abs(inst.q[j]), initial=0.0))
     worst = float(np.max(np.abs(quad + quad.transpose(0, 2, 1)), initial=0.0))
-    return worst <= tol * scale
+    return worst <= TOL_FEAS * scale
 
 
-def check_box_conditions(inst: UncertainLcpM, j_set, cand: AffineSolutionM,
-                         tol: float = TOL_FEAS) -> VerificationReport:
+def check_box_conditions(inst: UncertainLcpM, j_set,
+                         cand: AffineSolutionM) -> VerificationReport:
     """The two quantified sign conditions for a closed-form candidate.
 
       support-rows-nonnegative      min over the box of z_j(zeta), j in J,
-                                    at least -tol (affine, vertex
+                                    at least -TOL_FEAS (affine, vertex
                                     minimum, exact); the threshold of
                                     verify_affine_m's z-nonnegative
       off-support-rows-nonnegative  min over the box of w_t(zeta), t not
-                                    in J, at least -tol * (1 + max|q|)
+                                    in J, at least -TOL_FEAS (1 + max|q|)
                                     (quadratic; exact by face
                                     enumeration for small k, sampled
                                     beyond with certified=False)
@@ -259,28 +251,27 @@ def check_box_conditions(inst: UncertainLcpM, j_set, cand: AffineSolutionM,
 
     worst_val, worst_pt = _affine_rows_min(inst, cand, j)
     checks.append(ConditionCheck(
-        "support-rows-nonnegative", bool(worst_val >= -tol),
+        "support-rows-nonnegative", bool(worst_val >= -TOL_FEAS),
         float(worst_val), worst_pt))
 
     worst_val, worst_pt, certified = _inactive_rows_min(inst, cand, n_set)
     checks.append(ConditionCheck(
-        "off-support-rows-nonnegative", bool(worst_val >= -tol * scale),
+        "off-support-rows-nonnegative", bool(worst_val >= -TOL_FEAS * scale),
         float(worst_val), worst_pt))
 
     return VerificationReport(all(c.passed for c in checks), checks, certified)
 
 
-def _structural_check_m(inst: UncertainLcpM, sol: AffineSolutionM, tol: float):
+def _structural_check_m(inst: UncertainLcpM, sol: AffineSolutionM):
     if sol.r.size != inst.n or sol.d.shape != (inst.n, inst.k):
         raise ValueError("solution dimensions do not match the instance")
-    if np.any(sol.r < -tol):
+    if np.any(sol.r < -TOL_FEAS):
         raise ValueError("r must be nonnegative")
-    if inst.h and np.max(np.abs(sol.d[: inst.h, :]), initial=0.0) > tol:
+    if inst.h and np.max(np.abs(sol.d[: inst.h, :]), initial=0.0) > TOL_FEAS:
         raise ValueError("here-and-now rows of D must be zero")
 
 
-def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM,
-                    tol: float = TOL_FEAS) -> VerificationReport:
+def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM) -> VerificationReport:
     """Direct check of an arbitrary rule against every realization.
 
       z-nonnegative            min over the box of z_i(zeta), every row
@@ -293,7 +284,7 @@ def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM,
     Structural violations (wrong shapes, negative r, nonzero
     here-and-now rows of D) raise ValueError.
     """
-    _structural_check_m(inst, sol, tol)
+    _structural_check_m(inst, sol)
     n, k = inst.n, inst.k
     j_set = sol.support()
     n_set = linalg.complement(j_set, n)
@@ -302,16 +293,16 @@ def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM,
 
     worst_val, worst_pt = _affine_rows_min(inst, sol, range(n))
     checks.append(ConditionCheck(
-        "z-nonnegative", bool(worst_val >= -tol), float(worst_val), worst_pt))
+        "z-nonnegative", bool(worst_val >= -TOL_FEAS), float(worst_val), worst_pt))
 
     worst = _active_residual(inst, sol, j_set)
     checks.append(ConditionCheck(
-        "active-rows-vanish", bool(worst <= tol * scale), float(worst),
+        "active-rows-vanish", bool(worst <= TOL_FEAS * scale), float(worst),
         np.zeros(k)))
 
     worst_val, worst_pt, certified = _inactive_rows_min(inst, sol, n_set)
     checks.append(ConditionCheck(
-        "inactive-rows-nonnegative", bool(worst_val >= -tol * scale),
+        "inactive-rows-nonnegative", bool(worst_val >= -TOL_FEAS * scale),
         float(worst_val), worst_pt))
 
     return VerificationReport(all(c.passed for c in checks), checks, certified)
@@ -325,8 +316,7 @@ class EnumerationOutcomeM:
     singular_supports: list = field(default_factory=list)
 
 
-def solve_enumeration_m_detailed(inst: UncertainLcpM,
-                                 tol: float = TOL_FEAS) -> EnumerationOutcomeM:
+def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
     """Sweep supports J by cardinality; keep candidates that pass every
     gate. Supports with a singular m0_J have no characterization and
     are collected, not searched (the caller may report the caveat).
@@ -356,24 +346,23 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM,
                 if j.size and np.min(cand.r[j]) <= TOL_SUPPORT:
                     continue  # support demands strictly positive r
                 rows = j[j < inst.h]
-                if rows.size and np.max(np.abs(cand.d[rows, :])) > tol:
+                if rows.size and np.max(np.abs(cand.d[rows, :])) > TOL_FEAS:
                     continue  # here-and-now rows refuse to stay fixed
-                if not check_kernel_condition(inst, j, tol, cand):
+                if not check_kernel_condition(inst, j, cand):
                     continue
                 cand.d[: inst.h, :] = 0.0
-                if not check_box_conditions(inst, j, cand, tol).overall:
+                if not check_box_conditions(inst, j, cand).overall:
                     continue
-                if sample_violation_m(inst, cand, count=1000, seed=0) > tol * 10:
+                if sample_violation_m(inst, cand, count=1000, seed=0) > TOL_FEAS * 10:
                     continue  # sampling backstop against tolerance leaks
                 out.solutions.append(cand)
     return out
 
 
-def solve_enumeration_m(inst: UncertainLcpM,
-                        tol: float = TOL_FEAS) -> list:
+def solve_enumeration_m(inst: UncertainLcpM) -> list:
     """All affine rules the support sweep certifies, ordered by support
     cardinality then lexicographically."""
-    return solve_enumeration_m_detailed(inst, tol).solutions
+    return solve_enumeration_m_detailed(inst).solutions
 
 
 def uniqueness_m(inst: UncertainLcpM) -> str:

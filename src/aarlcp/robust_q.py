@@ -113,9 +113,9 @@ class AffineSolutionQ:
         self.d = linalg.as_matrix(self.d, square=True)
         self.r = linalg.as_vector(self.r, self.d.shape[0])
 
-    def support(self, tol: float = TOL_SUPPORT) -> np.ndarray:
-        """K: coordinates where r is (numerically) nonzero."""
-        return np.flatnonzero(np.abs(self.r) > tol)
+    def support(self) -> np.ndarray:
+        """K: coordinates where |r| exceeds TOL_SUPPORT."""
+        return np.flatnonzero(np.abs(self.r) > TOL_SUPPORT)
 
     def evaluate(self, u) -> np.ndarray:
         return self.d @ np.asarray(u, dtype=float) + self.r
@@ -136,16 +136,16 @@ class VerificationReport:
     certified: bool = True  # False when a sampling fallback was involved
 
 
-def _structural_check(inst: UncertainLcpQ, sol: AffineSolutionQ, tol: float):
+def _structural_check(inst: UncertainLcpQ, sol: AffineSolutionQ):
     n = inst.n
     if sol.r.size != n:
         raise ValueError("solution dimension does not match the instance")
-    if np.any(sol.r < -tol):
+    if np.any(sol.r < -TOL_FEAS):
         raise ValueError("r must be nonnegative")
-    if inst.h and np.max(np.abs(sol.d[: inst.h, :]), initial=0.0) > tol:
+    if inst.h and np.max(np.abs(sol.d[: inst.h, :]), initial=0.0) > TOL_FEAS:
         raise ValueError("here-and-now rows of D must be zero")
     s = inst.certain_set()
-    if s.size and np.max(np.abs(sol.d[:, s]), initial=0.0) > tol:
+    if s.size and np.max(np.abs(sol.d[:, s]), initial=0.0) > TOL_FEAS:
         raise ValueError("columns of D on certain coordinates must be zero")
 
 
@@ -163,8 +163,7 @@ def _worst_vertex(inst: UncertainLcpQ, u_set: np.ndarray, coeff: np.ndarray,
     return float(vals[t]), worst_u
 
 
-def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ,
-                    tol: float = TOL_FEAS) -> VerificationReport:
+def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ) -> VerificationReport:
     """Check the three robust-solution conditions over the whole box.
 
     All three are decided analytically: the worst case of an affine
@@ -182,7 +181,7 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ,
     support to a zero affine part, which the support-only reading would
     let slip.
     """
-    _structural_check(inst, sol, tol)
+    _structural_check(inst, sol)
     n = inst.n
     u_set = inst.uncertain_set()
     k_set = sol.support()
@@ -193,7 +192,7 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ,
     # z_i(u) >= 0 for all rows
     worst_val, worst_row_u = _worst_vertex(inst, u_set, sol.d[:, u_set], sol.r)
     checks.append(ConditionCheck(
-        "z-nonnegative", bool(worst_val >= -tol), float(worst_val), worst_row_u))
+        "z-nonnegative", bool(worst_val >= -TOL_FEAS), float(worst_val), worst_row_u))
 
     # (M z(u) + q(u)) = (M d + I) u + (M r + qbar); rows split by support
     coeff = inst.m @ sol.d + np.eye(n)
@@ -208,20 +207,19 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ,
             worst_row_u = np.zeros(n)
             worst_row_u[u_set] = sign * np.sign(coeff[i, u_set]) * inst.ubar[u_set]
     checks.append(ConditionCheck(
-        "active-rows-vanish", bool(worst_val <= tol * wscale), float(worst_val),
+        "active-rows-vanish", bool(worst_val <= TOL_FEAS * wscale), float(worst_val),
         worst_row_u))
 
     worst_val, worst_row_u = _worst_vertex(inst, u_set, coeff[np.ix_(n_set, u_set)],
                                            const[n_set])
     checks.append(ConditionCheck(
-        "inactive-rows-nonnegative", bool(worst_val >= -tol * wscale),
+        "inactive-rows-nonnegative", bool(worst_val >= -TOL_FEAS * wscale),
         float(worst_val), worst_row_u))
 
     return VerificationReport(overall=all(c.passed for c in checks), checks=checks)
 
 
-def check_char_system(inst: UncertainLcpQ, sol: AffineSolutionQ,
-                      tol: float = TOL_FEAS) -> bool:
+def check_char_system(inst: UncertainLcpQ, sol: AffineSolutionQ) -> bool:
     """Evaluate the support-set characterization equations on a candidate.
 
     With K the support of r, J its adjustable part, N the complement,
@@ -256,10 +254,10 @@ def check_char_system(inst: UncertainLcpQ, sol: AffineSolutionQ,
     if k_set.size:
         lhs = inst.m[np.ix_(k_set, k_set)] @ sol.r[k_set]
         resid = max(resid, float(np.max(np.abs(lhs + inst.qbar[k_set]))))
-    return resid <= tol * wscale
+    return resid <= TOL_FEAS * wscale
 
 
-def solve_enumeration(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> list:
+def solve_enumeration(inst: UncertainLcpQ) -> list:
     """All robust solutions of an instance with every coordinate
     uncertain (S empty), by enumerating adjustable support sets J; more
     than ENUMERATION_SIZE_CAP adjustable coordinates raise SizeLimitError.
@@ -298,7 +296,7 @@ def solve_enumeration(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> list:
             r_j = -np.einsum("cij,cj->ci", inv, qbar[j])
             # own rows: min z_J(u) = r_J - |inv| ubar_J rowwise
             own = r_j - np.einsum("cij,cj->ci", np.abs(inv), ubar[j])
-            keep = np.flatnonzero(~singular & ~np.any(own < -tol, axis=1))
+            keep = np.flatnonzero(~singular & ~np.any(own < -TOL_FEAS, axis=1))
             j, inv, r_j = j[keep], inv[keep], r_j[keep]
             # rows outside J: min (M z(u) + q(u))_N over the box, per row
             outside = np.ones((keep.size, n), dtype=bool)
@@ -307,7 +305,7 @@ def solve_enumeration(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> list:
             g = m[n_rows[:, :, None], j[:, None, :]] @ inv
             margin = (qbar[n_rows] - np.einsum("cij,cj->ci", g, qbar[j])
                       - ubar[n_rows] - np.einsum("cij,cj->ci", np.abs(g), ubar[j]))
-            ok = ~np.any(margin < -tol * wscale, axis=1)
+            ok = ~np.any(margin < -TOL_FEAS * wscale, axis=1)
             j, inv, r_j = j[ok], inv[ok], r_j[ok]
             for jc, inv_c, r_c in zip(j, inv, r_j):
                 d = np.zeros((n, n))
@@ -474,8 +472,8 @@ class MipPathOutcome:
 
 
 def solve_mip_q(inst: UncertainLcpQ, big_m: float | None = None,
-                max_doublings: int = 20, node_limit: int = DEFAULT_NODE_LIMIT,
-                tol: float = TOL_FEAS) -> MipPathOutcome:
+                max_doublings: int = 20,
+                node_limit: int = DEFAULT_NODE_LIMIT) -> MipPathOutcome:
     """General pathway: mixed-binary search over supports via big-M.
 
     A feasible point is extracted and re-verified analytically; on
@@ -495,12 +493,12 @@ def solve_mip_q(inst: UncertainLcpQ, big_m: float | None = None,
         doublings = attempt
         last_b = b
         prob, lay = build_mip(inst, b)
-        out = solve_mip_feasibility(prob, node_limit=node_limit, tol=tol)
+        out = solve_mip_feasibility(prob, node_limit=node_limit)
         nodes_total += out.nodes
         if out.status == "feasible":
             sol = lay.extract(out.x)
-            sol = _clean_solution(inst, sol, tol)
-            report = verify_affine_q(inst, sol, tol)
+            sol = _clean_solution(inst, sol)
+            report = verify_affine_q(inst, sol)
             if report.overall:
                 return MipPathOutcome("solution", sol, report, "verified",
                                       b, doublings, nodes_total)
@@ -511,9 +509,9 @@ def solve_mip_q(inst: UncertainLcpQ, big_m: float | None = None,
         b *= 2.0
 
     if enumeration_fits:
-        sols = solve_enumeration(inst, tol=tol)
+        sols = solve_enumeration(inst)
         if sols:
-            report = verify_affine_q(inst, sols[0], tol)
+            report = verify_affine_q(inst, sols[0])
             return MipPathOutcome("solution", sols[0], report, "verified",
                                   last_b, doublings, nodes_total, fallback_used=True)
         return MipPathOutcome("no-solution", None, None, "exact",
@@ -522,14 +520,13 @@ def solve_mip_q(inst: UncertainLcpQ, big_m: float | None = None,
                           last_b, doublings, nodes_total)
 
 
-def _clean_solution(inst: UncertainLcpQ, sol: AffineSolutionQ,
-                    tol: float) -> AffineSolutionQ:
+def _clean_solution(inst: UncertainLcpQ, sol: AffineSolutionQ) -> AffineSolutionQ:
     """Snap numerical dust to the structural zeros before verification."""
     d = sol.d.copy()
     r = sol.r.copy()
-    r[np.abs(r) <= tol] = 0.0
+    r[np.abs(r) <= TOL_FEAS] = 0.0
     r[r < 0] = 0.0
-    d[np.abs(d) <= tol] = 0.0
+    d[np.abs(d) <= TOL_FEAS] = 0.0
     d[: inst.h, :] = 0.0
     s = inst.certain_set()
     if s.size:
@@ -547,20 +544,6 @@ class PsdPathOutcome:
     nominal: np.ndarray | None = None
     nominal_max: np.ndarray | None = None
     nominal_set: LinearProgram | None = None
-
-
-def _nominal_support(inst: UncertainLcpQ):
-    """(zbar, P, zmax, nominal solution set) for PSD M: a nominal
-    solution by complementary pivoting, the set around it
-    (describe_solution_set), then compute_support_P over the set; all
-    None on a ray, which proves there is no nominal solution."""
-    prob = NominalLcp(inst.m, inst.qbar)
-    nominal = solve_lemke(prob)
-    if nominal.status == "ray":
-        return None, None, None, None
-    zbar = nominal.solution.z
-    nominal_set = describe_solution_set(prob, zbar)
-    return (zbar, *compute_support_P(nominal_set), nominal_set)
 
 
 def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
@@ -588,7 +571,7 @@ def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
     return x0, kernel
 
 
-def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
+def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     """Exact pathway for positive semidefinite M via one small linear
     program.
 
@@ -614,9 +597,13 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     if not linalg.is_psd(inst.m):
         raise ValueError("psd pathway requires a positive semidefinite matrix")
     n = inst.n
-    zbar, p_set, zmax, nominal_set = _nominal_support(inst)
-    if zbar is None:
+    prob = NominalLcp(inst.m, inst.qbar)
+    nominal = solve_lemke(prob)
+    if nominal.status == "ray":
         return PsdPathOutcome("no-solution")
+    zbar = nominal.solution.z
+    nominal_set = describe_solution_set(prob, zbar)
+    p_set, zmax = compute_support_P(nominal_set)
     l_set = linalg.complement(p_set, n)
     a_set = p_set[p_set >= inst.h]
     u_set = inst.uncertain_set()
@@ -669,24 +656,23 @@ def solve_psd(inst: UncertainLcpQ, tol: float = TOL_FEAS) -> PsdPathOutcome:
     d = np.zeros((n, n))
     d[np.ix_(a_set, u_set)] = x0 + kernel @ out.x[t_idx]
     r = out.x[r_idx]
-    sol = _clean_solution(inst, AffineSolutionQ(d, r), tol)
-    report = verify_affine_q(inst, sol, tol)
+    sol = _clean_solution(inst, AffineSolutionQ(d, r))
+    report = verify_affine_q(inst, sol)
     if not report.overall:
         raise RuntimeError("psd pathway produced a point that fails verification")
     return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, zmax,
                           nominal_set)
 
 
-def uniqueness_check_psd(inst: UncertainLcpQ,
-                         outcome: PsdPathOutcome | None = None) -> str:
+def uniqueness_check_psd(inst: UncertainLcpQ, outcome: PsdPathOutcome) -> str:
     """Uniqueness verdict for PSD instances with every coordinate
     uncertain: "multiple-nominal-no-aar" when the nominal solution set
     has more than one point (then no robust rule exists), otherwise
-    "unique-if-exists". Instances outside that class: "not-applicable".
+    "unique-if-exists". Instances with certain coordinates:
+    "not-applicable".
 
     outcome, solve_psd's result on the same instance, supplies zbar, P,
-    the maxima zmax and the nominal solution set (and stands for its PSD
-    test); without it all four are computed here. Several points exist
+    the maxima zmax and the nominal solution set. Several points exist
     when some zmax_j on P exceeds zbar_j by more than TOL_SUPPORT, or
     else (all solutions then lie at or below zbar on P) when one LP over
     the set finds sum_P z_j more than TOL_SUPPORT below sum_P zbar_j;
@@ -697,20 +683,14 @@ def uniqueness_check_psd(inst: UncertainLcpQ,
     """
     if inst.certain_set().size:
         return "not-applicable"
-    if outcome is not None:
-        zbar, p_set, zmax = outcome.nominal, outcome.support_p, outcome.nominal_max
-        nominal_set = outcome.nominal_set
-    elif linalg.is_psd(inst.m):
-        zbar, p_set, zmax, nominal_set = _nominal_support(inst)
-    else:
-        return "not-applicable"
+    zbar, p_set, zmax = outcome.nominal, outcome.support_p, outcome.nominal_max
     if zbar is None or p_set.size == 0:
         return "unique-if-exists"  # no nominal solution, or only zbar
     if np.any(zmax[p_set] - zbar[p_set] > TOL_SUPPORT):
         return "multiple-nominal-no-aar"
     obj = np.zeros(inst.n)
     obj[p_set] = 1.0
-    out = solve_lp(replace(nominal_set, objective=obj))
+    out = solve_lp(replace(outcome.nominal_set, objective=obj))
     if out.status != "optimal":
         raise RuntimeError("solution-set polyhedron reported infeasible")
     several = float(np.sum(zbar[p_set])) - out.objective > TOL_SUPPORT

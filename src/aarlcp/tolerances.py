@@ -1,8 +1,7 @@
 """Default numerical tolerances shared across the package.
 
-Solver routines either read these directly or take them as the
-defaults of a tolerance argument. Keeping them in one place makes the
-contract between layers auditable.
+Solver routines read these directly. Keeping them in one place makes
+the contract between layers auditable.
 """
 
 # feasibility slack on linear constraints and sign conditions

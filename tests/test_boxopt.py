@@ -108,6 +108,17 @@ def test_interior_minimum_found():
     assert val == pytest.approx(1.0 - 0.25 ** 2 - 0.1 ** 2)
 
 
+def test_overflowing_row_reads_nan():
+    # 1 - 1e308 z + 1e308 z^2 has its minimum 1 - 2.5e307 at z = 0.5, but
+    # the stationary system 2e308 z = 1e308 overflows; the vertex z = 1
+    # alone would read 1.0
+    q = np.array([[[1e308]], [[1.0]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals, _, exact = min_quadratic_over_box(q, [[-1e308], [0.0]], [1.0, 0.0])
+    assert exact
+    assert np.isnan(vals[0]) and vals[1] == 0.0
+
+
 def test_large_dimension_falls_back_to_sampling():
     k = 12
     rng = np.random.default_rng(5)

@@ -1,5 +1,7 @@
 """File format round-trips, parse diagnostics, random generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -93,6 +95,11 @@ def test_round_trip_market_with_options():
     assert back.nonadjustable_producers == (1,)
     assert back.adjustable_duals is False and back.adjustable_prices is True
     assert np.array_equal(back.sensitivity, mm.sensitivity)
+    fixed_prices = replace(mm, adjustable_prices=False)
+    text = serialize_instance(fixed_prices)
+    assert "adjustable-prices false" in text
+    back = parse_instance(text)
+    assert back.adjustable_prices is False and back.adjustable_duals is False
 
 
 def test_round_trip_solutions():
@@ -125,6 +132,24 @@ def test_parse_diagnostics_carry_line_numbers():
         parse_instance(UQ_TEXT.rsplit("\n", 3)[0])
     with pytest.raises(InstanceFormatError, match="expected section 'qbar'"):
         parse_instance(UQ_TEXT.replace("qbar", "qvec"))
+    with pytest.raises(InstanceFormatError, match="line 2: n must be at least 1"):
+        parse_instance("kind uncertain-q\nn 0\n")
+    um_text = "kind uncertain-m\nn 1\nk 1\nh 0\nm0\n2\nperturbation 1\n0.5\nq\n-1\n"
+    parse_instance(um_text)
+    with pytest.raises(InstanceFormatError,
+                       match="line 7: expected 'perturbation 1', got 'perturbation 2'"):
+        parse_instance(um_text.replace("perturbation 1", "perturbation 2"))
+    mk_text = serialize_instance(MarketModel(
+        costs=[1.0, 2.0], technology=[[1.0, 1.0]], capacity=[-10.0],
+        demand_matrix=[[1.0, 1.0]], sensitivity=[[-1.0]], demand=[5.0],
+        demand_halfwidth=[0.5]))
+    assert len(mk_text.splitlines()) == 18
+    with pytest.raises(InstanceFormatError,
+                       match="line 19: 'adjustable-duals' must be true or false"):
+        parse_instance(mk_text + "adjustable-duals maybe\n")
+    with pytest.raises(InstanceFormatError,
+                       match="line 19: producer indices must be integers"):
+        parse_instance(mk_text + "nonadjustable-producers 1 two\n")
 
 
 def test_errors_are_value_errors():

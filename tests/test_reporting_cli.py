@@ -88,6 +88,12 @@ def test_dispatch_market_report():
     info = report.market_info
     assert info["h"] == 0 and info["n_producers"] == 2
     assert info["permutation"] == [1, 2, 3, 4]
+    doc, text = report.to_json(), report.to_text()
+    assert doc["market"]["h"] == 0
+    assert doc["market"]["permutation"] == [1, 2, 3, 4]
+    assert "market:    h=0 permutation=[1, 2, 3, 4]" in text
+    assert doc["psd"] == {"P": [1, 4], "L": [2, 3]}  # 1-based
+    assert "psd:       P=[1, 4] L=[2, 3]" in text
 
 
 def test_dispatch_uncertain_m_report():
@@ -107,6 +113,9 @@ def test_dispatch_singular_support_caveat():
     report = dispatch_solve(inst)
     assert report.singular_supports  # 1-based supports that were skipped
     assert [1] in report.singular_supports
+    assert report.to_json()["singular_supports"] == report.singular_supports
+    assert (f"singular supports (characterization unavailable): "
+            f"{report.singular_supports}") in report.to_text()
     assert report.caveat is not None
     assert report.status == "no-solution"
     assert report.exit_code() == 2

@@ -3,8 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from aarlcp import linalg, robust_m
-from aarlcp.linalg import SingularMatrixError
+from aarlcp import linalg, robust_m, serialize_instance
+from aarlcp.cli import main
 from aarlcp.robust_m import (AffineSolutionM, UncertainLcpM,
                              characterize_for_J, check_box_conditions,
                              check_kernel_condition, check_necessary_m,
@@ -77,7 +77,7 @@ def test_mtilde_value():
 
 def test_kernel_condition_direct_substitution():
     j = np.array([0, 1])
-    assert check_kernel_condition(INST, j)
+    assert check_kernel_condition(INST, j, characterize_for_J(INST, j))
     # independent arithmetic: P^1_J mtilde q must vanish (k=1 case)
     resid = INST.perturbations[0] @ (mtilde(INST, j, 0) @ INST.q)
     assert np.max(np.abs(2.0 * resid)) <= 1e-12
@@ -87,7 +87,8 @@ def test_kernel_condition_trivial_when_perturbation_zero():
     inst = UncertainLcpM(m0=np.array([[2.0, 0.5], [0.1, 3.0]]),
                          perturbations=[np.zeros((2, 2))],
                          q=np.array([-1.0, -2.0]), h=0)
-    assert check_kernel_condition(inst, np.array([0, 1]))
+    j = np.array([0, 1])
+    assert check_kernel_condition(inst, j, characterize_for_J(inst, j))
 
 
 def test_kernel_condition_variant_q():
@@ -96,8 +97,8 @@ def test_kernel_condition_variant_q():
     inst = UncertainLcpM(m0=INST.m0, perturbations=INST.perturbations,
                          q=np.array([-8.0, -15.0]), h=0)
     j = np.array([0, 1])
-    assert check_kernel_condition(inst, j)
     cand = characterize_for_J(inst, j)
+    assert check_kernel_condition(inst, j, cand)
     assert cand.r == pytest.approx([17.0 / 16.0, 15.0 / 4.0], abs=1e-12)
 
 
@@ -109,19 +110,35 @@ def test_kernel_condition_reads_the_candidate_polynomial():
                          q=np.array([-1.0, -2.0]), h=0)
     j = np.array([0, 1])
     cand = characterize_for_J(inst, j)
-    assert not check_kernel_condition(inst, j)
-    assert not check_kernel_condition(inst, j, cand=cand)
-    singular = UncertainLcpM(m0=np.array([[0.0, 0.0], [1.0, 1.0]]),
-                             perturbations=[np.zeros((2, 2))],
-                             q=np.array([-1.0, -1.0]), h=0)
-    with pytest.raises(SingularMatrixError):
-        check_kernel_condition(singular, np.array([0]))
+    assert not check_kernel_condition(inst, j, cand)
 
 
 def test_box_conditions_pass_on_worked_instance():
     cand = characterize_for_J(INST, np.array([0, 1]))
     report = check_box_conditions(INST, np.array([0, 1]), cand)
     assert report.overall and report.certified
+
+
+def test_overflowing_off_support_row_fails(tmp_path, capsys):
+    # the worked example plus a third row whose perturbation entry sits
+    # near the float max: w_3(zeta) = 1 - 1e308 zeta (1 - zeta), so
+    # w_3(0.5) = 1 - 2.5e307, yet its box arithmetic overflows
+    inst = UncertainLcpM(
+        m0=np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),
+        perturbations=[np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0],
+                                 [-1e308, 0.0, 0.0]])],
+        q=np.array([-8.0, -16.0, 1.0]), h=0)
+    sol = AffineSolutionM(d=np.array([[-1.0], [0.0], [0.0]]),
+                          r=np.array([1.0, 4.0, 0.0]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not verify_affine_m(inst, sol).overall
+        assert not check_box_conditions(inst, np.array([0, 1]), sol).overall
+        inst_path = tmp_path / "inst.txt"
+        sol_path = tmp_path / "sol.txt"
+        inst_path.write_text(serialize_instance(inst))
+        sol_path.write_text(serialize_instance(sol))
+        assert main(["verify", str(inst_path), str(sol_path)]) == 1
+    assert "NOT verified" in capsys.readouterr().out
 
 
 def test_box_conditions_flag_negative_support_row():
@@ -340,7 +357,7 @@ def _reference_sweep(inst, tol=1e-8):
                 if resid > tol * (1.0 + np.max(np.abs(qj))):
                     continue
             cand.d[: inst.h] = 0.0
-            if not check_box_conditions(inst, j, cand, tol).overall:
+            if not check_box_conditions(inst, j, cand).overall:
                 continue
             if sample_violation_m(inst, cand, count=1000, seed=0) > tol * 10:
                 continue

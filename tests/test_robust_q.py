@@ -98,6 +98,17 @@ def test_char_system_examples():
     assert check_char_system(MULTI, zero)  # empty support, vacuous
 
 
+def test_char_system_certain_coordinates():
+    # K = {0, 1}, S = {1}: the certain support row 1 must not see u_0,
+    # M[K&S, J] D[J, U] = D[1, 0] = 0, while the other blocks hold
+    inst = UncertainLcpQ(m=np.eye(2), qbar=np.array([-1.0, -1.0]),
+                         ubar=np.array([1.0, 0.0]), h=0)
+    d = np.array([[-1.0, 0.0], [0.0, 0.0]])
+    assert check_char_system(inst, AffineSolutionQ(d=d, r=np.ones(2)))
+    d[1, 0] = 0.5
+    assert not check_char_system(inst, AffineSolutionQ(d=d, r=np.ones(2)))
+
+
 def test_enumeration_finds_both_listed_rules():
     sols = solve_enumeration(MULTI)
     hits = 0
@@ -306,11 +317,14 @@ def test_psd_pathway_rejects_indefinite():
 
 
 def test_uniqueness_verdicts():
-    assert uniqueness_check_psd(NONE_PD) == "unique-if-exists"
-    assert uniqueness_check_psd(MULTI) == "not-applicable"
+    assert uniqueness_check_psd(NONE_PD, solve_psd(NONE_PD)) == "unique-if-exists"
+    # a zero half-width leaves the instance outside the verdict's class
+    certain = UncertainLcpQ(m=np.eye(2), qbar=np.array([-1.0, -1.0]),
+                            ubar=np.array([1.0, 0.0]), h=0)
+    assert uniqueness_check_psd(certain, solve_psd(certain)) == "not-applicable"
     flat = UncertainLcpQ(m=np.zeros((1, 1)), qbar=np.zeros(1),
                          ubar=np.ones(1), h=0)
-    assert uniqueness_check_psd(flat) == "multiple-nominal-no-aar"
+    assert uniqueness_check_psd(flat, solve_psd(flat)) == "multiple-nominal-no-aar"
     # nominal solutions (t, 0, 1), 0 <= t <= 1: from the top end no
     # coordinate can rise, and only the LP over sum_P z finds the others
     seg = UncertainLcpQ(m=np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
@@ -323,7 +337,7 @@ def test_uniqueness_verdicts():
     top_outcome = PsdPathOutcome("no-solution", support_p=p, nominal=top,
                                  nominal_max=zmax, nominal_set=top_set)
     assert uniqueness_check_psd(seg, top_outcome) == "multiple-nominal-no-aar"
-    assert uniqueness_check_psd(seg) == "multiple-nominal-no-aar"
+    assert uniqueness_check_psd(seg, solve_psd(seg)) == "multiple-nominal-no-aar"
 
 
 def _psd_sweep_instances(seed=2026, count=60):
@@ -384,7 +398,6 @@ def test_uniqueness_over_p_matches_the_all_coordinate_sweep():
         out = solve_psd(inst)
         verdict = uniqueness_check_psd(inst, out)
         assert verdict == _uniqueness_all_coordinates(inst)
-        assert uniqueness_check_psd(inst) == verdict
         if verdict == "multiple-nominal-no-aar":
             assert out.status == "no-solution"
             assert solve_enumeration(inst) == []
@@ -403,7 +416,7 @@ def test_uniqueness_reuses_the_psd_outcome(monkeypatch):
         UncertainLcpQ(m=np.zeros((1, 1)), qbar=np.zeros(1), ubar=np.ones(1)),
         UncertainLcpQ(m=np.eye(2), qbar=np.ones(2), ubar=np.ones(2))]
     outs = [solve_psd(inst) for inst in insts]
-    verdicts = [uniqueness_check_psd(inst) for inst in insts]
+    verdicts = [uniqueness_check_psd(inst, out) for inst, out in zip(insts, outs)]
 
     def refuse(*args, **kwargs):
         raise AssertionError("the outcome already holds the nominal point, "

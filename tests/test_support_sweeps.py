@@ -87,11 +87,11 @@ def _enumeration_m_oracle(inst, branches, tol=TOL_FEAS):
             if rows.size and np.max(np.abs(cand.d[rows, :])) > tol:
                 branches["here-and-now"] += 1
                 continue
-            if not check_kernel_condition(inst, j, tol, cand):
+            if not check_kernel_condition(inst, j, cand):
                 branches["kernel"] += 1
                 continue
             cand.d[: inst.h, :] = 0.0
-            if not check_box_conditions(inst, j, cand, tol).overall:
+            if not check_box_conditions(inst, j, cand).overall:
                 branches["box"] += 1
                 continue
             if sample_violation_m(inst, cand, count=1000, seed=0) > tol * 10:
