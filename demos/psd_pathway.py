@@ -32,10 +32,10 @@ tight = UncertainLcpQ(m=np.array([[1.0, 0.5], [0.5, 1.0]]),
                       ubar=np.array([1.0, 1.0]), h=0)
 print("\ntight instance:", solve_psd(tight).status)
 # the supports by hand: one nominal solution, the polyhedron of all
-# nominal solutions around it, and one max-LP per coordinate over it
+# nominal solutions around it, and one LP over it for P and K
 prob = NominalLcp(tight.m, tight.qbar)
 zbar = solve_lemke(prob).solution.z
-p_set, zmax = compute_support_P(describe_solution_set(prob, zbar))
+p_set, k_set = compute_support_P(describe_solution_set(prob, zbar))
 print("support P for the tight instance:", [int(i) for i in p_set + 1])
-print("largest value of each coordinate over its nominal solutions:",
-      zmax.round(6))
+print("K (rows of M z + q zero on every nominal solution):",
+      [int(i) for i in k_set + 1])

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .instances import (InstanceFormatError, generate_random, parse_instance,
@@ -70,13 +71,30 @@ def _options(args) -> SolveOptions:
                         node_limit=args.node_limit)
 
 
+def _finite(obj):
+    """obj with every non-finite float replaced by None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return obj
+
+
+def _print_json(obj) -> None:
+    """Strict JSON: a non-finite number (an overflowed worst value, say)
+    prints as null, never as the bare NaN or Infinity tokens."""
+    print(json.dumps(_finite(obj), indent=2, allow_nan=False))
+
+
 def _cmd_solve(args, as_json: bool) -> int:
     instance = parse_instance(_read(args.instance))
     if isinstance(instance, (AffineSolutionQ, AffineSolutionM)):
         raise UsageError("expected an instance file, got a solution file")
     report = dispatch_solve(instance, _options(args))
     if as_json:
-        print(json.dumps(report.to_json(), indent=2))
+        _print_json(report.to_json())
     else:
         sys.stdout.write(report.to_text())
     return report.exit_code()
@@ -99,7 +117,7 @@ def _cmd_verify(args) -> int:
             f"kind mismatch: {type(instance).__name__} instance with "
             f"{type(solution).__name__} solution")
     if args.json:
-        print(json.dumps({
+        _print_json({
             "schema": 1,
             "kind": "verification",
             "overall": bool(report.overall),
@@ -109,7 +127,7 @@ def _cmd_verify(args) -> int:
                  "worst_value": float(c.worst_value)}
                 for c in report.checks
             ],
-        }, indent=2))
+        })
     else:
         for c in report.checks:
             print(f"check {c.condition}: {'pass' if c.passed else 'FAIL'} "

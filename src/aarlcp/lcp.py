@@ -11,24 +11,25 @@ ray is reported as such and the caller decides.
 
 describe_solution_set encodes, for PSD M, the full solution set as a
 polyhedron around any one solution; compute_support_P takes that
-LinearProgram, maximizes each coordinate over it and returns the maxima
-zmax together with P, the coordinates positive somewhere in the set.
-The psd-lp pathway (robust_q.solve_psd) states the polyhedron once per
-instance: it fixes D from P by linear algebra and decides the rest with
-one feasibility LP built from the same rows in r alone, its bounds and
-right-hand sides raised by the box envelopes; its uniqueness check
-reads zmax and solves one more LP over the same polyhedron.
+LinearProgram and, with one LP over its homogenization, returns P, the
+coordinates positive somewhere in the set, and K, the rows of
+M z + q >= 0 that vanish on all of it. The psd-lp pathway
+(robust_q.solve_psd) states the polyhedron once per instance: it fixes
+D from P by linear algebra and decides the rest with one feasibility LP
+built from the same rows in r alone, its bounds and right-hand sides
+raised by the box envelopes; its uniqueness check is a rank test on the
+affine hull that P and K span, with no LP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
 from .lp import LinearProgram, IterationLimitError, solve_lp
-from .tolerances import TOL_COMP, TOL_FEAS, TOL_SUPPORT
+from .tolerances import TOL_COMP, TOL_FEAS, TOL_LEMKE_PIVOT, TOL_LEX_TIE
 
 __all__ = [
     "NominalLcp",
@@ -132,9 +133,9 @@ def solve_lemke(prob: NominalLcp) -> LemkeOutcome:
 
     def _lex_less(a, b):
         for x, y in zip(a, b):
-            if x < y - 1e-12:
+            if x < y - TOL_LEX_TIE:
                 return True
-            if x > y + 1e-12:
+            if x > y + TOL_LEX_TIE:
                 return False
         return False
 
@@ -151,7 +152,7 @@ def solve_lemke(prob: NominalLcp) -> LemkeOutcome:
                 f"lemke pivoting exceeded {max_iterations} iterations"
             )
         if row is None:
-            piv_candidates = [i for i in range(n) if t[i, entering] > 1e-10]
+            piv_candidates = [i for i in range(n) if t[i, entering] > TOL_LEMKE_PIVOT]
             if not piv_candidates:
                 return LemkeOutcome("ray", None, iterations)
             row = lex_min_row(piv_candidates, entering)
@@ -205,18 +206,43 @@ def describe_solution_set(prob: NominalLcp, zbar) -> LinearProgram:
 
 
 def compute_support_P(nominal_set: LinearProgram) -> tuple[np.ndarray, np.ndarray]:
-    """(P, zmax) over nominal_set, the solution set of a PSD instance as
-    describe_solution_set states it. zmax[j] is the largest value of z_j
-    over the set (one LP per coordinate; inf when unbounded), and P holds
-    the indices j with zmax[j] > TOL_SUPPORT, the coordinates positive
-    somewhere in the set."""
+    """(P, K) over nominal_set, the solution set of a PSD instance as
+    describe_solution_set states it: P holds the coordinates positive
+    somewhere in the set, K the rows of M z + q >= 0 that vanish on all
+    of it.
+
+    One LP finds both (the always-active constraints of Freund, Roundy
+    and Todd, 1985). It homogenizes the set with a scale s >= 1, each
+    row a.z (sense) b becoming a.y - b s (sense) 0 with y >= 0, so y/s
+    ranges over the set, and gives each sign constraint a cap t in
+    [0, 1]: y_j >= t_j on z and a.y - b s >= t_i on the inequality rows.
+    It maximizes sum t. Any point of the set scaled up by s reaches t = 1
+    wherever it is positive, and an average of points does so wherever
+    some point is, so at the optimum t is 1 off the always-active
+    constraints and 0 on them: P = {j : t_j > 1/2} and K = {i : t_i <
+    1/2}.
+    """
     n = nominal_set.objective.size
-    zmax = np.empty(n)
-    for j in range(n):
-        obj = np.zeros(n)
-        obj[j] = -1.0  # maximize z_j
-        out = solve_lp(replace(nominal_set, objective=obj))
-        if out.status == "infeasible":
-            raise RuntimeError("solution-set polyhedron reported infeasible")
-        zmax[j] = np.inf if out.status == "unbounded" else out.x[j]
-    return np.flatnonzero(zmax > TOL_SUPPORT), zmax
+    lhs, rhs = nominal_set.lhs, nominal_set.rhs
+    ineq = np.array(nominal_set.senses) == ">="
+    g = int(np.count_nonzero(ineq))
+    rows = lhs.shape[0]
+    # columns: y (n) | s | t_z (n) | t_w (g)
+    a = np.zeros((rows + n, 2 * n + 1 + g))
+    a[:rows, :n] = lhs
+    a[:rows, n] = -rhs
+    a[np.flatnonzero(ineq), 2 * n + 1 + np.arange(g)] = -1.0
+    a[rows:, :n] = np.eye(n)
+    a[rows:, n + 1 : 2 * n + 1] = -np.eye(n)
+    lower = np.zeros(a.shape[1])
+    lower[n] = 1.0
+    upper = np.ones(a.shape[1])
+    upper[: n + 1] = np.inf
+    obj = np.zeros(a.shape[1])
+    obj[n + 1 :] = -1.0
+    out = solve_lp(LinearProgram(obj, a, nominal_set.senses + [">="] * n,
+                                 np.zeros(rows + n), lower, upper))
+    if out.status != "optimal":
+        raise RuntimeError("solution-set polyhedron reported infeasible")
+    t = out.x[n + 1 :]
+    return np.flatnonzero(t[:n] > 0.5), np.flatnonzero(t[n:] < 0.5)

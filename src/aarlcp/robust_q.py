@@ -30,14 +30,16 @@ LAPACK call per support, and Python work only per rule that passes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import linalg
 from .boxopt import min_affine_over_box
 from .lcp import NominalLcp, compute_support_P, describe_solution_set, solve_lemke
-from .lp import LinearProgram, solve_lp, check_feasibility
+# solve_lp is not called here, but perfbench/spans.py traces LPs by
+# patching robust_q.solve_lp
+from .lp import LinearProgram, solve_lp, check_feasibility  # noqa: F401
 from .mip import DEFAULT_NODE_LIMIT, MixedBinaryProgram, solve_mip_feasibility
 from .tolerances import TOL_DEDUP, TOL_FEAS, TOL_RANK, TOL_SUPPORT
 
@@ -542,8 +544,13 @@ class PsdPathOutcome:
     support_p: np.ndarray | None = None
     support_l: np.ndarray | None = None
     nominal: np.ndarray | None = None
-    nominal_max: np.ndarray | None = None
-    nominal_set: LinearProgram | None = None
+    vanishing_rows: np.ndarray | None = None
+
+
+def _rank(s: np.ndarray) -> int:
+    """Numerical rank from singular values s: those at or below TOL_RANK
+    times the largest count as zero."""
+    return int(np.sum(s > TOL_RANK * np.max(s, initial=0.0)))
 
 
 def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
@@ -562,7 +569,7 @@ def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
         except linalg.SingularMatrixError:
             pass
     u, s, vt = np.linalg.svd(m_pa)
-    rank = int(np.sum(s > TOL_RANK * np.max(s, initial=0.0)))
+    rank = _rank(s)
     if np.max(np.abs(u[:, rank:].T @ e), initial=0.0) > TOL_FEAS:
         return None
     x0 = -vt[:rank].T @ ((u[:, :rank].T @ e) / s[:rank, None])
@@ -603,13 +610,13 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
         return PsdPathOutcome("no-solution")
     zbar = nominal.solution.z
     nominal_set = describe_solution_set(prob, zbar)
-    p_set, zmax = compute_support_P(nominal_set)
+    p_set, k_set = compute_support_P(nominal_set)
     l_set = linalg.complement(p_set, n)
     a_set = p_set[p_set >= inst.h]
     u_set = inst.uncertain_set()
     m, ub = inst.m, inst.ubar[u_set]
     nothing = PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
-                             nominal=zbar, nominal_max=zmax, nominal_set=nominal_set)
+                             nominal=zbar, vanishing_rows=k_set)
 
     block = _pinned_block(m[np.ix_(p_set, a_set)],
                           (p_set[:, None] == u_set).astype(float))
@@ -660,8 +667,7 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     report = verify_affine_q(inst, sol)
     if not report.overall:
         raise RuntimeError("psd pathway produced a point that fails verification")
-    return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, zmax,
-                          nominal_set)
+    return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, k_set)
 
 
 def uniqueness_check_psd(inst: UncertainLcpQ, outcome: PsdPathOutcome) -> str:
@@ -671,30 +677,28 @@ def uniqueness_check_psd(inst: UncertainLcpQ, outcome: PsdPathOutcome) -> str:
     "unique-if-exists". Instances with certain coordinates:
     "not-applicable".
 
-    outcome, solve_psd's result on the same instance, supplies zbar, P,
-    the maxima zmax and the nominal solution set. Several points exist
-    when some zmax_j on P exceeds zbar_j by more than TOL_SUPPORT, or
-    else (all solutions then lie at or below zbar on P) when one LP over
-    the set finds sum_P z_j more than TOL_SUPPORT below sum_P zbar_j;
-    outside P every solution has z_j in [0, TOL_SUPPORT]. Only a
-    solution set that spreads by less than |P| TOL_SUPPORT can get
-    another verdict from a sweep that minimizes each coordinate on its
-    own.
+    outcome, solve_psd's result on the same instance, supplies P and K,
+    the rows of M z + q that vanish on the whole set. Those and the
+    coordinates outside P are the constraints active everywhere, so the
+    affine hull of the set is {z : z_L = 0, (M z + q)_K = 0, q.(z -
+    zbar) = 0, (M + M^T)(z - zbar) = 0}, and the set is one point
+    exactly when A = [M[K, P]; qbar[P]; (M + M^T)[:, P]] has rank |P|.
+    One SVD of A, its rows scaled to unit norm, decides that by _rank
+    (TOL_RANK). No LP is solved.
     """
     if inst.certain_set().size:
         return "not-applicable"
-    zbar, p_set, zmax = outcome.nominal, outcome.support_p, outcome.nominal_max
-    if zbar is None or p_set.size == 0:
+    p_set = outcome.support_p
+    if outcome.nominal is None or p_set.size == 0:
         return "unique-if-exists"  # no nominal solution, or only zbar
-    if np.any(zmax[p_set] - zbar[p_set] > TOL_SUPPORT):
-        return "multiple-nominal-no-aar"
-    obj = np.zeros(inst.n)
-    obj[p_set] = 1.0
-    out = solve_lp(replace(outcome.nominal_set, objective=obj))
-    if out.status != "optimal":
-        raise RuntimeError("solution-set polyhedron reported infeasible")
-    several = float(np.sum(zbar[p_set])) - out.objective > TOL_SUPPORT
-    return "multiple-nominal-no-aar" if several else "unique-if-exists"
+    m = inst.m[:, p_set]
+    a = np.vstack([m[outcome.vanishing_rows], inst.qbar[p_set],
+                   m + inst.m.T[:, p_set]])
+    norms = np.linalg.norm(a, axis=1)
+    keep = norms > 0.0
+    a = a[keep] / norms[keep, None]
+    full = _rank(np.linalg.svd(a, compute_uv=False)) == p_set.size
+    return "unique-if-exists" if full else "multiple-nominal-no-aar"
 
 
 def sample_violation_q(inst: UncertainLcpQ, sol: AffineSolutionQ,

@@ -20,6 +20,11 @@ TOL_INT = 1e-6
 # absolute entry of the matrix is treated as zero
 TOL_PIVOT_FACTOR = 1e-10
 
+# complementary pivoting: an entering-column entry above this is a
+# pivot candidate; lexicographic ratios within TOL_LEX_TIE count as equal
+TOL_LEMKE_PIVOT = 1e-10
+TOL_LEX_TIE = 1e-12
+
 # rank threshold of the singular value decomposition: singular values at
 # or below this times the largest count as zero
 TOL_RANK = 1e-10

@@ -61,6 +61,20 @@ def random_psd_matrix(rng, n, ridge=0.05):
     return (g.T @ g + ridge * np.eye(n)).round(4)
 
 
+def random_low_rank_psd_lcp(rng, n, skew=False):
+    """(m, q, z0): m = B (I + S) B^T with B of rank below n and S
+    skew-symmetric (zero unless asked), and q = w0 - m z0 with z0 >= 0,
+    w0 >= 0 and z0 . w0 = 0, so z0 solves the LCP and the rank deficit
+    leaves room for a solution set of more than one point."""
+    rank = int(rng.integers(1, n))
+    b = rng.uniform(-1.0, 1.0, (n, rank))
+    c = rng.uniform(-1.0, 1.0, (rank, rank)) if skew else np.zeros((rank, rank))
+    m = b @ (np.eye(rank) + 0.5 * (c - c.T)) @ b.T
+    z0 = rng.uniform(0.2, 1.0, n) * (rng.random(n) < 0.6)
+    w0 = rng.uniform(0.2, 1.0, n) * (rng.random(n) < 0.5) * (z0 == 0.0)
+    return m, w0 - m @ z0, z0
+
+
 def random_p_matrix(rng, n):
     # diagonally dominant with positive diagonal
     m = rng.uniform(-1.0, 1.0, (n, n))

@@ -2,7 +2,10 @@
 the constants of aarlcp.tolerances, and the inputs a result depends on
 are required rather than recomputed when left out."""
 
+import dataclasses
 import inspect
+
+import numpy as np
 
 import aarlcp
 
@@ -44,3 +47,15 @@ def test_required_inputs_have_no_default():
 def test_market_block_map_takes_only_its_layout():
     params = list(inspect.signature(aarlcp.MarketBlockMap).parameters)
     assert params == ["n_producers", "n_duals", "n_prices", "perm", "h"]
+
+
+def test_support_p_returns_index_sets_only():
+    # P and K come from one LP; the per-coordinate maxima are gone
+    prob = aarlcp.NominalLcp(np.zeros((2, 2)), np.array([0.0, 1.0]))
+    out = aarlcp.compute_support_P(aarlcp.describe_solution_set(prob, np.zeros(2)))
+    assert len(out) == 2
+    for index in out:
+        assert index.ndim == 1 and index.dtype.kind == "i"
+    assert [index.tolist() for index in out] == [[0], [0]]  # z = (t, 0)
+    fields = {f.name for f in dataclasses.fields(aarlcp.PsdPathOutcome)}
+    assert "nominal_max" not in fields and "vanishing_rows" in fields

@@ -4,8 +4,30 @@ import pytest
 from aarlcp.lcp import (NominalLcp, compute_support_P, describe_solution_set,
                         lcp_residuals, solve_lemke)
 from aarlcp.lp import LinearProgram, solve_lp
-from conftest import is_p_matrix, lcp_brute_force, random_p_matrix, \
-    random_psd_matrix
+from conftest import is_p_matrix, lcp_brute_force, random_low_rank_psd_lcp, \
+    random_p_matrix, random_psd_matrix
+
+
+def _over_solution_set(m, q, zbar, objective):
+    """Minimize objective . z over the solution-set conditions written
+    out: z >= 0, M z + q >= 0, q.(z - zbar) = 0 and (M + M^T)(z - zbar)
+    = 0."""
+    n = q.size
+    sym = m + m.T
+    lhs = np.vstack([m, q.reshape(1, n), sym])
+    rhs = np.concatenate([-q, [q @ zbar], sym @ zbar])
+    senses = [">="] * n + ["="] * (n + 1)
+    return solve_lp(LinearProgram(objective, lhs, senses, rhs, np.zeros(n),
+                                  np.full(n, np.inf)))
+
+
+def _coordinate_maxima(m, q, zbar):
+    """The largest value of each z_j over the solution set, one max-LP
+    per coordinate (inf when unbounded)."""
+    n = q.size
+    out = [_over_solution_set(m, q, zbar, -np.eye(n)[j]) for j in range(n)]
+    return np.array([np.inf if lp.status == "unbounded" else -lp.objective
+                     for lp in out])
 
 
 def test_nonnegative_q_solved_by_zero():
@@ -161,10 +183,11 @@ def test_support_p_singleton():
 
 
 def test_support_p_unbounded_coordinate_included():
-    p, zmax = compute_support_P(describe_solution_set(
-        NominalLcp(np.zeros((1, 1)), np.zeros(1)), np.zeros(1)))
+    m, q, zbar = np.zeros((1, 1)), np.zeros(1), np.zeros(1)
+    p, k = compute_support_P(describe_solution_set(NominalLcp(m, q), zbar))
     assert np.array_equal(p, [0])
-    assert np.array_equal(zmax, [np.inf])
+    assert np.array_equal(k, [0])  # M z + q = 0 for every z
+    assert np.array_equal(_coordinate_maxima(m, q, zbar), [np.inf])
 
 
 def test_support_p_matches_vertex_enumeration_on_random_psd():
@@ -175,23 +198,34 @@ def test_support_p_matches_vertex_enumeration_on_random_psd():
         q = rng.uniform(-3.0, 2.0, n).round(2)
         out = solve_lemke(NominalLcp(m, q))
         assert out.status == "solution"
-        p, zmax = compute_support_P(describe_solution_set(NominalLcp(m, q),
-                                                          out.solution.z))
+        p, _ = compute_support_P(describe_solution_set(NominalLcp(m, q),
+                                                       out.solution.z))
         # oracle: union of supports over all complementary-basis solutions
         union = set()
         for z in lcp_brute_force(m, q):
             union |= set(np.flatnonzero(z > 1e-7).tolist())
         assert union <= set(p.tolist())
-        # zmax: the max-LP of each coordinate, written out from the
-        # solution-set conditions z >= 0, M z + q >= 0, q.(z - zbar) = 0
-        # and (M + M^T)(z - zbar) = 0
-        zbar, sym = out.solution.z, m + m.T
-        lhs = np.vstack([m, q.reshape(1, n), sym])
-        rhs = np.concatenate([-q, [q @ zbar], sym @ zbar])
-        senses = [">="] * n + ["="] * (n + 1)
-        for j in range(n):
-            lp = solve_lp(LinearProgram(-np.eye(n)[j], lhs, senses, rhs,
-                                        np.zeros(n), np.full(n, np.inf)))
-            expected = np.inf if lp.status == "unbounded" else -lp.objective
-            assert zmax[j] == pytest.approx(expected, rel=1e-9, abs=1e-9)
+        # and the max-LP of each coordinate over the solution set
+        zmax = _coordinate_maxima(m, q, out.solution.z)
         assert np.array_equal(p, np.flatnonzero(zmax > 1e-7))
+
+
+def test_support_p_and_vanishing_rows_match_per_row_lps_on_low_rank_psd():
+    # solution sets of more than one point: P against the max-LP of each
+    # coordinate, K against the min-LP of each row of M z + q
+    rng = np.random.default_rng(15)
+    spread = 0
+    for t in range(30):
+        n = int(rng.integers(2, 7))
+        m, q, _ = random_low_rank_psd_lcp(rng, n, skew=t % 2 == 1)
+        out = solve_lemke(NominalLcp(m, q))
+        assert out.status == "solution"
+        zbar = out.solution.z
+        p, k = compute_support_P(describe_solution_set(NominalLcp(m, q), zbar))
+        zmax = _coordinate_maxima(m, q, zbar)
+        assert np.array_equal(p, np.flatnonzero(zmax > 1e-7))
+        wmin = np.array([_over_solution_set(m, q, zbar, m[i]).objective + q[i]
+                         for i in range(n)])
+        assert np.array_equal(k, np.flatnonzero(wmin <= 1e-7))
+        spread += bool(np.any(zmax - zbar > 1e-7))
+    assert spread >= 10

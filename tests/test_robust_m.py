@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -119,10 +120,12 @@ def test_box_conditions_pass_on_worked_instance():
     assert report.overall and report.certified
 
 
-def test_overflowing_off_support_row_fails(tmp_path, capsys):
-    # the worked example plus a third row whose perturbation entry sits
-    # near the float max: w_3(zeta) = 1 - 1e308 zeta (1 - zeta), so
-    # w_3(0.5) = 1 - 2.5e307, yet its box arithmetic overflows
+def _overflow_case(tmp_path):
+    """The worked example plus a third row whose perturbation entry sits
+    near the float max: w_3(zeta) = 1 - 1e308 zeta (1 - zeta), so
+    w_3(0.5) = 1 - 2.5e307, yet its box arithmetic overflows. Returns
+    the instance, the worked rule padded with a zero row, and the paths
+    of both written out."""
     inst = UncertainLcpM(
         m0=np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),
         perturbations=[np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0],
@@ -130,15 +133,36 @@ def test_overflowing_off_support_row_fails(tmp_path, capsys):
         q=np.array([-8.0, -16.0, 1.0]), h=0)
     sol = AffineSolutionM(d=np.array([[-1.0], [0.0], [0.0]]),
                           r=np.array([1.0, 4.0, 0.0]))
+    inst_path = tmp_path / "inst.txt"
+    sol_path = tmp_path / "sol.txt"
+    inst_path.write_text(serialize_instance(inst))
+    sol_path.write_text(serialize_instance(sol))
+    return inst, sol, str(inst_path), str(sol_path)
+
+
+def test_overflowing_off_support_row_fails(tmp_path, capsys):
+    inst, sol, inst_path, sol_path = _overflow_case(tmp_path)
     with np.errstate(over="ignore", invalid="ignore"):
         assert not verify_affine_m(inst, sol).overall
         assert not check_box_conditions(inst, np.array([0, 1]), sol).overall
-        inst_path = tmp_path / "inst.txt"
-        sol_path = tmp_path / "sol.txt"
-        inst_path.write_text(serialize_instance(inst))
-        sol_path.write_text(serialize_instance(sol))
-        assert main(["verify", str(inst_path), str(sol_path)]) == 1
+        assert main(["verify", inst_path, sol_path]) == 1
     assert "NOT verified" in capsys.readouterr().out
+
+
+def test_json_output_is_strict_on_overflow(tmp_path, capsys):
+    # the overflowed worst value prints as null, never as a bare NaN or
+    # Infinity token that strict parsers reject
+    def refuse(token):
+        raise ValueError(f"non-standard JSON token {token}")
+
+    _, _, inst_path, sol_path = _overflow_case(tmp_path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["verify", "--json", inst_path, sol_path]) == 1
+        out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+        worst = [c["worst_value"] for c in out["checks"]]
+        assert None in worst and not out["overall"]
+        main(["solve", "--json", inst_path])
+        json.loads(capsys.readouterr().out, parse_constant=refuse)
 
 
 def test_box_conditions_flag_negative_support_row():

@@ -14,7 +14,7 @@ from aarlcp.robust_q import (AffineSolutionQ, PsdPathOutcome, SizeLimitError,
                              solve_enumeration, solve_mip_q, solve_psd,
                              uniqueness_check_psd, verify_affine_q)
 from aarlcp.tolerances import TOL_SUPPORT
-from conftest import random_psd_matrix
+from conftest import random_low_rank_psd_lcp, random_psd_matrix
 
 # recurring instances: a 2x2 with multiple robust rules, and a positive
 # definite one with none
@@ -325,18 +325,20 @@ def test_uniqueness_verdicts():
     flat = UncertainLcpQ(m=np.zeros((1, 1)), qbar=np.zeros(1),
                          ubar=np.ones(1), h=0)
     assert uniqueness_check_psd(flat, solve_psd(flat)) == "multiple-nominal-no-aar"
-    # nominal solutions (t, 0, 1), 0 <= t <= 1: from the top end no
-    # coordinate can rise, and only the LP over sum_P z finds the others
+    # nominal solutions (t, 0, 1), 0 <= t <= 1, on which rows 0 and 2 of
+    # M z + q vanish and row 1 = 1 - t does not: from either end (at the
+    # top no coordinate can rise) P and K leave a kernel of rank one
     seg = UncertainLcpQ(m=np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0],
                                     [0.0, 0.0, 1.0]]),
                         qbar=np.array([0.0, 1.0, -1.0]), ubar=np.ones(3))
-    top = np.array([1.0, 0.0, 1.0])
-    top_set = describe_solution_set(NominalLcp(seg.m, seg.qbar), top)
-    p, zmax = compute_support_P(top_set)
-    assert np.array_equal(p, [0, 2]) and np.array_equal(zmax, top)
-    top_outcome = PsdPathOutcome("no-solution", support_p=p, nominal=top,
-                                 nominal_max=zmax, nominal_set=top_set)
-    assert uniqueness_check_psd(seg, top_outcome) == "multiple-nominal-no-aar"
+    for end in ([1.0, 0.0, 1.0], [0.0, 0.0, 1.0]):
+        end = np.array(end)
+        p, k = compute_support_P(describe_solution_set(
+            NominalLcp(seg.m, seg.qbar), end))
+        assert np.array_equal(p, [0, 2]) and np.array_equal(k, [0, 2])
+        outcome = PsdPathOutcome("no-solution", support_p=p, nominal=end,
+                                 vanishing_rows=k)
+        assert uniqueness_check_psd(seg, outcome) == "multiple-nominal-no-aar"
     assert uniqueness_check_psd(seg, solve_psd(seg)) == "multiple-nominal-no-aar"
 
 
@@ -370,6 +372,19 @@ def _psd_sweep_instances(seed=2026, count=60):
     return out
 
 
+def _low_rank_instances(seed=2028, count=40):
+    """PSD M = B (I + S) B^T of rank below n, a skew part S on every
+    second one, and qbar = w0 - M z0 with z0 a nominal solution: most
+    nominal solution sets have more than one point."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(count):
+        n = int(rng.integers(2, 6))
+        m, qbar, _ = random_low_rank_psd_lcp(rng, n, skew=t % 2 == 1)
+        out.append(UncertainLcpQ(m=m, qbar=qbar, ubar=rng.uniform(0.02, 0.3, n)))
+    return out
+
+
 def _uniqueness_all_coordinates(inst):
     """Minimize and maximize every coordinate over the nominal solution
     set; any move beyond TOL_SUPPORT from zbar means several points."""
@@ -394,7 +409,8 @@ def _uniqueness_all_coordinates(inst):
 
 def test_uniqueness_over_p_matches_the_all_coordinate_sweep():
     verdicts = []
-    for inst in _psd_sweep_instances():
+    sweep, low_rank = _psd_sweep_instances(), _low_rank_instances()
+    for inst in sweep + low_rank:
         out = solve_psd(inst)
         verdict = uniqueness_check_psd(inst, out)
         assert verdict == _uniqueness_all_coordinates(inst)
@@ -406,12 +422,14 @@ def test_uniqueness_over_p_matches_the_all_coordinate_sweep():
     assert {("multiple-nominal-no-aar", "no-solution"),
             ("unique-if-exists", "no-solution"),
             ("unique-if-exists", "solution")} <= set(verdicts)
-    assert verdicts.count(("multiple-nominal-no-aar", "no-solution")) >= 5
+    multiple = ("multiple-nominal-no-aar", "no-solution")
+    assert verdicts[:len(sweep)].count(multiple) >= 5
+    assert verdicts[len(sweep):].count(multiple) >= 20
 
 
 def test_uniqueness_reuses_the_psd_outcome(monkeypatch):
-    # the sweep plus a nominal set that is a half-line (zmax = inf) and
-    # one whose only solution is zero (P empty)
+    # the sweep plus a nominal set that is a half-line and one whose only
+    # solution is zero (P empty)
     insts = _psd_sweep_instances(count=24) + [
         UncertainLcpQ(m=np.zeros((1, 1)), qbar=np.zeros(1), ubar=np.ones(1)),
         UncertainLcpQ(m=np.eye(2), qbar=np.ones(2), ubar=np.ones(2))]
@@ -419,38 +437,34 @@ def test_uniqueness_reuses_the_psd_outcome(monkeypatch):
     verdicts = [uniqueness_check_psd(inst, out) for inst, out in zip(insts, outs)]
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the outcome already holds the nominal point, "
-                             "P and the maxima")
+        raise AssertionError("the outcome already holds P and K, and the "
+                             "rank test solves no LP")
 
-    lps = []
     monkeypatch.setattr(robust_q, "solve_lemke", refuse)
     monkeypatch.setattr(robust_q, "compute_support_P", refuse)
-    monkeypatch.setattr(robust_q, "solve_lp",
-                        lambda lp: lps.append(lp) or solve_lp(lp))
+    monkeypatch.setattr(robust_q, "solve_lp", refuse)
+    monkeypatch.setattr(robust_q, "check_feasibility", refuse)
+    monkeypatch.setattr(lcp, "solve_lp", refuse)
     cases = set()
     for inst, out, verdict in zip(insts, outs, verdicts):
-        lps.clear()
         assert uniqueness_check_psd(inst, out) == verdict
-        assert len(lps) <= 1
         if out.nominal is None:
             continue
-        p = out.support_p
-        if p.size == 0:
+        if out.support_p.size == 0:
             cases.add("P empty")
-            assert not lps
-        elif np.any(out.nominal_max[p] - out.nominal[p] > TOL_SUPPORT):
-            cases.add("a maximum above zbar")
-            assert not lps and verdict == "multiple-nominal-no-aar"
+            assert verdict == "unique-if-exists"
+        elif verdict == "multiple-nominal-no-aar":
+            cases.add("rank deficient")
         else:
-            cases.add("one LP")
-            assert len(lps) == 1
-    assert cases == {"P empty", "a maximum above zbar", "one LP"}
+            cases.add("full rank")
+    assert cases == {"P empty", "rank deficient", "full rank"}
 
 
 def test_psd_dispatch_states_the_nominal_set_once(monkeypatch):
     # positive definite with a one-point nominal set: the auto dispatch
-    # reaches the uniqueness LP, and M is tested for PSD by auto_pathway
-    # and by the input guards of solve_psd and describe_solution_set
+    # reaches the uniqueness rank test, and M is tested for PSD by
+    # auto_pathway and by the input guards of solve_psd and
+    # describe_solution_set
     inst = UncertainLcpQ(m=np.array([[2.0, 1.0], [1.0, 2.0]]),
                          qbar=np.array([-3.0, -3.0]), ubar=np.array([0.1, 0.1]))
     calls = []
@@ -462,11 +476,13 @@ def test_psd_dispatch_states_the_nominal_set_once(monkeypatch):
     for module in (lcp, robust_q):
         monkeypatch.setattr(module, "describe_solution_set", describe)
     monkeypatch.setattr(robust_q, "solve_lp", counted("lp", robust_q.solve_lp))
+    monkeypatch.setattr(lcp, "solve_lp", counted("support lp", lcp.solve_lp))
     monkeypatch.setattr(linalg, "is_psd", counted("psd", linalg.is_psd))
     report = dispatch_solve(inst)
     assert (report.pathway, report.status) == ("psd-lp", "solution")
     assert report.uniqueness == "unique-if-exists"
-    assert calls.count("lp") == 1  # the uniqueness LP
+    assert calls.count("lp") == 0  # the uniqueness check is a rank test
+    assert calls.count("support lp") == 1  # P and K from one LP
     assert calls.count("describe") == 1
     assert calls.count("psd") == 3
 

@@ -36,7 +36,7 @@ CASES = {
                              q=np.array([-8.0, -16.0]), h=0),
         None),
     # positive definite: a one-point nominal set, so the uniqueness check
-    # reaches its LP
+    # reaches its rank test
     "psd-lp": (
         aarlcp.UncertainLcpQ(m=np.array([[2.0, 1.0], [1.0, 2.0]]),
                              qbar=np.array([-3.0, -3.0]),
@@ -83,10 +83,9 @@ def test_patches_are_on_the_call_path(pathway):
     support = lps_under("lcp.compute_support_P")
     uniqueness = lps_under("robust_q.uniqueness_check_psd")
     # perfbench counts the support-P LPs as the solve_lp children of
-    # compute_support_P, one per coordinate; the only other solve_lp is
-    # the uniqueness LP, which the psd-lp instance reaches
-    assert support == inst.n * names.count("lcp.compute_support_P")
-    assert uniqueness == (1 if pathway == "psd-lp" else 0)
+    # compute_support_P, one per call; the uniqueness check solves none
+    assert support == names.count("lcp.compute_support_P")
+    assert uniqueness == 0
     assert names.count("lp.solve_lp") == support + uniqueness
     if pathway == "psd-lp":
         # perfbench's lp.check_feasibility.* metrics measure the psd-lp LP:
