@@ -1,9 +1,10 @@
 """Big-M search for instances the closed forms do not reach.
 
 With a certain coordinate (zero half-width) the enumeration formulas no
-longer apply, so the support choice becomes a binary program. The search
-doubles its bounding constant until a verified rule appears or the
-ladder tops out.
+longer apply, so the support choice becomes a binary program. One
+branch-and-bound search runs at a big-M derived from the data's scale;
+a rule it finds is re-verified analytically, and a search that finds
+none is reported as nonexistence relative to that bound.
 """
 
 import numpy as np
@@ -23,7 +24,6 @@ out = solve_mip_q(inst)
 print("status:     ", out.status)
 print("certificate:", out.certificate)
 print("big-M used: ", out.big_m_final)
-print("doublings:  ", out.doublings)
 print("nodes:      ", out.nodes)
 
 if out.status == "solution":
@@ -33,10 +33,10 @@ if out.status == "solution":
     print("row 1 of D is zero:", not out.solution.d[0].any())
     print("column 2 of D is zero:", not out.solution.d[:, 1].any())
 
-# an instance where the bounded search exhausts itself: the answer is
+# an instance where the bounded search finds nothing: the answer is
 # then only "no solution within the searched box", flagged as such
 hard = UncertainLcpQ(m=np.array([[0.0, -1.0], [-1.0, 0.0]]),
                      qbar=np.array([-1.0, -1.0]),
                      ubar=np.array([1.0, 0.0]), h=0)
-out = solve_mip_q(hard, big_m=10.0, max_doublings=3)
+out = solve_mip_q(hard)
 print("\nhard instance:", out.status, "/", out.certificate)

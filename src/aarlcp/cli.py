@@ -60,15 +60,12 @@ def _add_solve_flags(p: argparse.ArgumentParser):
     p.add_argument("--pathway", default="auto",
                    choices=["auto", "enumeration", "psd-lp", "mip",
                             "uncertain-m"])
-    p.add_argument("--big-m", type=float, default=None,
-                   help="starting big-M constant for the mip pathway")
     p.add_argument("--node-limit", type=int, default=None,
                    help="branch-and-bound node budget")
 
 
 def _options(args) -> SolveOptions:
-    return SolveOptions(pathway=args.pathway, big_m=args.big_m,
-                        node_limit=args.node_limit)
+    return SolveOptions(pathway=args.pathway, node_limit=args.node_limit)
 
 
 def _finite(obj):

@@ -106,9 +106,6 @@ class LinearProgram:
 class LpOutcome:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
-    objective: float | None = None
-    duals: np.ndarray | None = None
-    reduced_costs: np.ndarray | None = None
     iterations: int = 0
 
 
@@ -158,7 +155,7 @@ def _standardize(lp: LinearProgram):
     row_scale = np.maximum(1.0, np.max(np.abs(lp.lhs), axis=1, initial=0.0)) if m else np.ones(0)
     a /= row_scale[:, None] if m else 1.0
     b /= row_scale if m else 1.0
-    return a, b, c, lo, up, row_scale
+    return a, b, c, lo, up
 
 
 class _Simplex:
@@ -271,7 +268,8 @@ class _Simplex:
             dt = _DTOL * max(1.0, float(np.max(np.abs(y))) if m else 0.0)
 
             obj = float(cost[self.basis] @ xb)
-            if obj < best - 1e-10 * (1.0 + abs(best)):
+            # margin scaled by obj, not best: best starts at inf
+            if obj < best - 1e-10 * (1.0 + abs(obj)):
                 best = obj
                 no_progress = 0
             else:
@@ -404,7 +402,7 @@ class _Simplex:
 
 
 def _run(lp: LinearProgram, feasibility_only: bool) -> LpOutcome:
-    a, b, c, lo, up, row_scale = _standardize(lp)
+    a, b, c, lo, up = _standardize(lp)
     m, n = lp.lhs.shape
     cap = 50 * (m + a.shape[1])
     sx = _Simplex(a, b, lo, up, cap)
@@ -427,21 +425,12 @@ def _run(lp: LinearProgram, feasibility_only: bool) -> LpOutcome:
 
     x = sx.x_full()
     xr = np.minimum(np.maximum(x[: n + m], lo), up)[:n]  # clamp drift
-    y = cost2[sx.basis] @ sx.binv
-    d = (cost2 - y @ sx.a)[:n]
-    return LpOutcome(
-        status="optimal",
-        x=xr,
-        objective=float(lp.objective @ xr),
-        duals=y / row_scale if m else y.copy(),  # undo row equilibration
-        reduced_costs=d,
-        iterations=sx.iterations,
-    )
+    return LpOutcome(status="optimal", x=xr, iterations=sx.iterations)
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
     """Minimize. Returns status optimal/infeasible/unbounded; optimal
-    outcomes carry the point, objective, duals and reduced costs."""
+    outcomes carry a minimizing point."""
     return _run(lp, feasibility_only=False)
 
 

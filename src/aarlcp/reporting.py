@@ -42,12 +42,10 @@ class SolveOptions:
     """Dispatch knobs.
 
     pathway: one of auto, enumeration, psd-lp, mip, uncertain-m
-    big_m: starting big-M for the mip pathway (None = scale-derived)
     node_limit: branch-and-bound node budget (None = solver default)
     """
 
     pathway: str = "auto"
-    big_m: float | None = None
     node_limit: int | None = None
 
     def __post_init__(self):
@@ -156,9 +154,8 @@ class SolveReport:
             lines.append(f"uniqueness: {self.uniqueness}")
         lines.append(f"time:      {self.timing_seconds * 1000.0:.1f} ms")
         if self.mip_info:
-            lines.append(
-                "mip:       B={big_m_final:g} doublings={doublings} "
-                "nodes={nodes} fallback={fallback_used}".format(**self.mip_info))
+            lines.append("mip:       B={big_m_final:g} nodes={nodes} "
+                         "fallback={fallback_used}".format(**self.mip_info))
         if self.psd_info:
             lines.append(f"psd:       P={self.psd_info.get('P')} "
                          f"L={self.psd_info.get('L')}")
@@ -253,11 +250,10 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
             kwargs = {}
             if options.node_limit is not None:
                 kwargs["node_limit"] = options.node_limit
-            out = solve_mip_q(inst, big_m=options.big_m, **kwargs)
+            out = solve_mip_q(inst, **kwargs)
             report.status = out.status
             report.mip_info = {
                 "big_m_final": out.big_m_final,
-                "doublings": out.doublings,
                 "nodes": out.nodes,
                 "fallback_used": out.fallback_used,
             }

@@ -468,58 +468,40 @@ class MipPathOutcome:
     verification: VerificationReport | None = None
     certificate: str = "verified"  # "verified" | "exact" | "big-M bounded"
     big_m_final: float = 0.0
-    doublings: int = 0
     nodes: int = 0
     fallback_used: bool = False
 
 
-def solve_mip_q(inst: UncertainLcpQ, big_m: float | None = None,
-                max_doublings: int = 20,
+def solve_mip_q(inst: UncertainLcpQ,
                 node_limit: int = DEFAULT_NODE_LIMIT) -> MipPathOutcome:
-    """General pathway: mixed-binary search over supports via big-M.
+    """General pathway: one mixed-binary search over supports at the
+    scale-derived big-M of default_big_m.
 
-    A feasible point is extracted and re-verified analytically; on
-    verification failure or infeasibility the big-M constant doubles, up
-    to max_doublings. Nonexistence claims from the big-M search alone
-    carry the certificate "big-M bounded"; when the instance fits the
-    enumeration pathway (S empty, n - h small) enumeration is run last
-    as the definitive fallback and the answer becomes exact.
+    A feasible point is extracted and re-verified analytically, so a
+    rule is sound at any big-M. A search that finds no verified point is
+    inconclusive: when the instance fits the enumeration pathway (S
+    empty, n - h small) enumeration runs as the definitive fallback and
+    the answer becomes exact; otherwise the verdict is "no-solution"
+    with the certificate "big-M bounded".
     """
-    b = default_big_m(inst) if big_m is None else float(big_m)
-    enumeration_fits = (inst.certain_set().size == 0
-                        and inst.n - inst.h <= ENUMERATION_SIZE_CAP)
-    nodes_total = 0
-    doublings = 0
-    last_b = b
-    for attempt in range(max_doublings + 1):
-        doublings = attempt
-        last_b = b
-        prob, lay = build_mip(inst, b)
-        out = solve_mip_feasibility(prob, node_limit=node_limit)
-        nodes_total += out.nodes
-        if out.status == "feasible":
-            sol = lay.extract(out.x)
-            sol = _clean_solution(inst, sol)
-            report = verify_affine_q(inst, sol)
-            if report.overall:
-                return MipPathOutcome("solution", sol, report, "verified",
-                                      b, doublings, nodes_total)
-        elif enumeration_fits:
-            # infeasible at finite B is inconclusive, and climbing the
-            # ladder cannot beat the exact check available below
-            break
-        b *= 2.0
+    b = default_big_m(inst)
+    prob, lay = build_mip(inst, b)
+    out = solve_mip_feasibility(prob, node_limit=node_limit)
+    if out.status == "feasible":
+        sol = _clean_solution(inst, lay.extract(out.x))
+        report = verify_affine_q(inst, sol)
+        if report.overall:
+            return MipPathOutcome("solution", sol, report, "verified", b, out.nodes)
 
-    if enumeration_fits:
+    if inst.certain_set().size == 0 and inst.n - inst.h <= ENUMERATION_SIZE_CAP:
         sols = solve_enumeration(inst)
         if sols:
             report = verify_affine_q(inst, sols[0])
             return MipPathOutcome("solution", sols[0], report, "verified",
-                                  last_b, doublings, nodes_total, fallback_used=True)
+                                  b, out.nodes, fallback_used=True)
         return MipPathOutcome("no-solution", None, None, "exact",
-                              last_b, doublings, nodes_total, fallback_used=True)
-    return MipPathOutcome("no-solution", None, None, "big-M bounded",
-                          last_b, doublings, nodes_total)
+                              b, out.nodes, fallback_used=True)
+    return MipPathOutcome("no-solution", None, None, "big-M bounded", b, out.nodes)
 
 
 def _clean_solution(inst: UncertainLcpQ, sol: AffineSolutionQ) -> AffineSolutionQ:

@@ -78,7 +78,7 @@ def test_criterion_2_nonexistence_on_all_pathways():
     start = time.perf_counter()
     assert solve_enumeration(NO_SOLUTION) == []
     assert solve_psd(NO_SOLUTION).status == "no-solution"
-    mip = solve_mip_q(NO_SOLUTION, big_m=1e3, max_doublings=10)
+    mip = solve_mip_q(NO_SOLUTION)
     assert mip.status == "no-solution"
     assert mip.certificate in ("exact", "big-M bounded")
     elapsed = time.perf_counter() - start

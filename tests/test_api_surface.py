@@ -8,6 +8,7 @@ import inspect
 import numpy as np
 
 import aarlcp
+from aarlcp.cli import main
 
 
 def _public_callables():
@@ -59,3 +60,17 @@ def test_support_p_returns_index_sets_only():
     assert [index.tolist() for index in out] == [[0], [0]]  # z = (t, 0)
     fields = {f.name for f in dataclasses.fields(aarlcp.PsdPathOutcome)}
     assert "nominal_max" not in fields and "vanishing_rows" in fields
+
+
+def test_mip_search_has_no_big_m_knobs(tmp_path, capsys):
+    # one search at the scale-derived big-M: no starting value, no ladder
+    fields = [f.name for f in dataclasses.fields(aarlcp.SolveOptions)]
+    assert fields == ["pathway", "node_limit"]
+    params = list(inspect.signature(aarlcp.solve_mip_q).parameters)
+    assert params == ["inst", "node_limit"]
+    fields = {f.name for f in dataclasses.fields(aarlcp.MipPathOutcome)}
+    assert "doublings" not in fields and "big_m_final" in fields
+    path = tmp_path / "inst.txt"
+    path.write_text("kind uncertain-q\nn 1\nh 0\nm\n1\nqbar\n-1\nubar\n1\n")
+    assert main(["solve", "--big-m", "1", str(path)]) == 3
+    assert "--big-m" in capsys.readouterr().err

@@ -11,23 +11,23 @@ from conftest import is_p_matrix, lcp_brute_force, random_low_rank_psd_lcp, \
 def _over_solution_set(m, q, zbar, objective):
     """Minimize objective . z over the solution-set conditions written
     out: z >= 0, M z + q >= 0, q.(z - zbar) = 0 and (M + M^T)(z - zbar)
-    = 0."""
+    = 0. Returns the minimum (-inf when unbounded)."""
     n = q.size
     sym = m + m.T
     lhs = np.vstack([m, q.reshape(1, n), sym])
     rhs = np.concatenate([-q, [q @ zbar], sym @ zbar])
     senses = [">="] * n + ["="] * (n + 1)
-    return solve_lp(LinearProgram(objective, lhs, senses, rhs, np.zeros(n),
-                                  np.full(n, np.inf)))
+    out = solve_lp(LinearProgram(objective, lhs, senses, rhs, np.zeros(n),
+                                 np.full(n, np.inf)))
+    return -np.inf if out.status == "unbounded" else float(objective @ out.x)
 
 
 def _coordinate_maxima(m, q, zbar):
     """The largest value of each z_j over the solution set, one max-LP
     per coordinate (inf when unbounded)."""
     n = q.size
-    out = [_over_solution_set(m, q, zbar, -np.eye(n)[j]) for j in range(n)]
-    return np.array([np.inf if lp.status == "unbounded" else -lp.objective
-                     for lp in out])
+    return np.array([-_over_solution_set(m, q, zbar, -np.eye(n)[j])
+                     for j in range(n)])
 
 
 def test_nonnegative_q_solved_by_zero():
@@ -224,7 +224,7 @@ def test_support_p_and_vanishing_rows_match_per_row_lps_on_low_rank_psd():
         p, k = compute_support_P(describe_solution_set(NominalLcp(m, q), zbar))
         zmax = _coordinate_maxima(m, q, zbar)
         assert np.array_equal(p, np.flatnonzero(zmax > 1e-7))
-        wmin = np.array([_over_solution_set(m, q, zbar, m[i]).objective + q[i]
+        wmin = np.array([_over_solution_set(m, q, zbar, m[i]) + q[i]
                          for i in range(n)])
         assert np.array_equal(k, np.flatnonzero(wmin <= 1e-7))
         spread += bool(np.any(zmax - zbar > 1e-7))

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aarlcp.lp import LinearProgram, check_feasibility, check_point, solve_lp
+from aarlcp import linalg
+from aarlcp.lp import (INF as LP_INF, LinearProgram, _REFRESH, _Simplex,
+                       check_feasibility, check_point, solve_lp)
 from conftest import lcp_brute_force
 
 INF = np.inf
@@ -26,7 +28,6 @@ def test_min_x_above_three():
     out = solve_lp(_lp([1.0], [[1.0]], [">="], [3.0]))
     assert out.status == "optimal"
     assert out.x == pytest.approx([3.0])
-    assert out.objective == pytest.approx(3.0)
 
 
 def test_contradictory_bounds_infeasible():
@@ -64,12 +65,14 @@ def test_max_coordinate_over_lcp_solution_polyhedron():
     rhs = np.concatenate([-q, [q @ ref[0]], sym @ ref[0]])
     out = solve_lp(_lp([-1.0, 0.0], lhs, senses, rhs, lower=[0.0, 0.0]))
     assert out.status == "optimal"
-    assert -out.objective == pytest.approx(ref[0][0], abs=1e-8)
+    assert out.x[0] == pytest.approx(ref[0][0], abs=1e-8)
 
 
 def test_optimal_certificates():
-    # duals reconstructed from the final basis must prove optimality:
-    # b.y == c.x and reduced costs sign-consistent at the bounds
+    # a dual certificate must prove each optimal point optimal: row
+    # multipliers y of the right signs (taken from scipy's HiGHS, checked
+    # here) give the lower bound b.y + (reduced costs at their bounds)
+    # on c.x by weak duality, and it must equal c.x
     rng = np.random.default_rng(3)
     for _ in range(40):
         ncols = int(rng.integers(1, 7))
@@ -86,9 +89,12 @@ def test_optimal_certificates():
         if out.status != "optimal":
             continue
         assert check_point(lp, out.x) <= 1e-7
-        dual_obj = lp.rhs @ out.duals + np.where(
-            out.reduced_costs > 0, lp.lower, lp.upper) @ out.reduced_costs
-        assert dual_obj == pytest.approx(out.objective, abs=1e-6)
+        y = _row_duals(lp, _highs(lp, lp.objective))
+        senses = np.array(lp.senses)
+        assert np.all(y[senses == "<="] <= 1e-9) and np.all(y[senses == ">="] >= -1e-9)
+        reduced = lp.objective - lp.lhs.T @ y
+        dual_obj = lp.rhs @ y + np.where(reduced > 0, lp.lower, lp.upper) @ reduced
+        assert dual_obj == pytest.approx(lp.objective @ out.x, abs=1e-6)
 
 
 def test_feasibility_invariant_under_row_permutation():
@@ -106,9 +112,10 @@ def test_feasibility_invariant_under_row_permutation():
         assert check_feasibility(lp).status == check_feasibility(lp2).status
 
 
-def _linprog(lp, objective):
-    """scipy's HiGHS on the same program: "optimal", "infeasible" or
-    "unbounded", plus the optimal value."""
+def _highs(lp, objective):
+    """scipy's HiGHS on the same program, ">=" rows negated into A_ub.
+    Presolve stays off: it calls some feasible unbounded programs
+    infeasible."""
     from scipy.optimize import linprog
 
     a_ub, b_ub, a_eq, b_eq = [], [], [], []
@@ -119,7 +126,7 @@ def _linprog(lp, objective):
             a_ub.append(-row); b_ub.append(-b)
         else:
             a_eq.append(row); b_eq.append(b)
-    ref = linprog(
+    return linprog(
         objective,
         A_ub=np.array(a_ub) if a_ub else None,
         b_ub=np.array(b_ub) if b_ub else None,
@@ -128,8 +135,23 @@ def _linprog(lp, objective):
         bounds=[(lo if lo > -1e29 else None, up if up < 1e29 else None)
                 for lo, up in zip(lp.lower, lp.upper)],
         method="highs",
+        options={"presolve": False},
     )
+
+
+def _linprog(lp, objective):
+    """scipy's HiGHS on the same program: "optimal", "infeasible" or
+    "unbounded", plus the optimal value."""
+    ref = _highs(lp, objective)
     return {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(ref.status), ref.fun
+
+
+def _row_duals(lp, ref):
+    """HiGHS's row multipliers in the senses of lp's own rows."""
+    eq = iter(ref.eqlin.marginals)
+    ineq = iter(ref.ineqlin.marginals)
+    return np.array([next(eq) if s == "=" else next(ineq) * (1.0 if s == "<=" else -1.0)
+                     for s in lp.senses])
 
 
 def test_matches_scipy_on_random_problems():
@@ -153,7 +175,7 @@ def test_matches_scipy_on_random_problems():
         ref_status, ref_fun = _linprog(lp, cost)
         assert out.status == ref_status, f"trial {trial}"
         if out.status == "optimal":
-            assert out.objective == pytest.approx(ref_fun, abs=1e-6)
+            assert cost @ out.x == pytest.approx(ref_fun, abs=1e-6)
         agree += 1
     assert agree == 120
 
@@ -194,6 +216,9 @@ def _small_lps(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(_small_lps())
+# feasible (x = 0) and unbounded along x2 -> -inf, x3 -> +inf
+@example(_lp([0.0, 0.0, -1.0], [[1.0, 1.0, 1.0], [-1.0, -1.0, -1.0]], [">=", ">="],
+             [0.0, -1.0], lower=[0.0, -INF, 0.0]))
 def test_crash_start_agrees_with_scipy(lp):
     feasible, _ = _linprog(lp, np.zeros(lp.shape[1]))
     feas = check_feasibility(lp)
@@ -209,7 +234,7 @@ def test_crash_start_agrees_with_scipy(lp):
     assert out.status == ref_status
     if out.status == "optimal":
         assert check_point(lp, out.x) <= 1e-7
-        assert out.objective == pytest.approx(ref_fun, abs=1e-6)
+        assert lp.objective @ out.x == pytest.approx(ref_fun, abs=1e-6)
 
 
 def test_rejects_dimension_mismatch():
@@ -221,3 +246,56 @@ def test_rejects_dimension_mismatch():
 def test_rejects_crossed_bounds():
     with pytest.raises(ValueError):
         _lp([1.0], [[1.0]], ["<="], [1.0], lower=[2.0], upper=[1.0])
+
+
+def _klee_minty(n):
+    """max sum_j 10^(n-j) x_j s.t. 2 sum_{j<i} 10^(i-j) x_j + x_i <=
+    100^(i-1), x >= 0: Dantzig pricing visits all 2^n vertices, each
+    pivot strictly improving (Chvatal, Linear Programming, 1983)."""
+    lhs = np.tril(2.0 * 10.0 ** np.subtract.outer(np.arange(n), np.arange(n)), -1)
+    lhs += np.eye(n)
+    cost = -10.0 ** (n - 1 - np.arange(n))
+    return _lp(cost, lhs, ["<="] * n, 100.0 ** np.arange(n), lower=np.zeros(n))
+
+
+def test_improving_pivots_never_trip_the_stall_guard(monkeypatch):
+    # 255 strictly improving pivots on 8 rows outlast the stall guard's
+    # 2m + 100 steps without progress; the guard must not fire, so every
+    # phase-2 refactorization is a scheduled one
+    calls = []
+    run, refactor = _Simplex.run, _Simplex._refactor
+
+    def spy_run(self, cost, phase):
+        self.phase = phase
+        return run(self, cost, phase)
+
+    def spy_refactor(self):
+        calls.append((self.phase, self.pivots_since_refresh))
+        refactor(self)
+
+    monkeypatch.setattr(_Simplex, "run", spy_run)
+    monkeypatch.setattr(_Simplex, "_refactor", spy_refactor)
+    lp = _klee_minty(8)
+    out = solve_lp(lp)
+    assert out.status == "optimal"
+    assert calls and all(k == _REFRESH for phase, k in calls if phase == 2)
+    assert out.iterations == 257  # one phase-1 check, 255 pivots, one check
+    assert lp.objective @ out.x == pytest.approx(-100.0 ** 7)
+
+
+def test_repair_basis_swaps_dependent_columns_for_artificials():
+    # column 2 is twice column 0, so the basis [0, 1, 2] is singular
+    a = np.hstack([np.array([[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [1.0, 0.0, 2.0]]),
+                   np.eye(3)])
+    sx = _Simplex(a, np.ones(3), np.zeros(6), np.full(6, LP_INF), cap=100)
+    sx.is_basic[sx.basis] = False
+    sx.basis = np.array([0, 1, 2])
+    sx.is_basic[sx.basis] = True
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.invert(sx.a[:, sx.basis])
+    sx._refactor()
+    assert sx.binv @ sx.a[:, sx.basis] == pytest.approx(np.eye(3))
+    # the dropped position holds the artificial of row 2, the one row
+    # neither kept column pivots on
+    assert sx.basis.tolist() == [0, 1, sx.nreal + 2]
+    assert not sx.is_basic[2] and sx.val[2] == 0.0

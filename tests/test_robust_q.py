@@ -256,7 +256,7 @@ def test_build_mip_matches_the_row_by_row_oracle():
 
 
 def test_mip_solution_on_multi_instance_matches_enumeration():
-    out = solve_mip_q(MULTI, big_m=1000.0)
+    out = solve_mip_q(MULTI)
     assert out.status == "solution"
     assert out.verification.overall
     refs = solve_enumeration(MULTI)
@@ -266,22 +266,45 @@ def test_mip_solution_on_multi_instance_matches_enumeration():
 
 
 def test_mip_nonexistence_with_exact_fallback():
-    out = solve_mip_q(NONE_PD, big_m=1000.0, max_doublings=10)
+    out = solve_mip_q(NONE_PD)
     assert out.status == "no-solution"
     assert out.certificate == "exact"
     assert out.fallback_used
 
 
+# a certain coordinate blocks the enumeration fallback of the mip pathway
+BLOCKED = UncertainLcpQ(m=np.array([[0.0, -1.0], [-1.0, 0.0]]),
+                        qbar=np.array([-1.0, -1.0]),
+                        ubar=np.array([1.0, 0.0]), h=0)
+
+
 def test_mip_nonexistence_big_m_caveat_without_fallback():
-    # a certain coordinate blocks the enumeration fallback; the verdict
-    # keeps the bounded big-M caveat
-    inst = UncertainLcpQ(m=np.array([[0.0, -1.0], [-1.0, 0.0]]),
-                         qbar=np.array([-1.0, -1.0]),
-                         ubar=np.array([1.0, 0.0]), h=0)
-    out = solve_mip_q(inst, big_m=10.0, max_doublings=3)
+    # the verdict keeps the bounded big-M caveat
+    out = solve_mip_q(BLOCKED)
     assert out.status == "no-solution"
     assert out.certificate == "big-M bounded"
-    assert out.doublings == 3
+
+
+def test_mip_builds_and_searches_once(monkeypatch):
+    # one big-M, one search, whichever way the verdict goes
+    calls = []
+
+    def spy(name, fn):
+        def traced(*args, **kwargs):
+            calls.append((name, args[1] if name == "build_mip" else None))
+            return fn(*args, **kwargs)
+        monkeypatch.setattr(robust_q, name, traced)
+
+    spy("build_mip", build_mip)
+    spy("solve_mip_feasibility", solve_mip_feasibility)
+    for inst, certificate in ((MULTI, "verified"), (NONE_PD, "exact"),
+                              (BLOCKED, "big-M bounded")):
+        calls.clear()
+        out = solve_mip_q(inst)
+        assert out.certificate == certificate
+        assert calls == [("build_mip", default_big_m(inst)),
+                         ("solve_mip_feasibility", None)]
+        assert out.big_m_final == default_big_m(inst)
 
 
 def test_mip_agrees_with_enumeration_on_small_random_instances():
