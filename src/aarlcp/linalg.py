@@ -2,6 +2,10 @@
 and symmetric eigenvalues for the definiteness tests, both on LAPACK,
 and a stacked LU that factors many small blocks at once.
 
+scipy's LAPACK (getrf/getri/getrs) loads on the first solve or invert
+(_lapack), not on import: importing scipy.linalg costs more than the
+rest of the package, and the support sweeps run on numpy alone.
+
 All matrices are dense float64 numpy arrays. Index sets are strictly
 increasing integer arrays; submatrix extraction preserves that order.
 Singularity is decided against a pivot threshold that scales with the
@@ -19,10 +23,10 @@ expression per elimination step instead of one LAPACK call per block.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
-from scipy.linalg.lapack import dgetrf, dgetri, dgetrs
 
 from .tolerances import TOL_PIVOT_FACTOR, TOL_PSD
 
@@ -118,9 +122,16 @@ def _singular_pivots(diag: np.ndarray, scale) -> np.ndarray:
     return ~((mag > TOL_PIVOT_FACTOR * scale) & (mag < np.inf))
 
 
+@functools.cache
+def _lapack():
+    """scipy.linalg.lapack, imported on first use."""
+    from scipy.linalg import lapack
+    return lapack
+
+
 def _factor(a: np.ndarray):
     """getrf of a nonempty square a, with the pivot check of solve."""
-    lu, piv, _ = dgetrf(a)
+    lu, piv, _ = _lapack().dgetrf(a)
     scale = np.max(np.abs(a))
     bad = np.flatnonzero(_singular_pivots(np.diagonal(lu), scale))
     if bad.size:
@@ -145,7 +156,7 @@ def solve(a, b) -> np.ndarray:
     b = np.asarray(b, dtype=float)
     if a.shape[0] == 0:
         return np.zeros(0) if b.ndim == 1 else np.zeros((0, b.shape[1]))
-    return dgetrs(*_factor(a), b)[0]
+    return _lapack().dgetrs(*_factor(a), b)[0]
 
 
 def invert(a) -> np.ndarray:
@@ -155,7 +166,7 @@ def invert(a) -> np.ndarray:
         return np.zeros((0, 0))
     # not getrs against the identity: OpenBLAS threads a solve with many
     # right-hand sides, which on small blocks costs more than the work
-    return dgetri(*_factor(a))[0]
+    return _lapack().dgetri(*_factor(a))[0]
 
 
 def support_chunks(items, size: int):

@@ -19,11 +19,16 @@ their D rows must be zero, which is checked on each closed-form
 candidate and rejects supports whose rows refuse to comply.
 
 The sweep screens the supports of one size in chunks: one stacked LU of
-the blocks m0_J (linalg.factor_stack, the pivot rule of linalg.invert)
-finds the singular supports and solves for r_J. Only supports whose r_J
-can be positive get the closed form and the checks above, one support
-at a time; the off-support rows of a candidate go to
-min_quadratic_over_box as one stack.
+the blocks m0_J (linalg.factor_stack) finds the singular supports and
+solves for r_J. A support whose r_J can be positive is then held to the
+nominal condition w_N(0) = m0[N, J] r_J + q_N >= 0 on its off-support
+rows N, one batched product per chunk: zeta = 0 is a point of the box,
+so a support that fails it there fails check_box_conditions. Only the
+survivors get the closed form and the checks above, one support at a
+time; the off-support rows of a candidate go to min_quadratic_over_box
+as one stack. The closed form factors its block with the same stacked
+LU (a stack of one), so the screen and the closed form share one pivot
+rule and the same r_J.
 """
 
 from __future__ import annotations
@@ -121,12 +126,26 @@ class AffineSolutionM:
         return self.d @ np.asarray(zeta, dtype=float) + self.r
 
 
+def _m0_solver(inst: UncertainLcpM, j: np.ndarray):
+    """x = solve(b) with m0_J x = b, b of shape (|J|,) or (|J|, m): the
+    LU of linalg.factor_stack on a stack of one block, so the pivot rule
+    and r_J are those of the sweep's screen. None when m0_J is
+    singular."""
+    lu, perm, singular = linalg.factor_stack(inst.m0[np.ix_(j, j)][None])
+    if singular[0]:
+        return None
+    return lambda b: linalg.solve_stack(lu, perm, np.asarray(b)[None])[0]
+
+
 def mtilde(inst: UncertainLcpM, j_set, i: int) -> np.ndarray:
     """(m0_J)^-1 P_J (m0_J)^-1 for perturbation i, the kernel of the
-    closed-form D columns: D_{J,i} = mtilde(inst, J, i) @ q_J."""
+    closed-form D columns: D_{J,i} = mtilde(inst, J, i) @ q_J. A
+    singular m0_J raises linalg.SingularMatrixError."""
     j = linalg.index_set(j_set, inst.n)
-    inv0 = linalg.invert(linalg.submatrix(inst.m0, j, j))
-    return inv0 @ linalg.submatrix(inst.perturbations[i], j, j) @ inv0
+    solve = _m0_solver(inst, j)
+    if solve is None:
+        raise linalg.SingularMatrixError(f"m0 block of support {j.tolist()} is singular")
+    return solve(linalg.submatrix(inst.perturbations[i], j, j) @ solve(np.eye(j.size)))
 
 
 def _residual_coefficients(inst: UncertainLcpM, sol: AffineSolutionM,
@@ -202,15 +221,12 @@ def characterize_for_J(inst: UncertainLcpM, j_set) -> AffineSolutionM | None:
     r = np.zeros(inst.n)
     if j.size == 0:
         return AffineSolutionM(d, r)
-    block = np.ix_(j, j)
-    try:
-        inv0 = linalg.invert(inst.m0[block])
-    except linalg.SingularMatrixError:
+    solve = _m0_solver(inst, j)
+    if solve is None:
         return None
-    v = inv0 @ inst.q[j]  # equals -r_J
+    v = solve(inst.q[j])  # equals -r_J
     r[j] = -v
-    for i, p in enumerate(inst.perturbations):
-        d[j, i] = inv0 @ (p[block] @ v)
+    d[j] = solve(np.column_stack([p[np.ix_(j, j)] @ v for p in inst.perturbations]))
     return AffineSolutionM(d, r)
 
 
@@ -316,33 +332,52 @@ class EnumerationOutcomeM:
     singular_supports: list = field(default_factory=list)
 
 
+def _nominal_screen(inst: UncertainLcpM, supports: np.ndarray,
+                    r: np.ndarray, scale: float) -> np.ndarray:
+    """Which supports (C, s), nonsingular with r_J (C, s), hold the
+    nominal condition: every off-support row of w(0) = m0[:, J] r_J + q
+    at least -TOL_FEAS * scale, check_box_conditions' threshold at
+    zeta = 0, less TOL_FEAS * (|m0[t, J]| @ |r_J|). That allowance covers
+    the rounding between this product and the closed form's residual
+    polynomial. Rows that read NaN pass; the box check fails them."""
+    cols = inst.m0[:, supports]  # (n, C, s)
+    with np.errstate(all="ignore"):
+        w = np.einsum("tcs,cs->ct", cols, r) + inst.q
+        allowance = np.einsum("tcs,cs->ct", np.abs(cols), np.abs(r))
+        low = w < -TOL_FEAS * (scale + allowance)
+    low[np.arange(len(supports))[:, None], supports] = False  # rows of J
+    return ~np.any(low, axis=1)
+
+
 def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
     """Sweep supports J by cardinality; keep candidates that pass every
     gate. Supports with a singular m0_J have no characterization and
     are collected, not searched (the caller may report the caveat).
-    A stacked LU per chunk of supports screens out the singular ones and
-    those whose r_J is not positive (see the module docstring)."""
+    A stacked LU per chunk of supports screens out the singular ones,
+    those whose r_J is not positive and those that fail the nominal
+    condition (see the module docstring)."""
     n = inst.n
     if n - inst.h > ENUMERATION_SIZE_CAP_M or n > TOTAL_SIZE_CAP_M:
         raise SizeLimitError(
             f"enumeration over 2^{n} supports refused "
             f"(limit n - h <= {ENUMERATION_SIZE_CAP_M}, n <= {TOTAL_SIZE_CAP_M})")
     out = EnumerationOutcomeM()
+    scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
     for size in range(n + 1):
         for chunk in linalg.support_chunks(range(n), size):
             lu, perm, singular = linalg.factor_stack(
                 inst.m0[chunk[:, :, None], chunk[:, None, :]])
+            out.singular_supports.extend(chunk[singular])
             r = -linalg.solve_stack(lu, perm, inst.q[chunk])
-            # a superset of the supports with r_J > TOL_SUPPORT (half of it
-            # absorbs the rounding between the two solves): the closed form
-            # below re-derives r_J by linalg.invert and tests it exactly
-            maybe = ~np.any(r <= 0.5 * TOL_SUPPORT, axis=1)
-            for c in np.flatnonzero(singular | maybe):
-                j = chunk[c].copy()
-                cand = None if singular[c] else characterize_for_J(inst, j)
-                if cand is None:
-                    out.singular_supports.append(j)
-                    continue
+            # a superset of the supports with r_J > TOL_SUPPORT: the
+            # closed form below solves with the same LU and tests its r_J
+            live = ~singular & ~np.any(r <= 0.5 * TOL_SUPPORT, axis=1)
+            # the zero rule's w is q on the whole box, so its box check
+            # is the nominal condition itself
+            if size:
+                live[live] = _nominal_screen(inst, chunk[live], r[live], scale)
+            for j in chunk[live]:
+                cand = characterize_for_J(inst, j)
                 if j.size and np.min(cand.r[j]) <= TOL_SUPPORT:
                     continue  # support demands strictly positive r
                 rows = j[j < inst.h]

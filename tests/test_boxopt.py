@@ -149,6 +149,29 @@ def test_import_leaves_scipy_stats_unloaded():
     assert proc.stdout.strip() == "False"
 
 
+ENUMERATION_SOLVES = """\
+import sys, aarlcp
+print('scipy.linalg' in sys.modules)
+for text, pathway in ((aarlcp.generate_random("uncertain-q", 6, seed=0), "enumeration"),
+                      (aarlcp.generate_random("uncertain-m", 6, k=3, seed=0), "auto")):
+    aarlcp.dispatch_solve(aarlcp.parse_instance(text), aarlcp.SolveOptions(pathway=pathway))
+print(sorted(m for m in sys.modules if m.startswith('scipy')))
+"""
+
+
+def test_enumeration_solves_leave_scipy_unloaded():
+    # LAPACK loads on the first linalg.solve or invert; the support
+    # sweeps of both enumeration pathways (k <= EXACT_FACE_LIMIT) and
+    # their checks run on numpy alone
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", ENUMERATION_SOLVES],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+
+
 def _min_quadratic_oracle(q, b, c):
     """The single-row face enumeration the stacked one replaced: one
     lstsq per face, in the product order of (-1, 1, free)."""

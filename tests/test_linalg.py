@@ -96,7 +96,7 @@ def test_nan_pivot_counts_as_singular(monkeypatch):
         lu[-1, -1] = np.nan
         return lu, np.arange(a.shape[0], dtype=np.int32), 0
 
-    monkeypatch.setattr(linalg, "dgetrf", nan_lu)
+    monkeypatch.setattr(linalg._lapack(), "dgetrf", nan_lu)
     with pytest.raises(linalg.SingularMatrixError):
         linalg.solve(np.eye(3), np.ones(3))
 
@@ -166,7 +166,7 @@ def test_invert_does_not_solve_against_the_identity(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("invert called getrs")
 
-    monkeypatch.setattr(linalg, "dgetrs", refuse)
+    monkeypatch.setattr(linalg._lapack(), "dgetrs", refuse)
     rng = np.random.default_rng(11)
     a = np.eye(6) + rng.uniform(-0.4, 0.4, (6, 6))
     assert linalg.invert(a) == pytest.approx(np.linalg.inv(a), abs=1e-10)

@@ -12,7 +12,7 @@ from aarlcp.robust_m import (AffineSolutionM, UncertainLcpM,
                              mtilde, sample_violation_m, solve_enumeration_m,
                              solve_enumeration_m_detailed, uniqueness_m,
                              verify_affine_m)
-from aarlcp.tolerances import TOL_SUPPORT
+from aarlcp.tolerances import TOL_FEAS, TOL_SUPPORT
 
 # worked instance: one perturbation direction in the top-right entry
 INST = UncertainLcpM(m0=np.array([[4.0, 1.0], [0.0, 4.0]]),
@@ -409,24 +409,42 @@ def test_sweep_matches_written_out_reference():
 
 
 def test_sweep_inverts_each_surviving_support_once(monkeypatch):
-    # the stacked LU screens every support; linalg.invert runs once per
-    # support that reaches the closed form, and every support whose r_J
-    # is positive reaches it
-    inverts, closed = [], []
-    invert, characterize = linalg.invert, robust_m.characterize_for_J
-    monkeypatch.setattr(linalg, "invert", lambda a: inverts.append(1) or invert(a))
+    # the stacked LU screens every nonempty support, on r_J > 0 and on
+    # the nominal condition w_N(0) = m0[N, J] r_J + q_N >= 0 at
+    # check_box_conditions' threshold; each survivor reaches the closed
+    # form once, and nothing calls linalg.invert
+    closed = []
+    characterize = robust_m.characterize_for_J
     monkeypatch.setattr(robust_m, "characterize_for_J",
                         lambda inst, j: closed.append(tuple(j)) or characterize(inst, j))
+
+    def refuse(a):
+        raise AssertionError("the sweep called linalg.invert")
+
+    monkeypatch.setattr(linalg, "invert", refuse)
     rng = np.random.default_rng(42)
-    inst = _sweep_instance(rng, n=4, k=2, h=0, planted=True, rank_deficient=False)
-    assert solve_enumeration_m(inst)
-    positive = [j for size in range(1, inst.n + 1)
-                for j in itertools.combinations(range(inst.n), size)
-                if np.min(-np.linalg.solve(inst.m0[np.ix_(j, j)], inst.q[list(j)]))
-                > TOL_SUPPORT]
-    assert len(set(closed)) == len(closed)
-    assert set(positive) <= set(closed)
-    assert len(inverts) == sum(1 for j in closed if j) < 2 ** inst.n - 1
+    insts = [_sweep_instance(rng, n=4, k=2, h=0, planted=True, rank_deficient=False)]
+    insts += [_sweep_instance(rng, n=6, k=2, h=0, planted=planted, rank_deficient=False)
+              for planted in (True, False, False)]
+    assert solve_enumeration_m(insts[0])
+    for inst in insts:
+        closed.clear()
+        solve_enumeration_m(inst)
+        assert len(set(closed)) == len(closed)
+        threshold = -TOL_FEAS * (1.0 + np.max(np.abs(inst.q)))
+        for size in range(inst.n + 1):
+            for j in itertools.combinations(range(inst.n), size):
+                rows = [t for t in range(inst.n) if t not in j]
+                r = -np.linalg.solve(inst.m0[np.ix_(j, j)], inst.q[list(j)])
+                w = inst.m0[np.ix_(rows, j)] @ r + inst.q[rows]
+                if np.min(r, initial=np.inf) > TOL_SUPPORT and \
+                        np.min(w, initial=np.inf) >= threshold:
+                    assert j in closed, j
+                # the zero rule skips the screen: its w is q on the whole
+                # box, so the box check is its nominal condition
+                if size and np.min(w, initial=np.inf) < 1e3 * threshold:
+                    assert j not in closed, j
+        assert len(closed) < 2 ** inst.n
 
 
 def test_sample_violation_matches_pointwise_loop():

@@ -2,12 +2,15 @@
 replaced.
 
 _enumeration_oracle and _enumeration_m_oracle are those loops as they
-stood before the sweeps were stacked: one linalg.invert per support and
-every test in Python. Only a branch counter was added. On a seeded sweep
-of instances, run with a chunk size that splits every support size
-across chunks, the stacked sweeps must return the same rules in the
-same order, the same singular supports and the same uncertain-M
-caveat."""
+stood before the sweeps were stacked: one factorization per support and
+every test in Python. Only a branch counter was added. The uncertain-q
+oracle inverts each block with linalg.invert; the uncertain-M oracle
+takes each support's closed form from characterize_for_J, which factors
+its block with linalg.factor_stack (a stack of one), and it has no
+nominal screen. On a seeded sweep of instances, run with a chunk size
+that splits every support size across chunks, the stacked sweeps must
+return the same rules in the same order, the same singular supports and
+the same uncertain-M caveat."""
 
 import itertools
 from collections import Counter
@@ -168,11 +171,17 @@ def _planted_qbar(rng, m, ubar, j, scale=1.0):
     return qbar
 
 
+# the uncertain-M sweep also meets M-matrices with q < 0 (every r_J is
+# positive, so only the nominal screen tells the supports apart) and
+# planted rules whose off-support rows sit near the box check's threshold
+M_KINDS = KINDS + ("m-matrix", "near")
+
+
 def _m_instance(rng, case):
     n = 1 + case % 9
     k = 1 + case % 3
     h = min((case // 9) % 4, n - 1)
-    kind = KINDS[case % 5]
+    kind = M_KINDS[case % 7]
     scale = 10.0 ** (case % 7 - 3)
     perts = [rng.uniform(-0.3, 0.3, (n, n)) for _ in range(k)]
     if kind == "planted":
@@ -183,6 +192,18 @@ def _m_instance(rng, case):
         for p in perts:
             p[:] = 0.0
             p[h: n - 1, n - 1] = rng.uniform(-0.1, 0.1, n - 1 - h)
+    elif kind == "m-matrix":
+        # a I - b (11^T - I), strictly diagonally dominant
+        b = rng.uniform(0.1, 0.3)
+        m0 = (b * n + rng.uniform(0.5, 2.0)) * np.eye(n) - b * np.ones((n, n))
+    elif kind == "near":
+        # perturbations only among the rows and columns off a planted
+        # support J: on J the rule is r*, and its off-support rows of w
+        # are constant over the box
+        m0 = np.eye(n) * 2.0 + rng.uniform(-0.5, 0.5, (n, n))
+        j = rng.uniform(size=n) < 0.6
+        for p in perts:
+            p[j, :] = p[:, j] = 0.0
     else:
         m0 = {"random": lambda: np.eye(n) * 2.0 + rng.uniform(-0.5, 0.5, (n, n)),
               "integer": lambda: _integer_singular(rng, n),
@@ -201,6 +222,15 @@ def _m_instance(rng, case):
         rstar = rng.uniform(1.0, 3.0, n) * (rng.uniform(size=n) < 0.8)
         rstar[-1] *= 1e-5  # one r_j just above TOL_SUPPORT
         q = -(m0 @ rstar) + np.where(rstar == 0.0, rng.uniform(0.5, 1.5, n), 0.0)
+    elif kind == "m-matrix":
+        q = -rng.uniform(0.5, 2.0, n)
+    elif kind == "near":
+        # w_t(0) = +-(0.5 to 3) TOL_FEAS (1 + max|q|) off J: the box check
+        # passes exactly the rows at or above -TOL_FEAS (1 + max|q|)
+        rstar = np.where(j, rng.uniform(1.0, 3.0, n), 0.0)
+        q = -(m0 @ rstar)
+        gap = rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 3.0, n)
+        q += np.where(j, 0.0, gap * TOL_FEAS * (1.0 + np.max(np.abs(q))))
     return UncertainLcpM(m0=m0, perturbations=perts, q=q, h=h)
 
 
@@ -231,7 +261,7 @@ def test_stacked_m_sweep_matches_the_per_support_loop(monkeypatch):
     monkeypatch.setattr(linalg, "_SUPPORT_CHUNK", 7)
     rng = np.random.default_rng(71)
     branches = Counter()
-    for case in range(45):
+    for case in range(63):
         inst = _m_instance(rng, case)
         want = _enumeration_m_oracle(inst, branches)
         got = solve_enumeration_m_detailed(inst)
