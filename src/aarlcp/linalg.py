@@ -4,7 +4,10 @@ and a stacked LU that factors many small blocks at once.
 
 scipy's LAPACK (getrf/getri/getrs) loads on the first solve or invert
 (_lapack), not on import: importing scipy.linalg costs more than the
-rest of the package, and the support sweeps run on numpy alone.
+rest of the package. Within the package only the simplex's basis
+refactorization (lp) calls invert, so the support sweeps, the psd-lp
+block solve (an SVD) and LPs that finish before their first
+refactorization run on numpy alone.
 
 All matrices are dense float64 numpy arrays. Index sets are strictly
 increasing integer arrays; submatrix extraction preserves that order.

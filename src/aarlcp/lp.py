@@ -248,6 +248,11 @@ class _Simplex:
     def run(self, cost, phase):
         """Pivot until optimal for `cost`. Returns final status string."""
         m = self.m
+        lo, up = self.lo, self.up  # fixed within a run
+        span = up - lo > _PTOL
+        lo_tol = 1e-9 * (1 + np.abs(lo))
+        up_tol = 1e-9 * (1 + np.abs(up))
+        lo_finite, up_finite = lo > -_BIG, up < _BIG
         degen_run = 0
         stalled = -1
         careful = False  # permanent Bland + exact ratios once progress stops
@@ -261,13 +266,14 @@ class _Simplex:
                 )
             v = np.where(self.is_basic, 0.0, self.val)
             xb = self.binv @ (self.b - self.a @ v)
-            y = cost[self.basis] @ self.binv
+            cb = cost[self.basis]
+            y = cb @ self.binv
             d = cost - y @ self.a
             # price relative to the dual scale, else rounding noise in d
             # (about eps * |y|) masquerades as an improving direction
             dt = _DTOL * max(1.0, float(np.max(np.abs(y))) if m else 0.0)
 
-            obj = float(cost[self.basis] @ xb)
+            obj = float(cb @ xb)
             # margin scaled by obj, not best: best starts at inf
             if obj < best - 1e-10 * (1.0 + abs(obj)):
                 best = obj
@@ -278,16 +284,16 @@ class _Simplex:
                 # the Harris relaxation can random-walk on very degenerate
                 # problems: snap to bounds and finish with exact pivoting
                 careful = True
-                near_lo = np.abs(self.val - self.lo) <= 1e-7 * (1 + np.abs(self.lo))
-                near_up = np.abs(self.val - self.up) <= 1e-7 * (1 + np.abs(self.up))
-                self.val = np.where(near_lo, self.lo, np.where(near_up, self.up, self.val))
+                near_lo = np.abs(self.val - lo) <= 1e-7 * (1 + np.abs(lo))
+                near_up = np.abs(self.val - up) <= 1e-7 * (1 + np.abs(up))
+                self.val = np.where(near_lo, lo, np.where(near_up, up, self.val))
                 self._refactor()
                 continue
             bland = careful or degen_run > _DEGEN_SWITCH
 
-            movable = ~self.is_basic & (self.up - self.lo > _PTOL)
-            at_lo = movable & (np.abs(self.val - self.lo) <= 1e-9 * (1 + np.abs(self.lo)))
-            at_up = movable & ~at_lo & (np.abs(self.val - self.up) <= 1e-9 * (1 + np.abs(self.up)))
+            movable = ~self.is_basic & span
+            at_lo = movable & (np.abs(self.val - lo) <= lo_tol)
+            at_up = movable & ~at_lo & (np.abs(self.val - up) <= up_tol)
             free = movable & ~at_lo & ~at_up
             elig = (at_lo & (d < -dt)) | (at_up & (d > dt)) | (free & (np.abs(d) > dt))
             cand = np.flatnonzero(elig)
@@ -301,25 +307,20 @@ class _Simplex:
 
             w = self.binv @ self.a[:, e]
             delta = -sigma * w
-            lob = self.lo[self.basis]
-            upb = self.up[self.basis]
-            dn = (delta < -_PTOL) & (lob > -_BIG)
-            up_mask = (delta > _PTOL) & (upb < _BIG)
+            lob = lo[self.basis]
+            upb = up[self.basis]
+            dn = (delta < -_PTOL) & lo_finite[self.basis]
+            up_mask = (delta > _PTOL) & up_finite[self.basis]
             lim = dn | up_mask
             absd = np.abs(delta)
-            slack = np.zeros(m)
-            slack[dn] = xb[dn] - lob[dn]
-            slack[up_mask] = upb[up_mask] - xb[up_mask]
-            slack = np.maximum(slack, 0.0)
-            t_rows = np.full(m, np.inf)
-            t_rows[lim] = slack[lim] / absd[lim]
-            own = (self.up[e] - self.val[e]) if sigma > 0 else (self.val[e] - self.lo[e])
+            slack = np.maximum(np.where(dn, xb - lob, np.where(up_mask, upb - xb, 0.0)), 0.0)
+            t_rows = np.divide(slack, absd, out=np.full(m, np.inf), where=lim)
+            own = (up[e] - self.val[e]) if sigma > 0 else (self.val[e] - lo[e])
             t_own = own if own < _BIG else np.inf
 
             # Harris two-pass: pass 1 relaxes basic bounds by _EPS_F to
             # get a limit ratio, pass 2 takes the biggest pivot under it
-            t_relaxed = np.full(m, np.inf)
-            t_relaxed[lim] = (slack[lim] + _EPS_F) / absd[lim]
+            t_relaxed = np.divide(slack + _EPS_F, absd, out=np.full(m, np.inf), where=lim)
             t_limit = min(float(t_relaxed.min()) if m else np.inf, t_own)
             if not np.isfinite(t_limit) or t_limit >= _BIG:
                 if phase == 1:
@@ -357,7 +358,7 @@ class _Simplex:
 
             if leave_row < 0:
                 # bound flip: entering variable crosses to its other bound
-                self.val[e] = self.up[e] if sigma > 0 else self.lo[e]
+                self.val[e] = up[e] if sigma > 0 else lo[e]
                 continue
 
             hit_lower = delta[leave_row] < 0
@@ -368,7 +369,7 @@ class _Simplex:
             self.is_basic[lvar] = False
             self.is_basic[e] = True
             br = self.binv[leave_row] / w[leave_row]
-            self.binv -= np.outer(w, br)
+            self.binv -= w[:, None] * br
             self.binv[leave_row] = br
             self.pivots_since_refresh += 1
             if self.pivots_since_refresh >= _REFRESH:

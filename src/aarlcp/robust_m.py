@@ -372,10 +372,9 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
             # a superset of the supports with r_J > TOL_SUPPORT: the
             # closed form below solves with the same LU and tests its r_J
             live = ~singular & ~np.any(r <= 0.5 * TOL_SUPPORT, axis=1)
-            # the zero rule's w is q on the whole box, so its box check
-            # is the nominal condition itself
-            if size:
-                live[live] = _nominal_screen(inst, chunk[live], r[live], scale)
+            # for the zero rule w is q on the whole box, so the screen
+            # makes check_box_conditions' decision
+            live[live] = _nominal_screen(inst, chunk[live], r[live], scale)
             for j in chunk[live]:
                 cand = characterize_for_J(inst, j)
                 if j.size and np.min(cand.r[j]) <= TOL_SUPPORT:

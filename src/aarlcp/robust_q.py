@@ -539,17 +539,13 @@ def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
     """Every solution X of m_pa X = -e, as (x0, kernel) with X = x0 +
     kernel T for any T, or None when there is none.
 
-    A square m_pa that linalg.invert accepts gives x0 = -inv(m_pa) e and
-    an empty kernel. Otherwise one SVD decides: singular values at or
-    below TOL_RANK times the largest count as zero, e having a component
-    beyond TOL_FEAS outside the range of m_pa means no solution, and
-    kernel entries at or below TOL_RANK (its columns have unit norm) are
-    set to zero, so that rows the kernel does not reach stay exact."""
-    if m_pa.shape[0] == m_pa.shape[1]:
-        try:
-            return -linalg.invert(m_pa) @ e, np.zeros((m_pa.shape[1], 0))
-        except linalg.SingularMatrixError:
-            pass
+    One SVD (numpy's LAPACK) decides every block, square or not:
+    singular values at or below TOL_RANK times the largest count as
+    zero, e having a component beyond TOL_FEAS outside the range of m_pa
+    means no solution, and kernel entries at or below TOL_RANK (its
+    columns have unit norm) are set to zero, so that rows the kernel
+    does not reach stay exact. A square block of full rank gives x0 =
+    -inv(m_pa) e up to rounding and an empty kernel."""
     u, s, vt = np.linalg.svd(m_pa)
     rank = _rank(s)
     if np.max(np.abs(u[:, rank:].T @ e), initial=0.0) > TOL_FEAS:

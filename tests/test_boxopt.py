@@ -137,16 +137,22 @@ def test_zero_dimension():
     assert arg.size == 0
 
 
-def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only the sampling fallback uses it
+def _run_fresh(code):
+    # stdout lines of code run in a fresh interpreter: this process has
+    # scipy.linalg loaded (the pytest configuration's LinAlgWarning filter)
     src = Path(__file__).resolve().parent.parent / "src"
     proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, aarlcp; print('scipy.stats' in sys.modules)"],
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.split("\n")
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats is slow to import and only the sampling fallback uses it
+    code = "import sys, aarlcp; print('scipy.stats' in sys.modules)"
+    assert _run_fresh(code)[0] == "False"
 
 
 ENUMERATION_SOLVES = """\
@@ -160,16 +166,24 @@ print(sorted(m for m in sys.modules if m.startswith('scipy')))
 
 
 def test_enumeration_solves_leave_scipy_unloaded():
-    # LAPACK loads on the first linalg.solve or invert; the support
-    # sweeps of both enumeration pathways (k <= EXACT_FACE_LIMIT) and
-    # their checks run on numpy alone
-    src = Path(__file__).resolve().parent.parent / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", ENUMERATION_SOLVES],
-        env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:2] == ["False", "[]"]
+    # scipy's LAPACK loads only at the simplex's first basis
+    # refactorization; the support sweeps of both enumeration pathways
+    # (k <= EXACT_FACE_LIMIT) and their checks run on numpy alone
+    assert _run_fresh(ENUMERATION_SOLVES)[:2] == ["False", "[]"]
+
+
+PSD_LP_SOLVE = """\
+import sys, aarlcp
+text = aarlcp.generate_random("uncertain-q", 6, seed=0, regime="psd")
+aarlcp.dispatch_solve(aarlcp.parse_instance(text), aarlcp.SolveOptions(pathway="psd-lp"))
+print('scipy.linalg' in sys.modules)
+"""
+
+
+def test_psd_lp_solve_leaves_scipy_unloaded():
+    # the pinned block is one numpy SVD, and a simplex this small never
+    # reaches a refactorization
+    assert _run_fresh(PSD_LP_SOLVE)[0] == "False"
 
 
 def _min_quadratic_oracle(q, b, c):

@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aarlcp import linalg
+from aarlcp import generate_random, linalg, parse_instance
 from aarlcp.lp import (INF as LP_INF, LinearProgram, _REFRESH, _Simplex,
                        check_feasibility, check_point, solve_lp)
+from aarlcp.robust_q import build_mip, default_big_m
 from conftest import lcp_brute_force
 
 INF = np.inf
@@ -189,6 +190,38 @@ def test_start_point_satisfying_every_row_needs_no_pivot():
     assert out.status == "optimal"
     assert out.iterations == 1
     assert out.x == pytest.approx([0.0, 0.0, 0.0])
+
+
+# (n, seed) of `generate_random("uncertain-q", n, seed=seed)`, then the
+# status and iteration count of check_feasibility on its big-M program
+# and of solve_lp maximizing sum r over it. Several runs pass the
+# refactorization interval; a change to pricing, the ratio test or the
+# inverse update that moves any pivot shows here.
+_MIP_LPS = [
+    ((3, 0), ("infeasible", 30), ("infeasible", 30)),
+    ((3, 1), ("optimal", 27), ("optimal", 34)),
+    ((4, 2), ("optimal", 49), ("optimal", 70)),
+    ((4, 3), ("infeasible", 75), ("infeasible", 75)),
+    ((5, 4), ("optimal", 147), ("optimal", 178)),
+]
+
+
+@pytest.mark.parametrize("shape, feasibility, maximum", _MIP_LPS)
+def test_big_m_programs_keep_their_pivots(shape, feasibility, maximum):
+    inst = parse_instance(generate_random("uncertain-q", shape[0], seed=shape[1]))
+    prog, lay = build_mip(inst, default_big_m(inst))
+    lp = prog.lp
+    feas = check_feasibility(lp)
+    assert (feas.status, feas.iterations) == feasibility
+    cost = np.zeros(lp.shape[1])
+    cost[lay.r] = -1.0
+    out = solve_lp(LinearProgram(cost, lp.lhs, lp.senses, lp.rhs, lp.lower, lp.upper))
+    assert (out.status, out.iterations) == maximum
+    ref_status, ref_fun = _linprog(lp, cost)
+    assert out.status == ref_status
+    if out.status == "optimal":
+        assert check_point(lp, out.x) <= 1e-7
+        assert cost @ out.x == pytest.approx(ref_fun, rel=1e-9)
 
 
 # bounds a column may draw: nonnegative, free, boxed, fixed, nonpositive

@@ -409,7 +409,7 @@ def test_sweep_matches_written_out_reference():
 
 
 def test_sweep_inverts_each_surviving_support_once(monkeypatch):
-    # the stacked LU screens every nonempty support, on r_J > 0 and on
+    # the stacked LU screens every support, on r_J > 0 and on
     # the nominal condition w_N(0) = m0[N, J] r_J + q_N >= 0 at
     # check_box_conditions' threshold; each survivor reaches the closed
     # form once, and nothing calls linalg.invert
@@ -440,9 +440,7 @@ def test_sweep_inverts_each_surviving_support_once(monkeypatch):
                 if np.min(r, initial=np.inf) > TOL_SUPPORT and \
                         np.min(w, initial=np.inf) >= threshold:
                     assert j in closed, j
-                # the zero rule skips the screen: its w is q on the whole
-                # box, so the box check is its nominal condition
-                if size and np.min(w, initial=np.inf) < 1e3 * threshold:
+                if np.min(w, initial=np.inf) < 1e3 * threshold:
                     assert j not in closed, j
         assert len(closed) < 2 ** inst.n
 

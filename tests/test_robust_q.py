@@ -646,6 +646,44 @@ def test_psd_lp_matches_the_lp_over_d(monkeypatch):
     assert ("kernel moves M z + q", "no-solution") in branches
 
 
+
+def test_pinned_block_square_nonsingular_matches_solve():
+    rng = np.random.default_rng(5)
+    for size in range(1, 11):
+        m_pa = rng.normal(size=(size, size)) + size * np.eye(size)
+        e = (rng.random((size, 3)) < 0.5).astype(float)
+        x0, kernel = robust_q._pinned_block(m_pa, e)
+        ref = -np.linalg.solve(m_pa, e)
+        assert np.max(np.abs(x0 - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert kernel.shape == (size, 0)
+
+
+def test_pinned_block_singular_consistent_returns_a_kernel():
+    # row 2 = row 0 + row 1 and e obeys the same relation: a line of
+    # solutions along the kernel direction (1, 1, -1)
+    m_pa = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    e = np.array([[1.0], [2.0], [3.0]])
+    x0, kernel = robust_q._pinned_block(m_pa, e)
+    assert kernel.shape == (3, 1)
+    assert np.allclose(m_pa @ kernel, 0.0, atol=1e-12)
+    assert np.allclose(np.abs(kernel[:, 0]), 1.0 / np.sqrt(3.0))
+    t = np.array([[0.7]])
+    assert np.allclose(m_pa @ (x0 + kernel @ t), -e, atol=1e-12)
+
+
+def test_pinned_block_inconsistent_is_none():
+    m_pa = np.array([[1.0, 2.0], [2.0, 4.0]])
+    assert robust_q._pinned_block(m_pa, np.array([[1.0], [0.0]])) is None
+    # more rows than columns: e outside the range of a full-rank block
+    assert robust_q._pinned_block(np.array([[1.0], [1.0]]),
+                                  np.array([[1.0], [0.0]])) is None
+
+
+def test_pinned_block_empty():
+    x0, kernel = robust_q._pinned_block(np.zeros((0, 0)), np.zeros((0, 2)))
+    assert x0.shape == (0, 2) and kernel.shape == (0, 0)
+
+
 def _planted_psd(rng, n, support):
     """Positive definite M with qbar planted so that the rule with
     D[K, K] = -inv(M[K, K]) and r_K above its envelope solves the

@@ -30,10 +30,13 @@ def test_patched_names_resolve():
 # per pathway: a small instance and the spans its solve must record
 # besides those of dispatch (for uncertain-m: every robust_m patch)
 CASES = {
+    # the zero rule fails the nominal screen (q_0 < 0); the support {0}
+    # (r_0 = 2) reaches the box check with the off-support row w_1 = 2
+    # zeta + 4, so min_quadratic_over_box runs on a nonempty support
     "uncertain-m": (
         aarlcp.UncertainLcpM(m0=np.array([[4.0, 1.0], [0.0, 4.0]]),
-                             perturbations=[np.array([[0.0, 1.0], [0.0, 0.0]])],
-                             q=np.array([-8.0, -16.0]), h=0),
+                             perturbations=[np.array([[0.0, 1.0], [1.0, 0.0]])],
+                             q=np.array([-8.0, 4.0]), h=0),
         None),
     # positive definite: a one-point nominal set, so the uniqueness check
     # reaches its rank test
