@@ -1,9 +1,9 @@
-"""Dense linear-algebra substrate: validated arrays, index sets, LU solves
-and symmetric eigenvalues for the definiteness tests, both on LAPACK,
-and a stacked LU that factors many small blocks at once.
+"""Dense linear-algebra substrate: validated arrays, index sets, an LU
+inverse and symmetric eigenvalues for the definiteness tests, both on
+LAPACK, and a stacked LU that factors many small blocks at once.
 
-scipy's LAPACK (getrf/getri/getrs) loads on the first solve or invert
-(_lapack), not on import: importing scipy.linalg costs more than the
+scipy's LAPACK (getrf/getri) loads on the first invert (_lapack), not
+on import: importing scipy.linalg costs more than the
 rest of the package. Within the package only the simplex's basis
 refactorization (lp) calls invert, so the support sweeps, the psd-lp
 block solve (an SVD) and LPs that finish before their first
@@ -40,7 +40,6 @@ __all__ = [
     "index_set",
     "complement",
     "submatrix",
-    "solve",
     "invert",
     "support_chunks",
     "factor_stack",
@@ -133,7 +132,7 @@ def _lapack():
 
 
 def _factor(a: np.ndarray):
-    """getrf of a nonempty square a, with the pivot check of solve."""
+    """getrf of a nonempty square a, with the pivot check of invert."""
     lu, piv, _ = _lapack().dgetrf(a)
     scale = np.max(np.abs(a))
     bad = np.flatnonzero(_singular_pivots(np.diagonal(lu), scale))
@@ -146,24 +145,12 @@ def _factor(a: np.ndarray):
     return lu, piv
 
 
-def solve(a, b) -> np.ndarray:
-    """Solve a x = b for square a by LAPACK LU with partial pivoting
-    (getrf/getrs); b may be a vector or a matrix. A pivot with magnitude
-    <= TOL_PIVOT_FACTOR * max|a|, an infinite one, or NaN raises
-    SingularMatrixError.
-
-    Empty systems (0 x 0) return an empty solution, which keeps callers
-    that slice by possibly-empty index sets uniform.
-    """
-    a = as_matrix(a, square=True)
-    b = np.asarray(b, dtype=float)
-    if a.shape[0] == 0:
-        return np.zeros(0) if b.ndim == 1 else np.zeros((0, b.shape[1]))
-    return _lapack().dgetrs(*_factor(a), b)[0]
-
-
 def invert(a) -> np.ndarray:
-    """Inverse via LU (getrf/getri), with the conventions of solve."""
+    """Inverse of square a by LAPACK LU with partial pivoting
+    (getrf/getri). A pivot with magnitude <= TOL_PIVOT_FACTOR * max|a|,
+    an infinite one, or NaN raises SingularMatrixError. The 0 x 0 matrix
+    is its own inverse, which keeps callers that slice by possibly-empty
+    index sets uniform."""
     a = as_matrix(a, square=True)
     if a.shape[0] == 0:
         return np.zeros((0, 0))
@@ -187,7 +174,7 @@ def factor_stack(a):
     one elimination step for all blocks at a time.
 
     Returns (lu, perm, singular). singular[c] applies the pivot rule of
-    solve (_singular_pivots against the largest absolute entry of a[c])
+    invert (_singular_pivots against the largest absolute entry of a[c])
     to block c; the pivot is the first entry of largest magnitude in its
     column, as in getrf. lu and perm are for solve_stack: they keep the
     block index last, which makes every step one contiguous numpy

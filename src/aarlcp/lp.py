@@ -15,6 +15,21 @@ form after each pivot and refactorized from scratch (LAPACK LU) every
 lowest-index tie-breaking (applied to entering and leaving variables
 alike) prevents cycling. Both phases draw on one shared budget of
 50 * (rows + columns) iterations, columns counting the row slacks.
+
+check_feasibility can also start warm, from the final state of an
+earlier feasible check on the same rows (a branch-and-bound child from
+its parent's): same basis, basis inverse and nonbasic values, with the
+nonbasic values moved into the new bounds. A zero-cost bounded dual
+simplex then repairs the basic values. With zero cost every basis is
+dual feasible, so there is no dual ratio test: the basic variable with
+the worst bound violation leaves at the bound it violates, and the
+sign-compatible nonbasic column with the largest entry in its tableau
+row enters (Koberstein, The dual simplex method, PhD thesis, Paderborn
+2005). When no column is eligible, that row's multipliers y prove the
+LP infeasible if y.b lies outside the range of (y A) x over the bounds
+by more than the phase-1 threshold. A failed proof, a start from other
+rows or more pivots than tolerances.warm_pivot_cap allows falls back to
+a cold phase 1.
 """
 
 from __future__ import annotations
@@ -24,14 +39,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .tolerances import TOL_FEAS
+from .tolerances import TOL_CERT_ZERO, TOL_FEAS, warm_pivot_cap
 
 __all__ = [
+    "COLD_START",
     "INF",
     "SENSES",
     "IterationLimitError",
     "LinearProgram",
     "LpOutcome",
+    "SimplexState",
     "solve_lp",
     "check_feasibility",
     "check_point",
@@ -103,10 +120,34 @@ class LinearProgram:
 
 
 @dataclass
+class SimplexState:
+    """The final state of a feasible check_feasibility, for a warm start
+    on the same rows: the simplex's standardized matrix (artificial
+    columns included) and right-hand side, its basis, basis inverse and
+    column values (those of basic columns are stale)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    basis: np.ndarray
+    binv: np.ndarray
+    val: np.ndarray
+    pivots_since_refresh: int
+
+
+# a start for check_feasibility: solve cold, hand back the final state
+COLD_START = "cold"
+
+
+@dataclass
 class LpOutcome:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     iterations: int = 0
+    # feasible checks given a start: the final state, to start others from
+    state: SimplexState | None = None
+    # warm infeasible checks: multipliers of the standardized rows
+    # (_standardize) whose combination the bounds cannot meet
+    y: np.ndarray | None = None
 
 
 def check_point(lp: LinearProgram, x) -> float:
@@ -188,6 +229,31 @@ class _Simplex:
         self.cap = cap
         self.iterations = 0
         self.pivots_since_refresh = 0
+
+    @classmethod
+    def resume(cls, state: SimplexState, lo, up):
+        """A copy of `state` under new column bounds (lo, up of the real
+        columns; artificials stay pinned at zero), for repair. Nonbasic
+        values move into their new range."""
+        sx = cls.__new__(cls)
+        m = state.basis.size
+        sx.m, sx.nreal = m, lo.size
+        sx.a, sx.b = state.a, state.b  # never written
+        sx.lo = np.concatenate([lo, np.zeros(m)])
+        sx.up = np.concatenate([up, np.zeros(m)])
+        sx.ntot = sx.nreal + m
+        sx.val = np.clip(state.val, sx.lo, sx.up)
+        sx.basis = state.basis.copy()
+        sx.is_basic = np.zeros(sx.ntot, dtype=bool)
+        sx.is_basic[sx.basis] = True
+        sx.binv = state.binv.copy()
+        sx.iterations = 0
+        sx.pivots_since_refresh = state.pivots_since_refresh
+        return sx
+
+    def state(self) -> SimplexState:
+        return SimplexState(self.a, self.b, self.basis, self.binv, self.val,
+                            self.pivots_since_refresh)
 
     @staticmethod
     def _initial_values(lo, up):
@@ -362,18 +428,71 @@ class _Simplex:
                 continue
 
             hit_lower = delta[leave_row] < 0
-            lvar = self.basis[leave_row]
-            self.val[lvar] = lob[leave_row] if hit_lower else upb[leave_row]
             self.val[e] = self.val[e] + sigma * t  # becomes basic near here
-            self.basis[leave_row] = e
-            self.is_basic[lvar] = False
-            self.is_basic[e] = True
-            br = self.binv[leave_row] / w[leave_row]
-            self.binv -= w[:, None] * br
-            self.binv[leave_row] = br
-            self.pivots_since_refresh += 1
-            if self.pivots_since_refresh >= _REFRESH:
-                self._refactor()
+            self._pivot(leave_row, e, w, lob[leave_row] if hit_lower else upb[leave_row])
+
+    def _pivot(self, row, e, w, leave_value):
+        """Column e enters at `row`, whose variable leaves at
+        leave_value; w is binv @ a[:, e]. Product-form update of binv,
+        refactorized every _REFRESH pivots."""
+        lvar = self.basis[row]
+        self.val[lvar] = leave_value
+        self.basis[row] = e
+        self.is_basic[lvar] = False
+        self.is_basic[e] = True
+        br = self.binv[row] / w[row]
+        self.binv -= w[:, None] * br
+        self.binv[row] = br
+        self.pivots_since_refresh += 1
+        if self.pivots_since_refresh >= _REFRESH:
+            self._refactor()
+
+    def repair(self, pivot_cap):
+        """Zero-cost bounded dual simplex from a warm start (module
+        docstring). Returns "optimal" once every basic value is within
+        1e-9 (1 + |bound|) of its bounds; "infeasible" when the worst
+        row has no eligible column, with that row of binv in self.y (to
+        be certified); None after pivot_cap pivots or when the basic
+        values stop being finite."""
+        lo, up = self.lo, self.up
+        lo_tol = 1e-9 * (1 + np.abs(lo))
+        up_tol = 1e-9 * (1 + np.abs(up))
+        movable = up - lo > _PTOL
+        pivots = 0
+        while True:
+            self.iterations += 1
+            v = np.where(self.is_basic, 0.0, self.val)
+            xb = self.binv @ (self.b - self.a @ v)
+            if not np.all(np.isfinite(xb)):
+                return None
+            basis = self.basis
+            below = lo[basis] - xb
+            above = xb - up[basis]
+            bad = (below > lo_tol[basis]) | (above > up_tol[basis])
+            if not bad.any():
+                return "optimal"
+            if pivots >= pivot_cap:
+                return None
+            r = int(np.argmax(np.where(bad, np.maximum(below, above), -np.inf)))
+            rising = below[r] > 0  # x_B[r] must rise to its lower bound
+            # one unit of nonbasic x_j moves x_B[r] by -alpha_j
+            alpha = self.binv[r] @ self.a
+            nonbasic = movable & ~self.is_basic
+            can_rise = nonbasic & (self.val < up - up_tol)
+            can_fall = nonbasic & (self.val > lo + lo_tol)
+            if rising:
+                elig = (can_rise & (alpha < -_PTOL)) | (can_fall & (alpha > _PTOL))
+            else:
+                elig = (can_rise & (alpha > _PTOL)) | (can_fall & (alpha < -_PTOL))
+            cand = np.flatnonzero(elig)
+            if cand.size == 0:
+                self.y = self.binv[r].copy()
+                return "infeasible"
+            e = int(cand[np.argmax(np.abs(alpha[cand]))])
+            target = lo[basis[r]] if rising else up[basis[r]]
+            self.val[e] += (xb[r] - target) / alpha[e]
+            self._pivot(r, e, self.binv @ self.a[:, e], target)
+            pivots += 1
 
     def pin_artificials(self):
         """After phase 1: pivot artificials out of the basis where
@@ -402,31 +521,74 @@ class _Simplex:
         self.val[nreal:][~self.is_basic[nreal:]] = 0.0
 
 
-def _run(lp: LinearProgram, feasibility_only: bool) -> LpOutcome:
+def _feasibility_margin(b) -> float:
+    """The phase-1 threshold: an LP is infeasible when its least total
+    row violation (in standardized rows) exceeds this."""
+    return TOL_FEAS * (1.0 + float(np.max(np.abs(b), initial=0.0)))
+
+
+def _certifies_infeasible(a, b, lo, up, y) -> bool:
+    """True when y proves a x = b, lo <= x <= up infeasible: with y
+    scaled to max|y| = 1, y.b lies outside the range of (y a) x over the
+    bounds by more than the phase-1 threshold. Entries of y a at or
+    below TOL_CERT_ZERO times its largest count as zero, else rounding
+    noise on a column without bounds leaves the range unbounded."""
+    y = y / np.max(np.abs(y))
+    g = y @ a
+    g[np.abs(g) <= TOL_CERT_ZERO * np.max(np.abs(g), initial=0.0)] = 0.0
+    lo = np.where(lo > -_BIG, lo, -np.inf)
+    up = np.where(up < _BIG, up, np.inf)
+    pos, neg = g > 0, g < 0
+    lowest = g[pos] @ lo[pos] + g[neg] @ up[neg]
+    highest = g[pos] @ up[pos] + g[neg] @ lo[neg]
+    margin = _feasibility_margin(b)
+    yb = float(y @ b)
+    return bool(yb > highest + margin or yb < lowest - margin)
+
+
+def _same_rows(state, a, b) -> bool:
+    m, n = a.shape
+    return (state.a.shape == (m, n + m) and np.array_equal(state.b, b)
+            and np.array_equal(state.a[:, :n], a))
+
+
+def _run(lp: LinearProgram, feasibility_only: bool, start=None) -> LpOutcome:
     a, b, c, lo, up = _standardize(lp)
     m, n = lp.lhs.shape
     cap = 50 * (m + a.shape[1])
-    sx = _Simplex(a, b, lo, up, cap)
+    sx, spent = None, 0  # spent: warm pivots before a cold fallback
+    if isinstance(start, SimplexState) and _same_rows(start, a, b):
+        warm = _Simplex.resume(start, lo, up)
+        status = warm.repair(warm_pivot_cap(m))
+        if status == "optimal":
+            sx = warm
+        elif status == "infeasible" and _certifies_infeasible(a, b, lo, up, warm.y):
+            return LpOutcome(status="infeasible", iterations=warm.iterations, y=warm.y)
+        else:
+            spent = warm.iterations
 
-    cost1 = np.concatenate([np.zeros(sx.nreal), np.ones(m)])
-    status = sx.run(cost1, phase=1)
-    if status != "optimal":  # phase 1 is bounded below by zero
-        raise RuntimeError("phase-1 simplex reported unbounded")
-    x = sx.x_full()
-    p1 = float(x[sx.nreal :].sum())
-    if p1 > TOL_FEAS * (1.0 + float(np.max(np.abs(b), initial=0.0))):
-        return LpOutcome(status="infeasible", iterations=sx.iterations)
-    sx.pin_artificials()
+    if sx is None:
+        sx = _Simplex(a, b, lo, up, cap)
+        cost1 = np.concatenate([np.zeros(sx.nreal), np.ones(m)])
+        status = sx.run(cost1, phase=1)
+        if status != "optimal":  # phase 1 is bounded below by zero
+            raise RuntimeError("phase-1 simplex reported unbounded")
+        x = sx.x_full()
+        p1 = float(x[sx.nreal :].sum())
+        if p1 > _feasibility_margin(b):
+            return LpOutcome(status="infeasible", iterations=spent + sx.iterations)
+        sx.pin_artificials()
 
-    cost2 = np.concatenate([c, np.zeros(m)])
-    if not feasibility_only:
-        status = sx.run(cost2, phase=2)
-        if status == "unbounded":
-            return LpOutcome(status="unbounded", iterations=sx.iterations)
+        cost2 = np.concatenate([c, np.zeros(m)])
+        if not feasibility_only:
+            status = sx.run(cost2, phase=2)
+            if status == "unbounded":
+                return LpOutcome(status="unbounded", iterations=sx.iterations)
 
     x = sx.x_full()
     xr = np.minimum(np.maximum(x[: n + m], lo), up)[:n]  # clamp drift
-    return LpOutcome(status="optimal", x=xr, iterations=sx.iterations)
+    return LpOutcome(status="optimal", x=xr, iterations=spent + sx.iterations,
+                     state=None if start is None else sx.state())
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
@@ -435,7 +597,13 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     return _run(lp, feasibility_only=False)
 
 
-def check_feasibility(lp: LinearProgram) -> LpOutcome:
+def check_feasibility(lp: LinearProgram, start=None) -> LpOutcome:
     """Phase-1 only: status "optimal" with some feasible point, or
-    "infeasible". The objective is ignored."""
-    return _run(lp, feasibility_only=True)
+    "infeasible". The objective is ignored.
+
+    start None solves cold and keeps no state. Any other start returns
+    the final SimplexState with a feasible outcome: COLD_START solves
+    cold, and the state of an earlier feasible outcome on the same rows
+    starts warm (module docstring; the state itself is not changed).
+    """
+    return _run(lp, feasibility_only=True, start=start)

@@ -6,6 +6,12 @@ Infeasible relaxations prune; a relaxation point whose binaries are all
 integral terminates. Otherwise the most fractional binary is branched
 (ties to the lowest variable index), exploring the nearer integer value
 first. Runs are deterministic.
+
+The root LP is solved cold. Every other node LP starts warm from its
+parent's final simplex state (lp.check_feasibility), since a child
+differs from its parent only in its binaries' bounds; the LP falls back
+to a cold phase 1 where the warm start cannot decide. A state is
+dropped once both children that carry it have been solved.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .lp import LinearProgram, check_feasibility, check_point
+from .lp import COLD_START, LinearProgram, check_feasibility, check_point
 from .tolerances import TOL_FEAS, TOL_INT
 
 __all__ = [
@@ -77,23 +83,25 @@ def solve_mip_feasibility(
     bins = prob.binaries
     scale = 1.0 + float(np.max(np.abs(lp.rhs), initial=0.0))
 
-    def node_solve(blo, bup):
+    def node_solve(blo, bup, start):
         lo = lp.lower.copy()
         up = lp.upper.copy()
         lo[bins] = blo
         up[bins] = bup
         node_lp = LinearProgram(lp.objective, lp.lhs, lp.senses, lp.rhs, lo, up)
-        return node_lp, check_feasibility(node_lp)
+        return node_lp, check_feasibility(node_lp, start=start)
 
     nodes = 0
-    # stack entries: (lower-override, upper-override) for the binaries only
-    stack = [(lp.lower[bins].copy(), lp.upper[bins].copy())]
+    # stack entries: (lower-override, upper-override) for the binaries
+    # only, and the simplex state of the parent
+    stack = [(lp.lower[bins].copy(), lp.upper[bins].copy(), COLD_START)]
     while stack:
-        blo, bup = stack.pop()
+        blo, bup, start = stack.pop()
         if nodes >= node_limit:
             raise NodeLimitError(nodes)
         nodes += 1
-        node_lp, out = node_solve(blo, bup)
+        node_lp, out = node_solve(blo, bup, start)
+        del start  # a parent's state lives only while a child still waits
         if out.status != "optimal":
             continue  # prune
         xb = out.x[bins]
@@ -110,7 +118,7 @@ def solve_mip_feasibility(
             # nearly integral: try pinning every binary at its rounding
             nodes += 1
             flo = np.round(xb)
-            flp, fout = node_solve(flo, flo.copy())
+            flp, fout = node_solve(flo, flo.copy(), out.state)
             if fout.status == "optimal":
                 x = fout.x.copy()
                 x[bins] = flo
@@ -124,5 +132,5 @@ def solve_mip_feasibility(
         for value in (far, near):  # pushed far-first so near pops first
             clo, cup = blo.copy(), bup.copy()
             clo[j] = cup[j] = value
-            stack.append((clo, cup))
+            stack.append((clo, cup, out.state))
     return MipOutcome("infeasible", None, nodes)

@@ -34,3 +34,13 @@ TOL_PSD = 1e-9
 
 # entrywise distance below which two solutions count as duplicates
 TOL_DEDUP = 1e-9
+
+# row certificate of a warm-started infeasible LP: entries of y^T A at or
+# below this times the largest count as zero
+TOL_CERT_ZERO = 1e-11
+
+
+def warm_pivot_cap(rows: int) -> int:
+    """Dual pivots a warm-started feasibility LP with `rows` rows may take
+    before it falls back to a cold phase 1."""
+    return 2 * rows + 50

@@ -3,10 +3,12 @@ import itertools
 import numpy as np
 import pytest
 
-from aarlcp import dispatch_solve, parse_instance
-from aarlcp.lp import LinearProgram, check_feasibility, check_point
+from aarlcp import dispatch_solve, lp as lp_module, mip as mip_module, parse_instance
+from aarlcp.lp import (COLD_START, LinearProgram, _Simplex, _standardize,
+                       check_feasibility, check_point)
 from aarlcp.mip import (MixedBinaryProgram, NodeLimitError,
                         solve_mip_feasibility)
+from aarlcp.tolerances import TOL_CERT_ZERO, TOL_FEAS
 
 INF = np.inf
 
@@ -45,36 +47,141 @@ def test_feasible_assignment_is_integral_and_rechecked():
     assert check_point(p.lp, out.x) <= 1e-7
 
 
+def _random_prob(rng):
+    """A program of up to 6 binaries, 2 continuous columns in [0, 3] and
+    5 inequality rows, the binaries first."""
+    nbin = int(rng.integers(1, 7))
+    ncont = int(rng.integers(0, 3))
+    ncols = nbin + ncont
+    nrows = int(rng.integers(1, 6))
+    lhs = rng.uniform(-2.0, 2.0, (nrows, ncols)).round(2)
+    senses = [("<=", ">=")[int(k)] for k in rng.integers(0, 2, nrows)]
+    rhs = rng.uniform(-2.0, 2.0, nrows).round(2)
+    lower = np.zeros(ncols)
+    upper = np.concatenate([np.ones(nbin), np.full(ncont, 3.0)])
+    return _prob(lhs, senses, rhs, lower, upper, np.arange(nbin))
+
+
+def _pinned(lp, bins, lo_bits, up_bits):
+    lo, up = lp.lower.copy(), lp.upper.copy()
+    lo[bins], up[bins] = lo_bits, up_bits
+    return LinearProgram(lp.objective, lp.lhs, lp.senses, lp.rhs, lo, up)
+
+
 def test_matches_exhaustive_binary_enumeration():
     """Feasibility verdicts against trying all 2^n binary patterns, each
     pattern checked by LP feasibility with the binaries pinned."""
     rng = np.random.default_rng(6)
     for trial in range(25):
-        nbin = int(rng.integers(1, 7))
-        ncont = int(rng.integers(0, 3))
-        ncols = nbin + ncont
-        nrows = int(rng.integers(1, 6))
-        lhs = rng.uniform(-2.0, 2.0, (nrows, ncols)).round(2)
-        senses = [("<=", ">=")[int(k)] for k in rng.integers(0, 2, nrows)]
-        rhs = rng.uniform(-2.0, 2.0, nrows).round(2)
-        lower = np.zeros(ncols)
-        upper = np.concatenate([np.ones(nbin), np.full(ncont, 3.0)])
-        p = _prob(lhs, senses, rhs, lower, upper, np.arange(nbin))
+        p = _random_prob(rng)
+        nbin = p.binaries.size
         out = solve_mip_feasibility(p)
 
         exhaustive = False
         for bits in itertools.product((0.0, 1.0), repeat=nbin):
-            lo, up = lower.copy(), upper.copy()
-            lo[:nbin] = bits
-            up[:nbin] = bits
-            pinned = LinearProgram(np.zeros(ncols), lhs, list(senses),
-                                   rhs, lo, up)
+            pinned = _pinned(p.lp, p.binaries, bits, bits)
             if check_feasibility(pinned).status == "optimal":
                 exhaustive = True
                 break
         assert (out.status == "feasible") == exhaustive, f"trial {trial}"
         if out.status == "feasible":
             assert check_point(p.lp, out.x) <= 1e-7
+
+
+def _row_proves_infeasible(lp, y):
+    """The interval check of a warm infeasible verdict, restated: over
+    the bounds of the standardized program, (y A) x cannot reach y b."""
+    a, b, _, lo, up = _standardize(lp)
+    y = y / np.abs(y).max()
+    g = y @ a
+    g[np.abs(g) <= TOL_CERT_ZERO * np.abs(g).max()] = 0.0
+    lo = np.where(lo <= -1e29, -np.inf, lo)
+    up = np.where(up >= 1e29, np.inf, up)
+    with np.errstate(invalid="ignore"):
+        ends = np.stack([g * lo, g * up])
+    ends[:, g == 0.0] = 0.0
+    margin = TOL_FEAS * (1.0 + np.abs(b).max())
+    return not (ends.min(axis=0).sum() - margin <= y @ b
+                <= ends.max(axis=0).sum() + margin)
+
+
+def test_warm_starts_agree_with_cold_solves():
+    # children fix one binary of a feasible parent, grandchildren pin all
+    # of them; each warm check starts from its parent's state
+    rng = np.random.default_rng(16)
+    proofs = 0
+    for trial in range(60):
+        p = _random_prob(rng)
+        lp, bins = p.lp, p.binaries
+        root = check_feasibility(lp, start=COLD_START)
+        if root.status != "optimal":
+            continue
+        kept = [v.copy() for v in (root.state.basis, root.state.binv, root.state.val)]
+        for j, value in itertools.product(range(bins.size), (0.0, 1.0)):
+            blo, bup = lp.lower[bins].copy(), lp.upper[bins].copy()
+            blo[j] = bup[j] = value
+            child_lp = _pinned(lp, bins, blo, bup)
+            child = check_feasibility(child_lp, start=root.state)
+            bits = rng.integers(0, 2, bins.size).astype(float)
+            bits[j] = value
+            pairs = [(child_lp, child)]
+            if child.status == "optimal":
+                leaf_lp = _pinned(lp, bins, bits, bits)
+                pairs.append((leaf_lp, check_feasibility(leaf_lp, start=child.state)))
+            for node_lp, warm in pairs:
+                assert warm.status == check_feasibility(node_lp).status, trial
+                if warm.status == "optimal":
+                    assert warm.state is not None
+                    assert check_point(node_lp, warm.x) <= 1e-7
+                elif warm.y is not None:
+                    assert _row_proves_infeasible(node_lp, warm.y)
+                    proofs += 1
+        # the children copied the root's state
+        assert all(np.array_equal(v, w) for v, w in
+                   zip(kept, (root.state.basis, root.state.binv, root.state.val)))
+    assert proofs > 0
+
+
+def test_start_from_other_rows_is_a_cold_solve():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        p, q = _random_prob(rng), _random_prob(rng)
+        other = check_feasibility(q.lp, start=COLD_START)
+        if other.status != "optimal":
+            continue
+        warm = check_feasibility(p.lp, start=other.state)
+        cold = check_feasibility(p.lp)
+        assert cold.state is None  # no start, no state kept
+        assert warm.y is None
+        assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
+        if cold.status == "optimal":
+            assert np.array_equal(warm.x, cold.x)
+
+
+@pytest.mark.parametrize("give_up", ["pivot cap", "certificate"])
+def test_cold_fallback_keeps_branch_and_bound_verdicts(monkeypatch, give_up):
+    rng = np.random.default_rng(18)
+    probs = [_random_prob(rng) for _ in range(40)]
+    with monkeypatch.context() as cold:
+        # every node solved cold, states kept so the search is unchanged
+        cold.setattr(mip_module, "check_feasibility",
+                     lambda lp, start=None: check_feasibility(lp, start=COLD_START))
+        reference = [solve_mip_feasibility(p).status for p in probs]
+
+    builds = []
+    build = _Simplex.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(_Simplex, "__init__", counted)
+    if give_up == "pivot cap":
+        monkeypatch.setattr(lp_module, "warm_pivot_cap", lambda rows: 0)
+    else:
+        monkeypatch.setattr(lp_module, "_certifies_infeasible", lambda *args: False)
+    assert [solve_mip_feasibility(p).status for p in probs] == reference
+    assert len(builds) > len(probs)  # more cold solves than roots
 
 
 def test_node_limit_raises():

@@ -341,7 +341,7 @@ def test_stacked_solves_match_lapack():
         x = linalg.solve_stack(lu, perm, b)
         inv = linalg.solve_stack(lu, perm, np.broadcast_to(np.eye(size), a.shape))
         for c in range(40):
-            assert np.allclose(x[c], linalg.solve(a[c], b[c]), rtol=1e-12, atol=1e-12)
+            assert np.allclose(x[c], np.linalg.solve(a[c], b[c]), rtol=1e-12, atol=1e-12)
             assert np.allclose(inv[c], linalg.invert(a[c]), rtol=1e-12, atol=1e-12)
 
 
