@@ -37,6 +37,23 @@ def test_submatrix_rejects_out_of_range():
         linalg.submatrix(np.eye(2), [2], [0])
 
 
+def test_solve_identity():
+    # the two solve routes left: the inverse, and the stacked LU
+    b = np.array([1.0, 2.0, 3.0])
+    assert linalg.invert(np.eye(3)) @ b == pytest.approx(b)
+    lu, perm, singular = linalg.factor_stack(np.eye(3)[None])
+    assert not singular[0]
+    assert linalg.solve_stack(lu, perm, b[None])[0] == pytest.approx(b)
+
+
+def test_solve_one_by_one():
+    a, b = np.array([[4.0]]), np.array([100.0])
+    assert linalg.invert(a) @ b == pytest.approx([25.0])
+    lu, perm, singular = linalg.factor_stack(a[None])
+    assert not singular[0]
+    assert linalg.solve_stack(lu, perm, b[None])[0] == pytest.approx([25.0])
+
+
 def test_invert_rank_deficient_flags_singular():
     a = np.array([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(linalg.SingularMatrixError):
@@ -104,14 +121,12 @@ def test_empty_conventions():
 
 
 def test_invert_scalars():
-    assert linalg.invert(np.array([[4.0]])) @ [100.0] == pytest.approx([25.0])
     assert linalg.invert(np.array([[4.0]])) == pytest.approx(np.array([[0.25]]))
     assert linalg.invert(np.array([[2.0]])) == pytest.approx(np.array([[0.5]]))
 
 
 def test_invert_identity():
     assert linalg.invert(np.eye(4)) == pytest.approx(np.eye(4))
-    assert linalg.invert(np.eye(3)) @ [1.0, 2.0, 3.0] == pytest.approx([1.0, 2.0, 3.0])
 
 
 def test_lu_recovers_random_solutions():
