@@ -16,25 +16,31 @@ lowest-index tie-breaking (applied to entering and leaving variables
 alike) prevents cycling. Both phases draw on one shared budget of
 50 * (rows + columns) iterations, columns counting the row slacks.
 
+Both solvers take a LinearProgram or its StandardForm (standardize): a
+branch-and-bound tree standardizes its rows once and hands each node
+only new column bounds (StandardForm.with_bounds).
+
 check_feasibility can also start warm, from the final state of an
 earlier feasible check on the same rows (a branch-and-bound child from
 its parent's): same basis, basis inverse and nonbasic values, with the
-nonbasic values moved into the new bounds. A zero-cost bounded dual
-simplex then repairs the basic values. With zero cost every basis is
-dual feasible, so there is no dual ratio test: the basic variable with
-the worst bound violation leaves at the bound it violates, and the
-sign-compatible nonbasic column with the largest entry in its tableau
-row enters (Koberstein, The dual simplex method, PhD thesis, Paderborn
-2005). When no column is eligible, that row's multipliers y prove the
-LP infeasible if y.b lies outside the range of (y A) x over the bounds
-by more than the phase-1 threshold. A failed proof, a start from other
-rows or more pivots than tolerances.warm_pivot_cap allows falls back to
-a cold phase 1.
+nonbasic values moved into the new bounds. A state knows the rows of
+its own StandardForm by identity and compares any others entry by
+entry. A zero-cost bounded dual simplex then repairs the basic values.
+With zero cost every basis is dual feasible, so there is no dual ratio
+test: the basic variable with the worst bound violation leaves at the
+bound it violates, and the sign-compatible nonbasic column with the
+largest entry in its tableau row enters (Koberstein, The dual simplex
+method, PhD thesis, Paderborn 2005). When no column is eligible, that
+row's multipliers y prove the LP infeasible if y.b lies outside the
+range of (y A) x over the bounds by more than the phase-1 threshold. A
+failed proof, a start from other rows or more pivots than
+tolerances.warm_pivot_cap allows falls back to a cold phase 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,11 +50,12 @@ from .tolerances import TOL_CERT_ZERO, TOL_FEAS, warm_pivot_cap
 __all__ = [
     "COLD_START",
     "INF",
-    "SENSES",
     "IterationLimitError",
     "LinearProgram",
     "LpOutcome",
     "SimplexState",
+    "StandardForm",
+    "standardize",
     "solve_lp",
     "check_feasibility",
     "check_point",
@@ -61,8 +68,6 @@ _PTOL = 1e-9  # ratio-test pivot tolerance
 _EPS_F = 1e-8  # Harris ratio-test bound relaxation
 _REFRESH = 30  # pivots between basis refactorizations
 _DEGEN_SWITCH = 12  # degenerate steps before switching to Bland pricing
-
-SENSES = ("<=", "=", ">=")
 
 
 class IterationLimitError(RuntimeError):
@@ -122,10 +127,12 @@ class LinearProgram:
 @dataclass
 class SimplexState:
     """The final state of a feasible check_feasibility, for a warm start
-    on the same rows: the simplex's standardized matrix (artificial
-    columns included) and right-hand side, its basis, basis inverse and
-    column values (those of basic columns are stale)."""
+    on the same rows: the standardized rows it was built on
+    (StandardForm.a), the simplex's matrix (artificial columns included)
+    and right-hand side, its basis, basis inverse and column values
+    (those of basic columns are stale)."""
 
+    rows: np.ndarray
     a: np.ndarray
     b: np.ndarray
     basis: np.ndarray
@@ -146,57 +153,67 @@ class LpOutcome:
     # feasible checks given a start: the final state, to start others from
     state: SimplexState | None = None
     # warm infeasible checks: multipliers of the standardized rows
-    # (_standardize) whose combination the bounds cannot meet
+    # (standardize) whose combination the bounds cannot meet
     y: np.ndarray | None = None
 
 
 def check_point(lp: LinearProgram, x) -> float:
-    """Largest constraint/bound violation of x, computed directly."""
+    """Largest constraint/bound violation of x, computed directly. A row
+    whose lhs x overflows to NaN counts as no violation."""
     x = linalg.as_vector(x, lp.lhs.shape[1])
-    ax = lp.lhs @ x
-    worst = 0.0
-    for i, s in enumerate(lp.senses):
-        gap = ax[i] - lp.rhs[i]
-        if s == "<=":
-            worst = max(worst, gap)
-        elif s == ">=":
-            worst = max(worst, -gap)
-        else:
-            worst = max(worst, abs(gap))
+    gap = lp.lhs @ x - lp.rhs
+    senses = np.array(lp.senses, dtype=object)
+    rows = np.where(senses == "<=", gap, np.where(senses == ">=", -gap, np.abs(gap)))
     lo = np.where(np.isfinite(lp.lower), lp.lower, -np.inf)
     up = np.where(np.isfinite(lp.upper), lp.upper, np.inf)
-    worst = max(worst, float(np.max(lo - x, initial=0.0)))
-    worst = max(worst, float(np.max(x - up, initial=0.0)))
-    return worst
+    return float(np.fmax.reduce(np.concatenate([rows, lo - x, x - up]), initial=0.0))
 
 
-def _standardize(lp: LinearProgram):
+class StandardForm(NamedTuple):
+    """A LinearProgram as the simplex takes it (standardize): a x = b
+    over the columns and one slack per row, costs c, bounds lo <= x <= up
+    at the sentinels +/-INF where infinite. a and b are read-only, so a
+    state built on them knows them by identity."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+    lo: np.ndarray
+    up: np.ndarray
+
+    def with_bounds(self, cols, lower, upper) -> StandardForm:
+        """The same rows with the columns cols bounded by lower <= upper."""
+        lo, up = self.lo.copy(), self.up.copy()
+        lo[cols], up[cols] = _sentinels(np.asarray(lower, dtype=float),
+                                        np.asarray(upper, dtype=float))
+        return self._replace(lo=lo, up=up)
+
+
+def _sentinels(lo, up):
+    """Bounds with every infinite or huge one at the sentinel +/-INF."""
+    return (np.minimum(np.where(lo < -_BIG, -INF, lo), INF),
+            np.maximum(np.where(up > _BIG, INF, up), -INF))
+
+
+def standardize(lp: LinearProgram) -> StandardForm:
     """Append one slack per row: lhs x + s = rhs with sense-dependent
     slack bounds. Rows are equilibrated (divided by their largest
     coefficient) so mixed scales such as big-M rows keep the absolute
     pivot tolerances meaningful; slack values are unaffected because
     their coefficients scale along."""
-    m, n = lp.lhs.shape
+    m = lp.lhs.shape[0]
     a = np.hstack([lp.lhs, np.eye(m)]) if m else lp.lhs.copy()
-    lo = np.concatenate([lp.lower, np.zeros(m)])
-    up = np.concatenate([lp.upper, np.zeros(m)])
-    for i, s in enumerate(lp.senses):
-        if s == "<=":
-            lo[n + i], up[n + i] = 0.0, np.inf
-        elif s == ">=":
-            lo[n + i], up[n + i] = -np.inf, 0.0
-        else:
-            lo[n + i], up[n + i] = 0.0, 0.0
-    lo = np.where(lo < -_BIG, -INF, lo)
-    up = np.where(up > _BIG, INF, up)
-    np.clip(lo, -INF, INF, out=lo)
-    np.clip(up, -INF, INF, out=up)
+    senses = np.array(lp.senses, dtype=object)
+    lo, up = _sentinels(
+        np.concatenate([lp.lower, np.where(senses == ">=", -np.inf, 0.0)]),
+        np.concatenate([lp.upper, np.where(senses == "<=", np.inf, 0.0)]))
     c = np.concatenate([lp.objective, np.zeros(m)])
     b = lp.rhs.copy()
     row_scale = np.maximum(1.0, np.max(np.abs(lp.lhs), axis=1, initial=0.0)) if m else np.ones(0)
     a /= row_scale[:, None] if m else 1.0
     b /= row_scale if m else 1.0
-    return a, b, c, lo, up
+    a.flags.writeable = b.flags.writeable = False
+    return StandardForm(a, b, c, lo, up)
 
 
 class _Simplex:
@@ -205,7 +222,7 @@ class _Simplex:
     def __init__(self, a, b, lo, up, cap):
         m, nreal = a.shape
         self.m, self.nreal = m, nreal
-        x0 = self._initial_values(lo, up)
+        x0 = np.where(lo > -_BIG, lo, np.where(up < _BIG, up, 0.0))
         resid = b - a @ x0
         # slack crash (module docstring); the slacks are the last m columns
         rows = np.arange(m)
@@ -216,6 +233,7 @@ class _Simplex:
         x0[slack[crash]] = s0[crash]
         resid[crash] = 0.0
         sign = np.where(resid >= 0, 1.0, -1.0)
+        self.rows = a
         self.a = np.hstack([a, np.diag(sign)]) if m else a
         self.b = b
         self.lo = np.concatenate([lo, np.zeros(m)])
@@ -238,7 +256,7 @@ class _Simplex:
         sx = cls.__new__(cls)
         m = state.basis.size
         sx.m, sx.nreal = m, lo.size
-        sx.a, sx.b = state.a, state.b  # never written
+        sx.rows, sx.a, sx.b = state.rows, state.a, state.b  # never written
         sx.lo = np.concatenate([lo, np.zeros(m)])
         sx.up = np.concatenate([up, np.zeros(m)])
         sx.ntot = sx.nreal + m
@@ -252,13 +270,8 @@ class _Simplex:
         return sx
 
     def state(self) -> SimplexState:
-        return SimplexState(self.a, self.b, self.basis, self.binv, self.val,
-                            self.pivots_since_refresh)
-
-    @staticmethod
-    def _initial_values(lo, up):
-        v = np.where(lo > -_BIG, lo, np.where(up < _BIG, up, 0.0))
-        return v.astype(float)
+        return SimplexState(self.rows, self.a, self.b, self.basis, self.binv,
+                            self.val, self.pivots_since_refresh)
 
     def x_full(self):
         v = np.where(self.is_basic, 0.0, self.val)
@@ -547,14 +560,18 @@ def _certifies_infeasible(a, b, lo, up, y) -> bool:
 
 
 def _same_rows(state, a, b) -> bool:
-    m, n = a.shape
-    return (state.a.shape == (m, n + m) and np.array_equal(state.b, b)
-            and np.array_equal(state.a[:, :n], a))
+    """Whether state was built on the standardized rows a x = b: by
+    identity for rows of the same StandardForm, else entry by entry."""
+    if state.rows is a and state.b is b:
+        return True
+    return (state.rows.shape == a.shape and np.array_equal(state.b, b)
+            and np.array_equal(state.rows, a))
 
 
-def _run(lp: LinearProgram, feasibility_only: bool, start=None) -> LpOutcome:
-    a, b, c, lo, up = _standardize(lp)
-    m, n = lp.lhs.shape
+def _run(lp, feasibility_only: bool, start=None) -> LpOutcome:
+    a, b, c, lo, up = lp if isinstance(lp, StandardForm) else standardize(lp)
+    m = b.size
+    n = a.shape[1] - m
     cap = 50 * (m + a.shape[1])
     sx, spent = None, 0  # spent: warm pivots before a cold fallback
     if isinstance(start, SimplexState) and _same_rows(start, a, b):
@@ -597,9 +614,10 @@ def solve_lp(lp: LinearProgram) -> LpOutcome:
     return _run(lp, feasibility_only=False)
 
 
-def check_feasibility(lp: LinearProgram, start=None) -> LpOutcome:
+def check_feasibility(lp: LinearProgram | StandardForm, start=None) -> LpOutcome:
     """Phase-1 only: status "optimal" with some feasible point, or
-    "infeasible". The objective is ignored.
+    "infeasible". The objective is ignored. lp is a LinearProgram or
+    its StandardForm, whose rows are then not standardized again.
 
     start None solves cold and keeps no state. Any other start returns
     the final SimplexState with a feasible outcome: COLD_START solves

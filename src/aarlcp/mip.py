@@ -7,11 +7,13 @@ integral terminates. Otherwise the most fractional binary is branched
 (ties to the lowest variable index), exploring the nearer integer value
 first. Runs are deterministic.
 
-The root LP is solved cold. Every other node LP starts warm from its
-parent's final simplex state (lp.check_feasibility), since a child
-differs from its parent only in its binaries' bounds; the LP falls back
-to a cold phase 1 where the warm start cannot decide. A state is
-dropped once both children that carry it have been solved.
+A child differs from its parent only in its binaries' bounds, so the
+tree standardizes its rows once (lp.standardize) and each node LP is
+those rows under its own bounds (StandardForm.with_bounds). The root LP
+is solved cold; every other node LP starts warm from its parent's final
+simplex state (lp.check_feasibility) and falls back to a cold phase 1
+where the warm start cannot decide. A state is dropped once both
+children that carry it have been solved.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .lp import COLD_START, LinearProgram, check_feasibility, check_point
+from .lp import COLD_START, LinearProgram, check_feasibility, check_point, standardize
 from .tolerances import TOL_FEAS, TOL_INT
 
 __all__ = [
@@ -82,14 +84,7 @@ def solve_mip_feasibility(
     lp = prob.lp
     bins = prob.binaries
     scale = 1.0 + float(np.max(np.abs(lp.rhs), initial=0.0))
-
-    def node_solve(blo, bup, start):
-        lo = lp.lower.copy()
-        up = lp.upper.copy()
-        lo[bins] = blo
-        up[bins] = bup
-        node_lp = LinearProgram(lp.objective, lp.lhs, lp.senses, lp.rhs, lo, up)
-        return node_lp, check_feasibility(node_lp, start=start)
+    form = standardize(lp)
 
     nodes = 0
     # stack entries: (lower-override, upper-override) for the binaries
@@ -100,7 +95,7 @@ def solve_mip_feasibility(
         if nodes >= node_limit:
             raise NodeLimitError(nodes)
         nodes += 1
-        node_lp, out = node_solve(blo, bup, start)
+        out = check_feasibility(form.with_bounds(bins, blo, bup), start=start)
         del start  # a parent's state lives only while a child still waits
         if out.status != "optimal":
             continue  # prune
@@ -112,17 +107,17 @@ def solve_mip_feasibility(
             if unfixed.size == 0:
                 x = out.x.copy()
                 x[bins] = np.round(xb)  # bounds pin these already
-                if check_point(node_lp, x) <= TOL_FEAS * scale:
+                if check_point(lp, x) <= TOL_FEAS * scale:
                     return MipOutcome("feasible", x, nodes)
                 continue
             # nearly integral: try pinning every binary at its rounding
             nodes += 1
             flo = np.round(xb)
-            flp, fout = node_solve(flo, flo.copy(), out.state)
+            fout = check_feasibility(form.with_bounds(bins, flo, flo), start=out.state)
             if fout.status == "optimal":
                 x = fout.x.copy()
                 x[bins] = flo
-                if check_point(flp, x) <= TOL_FEAS * scale:
+                if check_point(lp, x) <= TOL_FEAS * scale:
                     return MipOutcome("feasible", x, nodes)
             j = int(unfixed[0])  # pinning failed: split on an unfixed binary
         else:

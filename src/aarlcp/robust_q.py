@@ -353,41 +353,44 @@ class MipVariableLayout:
         return AffineSolutionQ(d.copy(), r.copy())
 
 
-class _Rows:
-    """Dense constraint rows over ncols columns, in the order added."""
-
-    def __init__(self, ncols: int):
-        self.ncols = ncols
-        self.rows, self.senses, self.rhs = [], [], []
-
-    def add(self, cols, coefs, sense: str, b) -> None:
-        row = np.zeros(self.ncols)
-        row[np.asarray(cols, dtype=int)] = coefs
-        self.rows.append(row)
-        self.senses.append(sense)
-        self.rhs.append(float(b))
-
-    def program(self, lower: np.ndarray, upper: np.ndarray) -> LinearProgram:
-        return LinearProgram(np.zeros(self.ncols), np.vstack(self.rows),
-                             self.senses, np.array(self.rhs), lower, upper)
+def _program(blocks, lower: np.ndarray, upper: np.ndarray) -> LinearProgram:
+    """The feasibility program whose rows are the blocks (lhs, senses,
+    rhs) stacked in order."""
+    lhs, senses, rhs = zip(*blocks)
+    return LinearProgram(np.zeros(lower.size), np.vstack(lhs),
+                         [s for block in senses for s in block],
+                         np.concatenate(rhs), lower, upper)
 
 
-def _envelopes(rows: _Rows, ub: np.ndarray, families) -> None:
+def _envelopes(ncols: int, ub: np.ndarray, families):
     """Box envelopes of rows whose u-coefficients are affine in LP
-    columns. A family (env, const, var, coef, sum_cols, sum_coefs, rhs)
-    is one row with u_j-coefficient const[j] + coef . x[var[:, j]]: the
-    envelope column env[j] takes e_j <= -+ that coefficient times ub[j],
-    and the row stays nonnegative over the box when sum_j e_j +
-    sum_coefs . x[sum_cols] >= rhs. Per j each family's two rows follow
-    in the order given; one sum row per family comes last."""
-    for j, b in enumerate(ub):
-        for env, const, var, coef, *_ in families:
-            cols = np.concatenate([[env[j]], var[:, j]])
-            rows.add(cols, np.concatenate([[1.0], b * coef]), "<=", -b * const[j])
-            rows.add(cols, np.concatenate([[1.0], -b * coef]), "<=", b * const[j])
-    for env, _, _, _, sum_cols, sum_coefs, rhs in families:
-        rows.add(np.concatenate([env, sum_cols]),
-                 np.concatenate([np.ones(ub.size), sum_coefs]), ">=", rhs)
+    columns, for G groups at once. A family (env, const, var, coef,
+    sum_cols, sum_coefs, rhs) has in group g one row with u_j-coefficient
+    const[g, j] + coef[g] . x[var[g, :, j]]: the envelope column
+    env[g, j] takes e_j <= -+ that coefficient times ub[j], and the row
+    stays nonnegative over the box when sum_j e_j + sum_coefs[g] .
+    x[sum_cols[g]] >= rhs[g]. Per group, per j each family's two rows
+    follow in the order given, and one sum row per family comes last.
+    Returns the block (lhs, senses, rhs) over ncols columns."""
+    groups, nu, nf = len(families[0][0]), ub.size, len(families)
+    pairs = np.zeros((groups, nu, nf, 2, ncols))
+    pair_rhs = np.zeros((groups, nu, nf, 2))
+    sums = np.zeros((groups, nf, ncols))
+    g, j = np.arange(groups)[:, None], np.arange(nu)
+    for f, (env, const, var, coef, sum_cols, sum_coefs, _) in enumerate(families):
+        pairs[g, j, f, 0, env] = pairs[g, j, f, 1, env] = 1.0
+        terms = ub * coef[:, :, None]  # [g, k, j]: ub[j] coef[g, k] on var[g, k, j]
+        pairs[g[:, :, None], j, f, 0, var] = terms
+        pairs[g[:, :, None], j, f, 1, var] = -terms
+        pair_rhs[:, :, f, 0] = -ub * const
+        pair_rhs[:, :, f, 1] = ub * const
+        sums[g, f, env] = 1.0
+        sums[g, f, sum_cols] = sum_coefs
+    lhs = np.concatenate([pairs.reshape(groups, 2 * nu * nf, ncols), sums], axis=1)
+    rhs = np.concatenate([pair_rhs.reshape(groups, 2 * nu * nf),
+                          np.stack([fam[6] for fam in families], axis=1)], axis=1)
+    return (lhs.reshape(-1, ncols), (["<="] * (2 * nu * nf) + [">="] * nf) * groups,
+            rhs.reshape(-1))
 
 
 def build_mip(inst: UncertainLcpQ, big_m: float):
@@ -422,43 +425,43 @@ def build_mip(inst: UncertainLcpQ, big_m: float):
     upper[lay.x] = 1.0
     lower[lay.r] = 0.0
     # unused grid columns are pinned at zero
-    for grid in (lay.d, lay.a, lay.c):
-        if s_set.size:
-            lower[grid[:, s_set].reshape(-1)] = 0.0
-            upper[grid[:, s_set].reshape(-1)] = 0.0
-    if inst.h:
-        lower[lay.d[: inst.h, :].reshape(-1)] = 0.0
-        upper[lay.d[: inst.h, :].reshape(-1)] = 0.0
+    pinned = [grid[:, s_set] for grid in (lay.d, lay.a, lay.c)] + [lay.d[: inst.h]]
+    pinned = np.concatenate([cols.reshape(-1) for cols in pinned])
+    lower[pinned] = upper[pinned] = 0.0
 
-    rows = _Rows(ncols)
-    for i in range(n):
-        # r_i <= big_m x_i
-        rows.add([lay.r[i], lay.x[i]], [1.0, -big_m], "<=", 0.0)
-        # 0 <= M_i r + qbar_i <= big_m (1 - x_i)
-        rows.add(lay.r, m[i], ">=", -inst.qbar[i])
-        rows.add(np.concatenate([lay.r, [lay.x[i]]]), np.concatenate([m[i], [big_m]]),
-                 "<=", big_m - inst.qbar[i])
+    # per row i: r_i <= big_m x_i, then 0 <= M_i r + qbar_i <= big_m (1 - x_i)
+    rows = np.arange(n)
+    link = np.zeros((n, 3, ncols))
+    link[rows, 0, lay.r] = 1.0
+    link[rows, 0, lay.x] = -big_m
+    link[:, 1, lay.r] = link[:, 2, lay.r] = m
+    link[rows, 2, lay.x] = big_m
+    link_rhs = np.stack([np.zeros(n), -inst.qbar, big_m - inst.qbar], axis=1)
 
-    # M_i . D_col_j = -delta_ij unless x_i = 0 relaxes row i
-    for j in u_set:
-        dcol = lay.d[:, j]
-        for i in range(n):
-            delta = 1.0 if i == j else 0.0
-            cols = np.concatenate([dcol, [lay.x[i]]])
-            rows.add(cols, np.concatenate([m[i], [big_m]]), "<=", big_m - delta)
-            rows.add(cols, np.concatenate([m[i], [-big_m]]), ">=", -big_m - delta)
+    # per uncertain j and row i: M_i . D_col_j = -delta_ij unless x_i = 0
+    # relaxes row i
+    nu = u_set.size
+    rule = np.zeros((nu, n, 2, ncols))
+    j, dcols = np.arange(nu)[:, None, None], lay.d[:, u_set].T[:, None, :]
+    rule[j, rows[:, None], 0, dcols] = rule[j, rows[:, None], 1, dcols] = m
+    rule[:, rows, 0, lay.x] = big_m
+    rule[:, rows, 1, lay.x] = -big_m
+    delta = (u_set[:, None] == rows).astype(float)
+    rule_rhs = np.stack([big_m - delta, -big_m - delta], axis=2)
 
     # box envelopes of row i: z_i(u) >= 0 on the grid a, (M z(u) + q(u))_i
     # >= 0 on the grid c, whose u_j-coefficients are d_ij and M_i . D_col_j
     # + delta_ij
-    for i in range(n):
-        _envelopes(rows, inst.ubar[u_set], [
-            (lay.a[i, u_set], np.zeros(u_set.size), lay.d[i, u_set][None], np.ones(1),
-             [lay.r[i]], [1.0], 0.0),
-            (lay.c[i, u_set], (u_set == i).astype(float), lay.d[:, u_set], m[i],
-             lay.r, m[i], -inst.qbar[i])])
+    envelopes = _envelopes(ncols, inst.ubar[u_set], [
+        (lay.a[:, u_set], np.zeros((n, nu)), lay.d[:, None, u_set], np.ones((n, 1)),
+         lay.r[:, None], np.ones((n, 1)), np.zeros(n)),
+        (lay.c[:, u_set], delta.T, np.broadcast_to(lay.d[:, u_set], (n, n, nu)), m,
+         np.broadcast_to(lay.r, (n, n)), m, -inst.qbar)])
 
-    return MixedBinaryProgram(rows.program(lower, upper), lay.x), lay
+    lp = _program([(link.reshape(-1, ncols), ["<=", ">=", "<="] * n, link_rhs.reshape(-1)),
+                   (rule.reshape(-1, ncols), ["<=", ">="] * (nu * n), rule_rhs.reshape(-1)),
+                   envelopes], lower, upper)
+    return MixedBinaryProgram(lp, lay.x), lay
 
 
 @dataclass
@@ -608,18 +611,14 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     z_moves = np.any(kernel != 0.0, axis=1)
     w_moves = np.any(g_t != 0.0, axis=1)
     r_idx = np.arange(n)
-    # rows that T moves: (const, coef on T, r columns, r coefs, rhs)
-    moved = ([(x0[k], kernel[k], [a_set[k]], [1.0], 0.0)
-              for k in np.flatnonzero(z_moves)]
-             + [(g0[k], g_t[k], r_idx, m[l_set[k]], -inst.qbar[l_set[k]])
-                for k in np.flatnonzero(w_moves)])
+    zk, wk = np.flatnonzero(z_moves), np.flatnonzero(w_moves)
 
     # columns: r (n) | T (kernel x U) | envelopes (moved rows x U)
     nt = kernel.shape[1] * u_set.size
-    ncols = n + nt + len(moved) * u_set.size
+    ncols = n + nt + (zk.size + wk.size) * u_set.size
     t_idx = (n + np.arange(nt)).reshape(kernel.shape[1], u_set.size)
-    env_idx = (n + nt + np.arange(len(moved) * u_set.size)).reshape(
-        len(moved), u_set.size)
+    env_idx = (n + nt + np.arange((zk.size + wk.size) * u_set.size)).reshape(
+        zk.size + wk.size, u_set.size)
     # r in the nominal solution set, whose first n rows are M r + qbar
     # >= 0: z_A and M_L r + qbar_L raised to their envelope floors where
     # T does not move them
@@ -629,13 +628,21 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     rhs = nominal_set.rhs.copy()
     rhs[l_set[~w_moves]] += np.abs(g0[~w_moves]) @ ub
 
-    rows = _Rows(ncols)
-    for row, sense, b in zip(nominal_set.lhs, nominal_set.senses, rhs):
-        rows.add(r_idx, row, sense, b)
-    for env_cols, (const, coef, sum_cols, sum_coefs, b) in zip(env_idx, moved):
-        _envelopes(rows, ub, [(env_cols, const, t_idx, coef, sum_cols, sum_coefs, b)])
+    nominal_rows = np.zeros((rhs.size, ncols))
+    nominal_rows[:, r_idx] = nominal_set.lhs
+    blocks = [(nominal_rows, nominal_set.senses, rhs)]
+    # envelopes of the rows that T moves: z_A first, then M_L r + qbar_L
+    for env, const, coef, sum_cols, sum_coefs, b in (
+            (env_idx[:zk.size], x0[zk], kernel[zk], a_set[zk, None],
+             np.ones((zk.size, 1)), np.zeros(zk.size)),
+            (env_idx[zk.size:], g0[wk], g_t[wk], np.broadcast_to(r_idx, (wk.size, n)),
+             m[l_set[wk]], -inst.qbar[l_set[wk]])):
+        if b.size:
+            blocks.append(_envelopes(ncols, ub, [
+                (env, const, np.broadcast_to(t_idx, (b.size, *t_idx.shape)), coef,
+                 sum_cols, sum_coefs, b)]))
 
-    out = check_feasibility(rows.program(lower, upper))
+    out = check_feasibility(_program(blocks, lower, upper))
     if out.status != "optimal":
         return nothing
     d = np.zeros((n, n))

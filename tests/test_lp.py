@@ -332,3 +332,34 @@ def test_repair_basis_swaps_dependent_columns_for_artificials():
     # neither kept column pivots on
     assert sx.basis.tolist() == [0, 1, sx.nreal + 2]
     assert not sx.is_basic[2] and sx.val[2] == 0.0
+
+
+def _check_point_by_rows(lp, x):
+    """check_point written as a loop over the rows."""
+    ax = lp.lhs @ x
+    worst = 0.0
+    for i, s in enumerate(lp.senses):
+        gap = ax[i] - lp.rhs[i]
+        if s == "<=":
+            worst = max(worst, gap)
+        elif s == ">=":
+            worst = max(worst, -gap)
+        else:
+            worst = max(worst, abs(gap))
+    lo = np.where(np.isfinite(lp.lower), lp.lower, -np.inf)
+    up = np.where(np.isfinite(lp.upper), lp.upper, np.inf)
+    worst = max(worst, float(np.max(lo - x, initial=0.0)))
+    return max(worst, float(np.max(x - up, initial=0.0)))
+
+
+def test_check_point_matches_the_row_loop():
+    rng = np.random.default_rng(31)
+    for _ in range(300):
+        nrows, ncols = int(rng.integers(0, 6)), int(rng.integers(1, 6))
+        bounds = [_BOUNDS[k] for k in rng.integers(0, len(_BOUNDS), ncols)]
+        lower, upper = (np.array(b) for b in zip(*bounds))
+        lp = _lp(np.zeros(ncols), rng.normal(size=(nrows, ncols)),
+                 rng.choice(["<=", "=", ">="], nrows), rng.normal(size=nrows),
+                 lower=lower, upper=upper)
+        for x in (rng.normal(size=ncols) * 3.0, np.clip(np.zeros(ncols), lower, upper)):
+            assert check_point(lp, x) == _check_point_by_rows(lp, x)

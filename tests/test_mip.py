@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from aarlcp import dispatch_solve, lp as lp_module, mip as mip_module, parse_instance
-from aarlcp.lp import (COLD_START, LinearProgram, _Simplex, _standardize,
-                       check_feasibility, check_point)
+from aarlcp.lp import (COLD_START, LinearProgram, StandardForm, _Simplex,
+                       check_feasibility, check_point, standardize)
 from aarlcp.mip import (MixedBinaryProgram, NodeLimitError,
                         solve_mip_feasibility)
 from aarlcp.tolerances import TOL_CERT_ZERO, TOL_FEAS
@@ -91,7 +91,7 @@ def test_matches_exhaustive_binary_enumeration():
 def _row_proves_infeasible(lp, y):
     """The interval check of a warm infeasible verdict, restated: over
     the bounds of the standardized program, (y A) x cannot reach y b."""
-    a, b, _, lo, up = _standardize(lp)
+    a, b, _, lo, up = standardize(lp)
     y = y / np.abs(y).max()
     g = y @ a
     g[np.abs(g) <= TOL_CERT_ZERO * np.abs(g).max()] = 0.0
@@ -158,6 +158,95 @@ def test_start_from_other_rows_is_a_cold_solve():
             assert np.array_equal(warm.x, cold.x)
 
 
+def _same_outcome(a, b):
+    return ((a.status, a.iterations) == (b.status, b.iterations)
+            and all(u is v is None or np.array_equal(u, v)
+                    for u, v in ((a.x, b.x), (a.y, b.y))))
+
+
+def test_bounds_only_nodes_match_fresh_programs(monkeypatch):
+    # every node LP of the search, solved on the tree's standard form,
+    # against a LinearProgram built afresh with the node's bounds
+    rng = np.random.default_rng(19)
+    calls = []
+
+    def compare(node, start=None):
+        assert isinstance(node, StandardForm)
+        lo, up = prob.lp.lower.copy(), prob.lp.upper.copy()
+        lo[prob.binaries] = node.lo[prob.binaries]
+        up[prob.binaries] = node.up[prob.binaries]
+        fresh = LinearProgram(prob.lp.objective, prob.lp.lhs, prob.lp.senses,
+                              prob.lp.rhs, lo, up)
+        out = check_feasibility(node, start=start)
+        assert _same_outcome(out, check_feasibility(fresh, start=start))
+        calls.append((start is COLD_START, out.y is not None))
+        return out
+
+    monkeypatch.setattr(mip_module, "check_feasibility", compare)
+    for _ in range(40):
+        prob = _random_prob(rng)
+        solve_mip_feasibility(prob)
+    cold, proofs = (sum(flags) for flags in zip(*calls))
+    assert cold == 40 and len(calls) > 2 * cold  # warm beyond the roots
+    assert proofs > 0  # warm infeasible verdicts with their multipliers
+
+
+def test_tree_standardizes_its_rows_once(monkeypatch):
+    count = []
+
+    def counted(lp):
+        count.append(1)
+        return standardize(lp)
+
+    monkeypatch.setattr(lp_module, "standardize", counted)
+    monkeypatch.setattr(mip_module, "standardize", counted)
+    rng = np.random.default_rng(7)
+    lhs = rng.uniform(0.4, 1.0, (1, 6))
+    p = _prob(lhs, ["="], [float(lhs.sum()) / 2.0], np.zeros(6), np.ones(6),
+              np.arange(6))
+    out = solve_mip_feasibility(p)
+    assert out.nodes >= 2
+    assert len(count) == 1
+
+
+def test_stale_rows_are_never_reused(monkeypatch):
+    resumed = []
+    resume = _Simplex.resume.__func__
+    monkeypatch.setattr(_Simplex, "resume", classmethod(
+        lambda cls, *args: resumed.append(1) or resume(cls, *args)))
+    rng = np.random.default_rng(20)
+    changed = 0
+    for _ in range(30):
+        p = _random_prob(rng).lp
+        root = check_feasibility(p, start=COLD_START)
+        if root.status != "optimal":
+            continue
+        lhs, rhs = p.lhs.copy(), p.rhs.copy()
+        lhs[0, 0] += 0.5
+        rhs[-1] -= 0.5
+        for other in (LinearProgram(p.objective, lhs, p.senses, p.rhs, p.lower, p.upper),
+                      LinearProgram(p.objective, p.lhs, p.senses, rhs, p.lower, p.upper)):
+            warm = check_feasibility(other, start=root.state)
+            assert _same_outcome(warm, check_feasibility(other))
+        # the caller's rows changed in place after the solve
+        p.lhs[0, 0] += 0.5
+        warm = check_feasibility(p, start=root.state)
+        assert _same_outcome(warm, check_feasibility(p))
+        changed += 1
+        assert resumed == []
+    assert changed > 10
+    # rows of the same program still start warm; a standard form and a
+    # state built on it cannot be changed in place
+    form = standardize(_prob([[1.0, 1.0]], ["<="], [1.5], [0.0, 0.0], [1.0, 1.0], []).lp)
+    root = check_feasibility(form, start=COLD_START)
+    assert check_feasibility(form.with_bounds([0], [1.0], [1.0]),
+                             start=root.state).status == "optimal"
+    assert resumed == [1]
+    for rows in (form.a, form.b, root.state.rows):
+        with pytest.raises(ValueError):
+            rows[0] = 1.0
+
+
 @pytest.mark.parametrize("give_up", ["pivot cap", "certificate"])
 def test_cold_fallback_keeps_branch_and_bound_verdicts(monkeypatch, give_up):
     rng = np.random.default_rng(18)
@@ -198,6 +287,13 @@ def test_node_limit_raises():
 def test_binary_bounds_enforced():
     with pytest.raises(ValueError):
         _prob([[1.0]], ["<="], [1.0], [0.0], [2.0], [0])
+
+
+def test_fractional_binary_bounds_admit_no_point():
+    # 0.3 <= x <= 0.7 holds no integral value: the children that fix x at
+    # 0 and at 1 leave those bounds, and their points must not come back
+    p = _prob([[1.0]], ["<="], [5.0], [0.3], [0.7], [0])
+    assert solve_mip_feasibility(p).status == "infeasible"
 
 
 def test_deterministic_node_counts():
