@@ -182,7 +182,7 @@ def factor_stack(a):
     meaningless; no warning is raised.
     """
     a = np.asarray(a, dtype=float)
-    lu = np.ascontiguousarray(np.moveaxis(a, 0, -1))  # (s, s, C)
+    lu = np.moveaxis(a, 0, -1).copy()  # (s, s, C); a copy even for C = 1
     s, c = lu.shape[0], lu.shape[-1]
     perm = np.tile(np.arange(s)[:, None], (1, c))
     cols = np.arange(c)

@@ -20,12 +20,14 @@ Both solvers take a LinearProgram or its StandardForm (standardize): a
 branch-and-bound tree standardizes its rows once and hands each node
 only new column bounds (StandardForm.with_bounds).
 
-check_feasibility can also start warm, from the final state of an
-earlier feasible check on the same rows (a branch-and-bound child from
-its parent's): same basis, basis inverse and nonbasic values, with the
-nonbasic values moved into the new bounds. A state knows the rows of
-its own StandardForm by identity and compares any others entry by
-entry. A zero-cost bounded dual simplex then repairs the basic values.
+Every feasible outcome keeps its final simplex (LpOutcome.state), and
+check_feasibility can start warm from it on the same rows (a
+branch-and-bound child from its parent's): a copy with the same basis,
+basis inverse and nonbasic values, the nonbasic values moved into the
+new bounds; the simplex started from is never written. A simplex knows
+the rows of its own StandardForm by identity and compares any others
+entry by entry. A zero-cost bounded dual simplex then repairs the basic
+values.
 With zero cost every basis is dual feasible, so there is no dual ratio
 test: the basic variable with the worst bound violation leaves at the
 bound it violates, and the sign-compatible nonbasic column with the
@@ -48,12 +50,10 @@ from . import linalg
 from .tolerances import TOL_CERT_ZERO, TOL_FEAS, warm_pivot_cap
 
 __all__ = [
-    "COLD_START",
     "INF",
     "IterationLimitError",
     "LinearProgram",
     "LpOutcome",
-    "SimplexState",
     "StandardForm",
     "standardize",
     "solve_lp",
@@ -108,11 +108,9 @@ class LinearProgram:
         self.senses = [str(s) for s in self.senses]
         if len(self.senses) != m:
             raise ValueError("one sense per row required")
-        norm = {"<": "<=", ">": ">=", "<=": "<=", ">=": ">=", "=": "=", "==": "="}
-        try:
-            self.senses = [norm[s] for s in self.senses]
-        except KeyError as exc:
-            raise ValueError(f"unknown row sense {exc.args[0]!r}") from None
+        for s in self.senses:
+            if s not in ("<=", "=", ">="):
+                raise ValueError(f"unknown row sense {s!r}")
         if np.any(self.upper <= -_BIG) or np.any(self.lower >= _BIG):
             raise ValueError("an upper bound of -inf or lower bound of +inf is ill-formed")
         bad = (self.lower > self.upper) & np.isfinite(self.lower) & np.isfinite(self.upper)
@@ -125,33 +123,12 @@ class LinearProgram:
 
 
 @dataclass
-class SimplexState:
-    """The final state of a feasible check_feasibility, for a warm start
-    on the same rows: the standardized rows it was built on
-    (StandardForm.a), the simplex's matrix (artificial columns included)
-    and right-hand side, its basis, basis inverse and column values
-    (those of basic columns are stale)."""
-
-    rows: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
-    basis: np.ndarray
-    binv: np.ndarray
-    val: np.ndarray
-    pivots_since_refresh: int
-
-
-# a start for check_feasibility: solve cold, hand back the final state
-COLD_START = "cold"
-
-
-@dataclass
 class LpOutcome:
     status: str  # "optimal" | "infeasible" | "unbounded"
     x: np.ndarray | None = None
     iterations: int = 0
-    # feasible checks given a start: the final state, to start others from
-    state: SimplexState | None = None
+    # feasible outcomes: the final simplex, to start warm checks from
+    state: _Simplex | None = None
     # warm infeasible checks: multipliers of the standardized rows
     # (standardize) whose combination the bounds cannot meet
     y: np.ndarray | None = None
@@ -221,7 +198,6 @@ class _Simplex:
 
     def __init__(self, a, b, lo, up, cap):
         m, nreal = a.shape
-        self.m, self.nreal = m, nreal
         x0 = np.where(lo > -_BIG, lo, np.where(up < _BIG, up, 0.0))
         resid = b - a @ x0
         # slack crash (module docstring); the slacks are the last m columns
@@ -233,51 +209,47 @@ class _Simplex:
         x0[slack[crash]] = s0[crash]
         resid[crash] = 0.0
         sign = np.where(resid >= 0, 1.0, -1.0)
-        self.rows = a
-        self.a = np.hstack([a, np.diag(sign)]) if m else a
-        self.b = b
-        self.lo = np.concatenate([lo, np.zeros(m)])
-        self.up = np.concatenate([up, np.full(m, INF)])
-        self.ntot = nreal + m
-        self.val = np.concatenate([x0, np.abs(resid)])
-        self.basis = np.where(crash, slack, nreal + rows)
-        self.is_basic = np.zeros(self.ntot, dtype=bool)
-        self.is_basic[self.basis] = True
-        self.binv = np.diag(np.where(crash, 1.0 / coef, sign))
+        self._setup(a, np.hstack([a, np.diag(sign)]) if m else a, b,
+                    np.concatenate([lo, np.zeros(m)]),
+                    np.concatenate([up, np.full(m, INF)]),
+                    np.concatenate([x0, np.abs(resid)]),
+                    np.where(crash, slack, nreal + rows),
+                    np.diag(np.where(crash, 1.0 / coef, sign)), 0)
         self.cap = cap
-        self.iterations = 0
-        self.pivots_since_refresh = 0
 
     @classmethod
-    def resume(cls, state: SimplexState, lo, up):
-        """A copy of `state` under new column bounds (lo, up of the real
+    def resume(cls, start: _Simplex, lo, up):
+        """A copy of `start` under new column bounds (lo, up of the real
         columns; artificials stay pinned at zero), for repair. Nonbasic
-        values move into their new range."""
+        values move into their new range; `start` is never written."""
         sx = cls.__new__(cls)
-        m = state.basis.size
-        sx.m, sx.nreal = m, lo.size
-        sx.rows, sx.a, sx.b = state.rows, state.a, state.b  # never written
-        sx.lo = np.concatenate([lo, np.zeros(m)])
-        sx.up = np.concatenate([up, np.zeros(m)])
-        sx.ntot = sx.nreal + m
-        sx.val = np.clip(state.val, sx.lo, sx.up)
-        sx.basis = state.basis.copy()
-        sx.is_basic = np.zeros(sx.ntot, dtype=bool)
-        sx.is_basic[sx.basis] = True
-        sx.binv = state.binv.copy()
-        sx.iterations = 0
-        sx.pivots_since_refresh = state.pivots_since_refresh
+        lo = np.concatenate([lo, np.zeros(start.m)])
+        up = np.concatenate([up, np.zeros(start.m)])
+        sx._setup(start.rows, start.a, start.b, lo, up, np.clip(start.val, lo, up),
+                  start.basis.copy(), start.binv.copy(), start.pivots_since_refresh)
         return sx
 
-    def state(self) -> SimplexState:
-        return SimplexState(self.rows, self.a, self.b, self.basis, self.binv,
-                            self.val, self.pivots_since_refresh)
+    def _setup(self, rows, a, b, lo, up, val, basis, binv, pivots_since_refresh):
+        """The simplex on a x = b, whose first columns are the
+        standardized rows and whose last m columns are artificial."""
+        self.rows, self.a, self.b = rows, a, b
+        self.m, self.ntot = a.shape
+        self.nreal = rows.shape[1]
+        self.lo, self.up, self.val = lo, up, val
+        self.basis = basis
+        self.is_basic = np.zeros(self.ntot, dtype=bool)
+        self.is_basic[basis] = True
+        self.binv = binv
+        self.iterations = 0
+        self.pivots_since_refresh = pivots_since_refresh
+
+    def _basic_values(self):
+        """Values of the basic columns, from the nonbasic ones."""
+        return self.binv @ (self.b - self.a @ np.where(self.is_basic, 0.0, self.val))
 
     def x_full(self):
-        v = np.where(self.is_basic, 0.0, self.val)
-        xb = self.binv @ (self.b - self.a @ v)
-        x = v.copy()
-        x[self.basis] = xb
+        x = self.val.copy()
+        x[self.basis] = self._basic_values()
         return x
 
     def _refactor(self):
@@ -343,8 +315,7 @@ class _Simplex:
                 raise IterationLimitError(
                     f"simplex exceeded {self.cap} iterations (phase {phase})"
                 )
-            v = np.where(self.is_basic, 0.0, self.val)
-            xb = self.binv @ (self.b - self.a @ v)
+            xb = self._basic_values()
             cb = cost[self.basis]
             y = cb @ self.binv
             d = cost - y @ self.a
@@ -474,8 +445,7 @@ class _Simplex:
         pivots = 0
         while True:
             self.iterations += 1
-            v = np.where(self.is_basic, 0.0, self.val)
-            xb = self.binv @ (self.b - self.a @ v)
+            xb = self._basic_values()
             if not np.all(np.isfinite(xb)):
                 return None
             basis = self.basis
@@ -510,24 +480,16 @@ class _Simplex:
     def pin_artificials(self):
         """After phase 1: pivot artificials out of the basis where
         possible and freeze them at zero."""
-        nreal, ntot = self.nreal, self.ntot
+        nreal = self.nreal
         for r in range(self.m):
-            avar = self.basis[r]
-            if avar < nreal:
+            if self.basis[r] < nreal:
                 continue
             row = self.binv[r] @ self.a[:, :nreal]
             row[self.is_basic[:nreal]] = 0.0
             row[self.up[:nreal] - self.lo[:nreal] <= _PTOL] = 0.0
             j = int(np.argmax(np.abs(row)))
             if abs(row[j]) > 1e-7:
-                w = self.binv @ self.a[:, j]
-                self.val[avar] = 0.0
-                self.basis[r] = j
-                self.is_basic[avar] = False
-                self.is_basic[j] = True
-                br = self.binv[r] / w[r]
-                self.binv -= np.outer(w, br)
-                self.binv[r] = br
+                self._pivot(r, j, self.binv @ self.a[:, j], 0.0)
             # else: redundant row; the artificial stays basic at zero
         self.lo[nreal:] = 0.0
         self.up[nreal:] = 0.0
@@ -572,9 +534,8 @@ def _run(lp, feasibility_only: bool, start=None) -> LpOutcome:
     a, b, c, lo, up = lp if isinstance(lp, StandardForm) else standardize(lp)
     m = b.size
     n = a.shape[1] - m
-    cap = 50 * (m + a.shape[1])
     sx, spent = None, 0  # spent: warm pivots before a cold fallback
-    if isinstance(start, SimplexState) and _same_rows(start, a, b):
+    if start is not None and _same_rows(start, a, b):
         warm = _Simplex.resume(start, lo, up)
         status = warm.repair(warm_pivot_cap(m))
         if status == "optimal":
@@ -585,27 +546,23 @@ def _run(lp, feasibility_only: bool, start=None) -> LpOutcome:
             spent = warm.iterations
 
     if sx is None:
-        sx = _Simplex(a, b, lo, up, cap)
-        cost1 = np.concatenate([np.zeros(sx.nreal), np.ones(m)])
-        status = sx.run(cost1, phase=1)
+        sx = _Simplex(a, b, lo, up, 50 * (m + a.shape[1]))
+        status = sx.run(np.concatenate([np.zeros(sx.nreal), np.ones(m)]), phase=1)
         if status != "optimal":  # phase 1 is bounded below by zero
             raise RuntimeError("phase-1 simplex reported unbounded")
-        x = sx.x_full()
-        p1 = float(x[sx.nreal :].sum())
+        p1 = float(sx.x_full()[sx.nreal :].sum())
         if p1 > _feasibility_margin(b):
             return LpOutcome(status="infeasible", iterations=spent + sx.iterations)
         sx.pin_artificials()
 
-        cost2 = np.concatenate([c, np.zeros(m)])
         if not feasibility_only:
-            status = sx.run(cost2, phase=2)
+            status = sx.run(np.concatenate([c, np.zeros(m)]), phase=2)
             if status == "unbounded":
                 return LpOutcome(status="unbounded", iterations=sx.iterations)
 
     x = sx.x_full()
     xr = np.minimum(np.maximum(x[: n + m], lo), up)[:n]  # clamp drift
-    return LpOutcome(status="optimal", x=xr, iterations=spent + sx.iterations,
-                     state=None if start is None else sx.state())
+    return LpOutcome(status="optimal", x=xr, iterations=spent + sx.iterations, state=sx)
 
 
 def solve_lp(lp: LinearProgram) -> LpOutcome:
@@ -619,9 +576,8 @@ def check_feasibility(lp: LinearProgram | StandardForm, start=None) -> LpOutcome
     "infeasible". The objective is ignored. lp is a LinearProgram or
     its StandardForm, whose rows are then not standardized again.
 
-    start None solves cold and keeps no state. Any other start returns
-    the final SimplexState with a feasible outcome: COLD_START solves
-    cold, and the state of an earlier feasible outcome on the same rows
-    starts warm (module docstring; the state itself is not changed).
+    start None solves cold. The state of an earlier feasible outcome
+    on the same rows starts warm (module docstring), any other state
+    cold.
     """
     return _run(lp, feasibility_only=True, start=start)

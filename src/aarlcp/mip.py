@@ -3,17 +3,21 @@ depth-first branch and bound.
 
 Each node solves the phase-1 LP relaxation with some binaries fixed.
 Infeasible relaxations prune; a relaxation point whose binaries are all
-integral terminates. Otherwise the most fractional binary is branched
+fixed and integral is a leaf, accepted when its rounded point passes a
+direct check of the original rows. Otherwise the most fractional binary is branched
 (ties to the lowest variable index), exploring the nearer integer value
-first. Runs are deterministic.
+first. A point whose binaries are integral but not all fixed first
+tries one more node with every binary pinned at its rounding, then
+branches on its lowest unfixed binary. Every node counts against the
+node limit. Runs are deterministic.
 
 A child differs from its parent only in its binaries' bounds, so the
 tree standardizes its rows once (lp.standardize) and each node LP is
 those rows under its own bounds (StandardForm.with_bounds). The root LP
 is solved cold; every other node LP starts warm from its parent's final
-simplex state (lp.check_feasibility) and falls back to a cold phase 1
-where the warm start cannot decide. A state is dropped once both
-children that carry it have been solved.
+simplex (LpOutcome.state, lp.check_feasibility) and falls back to a
+cold phase 1 where the warm start cannot decide. A parent's simplex is
+dropped once every child that carries it has been solved.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .lp import COLD_START, LinearProgram, check_feasibility, check_point, standardize
+from .lp import LinearProgram, check_feasibility, check_point, standardize
 from .tolerances import TOL_FEAS, TOL_INT
 
 __all__ = [
@@ -88,44 +92,38 @@ def solve_mip_feasibility(
 
     nodes = 0
     # stack entries: (lower-override, upper-override) for the binaries
-    # only, and the simplex state of the parent
-    stack = [(lp.lower[bins].copy(), lp.upper[bins].copy(), COLD_START)]
+    # only, and the final simplex of the parent (None at the root)
+    stack = [(lp.lower[bins].copy(), lp.upper[bins].copy(), None)]
     while stack:
         blo, bup, start = stack.pop()
         if nodes >= node_limit:
             raise NodeLimitError(nodes)
         nodes += 1
         out = check_feasibility(form.with_bounds(bins, blo, bup), start=start)
-        del start  # a parent's state lives only while a child still waits
+        del start  # a parent's simplex lives only while a child still waits
         if out.status != "optimal":
             continue  # prune
         xb = out.x[bins]
         frac = np.abs(xb - np.round(xb))
-        worst = float(frac.max()) if frac.size else 0.0
+        integral = float(frac.max(initial=0.0)) <= TOL_INT
         unfixed = np.flatnonzero(bup - blo > 0.5)
-        if worst <= TOL_INT:
-            if unfixed.size == 0:
-                x = out.x.copy()
-                x[bins] = np.round(xb)  # bounds pin these already
-                if check_point(lp, x) <= TOL_FEAS * scale:
-                    return MipOutcome("feasible", x, nodes)
-                continue
-            # nearly integral: try pinning every binary at its rounding
-            nodes += 1
-            flo = np.round(xb)
-            fout = check_feasibility(form.with_bounds(bins, flo, flo), start=out.state)
-            if fout.status == "optimal":
-                x = fout.x.copy()
-                x[bins] = flo
-                if check_point(lp, x) <= TOL_FEAS * scale:
-                    return MipOutcome("feasible", x, nodes)
-            j = int(unfixed[0])  # pinning failed: split on an unfixed binary
-        else:
-            j = int(np.argmax(frac))  # most fractional; ties -> lowest index
+        if integral and unfixed.size == 0:
+            x = out.x.copy()
+            x[bins] = np.round(xb)  # bounds pin these already
+            if check_point(lp, x) <= TOL_FEAS * scale:
+                return MipOutcome("feasible", x, nodes)
+            continue
+        # most fractional (ties -> lowest index); when nearly integral,
+        # the lowest unfixed binary after the pinned rounding (pushed
+        # last, so it pops first)
+        j = int(unfixed[0]) if integral else int(np.argmax(frac))
         near = float(np.round(np.clip(xb[j], 0.0, 1.0)))
         far = 1.0 - near
         for value in (far, near):  # pushed far-first so near pops first
             clo, cup = blo.copy(), bup.copy()
             clo[j] = cup[j] = value
             stack.append((clo, cup, out.state))
+        if integral:
+            pinned = np.round(xb)
+            stack.append((pinned, pinned, out.state))
     return MipOutcome("infeasible", None, nodes)

@@ -54,6 +54,24 @@ def test_solve_one_by_one():
     assert linalg.solve_stack(lu, perm, b[None])[0] == pytest.approx([25.0])
 
 
+@pytest.mark.parametrize("blocks", [1, 3])
+def test_factor_stack_leaves_its_input(blocks):
+    a = np.random.default_rng(blocks).normal(size=(blocks, 4, 4))
+    kept = a.copy()
+    linalg.factor_stack(a)
+    assert np.array_equal(a, kept)
+
+
+def test_one_block_stack_keeps_the_pivot_rule_of_invert():
+    # U[2, 2] = 2.5e-10 lies below 1e-10 * max|a| = 3e-10 but above
+    # 1e-10 * max|LU| = 2e-10: the rule reads the block, not its LU
+    a = np.array([[1.0, 0.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, -3.0 + 2.5e-10]])
+    with pytest.raises(linalg.SingularMatrixError):
+        linalg.invert(a)
+    assert linalg.factor_stack(a[None])[2].tolist() == [True]
+    assert linalg.factor_stack(np.stack([a, np.eye(3)]))[2].tolist() == [True, False]
+
+
 def test_invert_rank_deficient_flags_singular():
     a = np.array([[1.0, 1.0], [2.0, 2.0]])
     with pytest.raises(linalg.SingularMatrixError):

@@ -281,6 +281,12 @@ def test_rejects_crossed_bounds():
         _lp([1.0], [[1.0]], ["<="], [1.0], lower=[2.0], upper=[1.0])
 
 
+@pytest.mark.parametrize("sense", ["==", "<", ">", "=<"])
+def test_rejects_unknown_senses(sense):
+    with pytest.raises(ValueError, match="unknown row sense"):
+        _lp([1.0], [[1.0]], [sense], [1.0])
+
+
 def _klee_minty(n):
     """max sum_j 10^(n-j) x_j s.t. 2 sum_{j<i} 10^(i-j) x_j + x_i <=
     100^(i-1), x >= 0: Dantzig pricing visits all 2^n vertices, each

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from aarlcp import dispatch_solve, lp as lp_module, mip as mip_module, parse_instance
-from aarlcp.lp import (COLD_START, LinearProgram, StandardForm, _Simplex,
-                       check_feasibility, check_point, standardize)
+from aarlcp.instances import generate_random
+from aarlcp.lp import (LinearProgram, StandardForm, _Simplex, check_feasibility,
+                       check_point, standardize)
 from aarlcp.mip import (MixedBinaryProgram, NodeLimitError,
                         solve_mip_feasibility)
+from aarlcp.robust_q import build_mip, default_big_m
 from aarlcp.tolerances import TOL_CERT_ZERO, TOL_FEAS
 
 INF = np.inf
@@ -107,16 +109,17 @@ def _row_proves_infeasible(lp, y):
 
 def test_warm_starts_agree_with_cold_solves():
     # children fix one binary of a feasible parent, grandchildren pin all
-    # of them; each warm check starts from its parent's state
+    # of them; each warm check starts from its parent's final simplex
     rng = np.random.default_rng(16)
     proofs = 0
     for trial in range(60):
         p = _random_prob(rng)
         lp, bins = p.lp, p.binaries
-        root = check_feasibility(lp, start=COLD_START)
+        root = check_feasibility(lp)
         if root.status != "optimal":
             continue
-        kept = [v.copy() for v in (root.state.basis, root.state.binv, root.state.val)]
+        parts = ("basis", "binv", "val", "is_basic", "lo", "up")
+        kept = [getattr(root.state, k).copy() for k in parts]
         for j, value in itertools.product(range(bins.size), (0.0, 1.0)):
             blo, bup = lp.lower[bins].copy(), lp.upper[bins].copy()
             blo[j] = bup[j] = value
@@ -131,14 +134,13 @@ def test_warm_starts_agree_with_cold_solves():
             for node_lp, warm in pairs:
                 assert warm.status == check_feasibility(node_lp).status, trial
                 if warm.status == "optimal":
-                    assert warm.state is not None
+                    assert warm.state is not None and warm.state is not root.state
                     assert check_point(node_lp, warm.x) <= 1e-7
                 elif warm.y is not None:
                     assert _row_proves_infeasible(node_lp, warm.y)
                     proofs += 1
-        # the children copied the root's state
-        assert all(np.array_equal(v, w) for v, w in
-                   zip(kept, (root.state.basis, root.state.binv, root.state.val)))
+        # the children copied the root's simplex
+        assert all(np.array_equal(v, getattr(root.state, k)) for v, k in zip(kept, parts))
     assert proofs > 0
 
 
@@ -146,12 +148,12 @@ def test_start_from_other_rows_is_a_cold_solve():
     rng = np.random.default_rng(17)
     for _ in range(20):
         p, q = _random_prob(rng), _random_prob(rng)
-        other = check_feasibility(q.lp, start=COLD_START)
+        other = check_feasibility(q.lp)
         if other.status != "optimal":
             continue
         warm = check_feasibility(p.lp, start=other.state)
         cold = check_feasibility(p.lp)
-        assert cold.state is None  # no start, no state kept
+        assert (cold.state is not None) == (cold.status == "optimal")
         assert warm.y is None
         assert (warm.status, warm.iterations) == (cold.status, cold.iterations)
         if cold.status == "optimal":
@@ -179,7 +181,7 @@ def test_bounds_only_nodes_match_fresh_programs(monkeypatch):
                               prob.lp.rhs, lo, up)
         out = check_feasibility(node, start=start)
         assert _same_outcome(out, check_feasibility(fresh, start=start))
-        calls.append((start is COLD_START, out.y is not None))
+        calls.append((start is None, out.y is not None))
         return out
 
     monkeypatch.setattr(mip_module, "check_feasibility", compare)
@@ -218,7 +220,7 @@ def test_stale_rows_are_never_reused(monkeypatch):
     changed = 0
     for _ in range(30):
         p = _random_prob(rng).lp
-        root = check_feasibility(p, start=COLD_START)
+        root = check_feasibility(p)
         if root.status != "optimal":
             continue
         lhs, rhs = p.lhs.copy(), p.rhs.copy()
@@ -236,9 +238,9 @@ def test_stale_rows_are_never_reused(monkeypatch):
         assert resumed == []
     assert changed > 10
     # rows of the same program still start warm; a standard form and a
-    # state built on it cannot be changed in place
+    # simplex built on it cannot be changed in place
     form = standardize(_prob([[1.0, 1.0]], ["<="], [1.5], [0.0, 0.0], [1.0, 1.0], []).lp)
-    root = check_feasibility(form, start=COLD_START)
+    root = check_feasibility(form)
     assert check_feasibility(form.with_bounds([0], [1.0], [1.0]),
                              start=root.state).status == "optimal"
     assert resumed == [1]
@@ -252,9 +254,10 @@ def test_cold_fallback_keeps_branch_and_bound_verdicts(monkeypatch, give_up):
     rng = np.random.default_rng(18)
     probs = [_random_prob(rng) for _ in range(40)]
     with monkeypatch.context() as cold:
-        # every node solved cold, states kept so the search is unchanged
+        # every node solved cold; its simplex is kept, so the search is
+        # unchanged
         cold.setattr(mip_module, "check_feasibility",
-                     lambda lp, start=None: check_feasibility(lp, start=COLD_START))
+                     lambda lp, start=None: check_feasibility(lp))
         reference = [solve_mip_feasibility(p).status for p in probs]
 
     builds = []
@@ -284,6 +287,17 @@ def test_node_limit_raises():
         solve_mip_feasibility(p, node_limit=1)
 
 
+def test_pinned_rounding_counts_against_node_limit():
+    # the root point x0 = 1, y = 0 is integral with x0 unfixed, so the
+    # search needs a second node: the pinned rounding
+    p = _prob([[1.0, 1.0]], ["="], [1.0], [0.0, 0.0], [1.0, INF], [0])
+    with pytest.raises(NodeLimitError) as exc:
+        solve_mip_feasibility(p, node_limit=1)
+    assert exc.value.nodes == 1
+    out = solve_mip_feasibility(p, node_limit=2)
+    assert (out.status, out.nodes) == ("feasible", 2)
+
+
 def test_binary_bounds_enforced():
     with pytest.raises(ValueError):
         _prob([[1.0]], ["<="], [1.0], [0.0], [2.0], [0])
@@ -294,6 +308,28 @@ def test_fractional_binary_bounds_admit_no_point():
     # 0 and at 1 leave those bounds, and their points must not come back
     p = _prob([[1.0]], ["<="], [5.0], [0.3], [0.7], [0])
     assert solve_mip_feasibility(p).status == "infeasible"
+
+
+def test_big_m_search_counts_are_pinned(monkeypatch):
+    # nodes and simplex iterations of the big-M search on 20 seeded
+    # instances; a change that moves a pivot or a branch moves these, and
+    # one that does so on purpose records the new values
+    iterations = []
+
+    def counted(lp, start=None):
+        out = check_feasibility(lp, start=start)
+        iterations.append(out.iterations)
+        return out
+
+    monkeypatch.setattr(mip_module, "check_feasibility", counted)
+    nodes, feasible = 0, 0
+    for n, seed in itertools.product((3, 4), range(10)):
+        inst = parse_instance(generate_random("uncertain-q", n, seed=seed))
+        prob, _ = build_mip(inst, default_big_m(inst))
+        out = solve_mip_feasibility(prob)
+        nodes += out.nodes
+        feasible += out.status == "feasible"
+    assert (nodes, sum(iterations), feasible) == (54, 1437, 4)
 
 
 def test_deterministic_node_counts():
