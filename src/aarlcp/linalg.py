@@ -1,20 +1,20 @@
-"""Dense linear-algebra substrate: validated arrays, index sets, an LU
+"""Dense linear-algebra substrate: validated arrays, index sets, an
 inverse and symmetric eigenvalues for the definiteness tests, both on
-LAPACK, and a stacked LU that factors many small blocks at once.
+numpy's LAPACK, and a stacked LU that factors many small blocks at once.
 
-scipy's LAPACK (getrf/getri) loads on the first invert (_lapack), not
-on import: importing scipy.linalg costs more than the
-rest of the package. Within the package only the simplex's basis
-refactorization (lp) calls invert, so the support sweeps, the psd-lp
-block solve (an SVD) and LPs that finish before their first
-refactorization run on numpy alone.
+The package never imports scipy.linalg, which costs more import time
+than the rest of the package and about 26 MB of resident memory. Within
+the package only the simplex's basis refactorization (lp) calls invert:
+numpy's inverse when its size bounds every pivot away from the pivot
+rule, the one-block stacked LU otherwise (see invert).
 
 All matrices are dense float64 numpy arrays. Index sets are strictly
 increasing integer arrays; submatrix extraction preserves that order.
 Singularity is decided against a pivot threshold that scales with the
 largest absolute entry of the matrix, so the zero matrix is singular and
 scaling a matrix does not flip the verdict. One rule (_singular_pivots)
-states it for the LAPACK factorization and for the stacked one.
+states it for the stacked LU, and invert returns numpy's inverse only
+where a bound puts every pivot past it.
 
 The support sweeps visit every subset J of a coordinate range and need
 the principal block a[J, J] of each. support_chunks hands them the
@@ -26,7 +26,6 @@ expression per elimination step instead of one LAPACK call per block.
 
 from __future__ import annotations
 
-import functools
 import itertools
 
 import numpy as np
@@ -124,39 +123,47 @@ def _singular_pivots(diag: np.ndarray, scale) -> np.ndarray:
     return ~((mag > TOL_PIVOT_FACTOR * scale) & (mag < np.inf))
 
 
-@functools.cache
-def _lapack():
-    """scipy.linalg.lapack, imported on first use."""
-    from scipy.linalg import lapack
-    return lapack
+def invert(a) -> np.ndarray:
+    """Inverse of square a under the pivot rule of factor_stack: a pivot
+    of partial-pivoting LU with magnitude <= TOL_PIVOT_FACTOR * max|a|,
+    an infinite one, or NaN raises SingularMatrixError, and so does a
+    non-finite entry. The 0 x 0 matrix is its own inverse, which keeps
+    callers that slice by possibly-empty index sets uniform.
 
-
-def _factor(a: np.ndarray):
-    """getrf of a nonempty square a, with the pivot check of invert."""
-    lu, piv, _ = _lapack().dgetrf(a)
+    numpy's LAPACK inverse comes first. With PA = LU, 1/u_kk is an entry
+    of inv(U) = inv(A) P^T L, and L has entries of magnitude at most 1,
+    so every pivot is at least 1 / (n max|inv(a)|). Its result stands
+    when max|inv(a)| max|a| n^1.5 TOL_PIVOT_FACTOR < 1, a margin of
+    sqrt(n) over that bound for rounding, and when max|a| 2^(n-1), the
+    largest an entry can grow to during the elimination, is finite.
+    Otherwise the one-block factor_stack decides and solve_stack gives
+    the inverse.
+    """
+    a = np.array(a, dtype=float)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {a.shape}")
+    n = a.shape[0]
+    if n == 0:
+        return np.zeros((0, 0))
     scale = np.max(np.abs(a))
-    bad = np.flatnonzero(_singular_pivots(np.diagonal(lu), scale))
-    if bad.size:
-        k = int(bad[0])
+    with np.errstate(all="ignore"):
+        if np.isfinite(np.ldexp(scale, n - 1)):
+            try:
+                inv = np.linalg.inv(a)
+            except np.linalg.LinAlgError:  # an exactly zero pivot
+                inv = None
+            if (inv is not None
+                    and np.max(np.abs(inv)) * scale * n**1.5 * TOL_PIVOT_FACTOR < 1.0):
+                return inv
+    lu, perm, singular = factor_stack(a[None])
+    if singular[0]:
+        diag = np.diagonal(lu[..., 0])
+        k = int(np.flatnonzero(_singular_pivots(diag, scale))[0])
         raise SingularMatrixError(
-            f"pivot {lu[k, k]:.3e} at column {k}: magnitude not in "
+            f"pivot {diag[k]:.3e} at column {k}: magnitude not in "
             f"({TOL_PIVOT_FACTOR * scale:.3e}, inf)"
         )
-    return lu, piv
-
-
-def invert(a) -> np.ndarray:
-    """Inverse of square a by LAPACK LU with partial pivoting
-    (getrf/getri). A pivot with magnitude <= TOL_PIVOT_FACTOR * max|a|,
-    an infinite one, or NaN raises SingularMatrixError. The 0 x 0 matrix
-    is its own inverse, which keeps callers that slice by possibly-empty
-    index sets uniform."""
-    a = as_matrix(a, square=True)
-    if a.shape[0] == 0:
-        return np.zeros((0, 0))
-    # not getrs against the identity: OpenBLAS threads a solve with many
-    # right-hand sides, which on small blocks costs more than the work
-    return _lapack().dgetri(*_factor(a))[0]
+    return solve_stack(lu, perm, np.eye(n)[None])[0]
 
 
 def support_chunks(items, size: int):

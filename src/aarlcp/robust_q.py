@@ -17,8 +17,9 @@ Index-set conventions (0-based internally):
 Three solvers cover the pathways: support-set enumeration (complete for
 S empty), a big-M mixed-binary encoding (general, with an exactness
 caveat tied to the big-M constant), and for positive semidefinite M
-linear algebra for D plus one small linear program in r over the
-nominal solution set (exact both ways; see solve_psd).
+linear algebra for D plus, for r, the one nominal solution when M is
+positive definite or else one small linear program over the nominal
+solution set (exact both ways; see solve_psd).
 
 Enumeration visits 2^(n-h) supports J, each fixing D[J, J] =
 -inv(M[J, J]) and r_J. It works per support size in chunks: one stacked
@@ -41,7 +42,8 @@ from .lcp import NominalLcp, compute_support_P, describe_solution_set, solve_lem
 # patching robust_q.solve_lp
 from .lp import LinearProgram, solve_lp, check_feasibility  # noqa: F401
 from .mip import DEFAULT_NODE_LIMIT, MixedBinaryProgram, solve_mip_feasibility
-from .tolerances import TOL_DEDUP, TOL_FEAS, TOL_RANK, TOL_SUPPORT
+from .tolerances import (TOL_DEDUP, TOL_FEAS, TOL_PD, TOL_PSD, TOL_RANK, TOL_STRICT,
+                         TOL_SUPPORT)
 
 __all__ = [
     "SizeLimitError",
@@ -560,36 +562,107 @@ def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
 
 
 def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
-    """Exact pathway for positive semidefinite M via one small linear
+    """Exact pathway for positive semidefinite M: linear algebra for D,
+    and for r either Lemke's nominal solution or one small linear
     program.
 
     The nominal problem is solved by complementary pivoting (a ray
     certifies nonexistence outright for PSD data). P collects the
     coordinates positive somewhere in the nominal solution set, L the
     rest, and A the adjustable part of P. A robust rule has r in the
-    nominal solution set, rows of D outside A zero, columns of D on
-    certain coordinates zero, and P-rows of M z(u) + q(u) that vanish
-    identically: M[P, A] D[A, U] = -E[P, U] (E the identity). So D needs
-    no LP. When M[P, A] is square and nonsingular, D[A, U] =
-    -inv(M[P, A]) E[P, U], enumeration's candidate for the support P,
-    and the box conditions have closed forms: z_P(u) >= 0 is the bound
-    r_P >= |D_P| ubar, and (M z(u) + q(u))_L >= 0 is M_L r + qbar_L >=
-    |M_L D + I|_{:,U} ubar_U. The LP is then the nominal solution set
-    (lcp.describe_solution_set) with those bounds and right-hand sides:
-    n columns and 2n + 1 rows. Otherwise (here-and-now rows in P or a
-    singular block) an inconsistent system proves nonexistence, and a
-    kernel leaves D[A, U] = X0 + N T: the LP gains columns for T and
-    envelope columns for the rows of z and of M z + q that T moves.
-    Infeasibility is a proof of nonexistence (no big-M caveat).
+    nominal solution set (u = 0 lies in the box), rows of D outside A
+    zero, columns of D on certain coordinates zero, and P-rows of
+    M z(u) + q(u) that vanish identically: M[P, A] D[A, U] = -E[P, U]
+    (E the identity). So D needs no LP.
+
+    Positive definite M (the smallest eigenvalue of its symmetric part
+    above TOL_PD times max |M_ij|) has one nominal solution zbar, so
+    r = zbar (Cottle, Pang & Stone 1992, Thm 3.3.7). When zbar is
+    strictly complementary (each i has exactly one of zbar_i and w_i =
+    (M zbar + qbar)_i clearly positive), P = {i : zbar_i > 0} and K =
+    {i : w_i = 0} need no LP either, and M[P, A] has full column rank:
+    the one candidate (D, zbar) passes verify_affine_q, or no rule
+    exists. See _unique_nominal_rule for the thresholds.
+
+    Every other instance (PSD-singular M, a coordinate with both zbar_i
+    and w_i near zero, or a block whose SVD finds a kernel) takes the LP
+    route of _solve_psd_lp, where one LP over the nominal solution set
+    (lcp.describe_solution_set) gives P and K and a second decides r.
     """
-    if not linalg.is_psd(inst.m):
+    lam = linalg.min_symmetric_eigenvalue(inst.m)
+    if lam < -TOL_PSD:  # linalg.is_psd, sharing the eigenvalue
         raise ValueError("psd pathway requires a positive semidefinite matrix")
-    n = inst.n
     prob = NominalLcp(inst.m, inst.qbar)
     nominal = solve_lemke(prob)
     if nominal.status == "ray":
         return PsdPathOutcome("no-solution")
     zbar = nominal.solution.z
+    if lam > TOL_PD * np.max(np.abs(inst.m), initial=0.0):
+        out = _unique_nominal_rule(inst, zbar)
+        if out is not None:
+            return out
+    return _solve_psd_lp(inst, prob, zbar)
+
+
+def _unique_nominal_rule(inst: UncertainLcpQ, zbar: np.ndarray):
+    """solve_psd's outcome for positive definite M from its one nominal
+    solution zbar, with no LP, or None when zbar is not strictly
+    complementary or the pinned block has a numerical kernel.
+
+    zbar_i counts as positive above TOL_STRICT times max_j zbar_j, and
+    w_i = (M zbar + qbar)_i above TOL_STRICT times the largest entry of
+    |M zbar| and |qbar|, the terms it sums: both thresholds move with
+    the units of the data."""
+    mz = inst.m @ zbar
+    w = mz + inst.qbar
+    wscale = max(np.max(np.abs(mz), initial=0.0), np.max(np.abs(inst.qbar), initial=0.0))
+    z_pos = zbar > TOL_STRICT * np.max(zbar, initial=0.0)
+    w_pos = w > TOL_STRICT * wscale
+    if np.any(z_pos == w_pos):
+        return None
+    # strictly complementary: the vanishing rows K are P itself
+    p_set, l_set = np.flatnonzero(z_pos), np.flatnonzero(~z_pos)
+    nothing = PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
+                             nominal=zbar, vanishing_rows=p_set)
+    a_set = p_set[p_set >= inst.h]
+    u_set = inst.uncertain_set()
+    block = _pinned_block(inst.m[np.ix_(p_set, a_set)],
+                          (p_set[:, None] == u_set).astype(float))
+    if block is None:
+        return nothing
+    x0, kernel = block
+    if kernel.shape[1]:
+        return None
+    # exact zeros off A x U and off P: nothing for _clean_solution to
+    # snap, whose absolute TOL_FEAS would erase a rule in small units
+    d = np.zeros((inst.n, inst.n))
+    d[np.ix_(a_set, u_set)] = x0
+    sol = AffineSolutionQ(d, np.where(z_pos, zbar, 0.0))
+    report = verify_affine_q(inst, sol)
+    if not report.overall:
+        return nothing
+    return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, p_set)
+
+
+def _solve_psd_lp(inst: UncertainLcpQ, prob: NominalLcp,
+                  zbar: np.ndarray) -> PsdPathOutcome:
+    """solve_psd's LP route from a nominal solution zbar.
+
+    compute_support_P finds P and K with one LP over the nominal
+    solution set (lcp.describe_solution_set). When M[P, A] is square and
+    nonsingular, D[A, U] = -inv(M[P, A]) E[P, U], enumeration's
+    candidate for the support P, and the box conditions have closed
+    forms: z_P(u) >= 0 is the bound r_P >= |D_P| ubar, and
+    (M z(u) + q(u))_L >= 0 is M_L r + qbar_L >= |M_L D + I|_{:,U}
+    ubar_U. The LP is then the nominal solution set with those bounds
+    and right-hand sides: n columns and 2n + 1 rows. Otherwise
+    (here-and-now rows in P or a singular block) an inconsistent system
+    proves nonexistence, and a kernel leaves D[A, U] = X0 + N T: the LP
+    gains columns for T and envelope columns for the rows of z and of
+    M z + q that T moves. Infeasibility is a proof of nonexistence (no
+    big-M caveat).
+    """
+    n = inst.n
     nominal_set = describe_solution_set(prob, zbar)
     p_set, k_set = compute_support_P(nominal_set)
     l_set = linalg.complement(p_set, n)

@@ -32,6 +32,15 @@ TOL_RANK = 1e-10
 # eigenvalue tolerance for positive semidefiniteness tests
 TOL_PSD = 1e-9
 
+# positive definiteness: the smallest eigenvalue of the symmetric part
+# above this times the largest absolute entry of the matrix
+TOL_PD = 1e-9
+
+# strict complementarity of a nominal solution: z_i at or below this
+# times the largest z_j counts as zero, and w_i = (M z + q)_i at or below
+# this times the largest entry of |M z| and |q|
+TOL_STRICT = 1e-9
+
 # entrywise distance below which two solutions count as duplicates
 TOL_DEDUP = 1e-9
 

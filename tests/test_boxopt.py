@@ -166,24 +166,38 @@ print(sorted(m for m in sys.modules if m.startswith('scipy')))
 
 
 def test_enumeration_solves_leave_scipy_unloaded():
-    # scipy's LAPACK loads only at the simplex's first basis
-    # refactorization; the support sweeps of both enumeration pathways
-    # (k <= EXACT_FACE_LIMIT) and their checks run on numpy alone
+    # the support sweeps of both enumeration pathways (k <=
+    # EXACT_FACE_LIMIT) and their checks run on numpy alone
     assert _run_fresh(ENUMERATION_SOLVES)[:2] == ["False", "[]"]
 
 
-PSD_LP_SOLVE = """\
+SIMPLEX_SOLVES = """\
 import sys, aarlcp
-text = aarlcp.generate_random("uncertain-q", 6, seed=0, regime="psd")
-aarlcp.dispatch_solve(aarlcp.parse_instance(text), aarlcp.SolveOptions(pathway="psd-lp"))
-print('scipy.linalg' in sys.modules)
+from aarlcp import linalg
+sizes = []
+invert = linalg.invert
+linalg.invert = lambda a: sizes.append(len(a)) or invert(a)
+for kind, n, seed, regime, pathway in {cases}:
+    sizes.clear()
+    text = aarlcp.generate_random(kind, n, k=3, seed=seed, regime=regime)
+    aarlcp.dispatch_solve(aarlcp.parse_instance(text), aarlcp.SolveOptions(pathway=pathway))
+    print(len(sizes) > 0, 'scipy.linalg' in sys.modules)
 """
 
 
 def test_psd_lp_solve_leaves_scipy_unloaded():
-    # the pinned block is one numpy SVD, and a simplex this small never
-    # reaches a refactorization
-    assert _run_fresh(PSD_LP_SOLVE)[0] == "False"
+    # a positive definite instance needs no LP; the market's LP
+    # refactorizes its basis, on numpy alone
+    cases = [("uncertain-q", 6, 0, "psd", "psd-lp"), ("market", 6, 0, "psd", "psd-lp")]
+    out = _run_fresh(SIMPLEX_SOLVES.format(cases=cases))
+    assert out[:2] == ["False False", "True False"]
+
+
+def test_mip_solve_leaves_scipy_unloaded():
+    # some node LP of the big-M search runs past the refactorization
+    # interval
+    cases = [("uncertain-q", 3, 1, "general", "mip")]
+    assert _run_fresh(SIMPLEX_SOLVES.format(cases=cases))[0] == "True False"
 
 
 def _min_quadratic_oracle(q, b, c):

@@ -111,15 +111,17 @@ def test_exactly_singular_raises_without_warning():
                 linalg.invert(a)
 
 
-def test_nan_pivot_counts_as_singular(monkeypatch):
-    def nan_lu(a):
-        lu = np.array(a, dtype=float)
-        lu[-1, -1] = np.nan
-        return lu, np.arange(a.shape[0], dtype=np.int32), 0
-
-    monkeypatch.setattr(linalg._lapack(), "dgetrf", nan_lu)
-    with pytest.raises(linalg.SingularMatrixError):
-        linalg.invert(np.eye(3))
+def test_nan_pivot_counts_as_singular():
+    # the NaN stays on the diagonal through the elimination, so it is a
+    # pivot of both routes: numpy's inverse and the stacked LU; an
+    # infinite entry leaves no finite scale for the rule
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in (np.nan, np.inf):
+            a = np.eye(3)
+            a[-1, -1] = bad
+            with pytest.raises(linalg.SingularMatrixError):
+                linalg.invert(a)
 
 
 def test_infinite_pivot_counts_as_singular():
@@ -166,20 +168,42 @@ def test_invert_matches_numpy_on_random_matrices():
         assert linalg.invert(a) == pytest.approx(np.linalg.inv(a), abs=1e-8)
 
 
-def test_invert_does_not_solve_against_the_identity(monkeypatch):
-    # OpenBLAS threads a triangular solve with several right-hand sides,
-    # and on the small blocks the solvers invert that threading costs
-    # many times the arithmetic, so invert uses getri, not getrs
-    # against the identity
-    def refuse(*args, **kwargs):
-        raise AssertionError("invert called getrs")
+def _near_singular(rng, n, cond):
+    """An n x n matrix with singular values spread from 1 to 1/cond,
+    its rows then scaled over up to four decades."""
+    u, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    s = np.logspace(0.0, -np.log10(cond), n)
+    return (10.0 ** rng.uniform(-4.0, 0.0, n))[:, None] * (u * s) @ v.T
 
-    monkeypatch.setattr(linalg._lapack(), "dgetrs", refuse)
-    rng = np.random.default_rng(11)
-    a = np.eye(6) + rng.uniform(-0.4, 0.4, (6, 6))
-    assert linalg.invert(a) == pytest.approx(np.linalg.inv(a), abs=1e-10)
-    with pytest.raises(linalg.SingularMatrixError):
-        linalg.invert(np.ones((3, 3)))
+
+def test_numpy_inverse_never_returns_a_flagged_matrix(monkeypatch):
+    # invert returns numpy's inverse only where a bound puts every pivot
+    # past the rule of factor_stack, so on matrices near that rule
+    # (cond 1e6-1e14) it must agree with the stacked LU's flag wherever
+    # it took that route; both routes are reached
+    factor_stack = linalg.factor_stack
+    fallbacks = []
+    monkeypatch.setattr(linalg, "factor_stack",
+                        lambda a: fallbacks.append(1) or factor_stack(a))
+    rng = np.random.default_rng(74)
+    routes = {"numpy": 0, "stacked": 0}
+    for n in (2, 3, 5, 8, 13, 21, 40):
+        for cond in 10.0 ** np.arange(6, 15):
+            a = _near_singular(rng, n, cond)
+            fallbacks.clear()
+            try:
+                linalg.invert(a)
+                raised = False
+            except linalg.SingularMatrixError:
+                raised = True
+            if fallbacks:
+                routes["stacked"] += 1
+            else:
+                routes["numpy"] += 1
+                assert not raised
+                assert not factor_stack(a[None])[2][0], (n, cond)
+    assert min(routes.values()) >= 10, routes
 
 
 def test_is_psd_examples():

@@ -329,7 +329,7 @@ def test_big_m_search_counts_are_pinned(monkeypatch):
         out = solve_mip_feasibility(prob)
         nodes += out.nodes
         feasible += out.status == "feasible"
-    assert (nodes, sum(iterations), feasible) == (54, 1437, 4)
+    assert (nodes, sum(iterations), feasible) == (57, 1471, 4)
 
 
 def test_deterministic_node_counts():

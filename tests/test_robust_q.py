@@ -483,13 +483,11 @@ def test_uniqueness_reuses_the_psd_outcome(monkeypatch):
     assert cases == {"P empty", "rank deficient", "full rank"}
 
 
-def test_psd_dispatch_states_the_nominal_set_once(monkeypatch):
-    # positive definite with a one-point nominal set: the auto dispatch
-    # reaches the uniqueness rank test, and M is tested for PSD by
-    # auto_pathway and by the input guards of solve_psd and
-    # describe_solution_set
-    inst = UncertainLcpQ(m=np.array([[2.0, 1.0], [1.0, 2.0]]),
-                         qbar=np.array([-3.0, -3.0]), ubar=np.array([0.1, 0.1]))
+def _count_psd_dispatch(monkeypatch, inst):
+    """dispatch_solve on inst with its nominal-set work counted: LPs of
+    robust_q and of the support-P sweep, describe_solution_set, and
+    eigenvalue decompositions (each linalg.is_psd or
+    min_symmetric_eigenvalue call makes one)."""
     calls = []
 
     def counted(name, fn):
@@ -500,14 +498,38 @@ def test_psd_dispatch_states_the_nominal_set_once(monkeypatch):
         monkeypatch.setattr(module, "describe_solution_set", describe)
     monkeypatch.setattr(robust_q, "solve_lp", counted("lp", robust_q.solve_lp))
     monkeypatch.setattr(lcp, "solve_lp", counted("support lp", lcp.solve_lp))
-    monkeypatch.setattr(linalg, "is_psd", counted("psd", linalg.is_psd))
+    monkeypatch.setattr(linalg, "symmetric_eigenvalues",
+                        counted("eig", linalg.symmetric_eigenvalues))
     report = dispatch_solve(inst)
     assert (report.pathway, report.status) == ("psd-lp", "solution")
+    # a one-point nominal set: the uniqueness check reaches its rank test
     assert report.uniqueness == "unique-if-exists"
     assert calls.count("lp") == 0  # the uniqueness check is a rank test
-    assert calls.count("support lp") == 1  # P and K from one LP
+    return calls
+
+
+def test_psd_dispatch_states_the_nominal_set_once(monkeypatch):
+    # positive definite and strictly complementary: Lemke's zbar gives P,
+    # K and the one candidate rule, with no LP and no solution-set
+    # description; M is decomposed by auto_pathway and once by solve_psd
+    inst = UncertainLcpQ(m=np.array([[2.0, 1.0], [1.0, 2.0]]),
+                         qbar=np.array([-3.0, -3.0]), ubar=np.array([0.1, 0.1]))
+    calls = _count_psd_dispatch(monkeypatch, inst)
+    assert calls.count("support lp") == 0
+    assert calls.count("describe") == 0
+    assert calls.count("eig") == 2
+
+
+def test_psd_singular_dispatch_states_the_nominal_set_once(monkeypatch):
+    # positive semidefinite and singular: the LP route finds P and K with
+    # one LP over the one solution-set description, whose input guard
+    # decomposes M a third time
+    inst = UncertainLcpQ(m=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                         qbar=np.array([-1.0, 1.0]), ubar=np.array([0.1, 0.1]))
+    calls = _count_psd_dispatch(monkeypatch, inst)
+    assert calls.count("support lp") == 1
     assert calls.count("describe") == 1
-    assert calls.count("psd") == 3
+    assert calls.count("eig") == 3
 
 
 def _psd_lp_oracle(inst, zbar, p_set):
@@ -684,11 +706,16 @@ def test_pinned_block_empty():
     assert x0.shape == (0, 2) and kernel.shape == (0, 0)
 
 
-def _planted_psd(rng, n, support):
-    """Positive definite M with qbar planted so that the rule with
-    D[K, K] = -inv(M[K, K]) and r_K above its envelope solves the
-    instance with margin; the rule is unique."""
-    m = random_psd_matrix(rng, n, ridge=1.0)
+def _planted_psd(rng, n, support, rank=None):
+    """M with qbar planted so that the rule with D[K, K] = -inv(M[K, K])
+    and r_K above its envelope solves the instance with margin; the rule
+    is unique. M is positive definite, or with rank >= support the PSD
+    B B^T for an n x rank B, whose block M[K, K] stays nonsingular."""
+    if rank is None:
+        m = random_psd_matrix(rng, n, ridge=1.0)
+    else:
+        b = rng.uniform(-1.0, 1.0, (n, rank))
+        m = b @ b.T
     ubar = rng.uniform(0.05, 0.3, n)
     k = np.sort(rng.choice(n, size=support, replace=False))
     rest = np.setdiff1d(np.arange(n), k)
@@ -705,19 +732,117 @@ def _planted_psd(rng, n, support):
 
 def test_psd_lp_is_an_lp_in_r_alone(monkeypatch):
     """With M[P, A] square and nonsingular the LP has the n columns of r
-    and the 2n + 1 rows of the nominal solution set, small enough that a
-    planted rule at n = 30 comes back quickly."""
-    inst, d, r = _planted_psd(np.random.default_rng(30), 30, 12)
+    and the 2n + 1 rows of the nominal solution set (M of rank 20 at
+    n = 30); a positive definite M needs no LP at all. Both planted rules
+    at n = 30 come back quickly."""
     lps = []
     monkeypatch.setattr(robust_q, "check_feasibility",
                         lambda lp: lps.append(lp) or check_feasibility(lp))
-    out = solve_psd(inst)
-    assert out.status == "solution"
-    assert np.array_equal(out.support_p, np.flatnonzero(r))
-    (lp,) = lps
-    assert lp.lhs.shape == (2 * inst.n + 1, inst.n)
-    assert np.allclose(out.solution.d, d, atol=1e-9)
-    assert np.allclose(out.solution.r, r, atol=1e-9)
+    for rank, lp_count in ((20, 1), (None, 0)):
+        inst, d, r = _planted_psd(np.random.default_rng(30), 30, 12, rank)
+        lam = linalg.min_symmetric_eigenvalue(inst.m)
+        assert abs(lam) <= 1e-9 if rank else lam > 0.5
+        lps.clear()
+        out = solve_psd(inst)
+        assert out.status == "solution"
+        assert np.array_equal(out.support_p, np.flatnonzero(r))
+        assert len(lps) == lp_count
+        if lps:
+            assert lps[0].lhs.shape == (2 * inst.n + 1, inst.n)
+        assert np.allclose(out.solution.d, d, atol=1e-9)
+        assert np.allclose(out.solution.r, r, atol=1e-9)
+
+
+def _lp_route(inst):
+    """solve_psd forced onto its LP route (None for a nominal ray)."""
+    prob = NominalLcp(inst.m, inst.qbar)
+    nominal = solve_lemke(prob)
+    if nominal.status == "ray":
+        return None
+    return robust_q._solve_psd_lp(inst, prob, nominal.solution.z)
+
+
+def _route_instances(seed=2029):
+    """(kind, instance): positive definite M, random and planted, many
+    with here-and-now rows or certain coordinates; positive definite M
+    with a planted degenerate coordinate (zbar_i = w_i = 0); and
+    PSD-singular M."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in range(240):
+        n = int(rng.integers(2, 7))
+        h = int(rng.integers(1, n)) if t % 5 < 2 else 0
+        ubar = rng.uniform(0.02, 0.3, n) * (rng.random(n) < 0.8 if t % 7 == 0 else 1.0)
+        kind = ("planted", "random", "planted", "random", "degenerate", "singular")[t % 6]
+        if kind == "planted":
+            planted = _planted_psd(rng, n, int(rng.integers(0, n + 1)))[0]
+            m, qbar, ubar = planted.m, planted.qbar, planted.ubar
+        elif kind == "singular":
+            m, qbar, _ = random_low_rank_psd_lcp(rng, n, skew=t % 4 == 1)
+        else:
+            m = random_psd_matrix(rng, n, ridge=float(rng.uniform(0.05, 1.0)))
+        if kind == "random":
+            c = rng.uniform(-1.0, 1.0, (n, n))
+            m = m + 0.5 * (c - c.T)
+            qbar = rng.uniform(-2.0, 1.0, n)
+        if kind == "degenerate":
+            z0 = rng.uniform(0.2, 1.0, n) * (rng.random(n) < 0.5)
+            w0 = rng.uniform(0.2, 1.0, n) * (z0 == 0.0)
+            i = int(rng.integers(n))
+            z0[i] = w0[i] = 0.0  # zbar_i = w_i = 0
+            qbar = w0 - m @ z0
+        out.append((kind, UncertainLcpQ(m=m, qbar=qbar, ubar=ubar, h=h)))
+    return out
+
+
+def test_positive_definite_route_agrees_with_the_lp_route(monkeypatch):
+    """solve_psd's LP-free route for positive definite M against its LP
+    route on the same instance: status, P, K and the rule within 1e-9.
+    Degenerate and PSD-singular instances must take the LP route."""
+    lp_route = robust_q._solve_psd_lp
+    routes = []
+    monkeypatch.setattr(robust_q, "_solve_psd_lp",
+                        lambda *args: routes.append("lp") or lp_route(*args))
+    seen, instances = set(), _route_instances()
+    assert len(instances) >= 200
+    for kind, inst in instances:
+        routes.clear()
+        out = solve_psd(inst)
+        route = "lp" if routes else "pd"
+        ref = _lp_route(inst)
+        if ref is None:
+            assert out.status == "no-solution" and out.nominal is None
+            continue
+        if kind in ("degenerate", "singular"):
+            assert route == "lp", kind
+        seen.add((kind, route, out.status, inst.h > 0))
+        assert out.status == ref.status, kind
+        assert np.array_equal(out.support_p, ref.support_p)
+        assert np.array_equal(out.vanishing_rows, ref.vanishing_rows)
+        if out.status == "solution":
+            assert np.allclose(out.solution.d, ref.solution.d, rtol=0.0, atol=1e-9)
+            assert np.allclose(out.solution.r, ref.solution.r, rtol=0.0, atol=1e-9)
+    assert {("random", "pd", "solution"), ("random", "pd", "no-solution"),
+            ("planted", "pd", "solution"), ("planted", "pd", "no-solution")
+            } <= {s[:3] for s in seen}
+    assert any(s[1:] == ("pd", "solution", True) for s in seen)  # with h > 0
+    assert {("degenerate", "lp"), ("singular", "lp")} <= {s[:2] for s in seen}
+
+
+def test_positive_definite_block_with_a_numerical_kernel_takes_the_lp_route(monkeypatch):
+    # all-ones plus 2e-9 I on P (30 coordinates, all certain) beside one
+    # uncertain coordinate with w > 0: M is positive definite past TOL_PD,
+    # yet the SVD of M[P, P] (singular values 30 and 2e-9) finds a kernel
+    # at TOL_RANK, and E[P, U] = 0 lies in its range, so the candidate is
+    # not unique numerically
+    n = 31
+    m = np.eye(n)
+    m[:30, :30] = np.ones((30, 30)) + 2e-9 * np.eye(30)
+    qbar = np.append(-m[:30, :30] @ np.linspace(1.0, 2.0, 30), 1.0)
+    inst = UncertainLcpQ(m=m, qbar=qbar, ubar=np.append(np.zeros(30), 0.1))
+    sentinel = PsdPathOutcome("no-solution")
+    monkeypatch.setattr(robust_q, "_solve_psd_lp", lambda *args: sentinel)
+    assert solve_psd(inst) is sentinel
 
 
 def test_psd_enumeration_returns_at_most_one_with_inverse_block():

@@ -38,11 +38,12 @@ CASES = {
                              perturbations=[np.array([[0.0, 1.0], [1.0, 0.0]])],
                              q=np.array([-8.0, 4.0]), h=0),
         None),
-    # positive definite: a one-point nominal set, so the uniqueness check
-    # reaches its rank test
+    # positive semidefinite and singular, so solve_psd takes its LP route;
+    # a one-point nominal set, so the uniqueness check reaches its rank
+    # test
     "psd-lp": (
-        aarlcp.UncertainLcpQ(m=np.array([[2.0, 1.0], [1.0, 2.0]]),
-                             qbar=np.array([-3.0, -3.0]),
+        aarlcp.UncertainLcpQ(m=np.array([[1.0, 0.0], [0.0, 0.0]]),
+                             qbar=np.array([-1.0, 1.0]),
                              ubar=np.array([0.1, 0.1])),
         {"robust_q.solve_psd", "robust_q.uniqueness_check_psd",
          "lcp.solve_lemke", "lcp.compute_support_P", "lp.solve_lp",
