@@ -17,7 +17,8 @@ import sys
 from .instances import (InstanceFormatError, generate_random, parse_instance,
                         serialize_instance)
 from .market import MarketModel, build_lcp
-from .reporting import DispatchError, SolveOptions, dispatch_solve
+from .reporting import (SCHEMA_VERSION, DispatchError, SolveOptions, check_lines,
+                        dispatch_solve, verification_json)
 from .robust_m import AffineSolutionM, UncertainLcpM, verify_affine_m
 from .robust_q import AffineSolutionQ, UncertainLcpQ, verify_affine_q
 
@@ -114,21 +115,11 @@ def _cmd_verify(args) -> int:
             f"kind mismatch: {type(instance).__name__} instance with "
             f"{type(solution).__name__} solution")
     if args.json:
-        _print_json({
-            "schema": 1,
-            "kind": "verification",
-            "overall": bool(report.overall),
-            "certified": bool(report.certified),
-            "checks": [
-                {"condition": c.condition, "passed": bool(c.passed),
-                 "worst_value": float(c.worst_value)}
-                for c in report.checks
-            ],
-        })
+        _print_json({"schema": SCHEMA_VERSION, "kind": "verification",
+                     **verification_json(report)})
     else:
-        for c in report.checks:
-            print(f"check {c.condition}: {'pass' if c.passed else 'FAIL'} "
-                  f"(worst {c.worst_value:.3e})")
+        for line in check_lines(report):
+            print(line)
         print("verified" if report.overall else "NOT verified")
     return EXIT_SOLUTION if report.overall else EXIT_NO_SOLUTION
 

@@ -138,10 +138,7 @@ def _parse_uncertain_q(r: _Reader) -> UncertainLcpQ:
     qbar = r.vector("qbar", n)
     ubar = r.vector("ubar", n)
     r.expect_done()
-    try:
-        return UncertainLcpQ(m=m, qbar=qbar, ubar=ubar, h=h)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    return UncertainLcpQ(m=m, qbar=qbar, ubar=ubar, h=h)
 
 
 def _parse_uncertain_m(r: _Reader) -> UncertainLcpM:
@@ -158,10 +155,7 @@ def _parse_uncertain_m(r: _Reader) -> UncertainLcpM:
         perts.append(np.array([r.numbers(n) for _ in range(n)]))
     q = r.vector("q", n)
     r.expect_done()
-    try:
-        return UncertainLcpM(m0=m0, perturbations=perts, q=q, h=h)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    return UncertainLcpM(m0=m0, perturbations=perts, q=q, h=h)
 
 
 def _parse_bool(r: _Reader, key: str) -> bool:
@@ -202,15 +196,11 @@ def _parse_market(r: _Reader) -> MarketModel:
             ln, toks = r.rows[r.pos]
             raise InstanceFormatError(
                 f"line {ln}: unexpected trailing content {' '.join(toks)!r}")
-    try:
-        return MarketModel(costs=costs, technology=technology,
-                           capacity=capacity, demand_matrix=demand_matrix,
-                           sensitivity=sensitivity, demand=demand,
-                           demand_halfwidth=halfwidth,
-                           nonadjustable_producers=nonadj,
-                           adjustable_duals=duals, adjustable_prices=prices)
-    except ValueError as exc:
-        raise InstanceFormatError(str(exc)) from None
+    return MarketModel(costs=costs, technology=technology, capacity=capacity,
+                       demand_matrix=demand_matrix, sensitivity=sensitivity,
+                       demand=demand, demand_halfwidth=halfwidth,
+                       nonadjustable_producers=nonadj,
+                       adjustable_duals=duals, adjustable_prices=prices)
 
 
 def _parse_solution_q(r: _Reader) -> AffineSolutionQ:
@@ -240,7 +230,9 @@ _PARSERS = {
 
 
 def parse_instance(text: str):
-    """Parse one instance or solution file into its typed object."""
+    """Parse one instance or solution file into its typed object. A
+    well-formed file whose data the typed object rejects (a nan entry,
+    say) raises InstanceFormatError too."""
     r = _Reader(text)
     if r.done():
         raise InstanceFormatError("line 1: empty file (expected 'kind <name>')")
@@ -250,7 +242,12 @@ def parse_instance(text: str):
         raise InstanceFormatError(
             f"line {r.rows[0][0]}: unknown kind {kind!r} "
             f"(expected one of {', '.join(KINDS)})")
-    return parser(r)
+    try:
+        return parser(r)
+    except InstanceFormatError:
+        raise
+    except ValueError as exc:
+        raise InstanceFormatError(str(exc)) from None
 
 
 def serialize_instance(obj) -> str:

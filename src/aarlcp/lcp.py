@@ -14,12 +14,14 @@ polyhedron around any one solution; compute_support_P takes that
 LinearProgram and, with one LP over its homogenization, returns P, the
 coordinates positive somewhere in the set, and K, the rows of
 M z + q >= 0 that vanish on all of it. The psd-lp pathway
-(robust_q.solve_psd) needs neither when M is positive definite and the
-one solution strictly complementary. Otherwise it states the polyhedron
-once per instance: it fixes D from P by linear algebra and decides the
-rest with one feasibility LP built from the same rows in r alone, its
-bounds and right-hand sides raised by the box envelopes. Its uniqueness
-check is a rank test on the affine hull that P and K span, with no LP.
+(robust_q.solve_psd) reads P = K off a strictly complementary solution
+when M is positive definite, and calls compute_support_P otherwise. It
+fixes D from P by linear algebra and, unless that leaves one candidate
+(r the one solution), decides the rest with one feasibility LP built
+from the same polyhedron in r alone, stated at most once per instance,
+its bounds and right-hand sides raised by the box envelopes. Its
+uniqueness check is a rank test on the affine hull that P and K span,
+with no LP.
 """
 
 from __future__ import annotations

@@ -83,20 +83,32 @@ class SolutionRecord:
             "r": self.solution.r.tolist(),
             "d": self.solution.d.tolist(),
             "index_sets": self.index_sets,
-            "verification": {
-                "overall": bool(self.verification.overall),
-                "certified": bool(self.verification.certified),
-                "checks": [
-                    {
-                        "condition": c.condition,
-                        "passed": bool(c.passed),
-                        "worst_value": float(c.worst_value),
-                        "worst_point": np.asarray(c.worst_point).tolist(),
-                    }
-                    for c in self.verification.checks
-                ],
-            },
+            "verification": verification_json(self.verification),
         }
+
+
+def verification_json(report) -> dict:
+    """The JSON block of a VerificationReport: overall, certified, and
+    per check its condition, verdict, worst value and worst point."""
+    return {
+        "overall": bool(report.overall),
+        "certified": bool(report.certified),
+        "checks": [
+            {
+                "condition": c.condition,
+                "passed": bool(c.passed),
+                "worst_value": float(c.worst_value),
+                "worst_point": np.asarray(c.worst_point).tolist(),
+            }
+            for c in report.checks
+        ],
+    }
+
+
+def check_lines(report) -> list:
+    """One text line per check of a VerificationReport."""
+    return [f"check {c.condition}: {'pass' if c.passed else 'FAIL'} "
+            f"(worst {c.worst_value:.3e})" for c in report.checks]
 
 
 @dataclass
@@ -173,10 +185,7 @@ class SolveReport:
             lines.append("  r = " + np.array2string(rec.solution.r, precision=9))
             dtxt = np.array2string(rec.solution.d, precision=9)
             lines.append("  D = " + dtxt.replace("\n", "\n      "))
-            for c in rec.verification.checks:
-                lines.append(f"  check {c.condition}: "
-                             f"{'pass' if c.passed else 'FAIL'} "
-                             f"(worst {c.worst_value:.3e})")
+            lines += ["  " + line for line in check_lines(rec.verification)]
         return "\n".join(lines) + "\n"
 
 

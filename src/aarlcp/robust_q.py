@@ -17,9 +17,10 @@ Index-set conventions (0-based internally):
 Three solvers cover the pathways: support-set enumeration (complete for
 S empty), a big-M mixed-binary encoding (general, with an exactness
 caveat tied to the big-M constant), and for positive semidefinite M
-linear algebra for D plus, for r, the one nominal solution when M is
-positive definite or else one small linear program over the nominal
-solution set (exact both ways; see solve_psd).
+one route: linear algebra for D, and for r either the one nominal
+solution (M positive definite, that solution strictly complementary,
+the pinned block free of a kernel) or one small linear program over
+the nominal solution set (exact both ways; see solve_psd).
 
 Enumeration visits 2^(n-h) supports J, each fixing D[J, J] =
 -inv(M[J, J]) and r_J. It works per support size in chunks: one stacked
@@ -271,8 +272,10 @@ def solve_enumeration(inst: UncertainLcpQ) -> list:
     elsewhere; it is kept when the two analytic box conditions hold:
     the candidate's own rows stay nonnegative over the box, and the rows
     outside J keep M z(u) + q(u) nonnegative over the box. Duplicates
-    within 1e-9 entrywise are dropped. Deterministic: subsets by
-    increasing cardinality, lexicographic within each size.
+    within TOL_DEDUP entrywise are dropped: rules of distinct supports
+    differ in which rows of D are nonzero, so only a block whose inverse
+    is that small (entries near 1e308, say) yields one. Deterministic:
+    subsets by increasing cardinality, lexicographic within each size.
 
     Instances with S nonempty are not covered by this characterization;
     they raise ValueError and belong to the MIP pathway.
@@ -561,33 +564,57 @@ def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
     return x0, kernel
 
 
+def _strict_support(inst: UncertainLcpQ, zbar: np.ndarray):
+    """{i : zbar_i > 0} when the nominal solution zbar is strictly
+    complementary, else None. Strict: each i has exactly one of zbar_i
+    (above TOL_STRICT times max_j zbar_j) and w_i = (M zbar + qbar)_i
+    (above TOL_STRICT times the largest entry of |M zbar| and |qbar|,
+    the terms it sums) positive, thresholds that move with the data.
+
+    For PSD M the set is then both P and K of the nominal solution set:
+    solutions z1, z2 (w1, w2) have (z1 - z2).(w1 - w2) = (z1 - z2).M(z1 -
+    z2) >= 0, which is also -z1.w2 - z2.w1 <= 0, so z1.w2 = z2.w1 = 0.
+    With z1 = zbar, every solution is zero where w_i > 0 and has w_i = 0
+    where zbar_i > 0."""
+    mz = inst.m @ zbar
+    wscale = max(np.max(np.abs(mz), initial=0.0), np.max(np.abs(inst.qbar), initial=0.0))
+    z_pos = zbar > TOL_STRICT * np.max(zbar, initial=0.0)
+    w_pos = mz + inst.qbar > TOL_STRICT * wscale
+    return None if np.any(z_pos == w_pos) else np.flatnonzero(z_pos)
+
+
 def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     """Exact pathway for positive semidefinite M: linear algebra for D,
-    and for r either Lemke's nominal solution or one small linear
-    program.
+    and for r Lemke's nominal solution or one small linear program.
 
     The nominal problem is solved by complementary pivoting (a ray
     certifies nonexistence outright for PSD data). P collects the
     coordinates positive somewhere in the nominal solution set, L the
-    rest, and A the adjustable part of P. A robust rule has r in the
-    nominal solution set (u = 0 lies in the box), rows of D outside A
-    zero, columns of D on certain coordinates zero, and P-rows of
-    M z(u) + q(u) that vanish identically: M[P, A] D[A, U] = -E[P, U]
-    (E the identity). So D needs no LP.
+    rest, K the rows of M z + q that vanish on all of it, and A the
+    adjustable part of P. A positive definite M (smallest eigenvalue of
+    its symmetric part above TOL_PD times max |M_ij|) with a strictly
+    complementary zbar gives P = K = {i : zbar_i > 0} (_strict_support);
+    otherwise compute_support_P finds them with one LP over the nominal
+    solution set (lcp.describe_solution_set).
 
-    Positive definite M (the smallest eigenvalue of its symmetric part
-    above TOL_PD times max |M_ij|) has one nominal solution zbar, so
-    r = zbar (Cottle, Pang & Stone 1992, Thm 3.3.7). When zbar is
-    strictly complementary (each i has exactly one of zbar_i and w_i =
-    (M zbar + qbar)_i clearly positive), P = {i : zbar_i > 0} and K =
-    {i : w_i = 0} need no LP either, and M[P, A] has full column rank:
-    the one candidate (D, zbar) passes verify_affine_q, or no rule
-    exists. See _unique_nominal_rule for the thresholds.
+    A robust rule has r in the nominal solution set (u = 0 lies in the
+    box), rows of D outside A zero, columns of D on certain coordinates
+    zero, and P-rows of M z(u) + q(u) that vanish identically:
+    M[P, A] D[A, U] = -E[P, U] (E the identity). _pinned_block gives
+    every solution X0 + N T of that system, or proves there is none.
 
-    Every other instance (PSD-singular M, a coordinate with both zbar_i
-    and w_i near zero, or a block whose SVD finds a kernel) takes the LP
-    route of _solve_psd_lp, where one LP over the nominal solution set
-    (lcp.describe_solution_set) gives P and K and a second decides r.
+    With P from zbar, zbar is the one nominal solution (Cottle, Pang &
+    Stone 1992, Thm 3.3.7); with no kernel N either, the one candidate
+    (X0, zbar) passes verify_affine_q or no rule exists, and no LP runs.
+    Otherwise one feasibility LP over the nominal solution set decides r
+    and T. Rows that T does not move have closed-form box conditions:
+    z_A(u) >= 0 is the bound r_A >= |X0| ubar_U, and (M z(u) + q(u))_L
+    >= 0 is M_L r + qbar_L >= |M_L D + I|_{:,U} ubar_U. Without a kernel
+    (M[P, A] square and nonsingular, say: enumeration's candidate for
+    the support P) the LP is the nominal solution set with those bounds
+    and right-hand sides, n columns and 2n + 1 rows; a kernel adds
+    columns for T and envelope columns for the rows it moves.
+    Infeasibility proves nonexistence (no big-M caveat).
     """
     lam = linalg.min_symmetric_eigenvalue(inst.m)
     if lam < -TOL_PSD:  # linalg.is_psd, sharing the eigenvalue
@@ -597,86 +624,57 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     if nominal.status == "ray":
         return PsdPathOutcome("no-solution")
     zbar = nominal.solution.z
+    n = inst.n
+    nominal_set = p_set = None
     if lam > TOL_PD * np.max(np.abs(inst.m), initial=0.0):
-        out = _unique_nominal_rule(inst, zbar)
-        if out is not None:
-            return out
-    return _solve_psd_lp(inst, prob, zbar)
-
-
-def _unique_nominal_rule(inst: UncertainLcpQ, zbar: np.ndarray):
-    """solve_psd's outcome for positive definite M from its one nominal
-    solution zbar, with no LP, or None when zbar is not strictly
-    complementary or the pinned block has a numerical kernel.
-
-    zbar_i counts as positive above TOL_STRICT times max_j zbar_j, and
-    w_i = (M zbar + qbar)_i above TOL_STRICT times the largest entry of
-    |M zbar| and |qbar|, the terms it sums: both thresholds move with
-    the units of the data."""
-    mz = inst.m @ zbar
-    w = mz + inst.qbar
-    wscale = max(np.max(np.abs(mz), initial=0.0), np.max(np.abs(inst.qbar), initial=0.0))
-    z_pos = zbar > TOL_STRICT * np.max(zbar, initial=0.0)
-    w_pos = w > TOL_STRICT * wscale
-    if np.any(z_pos == w_pos):
-        return None
-    # strictly complementary: the vanishing rows K are P itself
-    p_set, l_set = np.flatnonzero(z_pos), np.flatnonzero(~z_pos)
-    nothing = PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
-                             nominal=zbar, vanishing_rows=p_set)
+        p_set = k_set = _strict_support(inst, zbar)
+    if p_set is None:
+        nominal_set = describe_solution_set(prob, zbar)
+        p_set, k_set = compute_support_P(nominal_set)
+    l_set = linalg.complement(p_set, n)
     a_set = p_set[p_set >= inst.h]
     u_set = inst.uncertain_set()
+    nothing = PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
+                             nominal=zbar, vanishing_rows=k_set)
+
     block = _pinned_block(inst.m[np.ix_(p_set, a_set)],
                           (p_set[:, None] == u_set).astype(float))
     if block is None:
         return nothing
     x0, kernel = block
-    if kernel.shape[1]:
-        return None
-    # exact zeros off A x U and off P: nothing for _clean_solution to
-    # snap, whose absolute TOL_FEAS would erase a rule in small units
-    d = np.zeros((inst.n, inst.n))
-    d[np.ix_(a_set, u_set)] = x0
-    sol = AffineSolutionQ(d, np.where(z_pos, zbar, 0.0))
+    unique = nominal_set is None and not kernel.shape[1]
+    if unique:
+        # exact zeros off A x U and off P: nothing for _clean_solution to
+        # snap, whose absolute TOL_FEAS would erase a rule in small units
+        r, t = np.zeros(n), np.zeros((0, u_set.size))
+        r[p_set] = zbar[p_set]
+    else:
+        if nominal_set is None:
+            nominal_set = describe_solution_set(prob, zbar)
+        found = _envelope_lp(inst, nominal_set, a_set, l_set, u_set, x0, kernel)
+        if found is None:
+            return nothing
+        r, t = found
+    d = np.zeros((n, n))
+    d[np.ix_(a_set, u_set)] = x0 + kernel @ t
+    sol = AffineSolutionQ(d, r)
+    if not unique:
+        sol = _clean_solution(inst, sol)
     report = verify_affine_q(inst, sol)
-    if not report.overall:
-        return nothing
-    return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, p_set)
+    if report.overall:
+        return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, k_set)
+    if unique:
+        return nothing  # the one candidate fails: no rule exists
+    raise RuntimeError("psd pathway produced a point that fails verification")
 
 
-def _solve_psd_lp(inst: UncertainLcpQ, prob: NominalLcp,
-                  zbar: np.ndarray) -> PsdPathOutcome:
-    """solve_psd's LP route from a nominal solution zbar.
-
-    compute_support_P finds P and K with one LP over the nominal
-    solution set (lcp.describe_solution_set). When M[P, A] is square and
-    nonsingular, D[A, U] = -inv(M[P, A]) E[P, U], enumeration's
-    candidate for the support P, and the box conditions have closed
-    forms: z_P(u) >= 0 is the bound r_P >= |D_P| ubar, and
-    (M z(u) + q(u))_L >= 0 is M_L r + qbar_L >= |M_L D + I|_{:,U}
-    ubar_U. The LP is then the nominal solution set with those bounds
-    and right-hand sides: n columns and 2n + 1 rows. Otherwise
-    (here-and-now rows in P or a singular block) an inconsistent system
-    proves nonexistence, and a kernel leaves D[A, U] = X0 + N T: the LP
-    gains columns for T and envelope columns for the rows of z and of
-    M z + q that T moves. Infeasibility is a proof of nonexistence (no
-    big-M caveat).
-    """
+def _envelope_lp(inst: UncertainLcpQ, nominal_set: LinearProgram, a_set: np.ndarray,
+                 l_set: np.ndarray, u_set: np.ndarray, x0: np.ndarray,
+                 kernel: np.ndarray):
+    """solve_psd's feasibility LP for r, and T of D[A, U] = x0 + kernel
+    T: (r, T) from a feasible point, or None when it is infeasible."""
     n = inst.n
-    nominal_set = describe_solution_set(prob, zbar)
-    p_set, k_set = compute_support_P(nominal_set)
-    l_set = linalg.complement(p_set, n)
-    a_set = p_set[p_set >= inst.h]
-    u_set = inst.uncertain_set()
     m, ub = inst.m, inst.ubar[u_set]
-    nothing = PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
-                             nominal=zbar, vanishing_rows=k_set)
-
-    block = _pinned_block(m[np.ix_(p_set, a_set)],
-                          (p_set[:, None] == u_set).astype(float))
-    if block is None:
-        return nothing
-    x0, kernel = block
     # u-coefficients of M z(u) + q(u) on L: g0 + g_t T
     m_la = m[np.ix_(l_set, a_set)]
     g0 = m_la @ x0 + (l_set[:, None] == u_set)
@@ -717,15 +715,8 @@ def _solve_psd_lp(inst: UncertainLcpQ, prob: NominalLcp,
 
     out = check_feasibility(_program(blocks, lower, upper))
     if out.status != "optimal":
-        return nothing
-    d = np.zeros((n, n))
-    d[np.ix_(a_set, u_set)] = x0 + kernel @ out.x[t_idx]
-    r = out.x[r_idx]
-    sol = _clean_solution(inst, AffineSolutionQ(d, r))
-    report = verify_affine_q(inst, sol)
-    if not report.overall:
-        raise RuntimeError("psd pathway produced a point that fails verification")
-    return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, k_set)
+        return None
+    return out.x[r_idx], out.x[t_idx]
 
 
 def uniqueness_check_psd(inst: UncertainLcpQ, outcome: PsdPathOutcome) -> str:

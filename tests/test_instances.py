@@ -152,6 +152,16 @@ def test_parse_diagnostics_carry_line_numbers():
         parse_instance(mk_text + "nonadjustable-producers 1 two\n")
 
 
+def test_non_finite_solution_entries_are_format_errors():
+    texts = {"solution-q": "kind solution-q\nn 1\nr\n{r}\nd\n{d}\n",
+             "solution-m": "kind solution-m\nn 1\nk 1\nr\n{r}\nd\n{d}\n"}
+    for text in texts.values():
+        parse_instance(text.format(r="1", d="1"))
+        for r, d in (("nan", "1"), ("1", "inf")):
+            with pytest.raises(InstanceFormatError, match="non-finite"):
+                parse_instance(text.format(r=r, d=d))
+
+
 def test_errors_are_value_errors():
     # callers that only know ValueError still catch format problems
     assert issubclass(InstanceFormatError, ValueError)

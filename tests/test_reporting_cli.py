@@ -20,6 +20,7 @@ from aarlcp import (
     solve_enumeration,
 )
 from aarlcp.cli import main
+from aarlcp.reporting import SCHEMA_VERSION
 
 MULTI = UncertainLcpQ(m=np.array([[4.0, 10.0], [1.0, 2.0]]),
                       qbar=np.array([-100.0, -22.0]),
@@ -219,9 +220,11 @@ def test_cli_input_errors_exit_three(tmp_path, capsys):
     assert main(["solve", bad]) == 3
     multi = _write(tmp_path, "multi.txt", serialize_instance(MULTI))
     assert main(["solve", multi, "--pathway", "psd-lp"]) == 3
+    nan_sol = _write(tmp_path, "nan.txt", "kind solution-q\nn 1\nr\nnan\nd\n1\n")
+    assert main(["verify", multi, nan_sol]) == 3
     assert main(["nonsense"]) == 3
     err = capsys.readouterr().err
-    assert "error:" in err
+    assert "error:" in err and "non-finite" in err
 
 
 def test_cli_node_limit_exit_four(tmp_path, capsys):
@@ -295,6 +298,13 @@ def test_cli_verify_json(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["overall"] is True
     assert all(c["passed"] for c in doc["checks"])
+    # the verify document is the schema header plus the block a solve
+    # report writes for the same rule
+    assert (doc.pop("schema"), doc.pop("kind")) == (SCHEMA_VERSION, "verification")
+    rec = dispatch_solve(WORKED_M).solutions[0]
+    assert np.array_equal(rec.solution.d, solve_enumeration_m_first().d)
+    assert doc == json.loads(json.dumps(rec.to_json()["verification"]))
+    assert all("worst_point" in c for c in doc["checks"])
 
 
 def solve_enumeration_m_first():

@@ -1,9 +1,11 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from aarlcp import dispatch_solve, lcp, linalg, robust_q
+from aarlcp import (DispatchError, build_lcp, dispatch_solve, generate_random, lcp, linalg,
+                    parse_instance, robust_q)
 from aarlcp.lcp import (NominalLcp, compute_support_P, describe_solution_set,
                         lcp_residuals, solve_lemke)
 from aarlcp.lp import LinearProgram, check_feasibility, solve_lp
@@ -753,13 +755,11 @@ def test_psd_lp_is_an_lp_in_r_alone(monkeypatch):
         assert np.allclose(out.solution.r, r, atol=1e-9)
 
 
-def _lp_route(inst):
-    """solve_psd forced onto its LP route (None for a nominal ray)."""
-    prob = NominalLcp(inst.m, inst.qbar)
-    nominal = solve_lemke(prob)
-    if nominal.status == "ray":
-        return None
-    return robust_q._solve_psd_lp(inst, prob, nominal.solution.z)
+def _lp_route(monkeypatch, inst):
+    """solve_psd forced to find P and K with compute_support_P."""
+    with monkeypatch.context() as patch:
+        patch.setattr(robust_q, "_strict_support", lambda *args: None)
+        return solve_psd(inst)
 
 
 def _route_instances(seed=2029):
@@ -796,21 +796,22 @@ def _route_instances(seed=2029):
 
 
 def test_positive_definite_route_agrees_with_the_lp_route(monkeypatch):
-    """solve_psd's LP-free route for positive definite M against its LP
-    route on the same instance: status, P, K and the rule within 1e-9.
-    Degenerate and PSD-singular instances must take the LP route."""
-    lp_route = robust_q._solve_psd_lp
+    """solve_psd with P and K from a strictly complementary zbar, for
+    positive definite M, against the same instance with P and K from
+    compute_support_P: status, P, K and the rule within 1e-9. Degenerate
+    and PSD-singular instances must find P and K by the LP."""
+    support_lp = robust_q.compute_support_P
     routes = []
-    monkeypatch.setattr(robust_q, "_solve_psd_lp",
-                        lambda *args: routes.append("lp") or lp_route(*args))
+    monkeypatch.setattr(robust_q, "compute_support_P",
+                        lambda *args: routes.append("lp") or support_lp(*args))
     seen, instances = set(), _route_instances()
     assert len(instances) >= 200
     for kind, inst in instances:
         routes.clear()
         out = solve_psd(inst)
         route = "lp" if routes else "pd"
-        ref = _lp_route(inst)
-        if ref is None:
+        ref = _lp_route(monkeypatch, inst)
+        if ref.nominal is None:
             assert out.status == "no-solution" and out.nominal is None
             continue
         if kind in ("degenerate", "singular"):
@@ -831,18 +832,61 @@ def test_positive_definite_route_agrees_with_the_lp_route(monkeypatch):
 
 def test_positive_definite_block_with_a_numerical_kernel_takes_the_lp_route(monkeypatch):
     # all-ones plus 2e-9 I on P (30 coordinates, all certain) beside one
-    # uncertain coordinate with w > 0: M is positive definite past TOL_PD,
-    # yet the SVD of M[P, P] (singular values 30 and 2e-9) finds a kernel
-    # at TOL_RANK, and E[P, U] = 0 lies in its range, so the candidate is
-    # not unique numerically
+    # uncertain coordinate with w > 0: M is positive definite past TOL_PD
+    # and zbar strictly complementary, yet the SVD of M[P, P] (singular
+    # values 30 and 2e-9) finds a kernel at TOL_RANK, and E[P, U] = 0
+    # lies in its range, so the candidate is not unique numerically. P
+    # and K stay those of zbar and one envelope LP decides r; its point
+    # fails verification on this ill-conditioned block, a limit
     n = 31
     m = np.eye(n)
     m[:30, :30] = np.ones((30, 30)) + 2e-9 * np.eye(30)
     qbar = np.append(-m[:30, :30] @ np.linspace(1.0, 2.0, 30), 1.0)
     inst = UncertainLcpQ(m=m, qbar=qbar, ubar=np.append(np.zeros(30), 0.1))
-    sentinel = PsdPathOutcome("no-solution")
-    monkeypatch.setattr(robust_q, "_solve_psd_lp", lambda *args: sentinel)
-    assert solve_psd(inst) is sentinel
+    calls = []
+    for name in ("compute_support_P", "check_feasibility"):
+        fn = getattr(robust_q, name)
+        monkeypatch.setattr(robust_q, name,
+                            lambda *args, name=name, fn=fn: calls.append(name) or fn(*args))
+    with pytest.raises(DispatchError) as err:
+        dispatch_solve(inst)
+    assert err.value.is_limit
+    assert "psd pathway produced a point that fails verification" in str(err.value)
+    assert calls == ["check_feasibility"]
+
+
+def _strictly_complementary_psd():
+    """(PSD LCP as an UncertainLcpQ, Lemke's zbar, P by _strict_support)
+    for every draw whose zbar is strictly complementary: PSD-singular
+    low-rank LCPs, skew every other draw, and the LCPs of PSD markets."""
+    rng = np.random.default_rng(0)
+    insts = []
+    for t in range(2000):
+        m, qbar, _ = random_low_rank_psd_lcp(rng, 2 + t % 6, skew=t % 2 == 1)
+        insts.append(UncertainLcpQ(m=m, qbar=qbar, ubar=np.zeros(m.shape[0])))
+    for n, k, seed in itertools.product(range(2, 7), (1, 2), range(20)):
+        market = parse_instance(generate_random("market", n, k=k, seed=seed, regime="psd"))
+        insts.append(build_lcp(market)[0])
+    for inst in insts:
+        nominal = solve_lemke(NominalLcp(inst.m, inst.qbar))
+        if nominal.status == "solution":
+            p_set = robust_q._strict_support(inst, nominal.solution.z)
+            if p_set is not None:
+                yield inst, nominal.solution.z, p_set
+
+
+def test_strictly_complementary_zbar_gives_the_support_of_the_solution_set():
+    """For PSD M any two solutions have z1.w2 = z2.w1 = 0, so a strictly
+    complementary zbar fixes P = K = {i : zbar_i > 0}, singular M (every
+    draw here) included: the LP of compute_support_P over the whole
+    solution set agrees."""
+    count = 0
+    for inst, zbar, p_set in _strictly_complementary_psd():
+        count += 1
+        nominal_set = describe_solution_set(NominalLcp(inst.m, inst.qbar), zbar)
+        got_p, got_k = compute_support_P(nominal_set)
+        assert np.array_equal(got_p, p_set) and np.array_equal(got_k, p_set)
+    assert count >= 400  # 285 low-rank draws and all 200 markets
 
 
 def test_psd_enumeration_returns_at_most_one_with_inverse_block():
