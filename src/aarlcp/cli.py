@@ -14,11 +14,11 @@ import json
 import math
 import sys
 
-from .instances import (InstanceFormatError, generate_random, parse_instance,
-                        serialize_instance)
+from .instances import (GENERATOR_KINDS, REGIMES, InstanceFormatError,
+                        generate_random, parse_instance, serialize_instance)
 from .market import MarketModel, build_lcp
-from .reporting import (SCHEMA_VERSION, DispatchError, SolveOptions, check_lines,
-                        dispatch_solve, verification_json)
+from .reporting import (PATHWAYS, SCHEMA_VERSION, DispatchError, SolveOptions,
+                        check_lines, dispatch_solve, verification_json)
 from .robust_m import AffineSolutionM, UncertainLcpM, verify_affine_m
 from .robust_q import AffineSolutionQ, UncertainLcpQ, verify_affine_q
 
@@ -58,9 +58,7 @@ def _write_out(text: str, path: str | None):
 
 
 def _add_solve_flags(p: argparse.ArgumentParser):
-    p.add_argument("--pathway", default="auto",
-                   choices=["auto", "enumeration", "psd-lp", "mip",
-                            "uncertain-m"])
+    p.add_argument("--pathway", default="auto", choices=PATHWAYS)
     p.add_argument("--node-limit", type=int, default=None,
                    help="branch-and-bound node budget")
 
@@ -135,7 +133,7 @@ def _cmd_market_build(args) -> int:
     model = parse_instance(_read(args.instance))
     if not isinstance(model, MarketModel):
         raise UsageError("market-build expects a market instance file")
-    inst, bmap = build_lcp(model, artificial_halfwidth=args.artificial_halfwidth)
+    inst, bmap = build_lcp(model)
     _write_out(serialize_instance(inst), args.output)
     if args.output not in (None, "-"):
         perm = [int(i) + 1 for i in bmap.perm]
@@ -144,7 +142,7 @@ def _cmd_market_build(args) -> int:
     return EXIT_SOLUTION
 
 
-def main(argv=None) -> int:
+def _build_parser() -> _Parser:
     parser = _Parser(prog="aarlcp",
                      description="Affinely adjustable robust solutions of "
                                  "linear complementarity problems")
@@ -163,33 +161,31 @@ def main(argv=None) -> int:
     p_verify.add_argument("--json", action="store_true")
 
     p_gen = sub.add_parser("gen", help="generate a random instance")
-    p_gen.add_argument("kind", choices=["uncertain-q", "uncertain-m", "market"])
+    p_gen.add_argument("kind", choices=GENERATOR_KINDS)
     p_gen.add_argument("n", type=int)
     p_gen.add_argument("--k", type=int, default=1,
                        help="perturbation count / market count")
     p_gen.add_argument("--h", type=int, default=0,
                        help="here-and-now coordinate count")
     p_gen.add_argument("--seed", type=int, default=0)
-    p_gen.add_argument("--regime", default="general",
-                       choices=["general", "psd", "pmatrix"])
+    p_gen.add_argument("--regime", default="general", choices=REGIMES)
     p_gen.add_argument("-o", "--output", default=None)
 
     p_mb = sub.add_parser("market-build",
                           help="turn a market file into an uncertain-q file")
     p_mb.add_argument("instance")
     p_mb.add_argument("-o", "--output", default=None)
-    p_mb.add_argument("--artificial-halfwidth", type=float, default=0.0,
-                      help="widen zero half-widths for demonstration runs")
 
     p_report = sub.add_parser("report",
                               help="solve and print the JSON report")
     p_report.add_argument("instance")
     _add_solve_flags(p_report)
-    p_report.add_argument("--json", action="store_true",
-                          help="accepted for symmetry; report is always JSON")
+    return parser
 
+
+def main(argv=None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
         if args.command == "solve":
             return _cmd_solve(args, as_json=args.json)
         if args.command == "verify":

@@ -1,23 +1,23 @@
 """Plain-text instance and solution files.
 
 The format is line oriented: `#` starts a comment, blank lines are
-skipped, the first line names the kind, scalar headers are `key value`
-lines, and each matrix or vector key stands alone on its line followed
-by rows of whitespace-separated decimals. Indices inside files are
-1-based. Serialization uses 17 significant digits, enough for exact
-float round-trips.
+skipped, the first line names the kind, integer headers are `key value`
+lines, and each section key stands alone on its line followed by rows of
+whitespace-separated decimals. Indices inside files are 1-based.
+Serialization uses 17 significant digits, enough for exact float
+round-trips.
 
-Kinds:
-
-    uncertain-q   n, h, matrix m, vectors qbar and ubar
-    uncertain-m   n, k, h, matrix m0, k perturbation matrices, vector q
-    market        producer/constraint/market sizes, cost and demand
-                  data, optional nonadjustable/adjustable switches
-    solution-q    n, vector r, n x n matrix d
-    solution-m    n, k, vector r, n x k matrix d
+One table, _LAYOUTS, gives each kind's integer headers and its sections
+in file order; parse_instance reads by walking it and serialize_instance
+writes by walking it. uncertain-m's `perturbation i` blocks and the
+market's optional trailing lines (nonadjustable-producers,
+adjustable-duals, adjustable-prices, in any order) are the only special
+cases.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,9 +31,59 @@ __all__ = [
     "serialize_instance",
     "generate_random",
     "KINDS",
+    "GENERATOR_KINDS",
+    "REGIMES",
 ]
 
-KINDS = ("uncertain-q", "uncertain-m", "market", "solution-q", "solution-m")
+
+class _Layout(NamedTuple):
+    """One kind's file layout.
+
+    cls: the typed class the file parses into
+    headers: the integer header keys, in file order. h (the count of
+        here-and-now coordinates) is also a field of cls and may be 0;
+        every other header is a size of at least 1.
+    sections: (field, sizes) in file order. field names the attribute
+        of cls, and its file key is field with '_' written '-'. One size
+        is a vector on one line, two a matrix of that many rows, and
+        three (uncertain-m's perturbations) a list of matrices, each
+        under its own 'perturbation i' line. On writing, a header takes
+        its value from the first section it sizes.
+    """
+
+    cls: type
+    headers: tuple
+    sections: tuple
+
+
+_LAYOUTS = {
+    "uncertain-q": _Layout(UncertainLcpQ, ("n", "h"), (
+        ("m", ("n", "n")), ("qbar", ("n",)), ("ubar", ("n",)))),
+    "uncertain-m": _Layout(UncertainLcpM, ("n", "k", "h"), (
+        ("m0", ("n", "n")), ("perturbations", ("k", "n", "n")),
+        ("q", ("n",)))),
+    "market": _Layout(MarketModel, ("producers", "constraints", "markets"), (
+        ("costs", ("producers",)),
+        ("technology", ("constraints", "producers")),
+        ("capacity", ("constraints",)),
+        ("demand_matrix", ("markets", "producers")),
+        ("sensitivity", ("markets", "markets")),
+        ("demand", ("markets",)),
+        ("demand_halfwidth", ("markets",)))),
+    "solution-q": _Layout(AffineSolutionQ, ("n",), (
+        ("r", ("n",)), ("d", ("n", "n")))),
+    "solution-m": _Layout(AffineSolutionM, ("n", "k"), (
+        ("r", ("n",)), ("d", ("n", "k")))),
+}
+
+KINDS = tuple(_LAYOUTS)
+
+# the kinds and matrix regimes generate_random draws
+GENERATOR_KINDS = ("uncertain-q", "uncertain-m", "market")
+REGIMES = ("general", "psd", "pmatrix")
+
+_MARKET_OPTIONS = ("nonadjustable-producers", "adjustable-duals",
+                   "adjustable-prices")
 
 GENERATOR_SIZE_CAP = 50
 
@@ -42,12 +92,12 @@ class InstanceFormatError(ValueError):
     """Malformed instance text; the message carries the line number."""
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.17g}"
-
-
-def _fmt_row(values) -> str:
-    return " ".join(_fmt(v) for v in np.atleast_1d(values))
+def _rows(a: np.ndarray) -> list:
+    """The lines of a matrix, one per row, or the one line of a vector,
+    in 17 significant digits."""
+    line = " ".join(["%.17g"] * a.shape[-1])
+    rows = a.tolist()
+    return [line % tuple(rows)] if a.ndim == 1 else [line % tuple(r) for r in rows]
 
 
 class _Reader:
@@ -56,9 +106,9 @@ class _Reader:
     def __init__(self, text: str):
         self.rows = []
         for ln, raw in enumerate(text.splitlines(), start=1):
-            body = raw.split("#", 1)[0].strip()
-            if body:
-                self.rows.append((ln, body.split()))
+            toks = raw.split("#", 1)[0].split()
+            if toks:
+                self.rows.append((ln, toks))
         self.pos = 0
 
     def done(self) -> bool:
@@ -100,29 +150,29 @@ class _Reader:
                 f"line {self.rows[self.pos - 1][0]}: {key} must be at least 1")
         return val
 
-    def numbers(self, count: int) -> np.ndarray:
-        ln, toks = self.take()
-        if len(toks) != count:
-            raise InstanceFormatError(
-                f"line {ln}: expected {count} numbers, got {len(toks)}")
-        try:
-            return np.array([float(t) for t in toks])
-        except ValueError as exc:
-            raise InstanceFormatError(f"line {ln}: malformed number ({exc})") from None
+    def numbers(self, rows: int, cols: int) -> list:
+        """The next `rows` lines as lists of `cols` floats."""
+        chunk = self.rows[self.pos:self.pos + rows]
+        self.pos += len(chunk)
+        out = []
+        for ln, toks in chunk:
+            if len(toks) != cols:
+                raise InstanceFormatError(
+                    f"line {ln}: expected {cols} numbers, got {len(toks)}")
+            try:
+                out.append(list(map(float, toks)))
+            except ValueError as exc:
+                raise InstanceFormatError(
+                    f"line {ln}: malformed number ({exc})") from None
+        if len(chunk) < rows:
+            self.take()  # raises: the file ended inside the section
+        return out
 
     def key_line(self, key: str):
         ln, toks = self.take()
         if toks != [key]:
             raise InstanceFormatError(
                 f"line {ln}: expected section {key!r}, got {' '.join(toks)!r}")
-
-    def matrix(self, key: str, rows: int, cols: int) -> np.ndarray:
-        self.key_line(key)
-        return np.array([self.numbers(cols) for _ in range(rows)]).reshape(rows, cols)
-
-    def vector(self, key: str, size: int) -> np.ndarray:
-        self.key_line(key)
-        return self.numbers(size)
 
     def expect_done(self):
         if not self.done():
@@ -131,102 +181,37 @@ class _Reader:
                 f"line {ln}: unexpected trailing content {' '.join(toks)!r}")
 
 
-def _parse_uncertain_q(r: _Reader) -> UncertainLcpQ:
-    n = r.positive_int("n")
-    h = r.int_scalar("h")
-    m = r.matrix("m", n, n)
-    qbar = r.vector("qbar", n)
-    ubar = r.vector("ubar", n)
-    r.expect_done()
-    return UncertainLcpQ(m=m, qbar=qbar, ubar=ubar, h=h)
-
-
-def _parse_uncertain_m(r: _Reader) -> UncertainLcpM:
-    n = r.positive_int("n")
-    k = r.positive_int("k")
-    h = r.int_scalar("h")
-    m0 = r.matrix("m0", n, n)
-    perts = []
-    for i in range(1, k + 1):
-        ln, toks = r.take()
-        if toks != ["perturbation", str(i)]:
-            raise InstanceFormatError(
-                f"line {ln}: expected 'perturbation {i}', got {' '.join(toks)!r}")
-        perts.append(np.array([r.numbers(n) for _ in range(n)]))
-    q = r.vector("q", n)
-    r.expect_done()
-    return UncertainLcpM(m0=m0, perturbations=perts, q=q, h=h)
-
-
-def _parse_bool(r: _Reader, key: str) -> bool:
-    val = r.scalar(key)
-    if val not in ("true", "false"):
-        raise InstanceFormatError(
-            f"line {r.rows[r.pos - 1][0]}: '{key}' must be true or false")
-    return val == "true"
-
-
-def _parse_market(r: _Reader) -> MarketModel:
-    n = r.positive_int("producers")
-    m = r.positive_int("constraints")
-    k = r.positive_int("markets")
-    costs = r.vector("costs", n)
-    technology = r.matrix("technology", m, n)
-    capacity = r.vector("capacity", m)
-    demand_matrix = r.matrix("demand-matrix", k, n)
-    sensitivity = r.matrix("sensitivity", k, k)
-    demand = r.vector("demand", k)
-    halfwidth = r.vector("demand-halfwidth", k)
-    nonadj: tuple = ()
-    duals = prices = True
-    while not r.done():
-        key = r.peek_key()
+def _read_market_options(r: _Reader) -> dict:
+    """The market's optional trailing lines, as MarketModel fields."""
+    fields = {}
+    while (key := r.peek_key()) in _MARKET_OPTIONS:
         if key == "nonadjustable-producers":
             ln, toks = r.take()
-            try:
-                nonadj = tuple(int(t) - 1 for t in toks[1:])  # file is 1-based
+            try:  # the file is 1-based
+                fields["nonadjustable_producers"] = tuple(
+                    int(t) - 1 for t in toks[1:])
             except ValueError:
                 raise InstanceFormatError(
                     f"line {ln}: producer indices must be integers") from None
-        elif key == "adjustable-duals":
-            duals = _parse_bool(r, "adjustable-duals")
-        elif key == "adjustable-prices":
-            prices = _parse_bool(r, "adjustable-prices")
         else:
-            ln, toks = r.rows[r.pos]
-            raise InstanceFormatError(
-                f"line {ln}: unexpected trailing content {' '.join(toks)!r}")
-    return MarketModel(costs=costs, technology=technology, capacity=capacity,
-                       demand_matrix=demand_matrix, sensitivity=sensitivity,
-                       demand=demand, demand_halfwidth=halfwidth,
-                       nonadjustable_producers=nonadj,
-                       adjustable_duals=duals, adjustable_prices=prices)
+            val = r.scalar(key)
+            if val not in ("true", "false"):
+                raise InstanceFormatError(
+                    f"line {r.rows[r.pos - 1][0]}: '{key}' must be true or false")
+            fields[key.replace("-", "_")] = val == "true"
+    return fields
 
 
-def _parse_solution_q(r: _Reader) -> AffineSolutionQ:
-    n = r.positive_int("n")
-    rr = r.vector("r", n)
-    d = r.matrix("d", n, n)
-    r.expect_done()
-    return AffineSolutionQ(d=d, r=rr)
-
-
-def _parse_solution_m(r: _Reader) -> AffineSolutionM:
-    n = r.positive_int("n")
-    k = r.positive_int("k")
-    rr = r.vector("r", n)
-    d = r.matrix("d", n, k)
-    r.expect_done()
-    return AffineSolutionM(d=d, r=rr)
-
-
-_PARSERS = {
-    "uncertain-q": _parse_uncertain_q,
-    "uncertain-m": _parse_uncertain_m,
-    "market": _parse_market,
-    "solution-q": _parse_solution_q,
-    "solution-m": _parse_solution_m,
-}
+def _market_option_lines(mm: MarketModel) -> list:
+    lines = []
+    if mm.nonadjustable_producers:
+        inline = " ".join(str(i + 1) for i in mm.nonadjustable_producers)
+        lines.append(f"nonadjustable-producers {inline}")
+    if not mm.adjustable_duals:
+        lines.append("adjustable-duals false")
+    if not mm.adjustable_prices:
+        lines.append("adjustable-prices false")
+    return lines
 
 
 def parse_instance(text: str):
@@ -237,87 +222,66 @@ def parse_instance(text: str):
     if r.done():
         raise InstanceFormatError("line 1: empty file (expected 'kind <name>')")
     kind = r.scalar("kind")
-    parser = _PARSERS.get(kind)
-    if parser is None:
+    layout = _LAYOUTS.get(kind)
+    if layout is None:
         raise InstanceFormatError(
             f"line {r.rows[0][0]}: unknown kind {kind!r} "
             f"(expected one of {', '.join(KINDS)})")
+    size = {key: r.int_scalar(key) if key == "h" else r.positive_int(key)
+            for key in layout.headers}
+    fields = {"h": size["h"]} if "h" in size else {}
+    for field, sizes in layout.sections:
+        if len(sizes) == 3:
+            count, rows, cols = (size[s] for s in sizes)
+            blocks = []
+            for i in range(1, count + 1):
+                ln, toks = r.take()
+                if toks != ["perturbation", str(i)]:
+                    raise InstanceFormatError(
+                        f"line {ln}: expected 'perturbation {i}', "
+                        f"got {' '.join(toks)!r}")
+                blocks.append(r.numbers(rows, cols))
+            fields[field] = blocks
+        else:
+            r.key_line(field.replace("_", "-"))
+            if len(sizes) == 2:
+                fields[field] = r.numbers(size[sizes[0]], size[sizes[1]])
+            else:
+                fields[field] = r.numbers(1, size[sizes[0]])[0]
+    if kind == "market":
+        fields.update(_read_market_options(r))
+    r.expect_done()
     try:
-        return parser(r)
-    except InstanceFormatError:
-        raise
+        return layout.cls(**fields)
     except ValueError as exc:
         raise InstanceFormatError(str(exc)) from None
 
 
 def serialize_instance(obj) -> str:
     """Render a typed object back to file text (exact round-trip)."""
-    lines = []
-    if isinstance(obj, UncertainLcpQ):
-        lines.append("kind uncertain-q")
-        lines.append(f"n {obj.n}")
-        lines.append(f"h {obj.h}")
-        lines.append("m")
-        lines.extend(_fmt_row(row) for row in obj.m)
-        lines.append("qbar")
-        lines.append(_fmt_row(obj.qbar))
-        lines.append("ubar")
-        lines.append(_fmt_row(obj.ubar))
-    elif isinstance(obj, UncertainLcpM):
-        lines.append("kind uncertain-m")
-        lines.append(f"n {obj.n}")
-        lines.append(f"k {obj.k}")
-        lines.append(f"h {obj.h}")
-        lines.append("m0")
-        lines.extend(_fmt_row(row) for row in obj.m0)
-        for i, p in enumerate(obj.perturbations, start=1):
-            lines.append(f"perturbation {i}")
-            lines.extend(_fmt_row(row) for row in p)
-        lines.append("q")
-        lines.append(_fmt_row(obj.q))
-    elif isinstance(obj, MarketModel):
-        lines.append("kind market")
-        lines.append(f"producers {obj.n_producers}")
-        lines.append(f"constraints {obj.n_duals}")
-        lines.append(f"markets {obj.n_prices}")
-        lines.append("costs")
-        lines.append(_fmt_row(obj.costs))
-        lines.append("technology")
-        lines.extend(_fmt_row(row) for row in obj.technology)
-        lines.append("capacity")
-        lines.append(_fmt_row(obj.capacity))
-        lines.append("demand-matrix")
-        lines.extend(_fmt_row(row) for row in obj.demand_matrix)
-        lines.append("sensitivity")
-        lines.extend(_fmt_row(row) for row in obj.sensitivity)
-        lines.append("demand")
-        lines.append(_fmt_row(obj.demand))
-        lines.append("demand-halfwidth")
-        lines.append(_fmt_row(obj.demand_halfwidth))
-        if obj.nonadjustable_producers:
-            inline = " ".join(str(i + 1) for i in obj.nonadjustable_producers)
-            lines.append(f"nonadjustable-producers {inline}")
-        if not obj.adjustable_duals:
-            lines.append("adjustable-duals false")
-        if not obj.adjustable_prices:
-            lines.append("adjustable-prices false")
-    elif isinstance(obj, AffineSolutionQ):
-        lines.append("kind solution-q")
-        lines.append(f"n {obj.r.size}")
-        lines.append("r")
-        lines.append(_fmt_row(obj.r))
-        lines.append("d")
-        lines.extend(_fmt_row(row) for row in obj.d)
-    elif isinstance(obj, AffineSolutionM):
-        lines.append("kind solution-m")
-        lines.append(f"n {obj.r.size}")
-        lines.append(f"k {obj.d.shape[1]}")
-        lines.append("r")
-        lines.append(_fmt_row(obj.r))
-        lines.append("d")
-        lines.extend(_fmt_row(row) for row in obj.d)
+    for kind, layout in _LAYOUTS.items():
+        if isinstance(obj, layout.cls):
+            break
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
+    values = [getattr(obj, field) for field, _ in layout.sections]
+    size = {"h": getattr(obj, "h", None)}
+    for (_, sizes), value in zip(layout.sections, values):
+        shape = (len(value), *value[0].shape) if len(sizes) == 3 else value.shape
+        for key, extent in zip(sizes, shape):
+            size.setdefault(key, extent)
+    lines = [f"kind {kind}"]
+    lines += [f"{key} {size[key]}" for key in layout.headers]
+    for (field, sizes), value in zip(layout.sections, values):
+        if len(sizes) == 3:
+            for i, block in enumerate(value, start=1):
+                lines.append(f"perturbation {i}")
+                lines += _rows(block)
+        else:
+            lines.append(field.replace("_", "-"))
+            lines += _rows(value)
+    if kind == "market":
+        lines += _market_option_lines(obj)
     return "\n".join(lines) + "\n"
 
 
@@ -327,14 +291,12 @@ def _matrix_for_regime(rng: np.random.Generator, n: int, regime: str) -> np.ndar
     if regime == "psd":
         g = rng.uniform(-1.5, 1.5, (n, n))
         return (g.T @ g + 0.05 * np.eye(n)).round(4)
-    if regime == "pmatrix":
-        m = rng.uniform(-1.0, 1.0, (n, n))
-        np.fill_diagonal(m, 0.0)
-        # diagonal dominance with a positive diagonal
-        diag = np.abs(m).sum(axis=1) + rng.uniform(0.5, 1.5, n)
-        np.fill_diagonal(m, diag)
-        return m.round(4)
-    raise ValueError(f"unknown regime {regime!r}")
+    m = rng.uniform(-1.0, 1.0, (n, n))  # pmatrix
+    np.fill_diagonal(m, 0.0)
+    # diagonal dominance with a positive diagonal
+    diag = np.abs(m).sum(axis=1) + rng.uniform(0.5, 1.5, n)
+    np.fill_diagonal(m, diag)
+    return m.round(4)
 
 
 def generate_random(kind: str, n: int, k: int = 1, h: int = 0,
@@ -352,6 +314,8 @@ def generate_random(kind: str, n: int, k: int = 1, h: int = 0,
         raise ValueError(f"k must lie in [1, {GENERATOR_SIZE_CAP}]")
     if not 0 <= h <= n:
         raise ValueError(f"h must lie in [0, {n}]")
+    if regime not in REGIMES:
+        raise ValueError(f"unknown regime {regime!r}")
     rng = np.random.default_rng(seed)
 
     if kind == "uncertain-q":
@@ -388,5 +352,5 @@ def generate_random(kind: str, n: int, k: int = 1, h: int = 0,
                          nonadjustable_producers=tuple(range(h)))
         return serialize_instance(mm)
 
-    raise ValueError(f"unknown kind {kind!r} (instance kinds: uncertain-q, "
-                     "uncertain-m, market)")
+    raise ValueError(f"unknown kind {kind!r} "
+                     f"(instance kinds: {', '.join(GENERATOR_KINDS)})")

@@ -30,7 +30,7 @@ import itertools
 
 import numpy as np
 
-from .tolerances import TOL_PIVOT_FACTOR, TOL_PSD
+from .tolerances import TOL_PD, TOL_PIVOT_FACTOR, TOL_PSD
 
 __all__ = [
     "SingularMatrixError",
@@ -238,6 +238,21 @@ def min_symmetric_eigenvalue(a) -> float:
     """Smallest eigenvalue of the symmetric part of `a`."""
     ev = symmetric_eigenvalues(a)
     return float(ev[0]) if ev.size else 0.0
+
+
+def is_positive_definite(a) -> bool:
+    """True if the symmetric part s of `a` is positive definite: every
+    s_ii > 0, and the smallest eigenvalue of s_ij / sqrt(s_ii s_jj)
+    exceeds TOL_PD. That scaling is a congruence, so it keeps
+    definiteness; with it the verdict does not change when `a` is
+    rescaled, by one factor or by a positive diagonal D a D, and a block
+    of large entries does not hide a small one."""
+    a = as_matrix(a, square=True)
+    d = np.diagonal(a)  # that of the symmetric part too
+    if not d.size or np.any(d <= 0):
+        return False
+    r = 1.0 / np.sqrt(d)
+    return float(symmetric_eigenvalues(a * r[:, None] * r)[0]) > TOL_PD
 
 
 def is_psd(a) -> bool:

@@ -141,13 +141,11 @@ class MarketBlockMap:
         return vec[self.perm]
 
 
-def build_lcp(mm: MarketModel, artificial_halfwidth: float = 0.0):
+def build_lcp(mm: MarketModel):
     """Assemble the equilibrium LCP and expose the demand box.
 
     Returns (UncertainLcpQ, MarketBlockMap). Uncertainty sits only in
-    the price block of q; passing artificial_halfwidth > 0 widens every
-    zero half-width to that value (useful to reach S empty for the
-    enumeration pathway, off by default).
+    the price block of q.
     """
     n, m, k = mm.n_producers, mm.n_duals, mm.n_prices
     size = n + m + k
@@ -159,8 +157,6 @@ def build_lcp(mm: MarketModel, artificial_halfwidth: float = 0.0):
     big_m[n + m:, n + m:] = -mm.sensitivity
     qbar = np.concatenate([mm.costs, -mm.capacity, -mm.demand])
     ubar = np.concatenate([np.zeros(n), np.zeros(m), mm.demand_halfwidth])
-    if artificial_halfwidth > 0:
-        ubar = np.where(ubar > 0, ubar, float(artificial_halfwidth))
 
     fixed = list(mm.nonadjustable_producers)
     if not mm.adjustable_duals:

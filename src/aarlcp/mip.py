@@ -85,6 +85,8 @@ def solve_mip_feasibility(
     Every feasible answer is re-checked against the original rows and
     bounds directly, independent of the simplex bookkeeping.
     """
+    if node_limit < 1:
+        raise ValueError(f"node_limit must be at least 1, got {node_limit}")
     lp = prob.lp
     bins = prob.binaries
     scale = 1.0 + float(np.max(np.abs(lp.rhs), initial=0.0))

@@ -52,6 +52,8 @@ class SolveOptions:
         if self.pathway not in PATHWAYS:
             raise ValueError(f"unknown pathway {self.pathway!r} "
                              f"(choose from {', '.join(PATHWAYS)})")
+        if self.node_limit is not None and self.node_limit < 1:
+            raise ValueError(f"node_limit must be at least 1, got {self.node_limit}")
 
 
 class DispatchError(RuntimeError):

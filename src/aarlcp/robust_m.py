@@ -40,7 +40,7 @@ import numpy as np
 from . import linalg
 from .boxopt import min_affine_over_box, min_quadratic_over_box
 from .robust_q import ConditionCheck, SizeLimitError, VerificationReport
-from .tolerances import TOL_FEAS, TOL_PSD, TOL_SUPPORT
+from .tolerances import TOL_FEAS, TOL_SUPPORT
 
 __all__ = [
     "UncertainLcpM",
@@ -401,8 +401,8 @@ def solve_enumeration_m(inst: UncertainLcpM) -> list:
 
 def uniqueness_m(inst: UncertainLcpM) -> str:
     """"unique-if-exists" when the symmetric part of m0 is positive
-    definite, else "unknown"."""
-    if inst.n and linalg.min_symmetric_eigenvalue(inst.m0) > TOL_PSD:
+    definite by linalg.is_positive_definite, else "unknown"."""
+    if linalg.is_positive_definite(inst.m0):
         return "unique-if-exists"
     return "unknown"
 

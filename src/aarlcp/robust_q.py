@@ -43,7 +43,7 @@ from .lcp import NominalLcp, compute_support_P, describe_solution_set, solve_lem
 # patching robust_q.solve_lp
 from .lp import LinearProgram, solve_lp, check_feasibility  # noqa: F401
 from .mip import DEFAULT_NODE_LIMIT, MixedBinaryProgram, solve_mip_feasibility
-from .tolerances import (TOL_DEDUP, TOL_FEAS, TOL_PD, TOL_PSD, TOL_RANK, TOL_STRICT,
+from .tolerances import (TOL_DEDUP, TOL_FEAS, TOL_RANK, TOL_STRICT,
                          TOL_SUPPORT)
 
 __all__ = [
@@ -591,9 +591,9 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     certifies nonexistence outright for PSD data). P collects the
     coordinates positive somewhere in the nominal solution set, L the
     rest, K the rows of M z + q that vanish on all of it, and A the
-    adjustable part of P. A positive definite M (smallest eigenvalue of
-    its symmetric part above TOL_PD times max |M_ij|) with a strictly
-    complementary zbar gives P = K = {i : zbar_i > 0} (_strict_support);
+    adjustable part of P. A positive definite M (by
+    linalg.is_positive_definite) with a strictly complementary zbar
+    gives P = K = {i : zbar_i > 0} (_strict_support);
     otherwise compute_support_P finds them with one LP over the nominal
     solution set (lcp.describe_solution_set).
 
@@ -616,8 +616,8 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     columns for T and envelope columns for the rows it moves.
     Infeasibility proves nonexistence (no big-M caveat).
     """
-    lam = linalg.min_symmetric_eigenvalue(inst.m)
-    if lam < -TOL_PSD:  # linalg.is_psd, sharing the eigenvalue
+    definite = linalg.is_positive_definite(inst.m)
+    if not definite and not linalg.is_psd(inst.m):
         raise ValueError("psd pathway requires a positive semidefinite matrix")
     prob = NominalLcp(inst.m, inst.qbar)
     nominal = solve_lemke(prob)
@@ -626,7 +626,7 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     zbar = nominal.solution.z
     n = inst.n
     nominal_set = p_set = None
-    if lam > TOL_PD * np.max(np.abs(inst.m), initial=0.0):
+    if definite:
         p_set = k_set = _strict_support(inst, zbar)
     if p_set is None:
         nominal_set = describe_solution_set(prob, zbar)

@@ -32,8 +32,8 @@ TOL_RANK = 1e-10
 # eigenvalue tolerance for positive semidefiniteness tests
 TOL_PSD = 1e-9
 
-# positive definiteness: the smallest eigenvalue of the symmetric part
-# above this times the largest absolute entry of the matrix
+# positive definiteness: the smallest eigenvalue of the symmetric part,
+# scaled to unit diagonal, above this
 TOL_PD = 1e-9
 
 # strict complementarity of a nominal solution: z_i at or below this

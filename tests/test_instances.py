@@ -150,6 +150,44 @@ def test_parse_diagnostics_carry_line_numbers():
     with pytest.raises(InstanceFormatError,
                        match="line 19: producer indices must be integers"):
         parse_instance(mk_text + "nonadjustable-producers 1 two\n")
+    # one malformed section per kind
+    broken = {
+        "line 6: expected 1 numbers, got 2":
+            um_text.replace("m0\n2\n", "m0\n2 3\n"),
+        "line 9: expected section 'q'": um_text.replace("q\n-1", "qq\n-1"),
+        "line 7: expected section 'technology'":
+            mk_text.replace("technology", "tech"),
+        "line 12: expected 2 numbers, got 1":
+            mk_text.replace("demand-matrix\n1 1\n", "demand-matrix\n1\n"),
+        "line 6: malformed number":
+            "kind solution-q\nn 1\nr\n1\nd\none\n",
+        "line 6: unexpected end of file":
+            "kind solution-m\nn 1\nk 2\nr\n1\nd\n",
+        "line 3: k must be at least 1":
+            "kind solution-m\nn 1\nk 0\nr\n1\nd\n1\n",
+    }
+    for message, text in broken.items():
+        with pytest.raises(InstanceFormatError, match=message):
+            parse_instance(text)
+
+
+def test_serialize_inverts_parse_on_every_kind():
+    texts = [generate_random(kind, n=n, k=k, h=h, seed=10 * n + h, regime=regime)
+             for kind in ("uncertain-q", "uncertain-m", "market")
+             for n in (1, 2, 5, 8) for k in (1, 3) for h in (0, 1)
+             for regime in ("general", "psd", "pmatrix")
+             if not (kind == "market" and regime == "pmatrix")]
+    rng = np.random.default_rng(5)
+    for n in (1, 2, 6):
+        for k in (1, 4):
+            scale = 10.0 ** rng.integers(-300, 300)
+            texts.append(serialize_instance(AffineSolutionQ(
+                d=scale * rng.normal(size=(n, n)), r=rng.normal(size=n))))
+            texts.append(serialize_instance(AffineSolutionM(
+                d=rng.normal(size=(n, k)), r=scale * rng.normal(size=n))))
+    assert len({t.split("\n", 1)[0] for t in texts}) == 5
+    for text in texts:
+        assert serialize_instance(parse_instance(text)) == text
 
 
 def test_non_finite_solution_entries_are_format_errors():

@@ -137,12 +137,6 @@ def test_block_positions():
     assert np.array_equal(bmap.price_positions, [1])
 
 
-def test_artificial_halfwidth_clears_certain_rows():
-    inst, _ = build_lcp(_desk_model(), artificial_halfwidth=0.01)
-    assert np.array_equal(inst.ubar, [0.01, 0.01, 0.01, 0.5])
-    assert inst.ubar.min() > 0
-
-
 def test_model_validation():
     with pytest.raises(ValueError):
         _desk_model(technology=[[1.0, 1.0, 1.0]])

@@ -285,6 +285,9 @@ def test_node_limit_raises():
               np.arange(6))
     with pytest.raises(NodeLimitError):
         solve_mip_feasibility(p, node_limit=1)
+    for budget in (0, -5):
+        with pytest.raises(ValueError, match="node_limit must be at least 1"):
+            solve_mip_feasibility(p, node_limit=budget)
 
 
 def test_pinned_rounding_counts_against_node_limit():

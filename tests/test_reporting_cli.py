@@ -1,5 +1,6 @@
 """Dispatch layer and command-line front end, exercised in process."""
 
+import argparse
 import io
 import json
 
@@ -19,8 +20,9 @@ from aarlcp import (
     serialize_instance,
     solve_enumeration,
 )
-from aarlcp.cli import main
-from aarlcp.reporting import SCHEMA_VERSION
+from aarlcp.cli import _build_parser, main
+from aarlcp.instances import GENERATOR_KINDS, KINDS, REGIMES
+from aarlcp.reporting import PATHWAYS, SCHEMA_VERSION
 
 MULTI = UncertainLcpQ(m=np.array([[4.0, 10.0], [1.0, 2.0]]),
                       qbar=np.array([-100.0, -22.0]),
@@ -220,6 +222,11 @@ def test_cli_input_errors_exit_three(tmp_path, capsys):
     assert main(["solve", bad]) == 3
     multi = _write(tmp_path, "multi.txt", serialize_instance(MULTI))
     assert main(["solve", multi, "--pathway", "psd-lp"]) == 3
+    for budget in ("-5", "0"):  # a node budget below 1 is an input error
+        assert main(["solve", multi, "--pathway", "mip",
+                     "--node-limit", budget]) == 3
+    assert main(["report", multi, "--json"]) == 3
+    assert main(["market-build", multi, "--artificial-halfwidth", "1"]) == 3
     nan_sol = _write(tmp_path, "nan.txt", "kind solution-q\nn 1\nr\nnan\nd\n1\n")
     assert main(["verify", multi, nan_sol]) == 3
     assert main(["nonsense"]) == 3
@@ -257,6 +264,19 @@ def test_cli_numerical_trouble_exit_four(tmp_path, capsys, monkeypatch):
     path = _write(tmp_path, "multi.txt", serialize_instance(MULTI))
     assert main(["solve", path, "--pathway", "mip"]) == 4
     assert "phase-1 simplex stalled numerically" in capsys.readouterr().err
+
+
+def test_cli_choices_come_from_their_owners():
+    commands = next(a for a in _build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+
+    def choices(command, dest):
+        return next(a.choices for a in commands[command]._actions if a.dest == dest)
+
+    assert choices("gen", "kind") == GENERATOR_KINDS
+    assert set(GENERATOR_KINDS) <= set(KINDS)
+    assert choices("gen", "regime") == REGIMES
+    assert choices("solve", "pathway") == choices("report", "pathway") == PATHWAYS
 
 
 def test_cli_gen_deterministic(capsys):
@@ -333,14 +353,6 @@ def test_cli_market_build(tmp_path, capsys):
     assert main(["market-build", mk_path]) == 0
     streamed = capsys.readouterr().out
     assert isinstance(parse_instance(streamed), UncertainLcpQ)
-
-
-def test_cli_market_build_artificial_halfwidth(tmp_path, capsys):
-    mk_path = _write(tmp_path, "mk.txt", serialize_instance(MARKET))
-    assert main(["market-build", mk_path,
-                 "--artificial-halfwidth", "0.01"]) == 0
-    built = parse_instance(capsys.readouterr().out)
-    assert built.ubar.min() > 0
 
 
 def test_cli_solve_rejects_solution_file(tmp_path, capsys):

@@ -268,7 +268,16 @@ def test_rule_identity_against_mtilde_form():
 
 
 def test_uniqueness_verdicts():
-    assert uniqueness_m(INST) == "unique-if-exists"
+    # the positive definiteness test is relative: the worked example keeps
+    # its verdict in any unit
+    for scale in (1.0, 1e-12, 1e12):
+        scaled = UncertainLcpM(m0=scale * INST.m0,
+                               perturbations=[scale * p for p in INST.perturbations],
+                               q=INST.q, h=0)
+        assert uniqueness_m(scaled) == "unique-if-exists", scale
+    singular = UncertainLcpM(m0=np.diag([1.0, 0.0]),
+                             perturbations=[np.zeros((2, 2))], q=np.ones(2), h=0)
+    assert uniqueness_m(singular) == "unknown"
     zero = UncertainLcpM(m0=np.zeros((2, 2)),
                          perturbations=[np.zeros((2, 2))],
                          q=np.ones(2), h=0)
