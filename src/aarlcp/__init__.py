@@ -14,7 +14,7 @@ from .lp import (IterationLimitError, LinearProgram, LpOutcome,
                  check_feasibility, check_point, solve_lp)
 from .mip import (MipOutcome, MixedBinaryProgram, NodeLimitError,
                   solve_mip_feasibility)
-from .boxopt import min_affine_over_box, min_quadratic_over_box
+from .boxopt import BoxBudgetError, min_affine_over_box, min_quadratic_over_box
 from .robust_q import (AffineSolutionQ, ConditionCheck, MipPathOutcome,
                        PsdPathOutcome, SizeLimitError, UncertainLcpQ,
                        VerificationReport, check_char_system, default_big_m,
@@ -42,7 +42,7 @@ __all__ = [
     "check_point", "IterationLimitError",
     "MixedBinaryProgram", "MipOutcome", "solve_mip_feasibility",
     "NodeLimitError",
-    "min_affine_over_box", "min_quadratic_over_box",
+    "min_affine_over_box", "min_quadratic_over_box", "BoxBudgetError",
     "UncertainLcpQ", "AffineSolutionQ", "ConditionCheck",
     "VerificationReport", "verify_affine_q", "check_char_system",
     "solve_enumeration", "solve_mip_q", "MipPathOutcome", "solve_psd",

@@ -1,42 +1,38 @@
-"""Exact minimization of affine and quadratic functions over boxes.
+"""Minima of affine and quadratic functions over boxes.
 
 Affine functions over a centered box [-u, u] have a closed-form minimum:
 each coordinate contributes -|a_j| u_j, attained at the vertex
-u_j = -sign(a_j) u_j. Quadratics over [-1, 1]^k are minimized exactly by
-enumerating the 3^k faces of the box: on each face the restriction is a
-quadratic in the free coordinates whose interior minimizers (if any) are
-stationary points, and the boundary of the face is covered by smaller
-faces, so vertices plus per-face stationary points contain a global
-minimizer. Beyond the exact cutoff a vertex sweep plus Halton sampling
-gives a certified-false lower estimate. Both minima take a stack of
-rows in one call: the affine one row by row in one array expression,
-the quadratic one (the off-support rows of one candidate rule) in one
-shared face loop; a single row is a stack of one.
+u_j = -sign(a_j) u_j. A quadratic over [-1, 1]^k is decided against a
+floor, for any k, by a branch and bound over sub-boxes: it finds a point
+of the box below the floor or proves that there is none. Both take a
+stack of rows in one call (the quadratic one, the off-support rows of
+one candidate rule, with the open sub-boxes of every row in one array);
+a single row is a stack of one.
 """
 
 from __future__ import annotations
-
-import functools
-import itertools
 
 import numpy as np
 
 __all__ = [
     "min_affine_over_box",
-    "box_vertices",
-    "halton_points",
     "min_quadratic_over_box",
-    "EXACT_FACE_LIMIT",
-    "SAMPLE_COUNT",
+    "BoxBudgetError",
+    "BOX_BUDGET",
 ]
 
-# largest box dimension for exhaustive face enumeration (3^k faces)
-EXACT_FACE_LIMIT = 10
+# sub-boxes one min_quadratic_over_box call may evaluate, over all its
+# rows, before it gives up on the rows still undecided
+BOX_BUDGET = 200_000
 
-# quasi-random sample count used beyond the exact cutoff
-SAMPLE_COUNT = 100_000
+# sub-boxes whose q @ z products come from one gathered (boxes, k, k)
+# array, which bounds that temporary
+_CHUNK = 4096
 
-_EPS = np.finfo(float).eps
+
+class BoxBudgetError(RuntimeError):
+    """A box check ran out of BOX_BUDGET with some row undecided: the
+    rule may or may not hold, and no verdict is given."""
 
 
 def min_affine_over_box(coeff, const, half_widths):
@@ -56,74 +52,52 @@ def min_affine_over_box(coeff, const, half_widths):
     return (float(val), arg) if a.ndim == 1 else (val, arg)
 
 
-def box_vertices(k: int) -> np.ndarray:
-    """All 2^k sign vectors of {-1, +1}^k as rows."""
-    if k == 0:
-        return np.zeros((1, 0))
-    return np.array(list(itertools.product((-1.0, 1.0), repeat=k)))
+def _q_times(qs, t, z):
+    """qs[t[p]] @ z[p] for every sub-box p, gathered _CHUNK at a time."""
+    return np.concatenate([np.einsum("pij,pj->pi", qs[t[s:s + _CHUNK]], z[s:s + _CHUNK])
+                           for s in range(0, max(t.size, 1), _CHUNK)])
 
 
-def halton_points(k: int, count: int) -> np.ndarray:
-    """Low-discrepancy points in [-1, 1]^k, the same on every call."""
-    # imported here: scipy.stats costs about a second of import time and
-    # only the sampling fallback beyond EXACT_FACE_LIMIT needs it
-    from scipy.stats import qmc
+def min_quadratic_over_box(q, b, c, floor):
+    """Decide whether c + b . z + z^T q z stays at least floor on the box
+    [-1, 1]^k, for one row or for a stack of rows at once.
 
-    sampler = qmc.Halton(d=k, scramble=True, seed=0)
-    return 2.0 * sampler.random(count) - 1.0
-
-
-@functools.cache
-def _faces(k: int) -> list:
-    """The 3^k faces of [-1, 1]^k grouped by their free coordinates, one
-    group per set of free coordinates: (free indices, fixed indices,
-    signs (P, fixed) of the group's P faces on the fixed coordinates,
-    position of each face in the product order of (-1, 1, free) per
-    coordinate). Cached and shared, so the arrays are read-only."""
-    groups = {}
-    for pos, pattern in enumerate(itertools.product((-1.0, 1.0, None), repeat=k)):
-        free = tuple(i for i, p in enumerate(pattern) if p is None)
-        signs = [p for p in pattern if p is not None]
-        groups.setdefault(free, []).append((signs, pos))
-    faces = [(np.array(free, dtype=int),
-              np.array([i for i in range(k) if i not in free], dtype=int),
-              np.array([s for s, _ in g]).reshape(len(g), k - len(free)),
-              np.array([pos for _, pos in g]))
-             for free, g in groups.items()]
-    for group in faces:
-        for a in group:
-            a.setflags(write=False)
-    return faces
-
-
-def min_quadratic_over_box(q, b, c):
-    """Minimize c + b . z + z^T q z over the box [-1, 1]^k, for one row
-    or for a stack of rows at once.
-
-    Dimensions up to EXACT_FACE_LIMIT use exhaustive face enumeration and
-    the result is exact; beyond it the vertices (up to k = 16) plus
-    SAMPLE_COUNT Halton points give an upper estimate of the minimum.
-    The face loop runs once per set of free coordinates, for every row
-    and every sign pattern of the fixed coordinates together; the
-    stationary points come from one batched pseudo-inverse (the
-    minimum-norm least-squares solution, with lstsq's singular-value
-    cutoff). Among equal minima the first face in the product order of
-    (-1, 1, free) per coordinate wins. A row whose arithmetic breaks
-    down (NaN on some face or sample, as after an overflow) reads NaN.
+    On a sub-box with centre z0 and half-widths h, with g the gradient
+    at z0 and lam the smallest eigenvalue of the symmetric part of q,
+    the row is at least f(z0) + sum_j min over |d_j| <= h_j of
+    (g_j d_j + lam d_j^2). For lam <= 0 that is f(z0) - |g| . h +
+    lam |h|^2, attained at the vertex d = -sign(g) h; a convex row gets
+    the clipped Newton step d_j = clip(-g_j / (2 lam), -h_j, h_j), so
+    the bound is exact for q = lam I. The centre and z0 + d are
+    evaluated, and a value below the floor decides its row. A sub-box
+    whose bound reaches the floor is closed; any other is halved along
+    the coordinate whose term costs the bound the most, the lower half
+    first. This runs level by level on the open sub-boxes of every row
+    together, until every row has a counterexample or no open sub-box,
+    or until the next level would take the call past BOX_BUDGET
+    sub-boxes. A row whose arithmetic breaks down (a value or bound
+    that is not finite on some sub-box, as after an overflow) reads NaN
+    and counts as decided.
 
     Parameters
     ----------
     q : (k, k) or (R, k, k) array_like
     b : (k,) or (R, k) array_like
     c : float or (R,) array_like
+    floor : float or (R,) array_like
 
     Returns
     -------
     value : float, or (R,) ndarray for a stack
+        Per row the smallest value evaluated, the first sub-box winning
+        ties: below floor it is a counterexample; at or above it the
+        minimum lies between floor and value (proved only when
+        certified).
     argmin : (k,) or (R, k) ndarray
-    exact : bool
-        False when the sampling fallback was used (one flag for the
-        whole stack: the branch depends on k alone).
+        A point of the box attaining value.
+    certified : bool
+        False when the budget ran out with some row undecided (one flag
+        for the whole stack); an undecided row reads at least floor.
     """
     qm = np.asarray(q, dtype=float)
     single = qm.ndim == 2
@@ -134,64 +108,55 @@ def min_quadratic_over_box(q, b, c):
     # sum keeps it finite for entries near the float max
     qs = 0.5 * qs + 0.5 * qs.transpose(0, 2, 1)
     bv = np.asarray(b, dtype=float).reshape(rows, k)
+    floor = np.broadcast_to(np.asarray(floor, dtype=float), (rows,))
+    finite = np.all(np.isfinite(qs), axis=(1, 2))
+    lam = np.zeros(rows)
+    if k:
+        lam = np.linalg.eigvalsh(np.where(finite[:, None, None], qs, 0.0))[:, 0]
+    lam[~finite] = np.nan  # reads NaN: the row's curvature is unknown
+
     best_val = np.full(rows, np.inf)
     best_arg = np.zeros((rows, k))
-    exact = k <= EXACT_FACE_LIMIT
-    every = np.arange(rows)
-
-    if k == 0:
-        best_val = cv.copy()
-    elif not exact:
-        pts = halton_points(k, SAMPLE_COUNT)
-        if k <= 16:  # vertex sweep stays affordable up to 2^16 points
-            pts = np.vstack([box_vertices(k), pts])
-        for t in every:
-            vals = cv[t] + pts @ bv[t] + np.einsum("ij,jk,ik->i", pts, qs[t], pts)
-            i = int(np.argmin(vals))
-            best_val[t], best_arg[t] = vals[i], pts[i]
-    else:
-        scale = (1.0 + np.abs(cv) + np.max(np.abs(bv), axis=1)
-                 + np.max(np.abs(qs), axis=(1, 2)))
-        best_pos = np.zeros(rows, dtype=int)
-        broken = np.zeros(rows, dtype=bool)
-        for free, fixed, signs, pos in _faces(k):
-            z = np.empty((rows, pos.size, k))
-            z[:, :, fixed] = signs
-            ok = True
-            if free.size:
-                # restrict to the face: quadratic in the free coordinates;
-                # stationary points solve 2 qff z = -bpr, singular but
-                # consistent systems by the minimum-norm solution (the
-                # stationary point nearest the face center): the
-                # pseudo-inverse of the symmetric qff from its
-                # eigenvalues, whose magnitudes are its singular values,
-                # cut off as lstsq does at f * eps times the largest
-                qff = 2.0 * qs[:, free[:, None], free]
-                bpr = bv[:, None, free] + 2.0 * signs @ qs[:, fixed[:, None], free]
-                w, v = np.linalg.eigh(qff)
-                cut = free.size * _EPS * np.max(np.abs(w), axis=1, keepdims=True)
-                with np.errstate(divide="ignore"):
-                    winv = np.where(np.abs(w) > cut, 1.0 / w, 0.0)
-                zf = -((bpr @ v) * winv[:, None, :]) @ v.transpose(0, 2, 1)
-                resid = np.max(np.abs(zf @ qff + bpr), axis=2)
-                # a system the arithmetic cannot state (an overflow) leaves
-                # the face's minimum unknown
-                broken |= np.any(~np.isfinite(resid), axis=1)
-                # inconsistent systems, and points outside the open face
-                # (covered by smaller faces), are dropped
-                ok = ~(resid > 1e-9 * scale[:, None])
-                ok &= ~np.any(np.abs(zf) >= 1.0, axis=2)
-                z[:, :, free] = zf
-            val = cv[:, None] + np.einsum("tpi,tpi->tp", z, bv[:, None] + z @ qs)
-            broken |= np.any(ok & np.isnan(val), axis=1)
-            val = np.where(ok & (val < np.inf), val, np.inf)
-            p = np.argmin(val, axis=1)
-            val, at = val[every, p], pos[p]
-            better = (val < best_val) | ((val == best_val) & (at < best_pos)
-                                         & (val < np.inf))
-            best_val[better], best_pos[better] = val[better], at[better]
-            best_arg[better] = z[every, p][better]
-        best_val[broken] = np.nan  # some face's value is unknown
+    broken = np.zeros(rows, dtype=bool)
+    t = np.arange(rows)  # row of each open sub-box
+    z = np.zeros((rows, k))  # its centre
+    h = np.ones((rows, k))  # its half-widths
+    spent = 0
+    while True:
+        spent += t.size
+        lt = lam[t, None]
+        qz = _q_times(qs, t, z)
+        g = bv[t] + 2.0 * qz
+        f0 = cv[t] + np.einsum("pi,pi->p", z, bv[t] + qz)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(lt > 0, np.clip(-0.5 * g / lt, -h, h), np.where(g > 0, -h, h))
+            gain = g * step + lt * step ** 2  # each coordinate's term, <= 0
+            bound = f0 + np.sum(gain, axis=1)
+        tip = z + step
+        ftip = cv[t] + np.einsum("pi,pi->p", tip, bv[t] + _q_times(qs, t, tip))
+        broken[t[~(np.isfinite(bound) & np.isfinite(ftip))]] = True
+        at_tip = ftip < f0
+        val = np.where(at_tip, ftip, f0)
+        # per row its smallest value: a stable sort by (row, value)
+        order = np.lexsort((val, t))
+        head = order[np.flatnonzero(np.diff(t[order], prepend=-1))]
+        better = val[head] < best_val[t[head]]
+        head = head[better]
+        best_val[t[head]] = val[head]
+        best_arg[t[head]] = np.where(at_tip[head, None], tip[head], z[head])
+        decided = broken | (best_val < floor)
+        keep = ~decided[t] & (bound < floor[t])
+        if not keep.any() or spent + 2 * np.count_nonzero(keep) > BOX_BUDGET:
+            break
+        split = np.repeat(np.argmin(gain[keep], axis=1), 2)
+        t = np.repeat(t[keep], 2)
+        z = np.repeat(z[keep], 2, axis=0)
+        h = np.repeat(h[keep], 2, axis=0)
+        p = np.arange(t.size)
+        h[p, split] *= 0.5
+        z[p, split] += np.where(p % 2, h[p, split], -h[p, split])
+    best_val[broken] = np.nan
+    certified = not keep.any()
     if single:
-        return float(best_val[0]), best_arg[0], exact
-    return best_val, best_arg, exact
+        return float(best_val[0]), best_arg[0], certified
+    return best_val, best_arg, certified

@@ -3,8 +3,8 @@
 Subcommands: solve, verify, gen, market-build, report. Exit codes:
 0 solution found / verified, 1 no solution (proved) or verification
 failed, 2 no solution found but nonexistence not proved (the report's
-caveat says why), 3 input error, 4 internal limit hit (a budget, or
-numerical trouble).
+caveat says why), 3 input error, 4 internal limit hit (a budget, such
+as a box check left undecided, or numerical trouble).
 """
 
 from __future__ import annotations
@@ -112,14 +112,17 @@ def _cmd_verify(args) -> int:
         raise UsageError(
             f"kind mismatch: {type(instance).__name__} instance with "
             f"{type(solution).__name__} solution")
+    undecided = report.overall and not report.certified
     if args.json:
         _print_json({"schema": SCHEMA_VERSION, "kind": "verification",
                      **verification_json(report)})
     else:
         for line in check_lines(report):
             print(line)
-        print("verified" if report.overall else "NOT verified")
-    return EXIT_SOLUTION if report.overall else EXIT_NO_SOLUTION
+        print("undecided (box check budget ran out)" if undecided
+              else "verified" if report.overall else "NOT verified")
+    return (EXIT_LIMIT if undecided else EXIT_SOLUTION if report.overall
+            else EXIT_NO_SOLUTION)
 
 
 def _cmd_gen(args) -> int:

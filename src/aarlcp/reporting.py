@@ -220,8 +220,9 @@ def auto_pathway(inst: UncertainLcpQ) -> str:
 
 
 def _record_q(inst: UncertainLcpQ, sol: AffineSolutionQ, pathway: str,
-              extra_sets: dict | None = None) -> SolutionRecord:
-    report = verify_affine_q(inst, sol)
+              report, extra_sets: dict | None = None) -> SolutionRecord:
+    """A rule and its verify_affine_q report (for psd-lp and mip, the
+    one their solver made)."""
     if not report.overall:
         raise DispatchError(pathway, RuntimeError(
             "solver returned a solution that fails verification"))
@@ -243,7 +244,8 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
     try:
         if pathway == "enumeration":
             sols = solve_enumeration(inst)
-            report.solutions = [_record_q(inst, s, pathway) for s in sols]
+            report.solutions = [_record_q(inst, s, pathway, verify_affine_q(inst, s))
+                                for s in sols]
             report.status = "solution" if sols else "no-solution"
             if sols:
                 report.uniqueness = "unique" if len(sols) == 1 else "multiple"
@@ -255,7 +257,7 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
                                    "L": _one_based(out.support_l)}
             if out.solution is not None:
                 report.solutions = [_record_q(inst, out.solution, pathway,
-                                              report.psd_info)]
+                                              out.verification, report.psd_info)]
             report.uniqueness = uniqueness_check_psd(inst, out)
         elif pathway == "mip":
             kwargs = {}
@@ -269,7 +271,8 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
                 "fallback_used": out.fallback_used,
             }
             if out.solution is not None:
-                report.solutions = [_record_q(inst, out.solution, pathway)]
+                report.solutions = [_record_q(inst, out.solution, pathway,
+                                              out.verification)]
             if out.status == "no-solution" and out.certificate == "big-M bounded":
                 report.caveat = ("nonexistence is relative to the bounded "
                                  "big-M search, not a proof")

@@ -9,9 +9,10 @@ support J = {j : r_j > 0} solves every realization exactly when
     forces a kernel condition that cancels the quadratic terms, and
   * two sign conditions hold over the whole box: the J rows of z stay
     nonnegative (affine in zeta, minimized at a vertex) and the
-    remaining rows of M(zeta) z(zeta) + q stay nonnegative (quadratic
-    in zeta, minimized exactly by face enumeration up to a dimension
-    cap and by vertex-plus-sample search beyond it).
+    remaining rows of M(zeta) z(zeta) + q stay above a small negative
+    floor (quadratic in zeta, decided for any k by the branch and bound
+    of boxopt.min_quadratic_over_box, which either finds a point of the
+    box below the floor or proves there is none).
 
 Rows outside J carry r_j = 0 and zero D rows, so their z component is
 identically zero. The first h coordinates are here-and-now decisions:
@@ -28,7 +29,10 @@ survivors get the closed form and the checks above, one support at a
 time; the off-support rows of a candidate go to min_quadratic_over_box
 as one stack. The closed form factors its block with the same stacked
 LU (a stack of one), so the screen and the closed form share one pivot
-rule and the same r_J.
+rule and the same r_J. A box check that passes without deciding every
+row (the branch and bound ran out of boxopt.BOX_BUDGET) stops the sweep
+with BoxBudgetError, a limit: no rule is reported that the box check
+did not prove.
 """
 
 from __future__ import annotations
@@ -38,7 +42,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .boxopt import min_affine_over_box, min_quadratic_over_box
+from .boxopt import (BoxBudgetError, min_affine_over_box,
+                     min_quadratic_over_box)
 from .robust_q import ConditionCheck, SizeLimitError, VerificationReport
 from .tolerances import TOL_FEAS, TOL_SUPPORT
 
@@ -184,17 +189,16 @@ def _active_residual(inst: UncertainLcpM, sol: AffineSolutionM,
 
 
 def _inactive_rows_min(inst: UncertainLcpM, sol: AffineSolutionM,
-                       rows: np.ndarray):
-    """(min over the box and the given rows of w_t(zeta), its argmin,
-    whether every row's minimum was exact); the minimum is 0.0 for no
-    rows, and NaN when some row's minimum reads NaN or +inf (an
-    overflow), which no sign condition accepts."""
+                       rows: np.ndarray, floor: float):
+    """(smallest value of w_t(zeta) that min_quadratic_over_box found
+    deciding the given rows against floor, its point, whether every row
+    was decided); below floor the value is a counterexample. It is 0.0
+    for no rows, and NaN when some row's arithmetic overflows, which no
+    sign condition accepts."""
     if rows.size == 0:
         return 0.0, np.zeros(inst.k), True
     const, lin, quad = _residual_coefficients(inst, sol, rows)
-    vals, args, certified = min_quadratic_over_box(quad, lin, const)
-    # a minimum over a bounded box reads +inf only after an overflow
-    vals = np.where(vals == np.inf, np.nan, vals)
+    vals, args, certified = min_quadratic_over_box(quad, lin, const, floor)
     t = int(np.argmin(vals))  # the first NaN row, else the first smallest
     return float(vals[t]), args[t], certified
 
@@ -256,9 +260,10 @@ def check_box_conditions(inst: UncertainLcpM, j_set,
                                     verify_affine_m's z-nonnegative
       off-support-rows-nonnegative  min over the box of w_t(zeta), t not
                                     in J, at least -TOL_FEAS (1 + max|q|)
-                                    (quadratic; exact by face
-                                    enumeration for small k, sampled
-                                    beyond with certified=False)
+                                    (quadratic; decided by branch and
+                                    bound, for any k)
+
+    certified is False when the branch and bound left a row undecided.
     """
     j = linalg.index_set(j_set, inst.n)
     n_set = linalg.complement(j, inst.n)
@@ -270,9 +275,10 @@ def check_box_conditions(inst: UncertainLcpM, j_set,
         "support-rows-nonnegative", bool(worst_val >= -TOL_FEAS),
         float(worst_val), worst_pt))
 
-    worst_val, worst_pt, certified = _inactive_rows_min(inst, cand, n_set)
+    floor = -TOL_FEAS * scale
+    worst_val, worst_pt, certified = _inactive_rows_min(inst, cand, n_set, floor)
     checks.append(ConditionCheck(
-        "off-support-rows-nonnegative", bool(worst_val >= -TOL_FEAS * scale),
+        "off-support-rows-nonnegative", bool(worst_val >= floor),
         float(worst_val), worst_pt))
 
     return VerificationReport(all(c.passed for c in checks), checks, certified)
@@ -295,7 +301,10 @@ def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM) -> VerificationRe
                                identically zero (all polynomial
                                coefficients vanish; exact for any k)
       inactive-rows-nonneg     min over the box of w_t(zeta), the other
-                               rows (quadratic, exact or sampled)
+                               rows, at least -TOL_FEAS (1 + max|q|)
+                               (quadratic; decided by branch and bound)
+
+    certified is False when the branch and bound left a row undecided.
 
     Structural violations (wrong shapes, negative r, nonzero
     here-and-now rows of D) raise ValueError.
@@ -316,9 +325,10 @@ def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM) -> VerificationRe
         "active-rows-vanish", bool(worst <= TOL_FEAS * scale), float(worst),
         np.zeros(k)))
 
-    worst_val, worst_pt, certified = _inactive_rows_min(inst, sol, n_set)
+    floor = -TOL_FEAS * scale
+    worst_val, worst_pt, certified = _inactive_rows_min(inst, sol, n_set, floor)
     checks.append(ConditionCheck(
-        "inactive-rows-nonnegative", bool(worst_val >= -TOL_FEAS * scale),
+        "inactive-rows-nonnegative", bool(worst_val >= floor),
         float(worst_val), worst_pt))
 
     return VerificationReport(all(c.passed for c in checks), checks, certified)
@@ -355,7 +365,8 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
     are collected, not searched (the caller may report the caveat).
     A stacked LU per chunk of supports screens out the singular ones,
     those whose r_J is not positive and those that fail the nominal
-    condition (see the module docstring)."""
+    condition (see the module docstring). A box check that passes
+    undecided raises BoxBudgetError."""
     n = inst.n
     if n - inst.h > ENUMERATION_SIZE_CAP_M or n > TOTAL_SIZE_CAP_M:
         raise SizeLimitError(
@@ -385,8 +396,13 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
                 if not check_kernel_condition(inst, j, cand):
                     continue
                 cand.d[: inst.h, :] = 0.0
-                if not check_box_conditions(inst, j, cand).overall:
+                box = check_box_conditions(inst, j, cand)
+                if not box.overall:
                     continue
+                if not box.certified:
+                    raise BoxBudgetError(
+                        f"box check of support {(j + 1).tolist()} ran out "
+                        "of its box budget undecided")
                 if sample_violation_m(inst, cand, count=1000, seed=0) > TOL_FEAS * 10:
                     continue  # sampling backstop against tolerance leaks
                 out.solutions.append(cand)

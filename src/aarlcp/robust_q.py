@@ -138,7 +138,7 @@ class ConditionCheck:
 class VerificationReport:
     overall: bool
     checks: list = field(default_factory=list)
-    certified: bool = True  # False when a sampling fallback was involved
+    certified: bool = True  # False when a box check ran out of budget undecided
 
 
 def _structural_check(inst: UncertainLcpQ, sol: AffineSolutionQ):

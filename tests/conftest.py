@@ -82,3 +82,21 @@ def random_p_matrix(rng, n):
     diag = np.abs(m).sum(axis=1) + rng.uniform(0.5, 1.5, n)
     np.fill_diagonal(m, diag)
     return m.round(4)
+
+
+def worked_m_with_quadratic_row(k, q3):
+    """The worked uncertain-M example (m0 = [[4, 1], [0, 4]], q = (-8,
+    -16)) with k perturbations and a third coordinate. Perturbation i
+    holds s_i = (-1)^i / k at (1, 2) and 0.3 at (3, 1), so the support
+    {1, 2} keeps the rule z = (1 - s . zeta, 4, 0), and the third row of
+    M(zeta) z(zeta) + q is q3 + 0.3 (1 . zeta)(1 - s . zeta), an
+    indefinite quadratic in zeta."""
+    from aarlcp import UncertainLcpM
+
+    perts = []
+    for i in range(k):
+        p = np.zeros((3, 3))
+        p[0, 1], p[2, 0] = (-1.0) ** i / k, 0.3
+        perts.append(p)
+    return UncertainLcpM(m0=np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),
+                         perturbations=perts, q=np.array([-8.0, -16.0, q3]), h=0)

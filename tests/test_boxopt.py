@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from aarlcp.boxopt import (EXACT_FACE_LIMIT, box_vertices, min_affine_over_box,
-                           min_quadratic_over_box)
+from aarlcp import boxopt, generate_random, serialize_instance
+from aarlcp.boxopt import min_affine_over_box, min_quadratic_over_box
+from conftest import worked_m_with_quadratic_row
 
 
 def test_affine_min_closed_form():
@@ -50,29 +51,40 @@ def test_affine_min_dominates_sampling_and_attains():
         assert np.array_equal(args[t], arg)
 
 
-def test_box_vertices_counts():
-    assert box_vertices(0).shape == (1, 0)
-    assert box_vertices(3).shape == (8, 3)
-    assert set(np.unique(box_vertices(3))) == {-1.0, 1.0}
+def _value(q, b, c, z):
+    """c + b . z + z^T q z, written out."""
+    return c + b @ z + z @ (0.5 * (q + q.T)) @ z
+
+
+def _assert_witness(q, b, c, floor, val, arg):
+    """A counterexample: a point of the box whose value, recomputed, is
+    the returned value and lies below the floor."""
+    assert np.all(np.abs(arg) <= 1.0)
+    assert val < floor
+    assert _value(np.asarray(q, dtype=float), np.asarray(b, dtype=float), c,
+                  arg) == pytest.approx(val, rel=1e-12, abs=1e-12)
 
 
 def test_scalar_quadratic_against_grid():
-    # k=1: min over [-1,1] of a z^2 + b z + c, all stationary cases
+    # k=1: a z^2 + b z + c over [-1,1], all stationary cases, decided on
+    # both sides of the grid minimum
     rng = np.random.default_rng(3)
-    grid = np.linspace(-1.0, 1.0, 1001)[:, None]
+    grid = np.linspace(-1.0, 1.0, 1001)
     for _ in range(40):
         a = float(rng.uniform(-3.0, 3.0))
         b = float(rng.uniform(-3.0, 3.0))
         c = float(rng.uniform(-2.0, 2.0))
-        val, arg, exact = min_quadratic_over_box([[a]], [b], c)
-        assert exact
-        ref = float(np.min(a * grid[:, 0] ** 2 + b * grid[:, 0] + c))
-        assert val <= ref + 1e-12
-        assert val == pytest.approx(ref, abs=1e-5)
-        assert a * arg[0] ** 2 + b * arg[0] + c == pytest.approx(val, abs=1e-12)
+        ref = float(np.min(a * grid ** 2 + b * grid + c))
+        val, arg, certified = min_quadratic_over_box([[a]], [b], c, ref - 1e-5)
+        assert certified and val >= ref - 1e-5
+        val, arg, certified = min_quadratic_over_box([[a]], [b], c, ref + 1e-12)
+        assert certified
+        _assert_witness([[a]], [b], c, ref + 1e-12, val, arg)
 
 
 def test_face_enumeration_matches_dense_grid_k2_k3():
+    # the grid can only overestimate the minimum: a floor just above the
+    # grid's minimum has a counterexample, one well below it has none
     rng = np.random.default_rng(4)
     for k in (2, 3):
         axes = [np.linspace(-1.0, 1.0, 22 if k == 3 else 101)] * k
@@ -81,60 +93,86 @@ def test_face_enumeration_matches_dense_grid_k2_k3():
             q = rng.uniform(-2.0, 2.0, (k, k))
             b = rng.uniform(-2.0, 2.0, k)
             c = float(rng.uniform(-1.0, 1.0))
-            val, arg, exact = min_quadratic_over_box(q, b, c)
-            assert exact
             qs = 0.5 * (q + q.T)
             ref = float(np.min(c + mesh @ b + np.einsum("ij,jk,ik->i", mesh, qs, mesh)))
-            assert val <= ref + 1e-9  # grid can only overestimate the min
-            assert val == pytest.approx(ref, abs=2e-2)
-            got = c + b @ arg + arg @ qs @ arg
-            assert got == pytest.approx(val, abs=1e-9)
+            val, arg, certified = min_quadratic_over_box(q, b, c, ref + 1e-9)
+            assert certified
+            _assert_witness(q, b, c, ref + 1e-9, val, arg)
+            val, _, certified = min_quadratic_over_box(q, b, c, ref - 2e-2)
+            assert certified and val >= ref - 2e-2
 
 
 def test_indefinite_quadratic_min_is_on_boundary():
     # z1*z2 on the square: minimum -1 at two opposite corners
-    val, arg, exact = min_quadratic_over_box([[0.0, 0.5], [0.5, 0.0]],
-                                             [0.0, 0.0], 0.0)
-    assert exact
-    assert val == pytest.approx(-1.0)
-    assert abs(arg[0] * arg[1] + 1.0) <= 1e-12
+    q = [[0.0, 0.5], [0.5, 0.0]]
+    val, arg, certified = min_quadratic_over_box(q, [0.0, 0.0], 0.0, -1.0 + 1e-6)
+    assert certified
+    _assert_witness(q, [0.0, 0.0], 0.0, -1.0 + 1e-6, val, arg)
+    assert abs(arg[0]) == pytest.approx(1.0, abs=1e-5)
+    val, _, certified = min_quadratic_over_box(q, [0.0, 0.0], 0.0, -1.0)
+    assert certified and val >= -1.0
 
 
 def test_interior_minimum_found():
-    # strictly convex with stationary point inside the box
-    val, arg, exact = min_quadratic_over_box(np.eye(2), [-0.5, 0.2], 1.0)
-    assert exact
+    # strictly convex with stationary point inside the box: the clipped
+    # Newton step from the centre lands on it
+    val, arg, certified = min_quadratic_over_box(np.eye(2), [-0.5, 0.2], 1.0, 1.0)
+    assert certified
     assert arg == pytest.approx([0.25, -0.1])
     assert val == pytest.approx(1.0 - 0.25 ** 2 - 0.1 ** 2)
+    floor = 1.0 - 0.25 ** 2 - 0.1 ** 2 - 1e-12
+    val, _, certified = min_quadratic_over_box(np.eye(2), [-0.5, 0.2], 1.0, floor)
+    assert certified and val >= floor
 
 
 def test_overflowing_row_reads_nan():
-    # 1 - 1e308 z + 1e308 z^2 has its minimum 1 - 2.5e307 at z = 0.5, but
-    # the stationary system 2e308 z = 1e308 overflows; the vertex z = 1
-    # alone would read 1.0
-    q = np.array([[[1e308]], [[1.0]]])
+    # 1 + 1e308 z - 1e308 z^2 has its minimum 1 - 2e308 at z = -1, past
+    # the float max; 1 - 1e308 z + 1e308 z^2 has its minimum 1 - 2.5e307
+    # at z = 0.5, within range, and reads it; the third row is untouched
+    q = np.array([[[-1e308]], [[1e308]], [[1.0]]])
     with np.errstate(over="ignore", invalid="ignore"):
-        vals, _, exact = min_quadratic_over_box(q, [[-1e308], [0.0]], [1.0, 0.0])
-    assert exact
-    assert np.isnan(vals[0]) and vals[1] == 0.0
-
-
-def test_large_dimension_falls_back_to_sampling():
-    k = 12
-    rng = np.random.default_rng(5)
-    q = rng.uniform(-1.0, 1.0, (k, k))
-    b = rng.uniform(-1.0, 1.0, k)
-    val, arg, exact = min_quadratic_over_box(q, b, 0.0)
-    assert not exact
-    assert arg.shape == (k,)
-    qs = 0.5 * (q + q.T)
-    assert b @ arg + arg @ qs @ arg == pytest.approx(val, abs=1e-9)
+        vals, args, certified = min_quadratic_over_box(
+            q, [[1e308], [-1e308], [0.0]], [1.0, 1.0, 0.0], 0.0)
+    assert certified
+    assert np.isnan(vals[0])
+    assert (vals[1], args[1, 0]) == (1.0 - 2.5e307, 0.5)
+    assert vals[2] == 0.0
 
 
 def test_zero_dimension():
-    val, arg, exact = min_quadratic_over_box(np.zeros((0, 0)), [], 3.5)
-    assert (val, exact) == (3.5, True)
-    assert arg.size == 0
+    for floor, below in ((3.0, False), (4.0, True)):
+        val, arg, certified = min_quadratic_over_box(np.zeros((0, 0)), [], 3.5, floor)
+        assert (val, certified, val < floor) == (3.5, True, below)
+        assert arg.size == 0
+
+
+def test_row_far_from_the_centre_is_refused_at_k11():
+    # |z - 0.3 1|^2 - 1e-3 dips to -1e-3 at z = 0.3 1; vertices and
+    # samples never come near it
+    k = 11
+    q, b, c = np.eye(k), np.full(k, -0.6), 0.09 * k - 1e-3
+    val, arg, certified = min_quadratic_over_box(q, b, c, 0.0)
+    assert certified
+    _assert_witness(q, b, c, 0.0, val, arg)
+    assert val == pytest.approx(-1e-3, rel=1e-9)
+
+
+def test_budget_ran_out_is_uncertified(monkeypatch):
+    # (v . z - 0.2)^2 is zero on a plane through the box: a floor under
+    # it takes thousands of boxes, while the first two rows are decided
+    # at the whole box
+    v = np.array([0.3, -0.7, 0.5])
+    q = np.stack([np.eye(3), np.eye(3), np.outer(v, v)])
+    b = np.stack([np.zeros(3), np.zeros(3), -0.4 * v])
+    c, floor = np.array([1.0, -1.0, 0.04]), -1e-2
+    _, _, certified = min_quadratic_over_box(q, b, c, floor)
+    assert certified
+    monkeypatch.setattr(boxopt, "BOX_BUDGET", 100)
+    vals, args, certified = min_quadratic_over_box(q, b, c, floor)
+    assert certified is False
+    assert vals[0] == 1.0 and vals[1] == -1.0  # decided rows keep their verdict
+    assert vals[2] >= floor
+    assert _value(q[2], b[2], c[2], args[2]) == pytest.approx(vals[2], abs=1e-15)
 
 
 def _run_fresh(code):
@@ -150,7 +188,6 @@ def _run_fresh(code):
 
 
 def test_import_leaves_scipy_stats_unloaded():
-    # scipy.stats is slow to import and only the sampling fallback uses it
     code = "import sys, aarlcp; print('scipy.stats' in sys.modules)"
     assert _run_fresh(code)[0] == "False"
 
@@ -158,17 +195,19 @@ def test_import_leaves_scipy_stats_unloaded():
 ENUMERATION_SOLVES = """\
 import sys, aarlcp
 print('scipy.linalg' in sys.modules)
-for text, pathway in ((aarlcp.generate_random("uncertain-q", 6, seed=0), "enumeration"),
-                      (aarlcp.generate_random("uncertain-m", 6, k=3, seed=0), "auto")):
+for text, pathway in {cases}:
     aarlcp.dispatch_solve(aarlcp.parse_instance(text), aarlcp.SolveOptions(pathway=pathway))
 print(sorted(m for m in sys.modules if m.startswith('scipy')))
 """
 
 
 def test_enumeration_solves_leave_scipy_unloaded():
-    # the support sweeps of both enumeration pathways (k <=
-    # EXACT_FACE_LIMIT) and their checks run on numpy alone
-    assert _run_fresh(ENUMERATION_SOLVES)[:2] == ["False", "[]"]
+    # the support sweeps of both enumeration pathways and their checks,
+    # the box check at k = 11 included, run on numpy alone
+    cases = [(generate_random("uncertain-q", 6, seed=0), "enumeration"),
+             (generate_random("uncertain-m", 6, k=3, seed=0), "auto"),
+             (serialize_instance(worked_m_with_quadratic_row(11, 4.0)), "auto")]
+    assert _run_fresh(ENUMERATION_SOLVES.format(cases=cases))[:2] == ["False", "[]"]
 
 
 SIMPLEX_SOLVES = """\
@@ -201,8 +240,8 @@ def test_mip_solve_leaves_scipy_unloaded():
 
 
 def _min_quadratic_oracle(q, b, c):
-    """The single-row face enumeration the stacked one replaced: one
-    lstsq per face, in the product order of (-1, 1, free)."""
+    """The exact minimum by enumerating the 3^k faces of the box: one
+    lstsq per face for the stationary point of its open interior."""
     qs = 0.5 * (q + q.T)
     k = b.size
     best_val, best_arg = np.inf, np.zeros(k)
@@ -237,37 +276,24 @@ def _quadratic_rows(rng, k, rows=16):
     return q, b, c
 
 
-@pytest.mark.parametrize("k", range(5))
+@pytest.mark.parametrize("k", range(9))
 def test_stacked_rows_equal_per_row_calls(k):
-    q, b, c = _quadratic_rows(np.random.default_rng(60 + k), k)
-    vals, args, exact = min_quadratic_over_box(q, b, c)
-    assert type(exact) is bool and exact  # perfbench reads a plain bool
-    assert vals.shape == (16,) and args.shape == (16, k)
-    for t in range(16):
-        val, arg, one_exact = min_quadratic_over_box(q[t], b[t], c[t])
-        assert type(val) is float and type(one_exact) is bool and one_exact
-        assert val == pytest.approx(vals[t], rel=1e-12, abs=1e-12)
-        assert arg == pytest.approx(args[t], abs=1e-12)
-        ref, _ = _min_quadratic_oracle(q[t], b[t], c[t])
-        assert val == pytest.approx(ref, rel=1e-12, abs=1e-12)
-        qs = 0.5 * (q[t] + q[t].T)
-        assert c[t] + b[t] @ arg + arg @ qs @ arg == pytest.approx(val, rel=1e-12, abs=1e-12)
-
-
-def test_equal_minima_keep_the_first_face():
-    # b = 0 and q = 0: every face ties; the first vertex (-1, ..., -1) wins
-    vals, args, _ = min_quadratic_over_box(np.zeros((2, 3, 3)), np.zeros((2, 3)),
-                                           [1.0, -1.0])
-    assert vals.tolist() == [1.0, -1.0]
-    assert args.tolist() == [[-1.0] * 3] * 2
-
-
-def test_stacked_rows_beyond_the_face_limit_are_sampled():
-    k = EXACT_FACE_LIMIT + 1
-    q, b, c = _quadratic_rows(np.random.default_rng(65), k, rows=2)
-    vals, args, exact = min_quadratic_over_box(q, b, c)
-    assert exact is False
-    for t in range(2):
-        val, arg, one_exact = min_quadratic_over_box(q[t], b[t], c[t])
-        assert one_exact is False
-        assert (val, arg.tolist()) == (vals[t], args[t].tolist())
+    # floors on both sides of the oracle's minimum, and just under it
+    rows = 16 if k <= 6 else 4  # the oracle's 3^k faces get slow
+    q, b, c = _quadratic_rows(np.random.default_rng(60 + k), k, rows)
+    refs = np.array([_min_quadratic_oracle(q[t], b[t], c[t])[0] for t in range(rows)])
+    scale = (1.0 + np.abs(c) + np.max(np.abs(b), axis=1, initial=0.0)
+             + np.max(np.abs(q), axis=(1, 2), initial=0.0))
+    for floor in (refs + 1e-3 * scale, refs - 1e-3 * scale, refs - 1e-8 * scale):
+        vals, args, certified = min_quadratic_over_box(q, b, c, floor)
+        assert type(certified) is bool and certified  # perfbench reads a plain bool
+        assert vals.shape == (rows,) and args.shape == (rows, k)
+        assert np.array_equal(vals < floor, refs < floor)
+        for t in range(rows):
+            val, arg, one = min_quadratic_over_box(q[t], b[t], c[t], floor[t])
+            assert type(val) is float and type(one) is bool and one
+            assert (val, arg.tolist()) == (vals[t], args[t].tolist())
+            if val < floor[t]:
+                _assert_witness(q[t], b[t], c[t], floor[t], val, arg)
+            else:
+                assert _value(q[t], b[t], c[t], arg) == pytest.approx(val, rel=1e-12, abs=1e-12)

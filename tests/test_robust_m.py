@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from aarlcp import linalg, robust_m, serialize_instance
+from aarlcp import boxopt, linalg, robust_m, serialize_instance
+from aarlcp.boxopt import BoxBudgetError
 from aarlcp.cli import main
 from aarlcp.robust_m import (AffineSolutionM, UncertainLcpM,
                              characterize_for_J, check_box_conditions,
@@ -13,6 +14,7 @@ from aarlcp.robust_m import (AffineSolutionM, UncertainLcpM,
                              solve_enumeration_m_detailed, uniqueness_m,
                              verify_affine_m)
 from aarlcp.tolerances import TOL_FEAS, TOL_SUPPORT
+from conftest import worked_m_with_quadratic_row
 
 # worked instance: one perturbation direction in the top-right entry
 INST = UncertainLcpM(m0=np.array([[4.0, 1.0], [0.0, 4.0]]),
@@ -122,14 +124,14 @@ def test_box_conditions_pass_on_worked_instance():
 
 def _overflow_case(tmp_path):
     """The worked example plus a third row whose perturbation entry sits
-    near the float max: w_3(zeta) = 1 - 1e308 zeta (1 - zeta), so
-    w_3(0.5) = 1 - 2.5e307, yet its box arithmetic overflows. Returns
+    near the float max: w_3(zeta) = 1 + 1e308 zeta (1 - zeta), whose
+    minimum 1 - 2e308 at zeta = -1 overflows. Returns
     the instance, the worked rule padded with a zero row, and the paths
     of both written out."""
     inst = UncertainLcpM(
         m0=np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),
         perturbations=[np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0],
-                                 [-1e308, 0.0, 0.0]])],
+                                 [1e308, 0.0, 0.0]])],
         q=np.array([-8.0, -16.0, 1.0]), h=0)
     sol = AffineSolutionM(d=np.array([[-1.0], [0.0], [0.0]]),
                           r=np.array([1.0, 4.0, 0.0]))
@@ -163,6 +165,39 @@ def test_json_output_is_strict_on_overflow(tmp_path, capsys):
         assert None in worst and not out["overall"]
         main(["solve", "--json", inst_path])
         json.loads(capsys.readouterr().out, parse_constant=refuse)
+
+
+def test_rule_with_an_indefinite_row_certifies_at_k16():
+    # the third row is not decided at the whole box: the branch and bound
+    # halves it before the rule is proved
+    inst = worked_m_with_quadratic_row(16, 5.5)
+    sols = solve_enumeration_m(inst)
+    assert len(sols) == 1
+    assert sols[0].r.tolist() == [1.0, 4.0, 0.0]
+    assert sols[0].d[0] == pytest.approx([-(-1.0) ** i / 16 for i in range(16)], abs=1e-15)
+    report = verify_affine_m(inst, sols[0])
+    assert report.overall and report.certified
+
+
+def test_undecided_box_check_is_a_limit(tmp_path, monkeypatch, capsys):
+    # with no box beyond the whole one, the third row stays undecided: the
+    # sweep stops rather than report the rule, and verify exits 4
+    inst = worked_m_with_quadratic_row(11, 4.0)
+    sol = solve_enumeration_m(inst)[0]
+    inst_path, sol_path = tmp_path / "inst.txt", tmp_path / "sol.txt"
+    inst_path.write_text(serialize_instance(inst))
+    sol_path.write_text(serialize_instance(sol))
+    monkeypatch.setattr(boxopt, "BOX_BUDGET", 0)
+    report = verify_affine_m(inst, sol)
+    assert report.overall and not report.certified
+    with pytest.raises(BoxBudgetError, match="budget"):
+        solve_enumeration_m(inst)
+    assert main(["solve", str(inst_path)]) == 4
+    assert "box budget" in capsys.readouterr().err
+    assert main(["verify", str(inst_path), str(sol_path)]) == 4
+    assert "undecided" in capsys.readouterr().out
+    assert main(["verify", "--json", str(inst_path), str(sol_path)]) == 4
+    assert json.loads(capsys.readouterr().out)["certified"] is False
 
 
 def test_box_conditions_flag_negative_support_row():
