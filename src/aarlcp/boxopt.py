@@ -25,10 +25,6 @@ __all__ = [
 # rows, before it gives up on the rows still undecided
 BOX_BUDGET = 200_000
 
-# sub-boxes whose q @ z products come from one gathered (boxes, k, k)
-# array, which bounds that temporary
-_CHUNK = 4096
-
 
 class BoxBudgetError(RuntimeError):
     """A box check ran out of BOX_BUDGET with some row undecided: the
@@ -52,10 +48,20 @@ def min_affine_over_box(coeff, const, half_widths):
     return (float(val), arg) if a.ndim == 1 else (val, arg)
 
 
-def _q_times(qs, t, z):
-    """qs[t[p]] @ z[p] for every sub-box p, gathered _CHUNK at a time."""
-    return np.concatenate([np.einsum("pij,pj->pi", qs[t[s:s + _CHUNK]], z[s:s + _CHUNK])
-                           for s in range(0, max(t.size, 1), _CHUNK)])
+
+
+def _per_row(mats, cut, x):
+    """x[p] @ mats[r] for every sub-box p of every row r, where row r's
+    sub-boxes are the slice cut[r]:cut[r + 1]: one product per row."""
+    return np.concatenate([x[cut[r]:cut[r + 1]] @ mats[r] for r in range(len(mats))])
+
+
+def _separable(g, h, curv):
+    """Per coordinate the step |d_j| <= h_j that minimizes
+    g_j d_j + curv_j d_j^2 (the clipped Newton step where curv_j > 0, a
+    vertex otherwise), and the sum of those minima."""
+    step = np.where(curv > 0, np.clip(-0.5 * g / curv, -h, h), np.where(g > 0, -h, h))
+    return step, np.sum(g * step + curv * step ** 2, axis=1)
 
 
 def min_quadratic_over_box(q, b, c, floor):
@@ -63,21 +69,28 @@ def min_quadratic_over_box(q, b, c, floor):
     [-1, 1]^k, for one row or for a stack of rows at once.
 
     On a sub-box with centre z0 and half-widths h, with g the gradient
-    at z0 and lam the smallest eigenvalue of the symmetric part of q,
-    the row is at least f(z0) + sum_j min over |d_j| <= h_j of
-    (g_j d_j + lam d_j^2). For lam <= 0 that is f(z0) - |g| . h +
-    lam |h|^2, attained at the vertex d = -sign(g) h; a convex row gets
-    the clipped Newton step d_j = clip(-g_j / (2 lam), -h_j, h_j), so
-    the bound is exact for q = lam I. The centre and z0 + d are
-    evaluated, and a value below the floor decides its row. A sub-box
+    at z0 and Q the symmetric part of q, f(z0 + d) = f(z0) + g . d +
+    d^T Q d over |d_j| <= h_j is at least f(z0) plus the largest of
+
+      shift     sum_j min (g_j d_j + lam d_j^2), lam the smallest
+                eigenvalue of Q (exact for Q = lam I);
+      diagonal  sum_j min (g_j d_j + Q_jj d_j^2) less
+                sum_{i != j} |Q_ij| h_i h_j (unused coordinates cost
+                nothing);
+      spectral  with Q = sum_i w_i u_i u_i^T, -(u_i . g)^2 / (4 w_i)
+                for each w_i > 0, -|g_rest| . h for the rest of g, and
+                w_i (|u_i| . h)^2 for each w_i < 0 (exact on the kernel
+                of a positive semidefinite Q).
+
+    The centre and z0 + d, d the diagonal bound's minimizing step, are
+    evaluated; a value below the floor decides its row. A sub-box
     whose bound reaches the floor is closed; any other is halved along
-    the coordinate whose term costs the bound the most, the lower half
-    first. This runs level by level on the open sub-boxes of every row
-    together, until every row has a counterexample or no open sub-box,
-    or until the next level would take the call past BOX_BUDGET
-    sub-boxes. A row whose arithmetic breaks down (a value or bound
-    that is not finite on some sub-box, as after an overflow) reads NaN
-    and counts as decided.
+    the j with the largest h_j (|g_j| + (|Q| h)_j), lower half first.
+    This runs level by level on the open sub-boxes of every row at once,
+    until every row has a counterexample or no open sub-box, or until
+    the next level would pass BOX_BUDGET sub-boxes. A row whose
+    arithmetic breaks down (not finite on some sub-box, as after an
+    overflow) reads NaN and counts as decided.
 
     Parameters
     ----------
@@ -90,9 +103,9 @@ def min_quadratic_over_box(q, b, c, floor):
     -------
     value : float, or (R,) ndarray for a stack
         Per row the smallest value evaluated, the first sub-box winning
-        ties: below floor it is a counterexample; at or above it the
-        minimum lies between floor and value (proved only when
-        certified).
+        ties. Below floor it is a counterexample. At or above it, it is
+        an upper estimate: the minimum lies between floor and value
+        (proved only when certified).
     argmin : (k,) or (R, k) ndarray
         A point of the box attaining value.
     certified : bool
@@ -110,45 +123,57 @@ def min_quadratic_over_box(q, b, c, floor):
     bv = np.asarray(b, dtype=float).reshape(rows, k)
     floor = np.broadcast_to(np.asarray(floor, dtype=float), (rows,))
     finite = np.all(np.isfinite(qs), axis=(1, 2))
-    lam = np.zeros(rows)
-    if k:
-        lam = np.linalg.eigvalsh(np.where(finite[:, None, None], qs, 0.0))[:, 0]
-    lam[~finite] = np.nan  # reads NaN: the row's curvature is unknown
+    # a row that is not finite gets the spectrum of 0; its values break down
+    w, u = np.linalg.eigh(np.where(finite[:, None, None], qs, 0.0))
+    # eigenvalues within 1e-12 of the row's largest count as zero
+    flat = 1e-12 * np.max(np.abs(w), axis=1, initial=0.0)[:, None]
+    pos, neg = w > flat, w < -flat
+    root = 2.0 * np.sqrt(np.where(pos, w, 1.0))
+    ut, absu = u.transpose(0, 2, 1), np.abs(u)
+    absq = np.abs(qs)
+    diag = np.diagonal(qs, axis1=1, axis2=2)
 
     best_val = np.full(rows, np.inf)
     best_arg = np.zeros((rows, k))
     broken = np.zeros(rows, dtype=bool)
-    t = np.arange(rows)  # row of each open sub-box
+    t = np.arange(rows)  # row of each open sub-box, sorted
     z = np.zeros((rows, k))  # its centre
     h = np.ones((rows, k))  # its half-widths
     spent = 0
     while True:
         spent += t.size
-        lt = lam[t, None]
-        qz = _q_times(qs, t, z)
+        cut = np.searchsorted(t, np.arange(rows + 1))  # t is sorted
+        qz = _per_row(qs, cut, z)
         g = bv[t] + 2.0 * qz
         f0 = cv[t] + np.einsum("pi,pi->p", z, bv[t] + qz)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(lt > 0, np.clip(-0.5 * g / lt, -h, h), np.where(g > 0, -h, h))
-            gain = g * step + lt * step ** 2  # each coordinate's term, <= 0
-            bound = f0 + np.sum(gain, axis=1)
-        tip = z + step
-        ftip = cv[t] + np.einsum("pi,pi->p", tip, bv[t] + _q_times(qs, t, tip))
+        hq = _per_row(absq, cut, h)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            shift = _separable(g, h, w[t, :1])[1]  # w[:, 0] the smallest
+            step_d, diagonal = _separable(g, h, diag[t])
+            diagonal -= np.einsum("pi,pi->p", h, hq - np.abs(diag[t]) * h)
+            a = _per_row(u, cut, g)  # g in the eigenbasis
+            rest = _per_row(ut, cut, np.where(pos[t], 0.0, a))
+            spread = _per_row(absu, cut, h)
+            spectral = (np.where(neg[t], w[t] * spread ** 2, 0.0).sum(axis=1)
+                        - np.sum(np.where(pos[t], (a / root[t]) ** 2, 0.0), axis=1)
+                        - np.einsum("pi,pi->p", np.abs(rest), h))
+            bound = f0 + np.fmax(np.fmax(shift, diagonal), spectral)
+        tip = z + step_d
+        ftip = cv[t] + np.einsum("pi,pi->p", tip, bv[t] + _per_row(qs, cut, tip))
         broken[t[~(np.isfinite(bound) & np.isfinite(ftip))]] = True
         at_tip = ftip < f0
         val = np.where(at_tip, ftip, f0)
         # per row its smallest value: a stable sort by (row, value)
         order = np.lexsort((val, t))
         head = order[np.flatnonzero(np.diff(t[order], prepend=-1))]
-        better = val[head] < best_val[t[head]]
-        head = head[better]
+        head = head[val[head] < best_val[t[head]]]
         best_val[t[head]] = val[head]
         best_arg[t[head]] = np.where(at_tip[head, None], tip[head], z[head])
         decided = broken | (best_val < floor)
         keep = ~decided[t] & (bound < floor[t])
         if not keep.any() or spent + 2 * np.count_nonzero(keep) > BOX_BUDGET:
             break
-        split = np.repeat(np.argmin(gain[keep], axis=1), 2)
+        split = np.repeat(np.argmax((h * (np.abs(g) + hq))[keep], axis=1), 2)
         t = np.repeat(t[keep], 2)
         z = np.repeat(z[keep], 2, axis=0)
         h = np.repeat(h[keep], 2, axis=0)

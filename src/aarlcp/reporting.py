@@ -221,8 +221,7 @@ def auto_pathway(inst: UncertainLcpQ) -> str:
 
 def _record_q(inst: UncertainLcpQ, sol: AffineSolutionQ, pathway: str,
               report, extra_sets: dict | None = None) -> SolutionRecord:
-    """A rule and its verify_affine_q report (for psd-lp and mip, the
-    one their solver made)."""
+    """A rule and its verify_affine_q report (from the solver for psd-lp, mip)."""
     if not report.overall:
         raise DispatchError(pathway, RuntimeError(
             "solver returned a solution that fails verification"))

@@ -29,10 +29,8 @@ survivors get the closed form and the checks above, one support at a
 time; the off-support rows of a candidate go to min_quadratic_over_box
 as one stack. The closed form factors its block with the same stacked
 LU (a stack of one), so the screen and the closed form share one pivot
-rule and the same r_J. A box check that passes without deciding every
-row (the branch and bound ran out of boxopt.BOX_BUDGET) stops the sweep
-with BoxBudgetError, a limit: no rule is reported that the box check
-did not prove.
+rule and the same r_J. A box check that passes undecided (out of
+boxopt.BOX_BUDGET) stops the sweep with BoxBudgetError, a limit.
 """
 
 from __future__ import annotations
@@ -188,19 +186,19 @@ def _active_residual(inst: UncertainLcpM, sol: AffineSolutionM,
                for c in _residual_coefficients(inst, sol, rows))
 
 
-def _inactive_rows_min(inst: UncertainLcpM, sol: AffineSolutionM,
-                       rows: np.ndarray, floor: float):
-    """(smallest value of w_t(zeta) that min_quadratic_over_box found
-    deciding the given rows against floor, its point, whether every row
-    was decided); below floor the value is a counterexample. It is 0.0
-    for no rows, and NaN when some row's arithmetic overflows, which no
-    sign condition accepts."""
+def _inactive_rows_check(inst: UncertainLcpM, sol: AffineSolutionM,
+                         rows: np.ndarray, condition: str):
+    """(the check that w_t(zeta) stays at least -TOL_FEAS (1 + max|q|)
+    over the box on the given rows, whether min_quadratic_over_box
+    decided every row). Its worst value is 0.0 for no rows, and NaN when
+    some row's arithmetic overflows, which fails."""
+    floor = -TOL_FEAS * (1.0 + float(np.max(np.abs(inst.q), initial=0.0)))
     if rows.size == 0:
-        return 0.0, np.zeros(inst.k), True
+        return ConditionCheck(condition, True, 0.0, np.zeros(inst.k)), True
     const, lin, quad = _residual_coefficients(inst, sol, rows)
     vals, args, certified = min_quadratic_over_box(quad, lin, const, floor)
     t = int(np.argmin(vals))  # the first NaN row, else the first smallest
-    return float(vals[t]), args[t], certified
+    return ConditionCheck(condition, bool(vals[t] >= floor), float(vals[t]), args[t]), certified
 
 
 def check_necessary_m(inst: UncertainLcpM, sol: AffineSolutionM) -> bool:
@@ -267,20 +265,11 @@ def check_box_conditions(inst: UncertainLcpM, j_set,
     """
     j = linalg.index_set(j_set, inst.n)
     n_set = linalg.complement(j, inst.n)
-    scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
-    checks = []
-
     worst_val, worst_pt = _affine_rows_min(inst, cand, j)
-    checks.append(ConditionCheck(
-        "support-rows-nonnegative", bool(worst_val >= -TOL_FEAS),
-        float(worst_val), worst_pt))
-
-    floor = -TOL_FEAS * scale
-    worst_val, worst_pt, certified = _inactive_rows_min(inst, cand, n_set, floor)
-    checks.append(ConditionCheck(
-        "off-support-rows-nonnegative", bool(worst_val >= floor),
-        float(worst_val), worst_pt))
-
+    checks = [ConditionCheck("support-rows-nonnegative", bool(worst_val >= -TOL_FEAS),
+                             float(worst_val), worst_pt)]
+    check, certified = _inactive_rows_check(inst, cand, n_set, "off-support-rows-nonnegative")
+    checks.append(check)
     return VerificationReport(all(c.passed for c in checks), checks, certified)
 
 
@@ -325,12 +314,8 @@ def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM) -> VerificationRe
         "active-rows-vanish", bool(worst <= TOL_FEAS * scale), float(worst),
         np.zeros(k)))
 
-    floor = -TOL_FEAS * scale
-    worst_val, worst_pt, certified = _inactive_rows_min(inst, sol, n_set, floor)
-    checks.append(ConditionCheck(
-        "inactive-rows-nonnegative", bool(worst_val >= floor),
-        float(worst_val), worst_pt))
-
+    check, certified = _inactive_rows_check(inst, sol, n_set, "inactive-rows-nonnegative")
+    checks.append(check)
     return VerificationReport(all(c.passed for c in checks), checks, certified)
 
 

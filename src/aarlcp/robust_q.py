@@ -130,7 +130,7 @@ class AffineSolutionQ:
 class ConditionCheck:
     condition: str
     passed: bool
-    worst_value: float
+    worst_value: float  # of a quadratic box check: see min_quadratic_over_box
     worst_point: np.ndarray
 
 

@@ -157,17 +157,38 @@ def test_row_far_from_the_centre_is_refused_at_k11():
     assert val == pytest.approx(-1e-3, rel=1e-9)
 
 
+# rows whose minimum 0 is attained on a set of positive dimension, which
+# a bound that loses |h|^2 on every sub-box never closes at a floor just
+# under 0: a rank-one row zero on a plane through the box, and
+# (1 + z1)(2 + z2), zero on the face z1 = -1 (z3 unused)
+_V = np.array([0.3, -0.7, 0.5])
+_FLAT_ROWS = {
+    "rank-one": (np.outer(_V, _V), -0.4 * _V, 0.04),
+    "bilinear": (np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+                 np.array([2.0, 1.0, 0.0]), 2.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_FLAT_ROWS))
+def test_rows_flat_at_their_minimum_certify_at_the_sweep_floor(name):
+    q, b, c = _FLAT_ROWS[name]
+    for floor in (-1e-2, -1e-6, -1e-8, -1e-12):
+        val, arg, certified = min_quadratic_over_box(q, b, c, floor)
+        assert certified and val >= floor
+        assert np.all(np.abs(arg) <= 1.0)
+        assert _value(q, b, c, arg) == pytest.approx(val, abs=1e-15)
+
+
 def test_budget_ran_out_is_uncertified(monkeypatch):
-    # (v . z - 0.2)^2 is zero on a plane through the box: a floor under
-    # it takes thousands of boxes, while the first two rows are decided
-    # at the whole box
-    v = np.array([0.3, -0.7, 0.5])
-    q = np.stack([np.eye(3), np.eye(3), np.outer(v, v)])
-    b = np.stack([np.zeros(3), np.zeros(3), -0.4 * v])
-    c, floor = np.array([1.0, -1.0, 0.04]), -1e-2
+    # the bilinear row needs dozens of sub-boxes at a floor just under its
+    # minimum 0, while the first two rows are decided at the whole box
+    qb, bb, cb = _FLAT_ROWS["bilinear"]
+    q = np.stack([np.eye(3), np.eye(3), qb])
+    b = np.stack([np.zeros(3), np.zeros(3), bb])
+    c, floor = np.array([1.0, -1.0, cb]), -1e-8
     _, _, certified = min_quadratic_over_box(q, b, c, floor)
     assert certified
-    monkeypatch.setattr(boxopt, "BOX_BUDGET", 100)
+    monkeypatch.setattr(boxopt, "BOX_BUDGET", 10)
     vals, args, certified = min_quadratic_over_box(q, b, c, floor)
     assert certified is False
     assert vals[0] == 1.0 and vals[1] == -1.0  # decided rows keep their verdict

@@ -179,10 +179,47 @@ def test_rule_with_an_indefinite_row_certifies_at_k16():
     assert report.overall and report.certified
 
 
+def _worked_with_row(s, a, c1, q3):
+    """The worked example with a third coordinate: perturbation i holds
+    s_i at (1, 2) and a_i at (3, 1), and m0 holds c1 at (3, 1), so the
+    support {1, 2} keeps the rule z = (1 - s . zeta, 4, 0) and the third
+    row of M(zeta) z(zeta) + q is (c1 + a . zeta)(1 - s . zeta) + q3."""
+    perts = []
+    for si, ai in zip(s, a):
+        p = np.zeros((3, 3))
+        p[0, 1], p[2, 0] = si, ai
+        perts.append(p)
+    return UncertainLcpM(m0=np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 0.0], [c1, 0.0, 1.0]]),
+                         perturbations=perts, q=np.array([-8.0, -16.0, q3]), h=0)
+
+
+# (s, a, c1, q3) of rules whose off-support row has its minimum 0 just
+# above the sweep's floor, on a set of positive dimension
+FLAT_ROWS = {
+    # (2 + 2 zeta_1)(1 + zeta_2 / 2): q_3 = 0 and an entry M_31(zeta)
+    # whose range [0, 4] touches 0; zero on the face zeta_1 = -1
+    "bilinear": ((0.0, -0.5, 0.0), (2.0, 0.0, 0.0), 2.0, 0.0),
+    # (s . zeta - 0.1)^2, zero on a plane through the box
+    "rank-one": ((0.15, -0.35, 0.25), (-0.15, 0.35, -0.25), -0.8, 0.81),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAT_ROWS))
+def test_rule_whose_row_is_flat_at_zero_is_found_at_k3(name):
+    s = FLAT_ROWS[name][0]
+    inst = _worked_with_row(*FLAT_ROWS[name])
+    sols = solve_enumeration_m(inst)
+    assert len(sols) == 1
+    assert sols[0].r.tolist() == [1.0, 4.0, 0.0]
+    assert sols[0].d[0].tolist() == [-x for x in s]
+    report = verify_affine_m(inst, sols[0])
+    assert report.overall and report.certified
+
+
 def test_undecided_box_check_is_a_limit(tmp_path, monkeypatch, capsys):
     # with no box beyond the whole one, the third row stays undecided: the
     # sweep stops rather than report the rule, and verify exits 4
-    inst = worked_m_with_quadratic_row(11, 4.0)
+    inst = _worked_with_row(*FLAT_ROWS["bilinear"])
     sol = solve_enumeration_m(inst)[0]
     inst_path, sol_path = tmp_path / "inst.txt", tmp_path / "sol.txt"
     inst_path.write_text(serialize_instance(inst))
