@@ -84,19 +84,18 @@ def random_p_matrix(rng, n):
     return m.round(4)
 
 
-def worked_m_with_quadratic_row(k, q3):
+def worked_m_with_row(s, a, c1, q3):
     """The worked uncertain-M example (m0 = [[4, 1], [0, 4]], q = (-8,
-    -16)) with k perturbations and a third coordinate. Perturbation i
-    holds s_i = (-1)^i / k at (1, 2) and 0.3 at (3, 1), so the support
-    {1, 2} keeps the rule z = (1 - s . zeta, 4, 0), and the third row of
-    M(zeta) z(zeta) + q is q3 + 0.3 (1 . zeta)(1 - s . zeta), an
-    indefinite quadratic in zeta."""
+    -16)) with a third coordinate: perturbation i holds s_i at (1, 2)
+    and a_i at (3, 1), and m0 holds c1 at (3, 1), so the support {1, 2}
+    keeps the rule z = (1 - s . zeta, 4, 0) and the third row of
+    M(zeta) z(zeta) + q is (c1 + a . zeta)(1 - s . zeta) + q3."""
     from aarlcp import UncertainLcpM
 
     perts = []
-    for i in range(k):
+    for si, ai in zip(s, a):
         p = np.zeros((3, 3))
-        p[0, 1], p[2, 0] = (-1.0) ** i / k, 0.3
+        p[0, 1], p[2, 0] = si, ai
         perts.append(p)
-    return UncertainLcpM(m0=np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 0.0], [0.0, 0.0, 1.0]]),
+    return UncertainLcpM(m0=np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 0.0], [c1, 0.0, 1.0]]),
                          perturbations=perts, q=np.array([-8.0, -16.0, q3]), h=0)

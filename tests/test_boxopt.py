@@ -9,7 +9,7 @@ import pytest
 
 from aarlcp import boxopt, generate_random, serialize_instance
 from aarlcp.boxopt import min_affine_over_box, min_quadratic_over_box
-from conftest import worked_m_with_quadratic_row
+from conftest import worked_m_with_row
 
 
 def test_affine_min_closed_form():
@@ -225,9 +225,10 @@ print(sorted(m for m in sys.modules if m.startswith('scipy')))
 def test_enumeration_solves_leave_scipy_unloaded():
     # the support sweeps of both enumeration pathways and their checks,
     # the box check at k = 11 included, run on numpy alone
+    k11 = worked_m_with_row([(-1.0) ** i / 11 for i in range(11)], [0.3] * 11, 0.0, 4.0)
     cases = [(generate_random("uncertain-q", 6, seed=0), "enumeration"),
              (generate_random("uncertain-m", 6, k=3, seed=0), "auto"),
-             (serialize_instance(worked_m_with_quadratic_row(11, 4.0)), "auto")]
+             (serialize_instance(k11), "auto")]
     assert _run_fresh(ENUMERATION_SOLVES.format(cases=cases))[:2] == ["False", "[]"]
 
 

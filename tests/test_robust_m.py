@@ -14,7 +14,7 @@ from aarlcp.robust_m import (AffineSolutionM, UncertainLcpM,
                              solve_enumeration_m_detailed, uniqueness_m,
                              verify_affine_m)
 from aarlcp.tolerances import TOL_FEAS, TOL_SUPPORT
-from conftest import worked_m_with_quadratic_row
+from conftest import worked_m_with_row
 
 # worked instance: one perturbation direction in the top-right entry
 INST = UncertainLcpM(m0=np.array([[4.0, 1.0], [0.0, 4.0]]),
@@ -167,32 +167,6 @@ def test_json_output_is_strict_on_overflow(tmp_path, capsys):
         json.loads(capsys.readouterr().out, parse_constant=refuse)
 
 
-def test_rule_with_an_indefinite_row_certifies_at_k16():
-    # the third row is not decided at the whole box: the branch and bound
-    # halves it before the rule is proved
-    inst = worked_m_with_quadratic_row(16, 5.5)
-    sols = solve_enumeration_m(inst)
-    assert len(sols) == 1
-    assert sols[0].r.tolist() == [1.0, 4.0, 0.0]
-    assert sols[0].d[0] == pytest.approx([-(-1.0) ** i / 16 for i in range(16)], abs=1e-15)
-    report = verify_affine_m(inst, sols[0])
-    assert report.overall and report.certified
-
-
-def _worked_with_row(s, a, c1, q3):
-    """The worked example with a third coordinate: perturbation i holds
-    s_i at (1, 2) and a_i at (3, 1), and m0 holds c1 at (3, 1), so the
-    support {1, 2} keeps the rule z = (1 - s . zeta, 4, 0) and the third
-    row of M(zeta) z(zeta) + q is (c1 + a . zeta)(1 - s . zeta) + q3."""
-    perts = []
-    for si, ai in zip(s, a):
-        p = np.zeros((3, 3))
-        p[0, 1], p[2, 0] = si, ai
-        perts.append(p)
-    return UncertainLcpM(m0=np.array([[4.0, 1.0, 0.0], [0.0, 4.0, 0.0], [c1, 0.0, 1.0]]),
-                         perturbations=perts, q=np.array([-8.0, -16.0, q3]), h=0)
-
-
 # (s, a, c1, q3) of rules whose off-support row has its minimum 0 just
 # above the sweep's floor, on a set of positive dimension
 FLAT_ROWS = {
@@ -207,7 +181,7 @@ FLAT_ROWS = {
 @pytest.mark.parametrize("name", sorted(FLAT_ROWS))
 def test_rule_whose_row_is_flat_at_zero_is_found_at_k3(name):
     s = FLAT_ROWS[name][0]
-    inst = _worked_with_row(*FLAT_ROWS[name])
+    inst = worked_m_with_row(*FLAT_ROWS[name])
     sols = solve_enumeration_m(inst)
     assert len(sols) == 1
     assert sols[0].r.tolist() == [1.0, 4.0, 0.0]
@@ -216,10 +190,27 @@ def test_rule_whose_row_is_flat_at_zero_is_found_at_k3(name):
     assert report.overall and report.certified
 
 
+def test_rule_with_an_indefinite_row_certifies_at_k16(monkeypatch):
+    # the third row (c1 + a . zeta)(1 - s . zeta) has its minimum 0 at a
+    # vertex; the whole box does not decide it, so the branch and bound
+    # halves it before the rule is proved
+    s = [(-1.0) ** i / 32 for i in range(16)]
+    a = [0.1 * (1 + i % 3) for i in range(16)]
+    inst = worked_m_with_row(s, a, float(np.sum(a)), 0.0)
+    sols = solve_enumeration_m(inst)
+    assert len(sols) == 1
+    assert sols[0].r.tolist() == [1.0, 4.0, 0.0]
+    assert sols[0].d[0] == pytest.approx([-x for x in s], abs=1e-15)
+    report = verify_affine_m(inst, sols[0])
+    assert report.overall and report.certified
+    monkeypatch.setattr(boxopt, "BOX_BUDGET", 0)
+    assert not verify_affine_m(inst, sols[0]).certified
+
+
 def test_undecided_box_check_is_a_limit(tmp_path, monkeypatch, capsys):
     # with no box beyond the whole one, the third row stays undecided: the
     # sweep stops rather than report the rule, and verify exits 4
-    inst = _worked_with_row(*FLAT_ROWS["bilinear"])
+    inst = worked_m_with_row(*FLAT_ROWS["bilinear"])
     sol = solve_enumeration_m(inst)[0]
     inst_path, sol_path = tmp_path / "inst.txt", tmp_path / "sol.txt"
     inst_path.write_text(serialize_instance(inst))
