@@ -80,7 +80,8 @@ def min_quadratic_over_box(q, b, c, floor):
       spectral  with Q = sum_i w_i u_i u_i^T, -(u_i . g)^2 / (4 w_i)
                 for each w_i > 0, -|g_rest| . h for the rest of g, and
                 w_i (|u_i| . h)^2 for each w_i < 0 (exact on the kernel
-                of a positive semidefinite Q).
+                of a positive semidefinite Q; computed only on a level
+                where the other two leave a sub-box open).
 
     The centre and z0 + d, d the diagonal bound's minimizing step, are
     evaluated; a value below the floor decides its row. A sub-box
@@ -151,13 +152,15 @@ def min_quadratic_over_box(q, b, c, floor):
             shift = _separable(g, h, w[t, :1])[1]  # w[:, 0] the smallest
             step_d, diagonal = _separable(g, h, diag[t])
             diagonal -= np.einsum("pi,pi->p", h, hq - np.abs(diag[t]) * h)
-            a = _per_row(u, cut, g)  # g in the eigenbasis
-            rest = _per_row(ut, cut, np.where(pos[t], 0.0, a))
-            spread = _per_row(absu, cut, h)
-            spectral = (np.where(neg[t], w[t] * spread ** 2, 0.0).sum(axis=1)
-                        - np.sum(np.where(pos[t], (a / root[t]) ** 2, 0.0), axis=1)
-                        - np.einsum("pi,pi->p", np.abs(rest), h))
-            bound = f0 + np.fmax(np.fmax(shift, diagonal), spectral)
+            bound = f0 + np.fmax(shift, diagonal)
+            if not np.all(bound >= floor[t]):  # else no verdict can change
+                a = _per_row(u, cut, g)  # g in the eigenbasis
+                rest = _per_row(ut, cut, np.where(pos[t], 0.0, a))
+                spread = _per_row(absu, cut, h)
+                spectral = (np.where(neg[t], w[t] * spread ** 2, 0.0).sum(axis=1)
+                            - np.sum(np.where(pos[t], (a / root[t]) ** 2, 0.0), axis=1)
+                            - np.einsum("pi,pi->p", np.abs(rest), h))
+                bound = np.fmax(bound, f0 + spectral)
         tip = z + step_d
         ftip = cv[t] + np.einsum("pi,pi->p", tip, bv[t] + _per_row(qs, cut, tip))
         broken[t[~(np.isfinite(bound) & np.isfinite(ftip))]] = True
