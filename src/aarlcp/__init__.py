@@ -9,7 +9,7 @@ file format (instances), and solver dispatch with reports (reporting).
 
 from .lcp import (LcpSolution, LemkeOutcome, NominalLcp, compute_support_P,
                   describe_solution_set, lcp_residuals, solve_lemke)
-from .linalg import SingularMatrixError, is_psd
+from .linalg import NumericalError, SingularMatrixError, is_psd
 from .lp import (IterationLimitError, LinearProgram, LpOutcome,
                  check_feasibility, check_point, solve_lp)
 from .mip import (MipOutcome, MixedBinaryProgram, NodeLimitError,
@@ -22,10 +22,9 @@ from .robust_q import (AffineSolutionQ, ConditionCheck, MipPathOutcome,
                        solve_psd, uniqueness_check_psd, verify_affine_q)
 from .robust_m import (AffineSolutionM, EnumerationOutcomeM, UncertainLcpM,
                        check_box_conditions, check_kernel_condition,
-                       check_necessary_m, characterize_for_J,
-                       sample_violation_m, solve_enumeration_m,
-                       solve_enumeration_m_detailed, uniqueness_m,
-                       verify_affine_m)
+                       characterize_for_J, sample_violation_m,
+                       solve_enumeration_m, solve_enumeration_m_detailed,
+                       uniqueness_m, verify_affine_m)
 from .market import MarketBlockMap, MarketModel, build_lcp
 from .instances import (InstanceFormatError, generate_random, parse_instance,
                         serialize_instance)
@@ -37,7 +36,7 @@ __version__ = "0.1.0"
 __all__ = [
     "NominalLcp", "LcpSolution", "LemkeOutcome", "solve_lemke",
     "lcp_residuals", "compute_support_P", "describe_solution_set",
-    "SingularMatrixError", "is_psd",
+    "SingularMatrixError", "NumericalError", "is_psd",
     "LinearProgram", "LpOutcome", "solve_lp", "check_feasibility",
     "check_point", "IterationLimitError",
     "MixedBinaryProgram", "MipOutcome", "solve_mip_feasibility",
@@ -49,7 +48,7 @@ __all__ = [
     "PsdPathOutcome", "uniqueness_check_psd", "sample_violation_q",
     "default_big_m", "SizeLimitError",
     "UncertainLcpM", "AffineSolutionM", "EnumerationOutcomeM",
-    "check_necessary_m", "characterize_for_J", "check_kernel_condition",
+    "characterize_for_J", "check_kernel_condition",
     "check_box_conditions", "verify_affine_m", "solve_enumeration_m",
     "solve_enumeration_m_detailed", "uniqueness_m", "sample_violation_m",
     "MarketModel", "MarketBlockMap", "build_lcp",

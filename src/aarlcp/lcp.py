@@ -26,6 +26,7 @@ with no LP.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,11 +90,11 @@ def _validate_solution(prob: NominalLcp, z) -> LcpSolution:
     qscale = 1.0 + float(np.max(np.abs(prob.q), initial=0.0))
     zscale = 1.0 + float(np.max(np.abs(z), initial=0.0))
     if zmin < -TOL_FEAS:
-        raise RuntimeError(f"pivoting produced z with entry {zmin:.3e}")
+        raise linalg.NumericalError(f"pivoting produced z with entry {zmin:.3e}")
     if wmin < -TOL_FEAS * qscale:
-        raise RuntimeError(f"pivoting produced M z + q with entry {wmin:.3e}")
+        raise linalg.NumericalError(f"pivoting produced M z + q with entry {wmin:.3e}")
     if comp > TOL_COMP * qscale * zscale:
-        raise RuntimeError(f"complementarity residual {comp:.3e} too large")
+        raise linalg.NumericalError(f"complementarity residual {comp:.3e} too large")
     return LcpSolution(z=z, comp_residual=comp)
 
 
@@ -111,41 +112,22 @@ def solve_lemke(prob: NominalLcp) -> LemkeOutcome:
     if np.all(prob.q >= 0):
         return LemkeOutcome("solution", _validate_solution(prob, np.zeros(n)), 0)
 
-    # tableau columns: w (n) | z (n) | z0 | rhs; lexicographic part is the
-    # w block, which starts as the identity
+    # tableau columns: rhs | w (n) | z (n) | z0; a row's lexicographic key
+    # is its rhs and w part, columns 0..n, and the w block starts as the
+    # identity
     t = np.zeros((n, 2 * n + 2))
-    t[:, :n] = np.eye(n)
-    t[:, n : 2 * n] = -prob.m
-    t[:, 2 * n] = -1.0
-    t[:, 2 * n + 1] = prob.q
-    basis = list(range(n))  # w_i basic
-    z0 = 2 * n
-    rhs = 2 * n + 1
-
-    def lex_min_row(candidates, col=None):
-        # minimize (rhs, w-part), divided by the entry in col when one is
-        # given, lexicographically
-        best = best_key = None
-        for i in candidates:
-            key = np.concatenate(([t[i, rhs]], t[i, :n]))
-            if col is not None:
-                key = key / t[i, col]
-            if best is None or _lex_less(key, best_key):
-                best, best_key = i, key
-        return best
-
-    def _lex_less(a, b):
-        for x, y in zip(a, b):
-            if x < y - TOL_LEX_TIE:
-                return True
-            if x > y + TOL_LEX_TIE:
-                return False
-        return False
+    t[:, 0] = prob.q
+    t[:, 1 : n + 1] = np.eye(n)
+    t[:, n + 1 : 2 * n + 1] = -prob.m
+    t[:, 2 * n + 1] = -1.0
+    basis = np.arange(1, n + 1)  # w_i basic
+    z0 = 2 * n + 1
 
     # initial pivot: bring z0 in against the lexicographic minimum of
     # (q_i, e_i) / 1 over rows with q_i < 0 (the most negative q wins;
     # the identity part breaks ties deterministically)
-    row = lex_min_row([i for i in range(n) if prob.q[i] < 0])
+    rows = np.flatnonzero(prob.q < 0)
+    row = rows[_lex_argmin(t[rows, : n + 1])]
     entering = z0
     iterations = 0
     while True:
@@ -155,10 +137,10 @@ def solve_lemke(prob: NominalLcp) -> LemkeOutcome:
                 f"lemke pivoting exceeded {max_iterations} iterations"
             )
         if row is None:
-            piv_candidates = [i for i in range(n) if t[i, entering] > TOL_LEMKE_PIVOT]
-            if not piv_candidates:
+            rows = np.flatnonzero(t[:, entering] > TOL_LEMKE_PIVOT)
+            if rows.size == 0:
                 return LemkeOutcome("ray", None, iterations)
-            row = lex_min_row(piv_candidates, entering)
+            row = rows[_lex_argmin(t[rows, : n + 1] / t[rows, entering][:, None])]
         # pivot on (row, entering)
         leaving = basis[row]
         t[row] /= t[row, entering]
@@ -168,12 +150,34 @@ def solve_lemke(prob: NominalLcp) -> LemkeOutcome:
         basis[row] = entering
         if leaving == z0:
             z = np.zeros(n)
-            for i, var in enumerate(basis):
-                if n <= var < 2 * n:
-                    z[var - n] = max(0.0, t[i, rhs])
+            in_z = (basis > n) & (basis <= 2 * n)
+            # fmax with 0.0 first maps NaN and -0.0 to 0.0
+            z[basis[in_z] - n - 1] = np.fmax(0.0, t[in_z, 0])
             return LemkeOutcome("solution", _validate_solution(prob, z), iterations)
-        entering = leaving + n if leaving < n else leaving - n  # complement
+        entering = leaving + n if leaving <= n else leaving - n  # complement
         row = None
+
+
+def _lex_argmin(keys: np.ndarray) -> int:
+    """Index of the lexicographically smallest row of keys. Column by
+    column, the rows within TOL_LEX_TIE of the smallest value left in
+    that column stay, and the first row left wins. A NaN entry, which
+    only an overflowed tableau holds, compares as a tie, and a later row
+    never displaces an earlier one it ties with: a column NaN in every
+    row left decides nothing, and otherwise a NaN keeps only the first
+    row left."""
+    left = np.arange(keys.shape[0])
+    for col in keys.T:
+        if left.size == 1:
+            break
+        vals = col[left]
+        low = np.fmin.reduce(vals)
+        if math.isnan(low):
+            continue
+        keep = vals <= low + TOL_LEX_TIE
+        keep[0] |= math.isnan(vals[0])
+        left = left[keep]
+    return int(left[0])
 
 
 def describe_solution_set(prob: NominalLcp, zbar) -> LinearProgram:
@@ -246,6 +250,6 @@ def compute_support_P(nominal_set: LinearProgram) -> tuple[np.ndarray, np.ndarra
     out = solve_lp(LinearProgram(obj, a, nominal_set.senses + [">="] * n,
                                  np.zeros(rows + n), lower, upper))
     if out.status != "optimal":
-        raise RuntimeError("solution-set polyhedron reported infeasible")
+        raise linalg.NumericalError("solution-set polyhedron reported infeasible")
     t = out.x[n + 1 :]
     return np.flatnonzero(t[:n] > 0.5), np.flatnonzero(t[n:] < 0.5)

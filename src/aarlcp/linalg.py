@@ -34,6 +34,7 @@ from .tolerances import TOL_PD, TOL_PIVOT_FACTOR, TOL_PSD
 
 __all__ = [
     "SingularMatrixError",
+    "NumericalError",
     "as_matrix",
     "as_vector",
     "index_set",
@@ -51,6 +52,12 @@ __all__ = [
 
 class SingularMatrixError(RuntimeError):
     """Raised when a pivot falls below the singularity threshold."""
+
+
+class NumericalError(RuntimeError):
+    """Floating-point trouble on valid input: a pivoting solver produced
+    a point its own check rejects, or a bounded LP read unbounded. A
+    limit, like a node or iteration budget."""
 
 
 def as_matrix(a, square: bool = False) -> np.ndarray:

@@ -377,7 +377,7 @@ class _Simplex:
                     # numerically impossible (phase 1 is bounded): rebuild
                     # the basis inverse and retry, give up on a repeat
                     if stalled == e:
-                        raise RuntimeError("phase-1 simplex stalled numerically")
+                        raise linalg.NumericalError("phase-1 simplex stalled numerically")
                     stalled = e
                     self._refactor()
                     continue
@@ -390,12 +390,12 @@ class _Simplex:
                 t_basic = float(t_rows.min()) if m else np.inf
                 t = min(t_basic, t_own)
                 tie = 1e-9 * (1.0 + t)
-                leave_var = e if t_own <= t + tie else self.ntot + 1
-                for r in np.flatnonzero(t_rows <= t + tie):
-                    if self.basis[r] < leave_var:
-                        leave_var = self.basis[r]
-                        leave_row = int(r)
-                t = t if leave_row < 0 else float(t_rows[leave_row])
+                ties = np.flatnonzero(t_rows <= t + tie)
+                if ties.size:
+                    r = int(ties[np.argmin(self.basis[ties])])
+                    if t_own > t + tie or self.basis[r] < e:
+                        leave_row = r
+                        t = float(t_rows[r])
             else:
                 cand = np.flatnonzero(lim & (t_rows <= t_limit))
                 if cand.size and t_own >= float(t_rows[cand].min()):
@@ -549,7 +549,7 @@ def _run(lp, feasibility_only: bool, start=None) -> LpOutcome:
         sx = _Simplex(a, b, lo, up, 50 * (m + a.shape[1]))
         status = sx.run(np.concatenate([np.zeros(sx.nreal), np.ones(m)]), phase=1)
         if status != "optimal":  # phase 1 is bounded below by zero
-            raise RuntimeError("phase-1 simplex reported unbounded")
+            raise linalg.NumericalError("phase-1 simplex reported unbounded")
         p1 = float(sx.x_full()[sx.nreal :].sum())
         if p1 > _feasibility_margin(b):
             return LpOutcome(status="infeasible", iterations=spent + sx.iterations)

@@ -42,7 +42,8 @@ import numpy as np
 from . import linalg
 from .boxopt import (BoxBudgetError, min_affine_over_box,
                      min_quadratic_over_box)
-from .robust_q import ConditionCheck, SizeLimitError, VerificationReport
+from .robust_q import (ENUMERATION_SIZE_CAP, ConditionCheck, SizeLimitError,
+                       VerificationReport)
 from .tolerances import TOL_FEAS, TOL_SUPPORT
 
 __all__ = [
@@ -50,7 +51,6 @@ __all__ = [
     "AffineSolutionM",
     "EnumerationOutcomeM",
     "mtilde",
-    "check_necessary_m",
     "characterize_for_J",
     "check_kernel_condition",
     "check_box_conditions",
@@ -61,8 +61,6 @@ __all__ = [
     "sample_violation_m",
 ]
 
-# subset enumeration guard, matching the uncertain-q pathway
-ENUMERATION_SIZE_CAP_M = 20
 # hard cap on the total subset count 2^n regardless of h
 TOTAL_SIZE_CAP_M = 24
 
@@ -178,14 +176,6 @@ def _affine_rows_min(inst: UncertainLcpM, sol: AffineSolutionM, rows):
     return float(vals[t]), args[t]
 
 
-def _active_residual(inst: UncertainLcpM, sol: AffineSolutionM,
-                     rows: np.ndarray) -> float:
-    """Largest constant, linear or quadratic coefficient of w(zeta) on
-    the given rows; zero exactly when those rows vanish identically."""
-    return max(float(np.max(np.abs(c), initial=0.0))
-               for c in _residual_coefficients(inst, sol, rows))
-
-
 def _inactive_rows_check(inst: UncertainLcpM, sol: AffineSolutionM,
                          rows: np.ndarray, condition: str):
     """(the check that w_t(zeta) stays at least -TOL_FEAS (1 + max|q|)
@@ -199,17 +189,6 @@ def _inactive_rows_check(inst: UncertainLcpM, sol: AffineSolutionM,
     vals, args, certified = min_quadratic_over_box(quad, lin, const, floor)
     t = int(np.argmin(vals))  # the first NaN row, else the first smallest
     return ConditionCheck(condition, bool(vals[t] >= floor), float(vals[t]), args[t]), certified
-
-
-def check_necessary_m(inst: UncertainLcpM, sol: AffineSolutionM) -> bool:
-    """Whether the support rows of M(zeta) z(zeta) + q vanish as a
-    polynomial in zeta: constant, linear and quadratic coefficients all
-    zero, within TOL_FEAS * (1 + max|q|). Necessary for any solution;
-    with an invertible m0_J it pins the closed form."""
-    if sol.r.size != inst.n or sol.d.shape != (inst.n, inst.k):
-        raise ValueError("solution dimensions do not match the instance")
-    scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
-    return _active_residual(inst, sol, sol.support()) <= TOL_FEAS * scale
 
 
 def characterize_for_J(inst: UncertainLcpM, j_set) -> AffineSolutionM | None:
@@ -309,7 +288,10 @@ def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM) -> VerificationRe
     checks.append(ConditionCheck(
         "z-nonnegative", bool(worst_val >= -TOL_FEAS), float(worst_val), worst_pt))
 
-    worst = _active_residual(inst, sol, j_set)
+    # the largest coefficient of the support rows, NaN when any is NaN
+    const, lin, quad = _residual_coefficients(inst, sol, j_set)
+    worst = float(np.max(np.abs(np.concatenate([const, lin.ravel(), quad.ravel()])),
+                         initial=0.0))
     checks.append(ConditionCheck(
         "active-rows-vanish", bool(worst <= TOL_FEAS * scale), float(worst),
         np.zeros(k)))
@@ -353,10 +335,10 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
     condition (see the module docstring). A box check that passes
     undecided raises BoxBudgetError."""
     n = inst.n
-    if n - inst.h > ENUMERATION_SIZE_CAP_M or n > TOTAL_SIZE_CAP_M:
+    if n - inst.h > ENUMERATION_SIZE_CAP or n > TOTAL_SIZE_CAP_M:
         raise SizeLimitError(
             f"enumeration over 2^{n} supports refused "
-            f"(limit n - h <= {ENUMERATION_SIZE_CAP_M}, n <= {TOTAL_SIZE_CAP_M})")
+            f"(limit n - h <= {ENUMERATION_SIZE_CAP}, n <= {TOTAL_SIZE_CAP_M})")
     out = EnumerationOutcomeM()
     scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
     for size in range(n + 1):

@@ -203,14 +203,18 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ) -> VerificationRe
     coeff = inst.m @ sol.d + np.eye(n)
     const = inst.m @ sol.r + inst.qbar
 
+    # per support row the largest |constant| or |u-coefficient|; the worst
+    # row is the first NaN one (which fails), else the first largest, and
+    # none (t = -1) when every row vanishes
+    resid = np.max(np.abs(np.column_stack([const[k_set], coeff[np.ix_(k_set, u_set)]])),
+                   axis=1)
+    t = int(np.argmax(np.append(0.0, resid))) - 1
     worst_val, worst_row_u = 0.0, np.zeros(n)
-    for i in k_set:
-        resid = max(abs(const[i]), float(np.max(np.abs(coeff[i, u_set]), initial=0.0)))
-        if resid > worst_val:
-            worst_val = resid
-            sign = 1.0 if const[i] >= 0 else -1.0
-            worst_row_u = np.zeros(n)
-            worst_row_u[u_set] = sign * np.sign(coeff[i, u_set]) * inst.ubar[u_set]
+    if t >= 0:
+        i = k_set[t]
+        worst_val = float(resid[t])
+        sign = 1.0 if const[i] >= 0 else -1.0
+        worst_row_u[u_set] = sign * np.sign(coeff[i, u_set]) * inst.ubar[u_set]
     checks.append(ConditionCheck(
         "active-rows-vanish", bool(worst_val <= TOL_FEAS * wscale), float(worst_val),
         worst_row_u))
@@ -665,7 +669,7 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
         return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, k_set)
     if unique:
         return nothing  # the one candidate fails: no rule exists
-    raise RuntimeError("psd pathway produced a point that fails verification")
+    raise linalg.NumericalError("psd pathway produced a point that fails verification")
 
 
 def _envelope_lp(inst: UncertainLcpQ, nominal_set: LinearProgram, a_set: np.ndarray,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from aarlcp.lcp import (NominalLcp, compute_support_P, describe_solution_set,
-                        lcp_residuals, solve_lemke)
+from aarlcp.lcp import (NominalLcp, _lex_argmin, compute_support_P,
+                        describe_solution_set, lcp_residuals, solve_lemke)
+from aarlcp.linalg import NumericalError
 from aarlcp.lp import LinearProgram, solve_lp
 from conftest import is_p_matrix, lcp_brute_force, random_low_rank_psd_lcp, \
     random_p_matrix, random_psd_matrix
@@ -146,6 +147,74 @@ def test_ray_termination_on_unsolvable_psd():
     # use a PSD certificate instance instead: M = 0, q with a negative entry.
     out = solve_lemke(NominalLcp(np.zeros((2, 2)), np.array([-1.0, 1.0])))
     assert out.status == "ray"
+
+
+def test_lex_argmin_keeps_the_near_ties_of_each_column():
+    # column 0 keeps the rows within 1e-12 of its minimum 0: rows 0 and 1,
+    # not row 2, although row 2 lies within 1e-12 of row 1; column 1 then
+    # picks row 1
+    chain = np.array([[0.0, 3.0], [0.6e-12, 2.0], [1.2e-12, 1.0]])
+    assert _lex_argmin(chain) == 1
+    assert _lex_argmin(np.array([[1.0, 1.0], [1.0, 1.0]])) == 0  # full tie
+    assert _lex_argmin(np.array([[np.inf, 0.0], [-np.inf, 0.0]])) == 1
+
+
+def test_lex_argmin_nan_entries_tie():
+    nan = np.nan
+    # a NaN in the first row ties in its column; the next column decides
+    assert _lex_argmin(np.array([[nan, 5.0], [1.0, 3.0], [1.0, 4.0]])) == 1
+    assert _lex_argmin(np.array([[nan, 2.0], [1.0, 3.0]])) == 0
+    assert _lex_argmin(np.array([[nan, nan], [nan, nan]])) == 0
+    # a column NaN in every row decides nothing
+    assert _lex_argmin(np.array([[nan, 2.0], [nan, 1.0]])) == 1
+    # a NaN in a later row ties with the first row, which then stays
+    # ahead of it, so the later row drops out
+    assert _lex_argmin(np.array([[1.0, 3.0], [nan, 0.0], [0.5, 4.0]])) == 2
+    assert _lex_argmin(np.array([[1.0, 3.0], [nan, nan]])) == 0
+
+
+def _lex_argmin_pairwise(keys):
+    """Reference: keep the running minimum, replacing it only by a row
+    smaller by more than 1e-12 at the first column where they differ by
+    more than that (a NaN compare is a tie)."""
+    best = 0
+    for i in range(1, len(keys)):
+        for x, y in zip(keys[i], keys[best]):
+            if x < y - 1e-12:
+                best = i
+                break
+            if x > y + 1e-12:
+                break
+    return best
+
+
+def test_lex_argmin_matches_the_pairwise_scan():
+    # small integers tie exactly and never chain within 1e-12; rows NaN
+    # throughout and columns NaN in every row stand for an overflowed
+    # tableau's
+    rng = np.random.default_rng(8)
+    for _ in range(3000):
+        keys = rng.integers(-2, 3, (int(rng.integers(1, 9)), int(rng.integers(1, 5))))
+        keys = keys.astype(float)
+        keys[rng.random(len(keys)) < 0.15] = np.nan
+        keys[:, rng.random(keys.shape[1]) < 0.15] = np.nan
+        assert _lex_argmin(keys) == _lex_argmin_pairwise(keys), keys
+
+
+def test_overflowing_tableau_ends_in_an_outcome_or_a_typed_limit():
+    # entries near 1e308 overflow the tableau to inf and NaN
+    rng = np.random.default_rng(3)
+    outcomes = set()
+    with np.errstate(all="ignore"):
+        for n in range(2, 8):
+            for _ in range(10):
+                m = rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(0.5, 1.0, (n, n)) * 1e308
+                q = rng.normal(size=n) * 10.0 ** rng.integers(0, 300, n)
+                try:
+                    outcomes.add(solve_lemke(NominalLcp(m, q)).status)
+                except NumericalError:
+                    outcomes.add("limit")
+    assert outcomes <= {"solution", "ray", "limit"}
 
 
 def test_describe_solution_set_singleton():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aarlcp import generate_random, linalg, parse_instance
+from aarlcp import generate_random, linalg, lp as lp_module, parse_instance
 from aarlcp.lp import (INF as LP_INF, LinearProgram, _REFRESH, _Simplex,
                        check_feasibility, check_point, solve_lp)
 from aarlcp.robust_q import build_mip, default_big_m
@@ -183,6 +183,25 @@ def test_matches_scipy_on_random_problems():
             assert cost @ out.x == pytest.approx(ref_fun, abs=1e-6)
         agree += 1
     assert agree == 120
+
+
+def test_bland_pricing_matches_scipy_on_degenerate_cones(monkeypatch):
+    """Bland's rule from the first pivot on LPs whose rows all pass
+    through the origin, so the leaving rows tie at ratio 0: statuses and
+    objectives against scipy's HiGHS."""
+    monkeypatch.setattr(lp_module, "_DEGEN_SWITCH", -1)
+    rng = np.random.default_rng(29)
+    for trial in range(40):
+        ncols = int(rng.integers(3, 9))
+        nrows = int(rng.integers(2 * ncols, 5 * ncols))
+        lhs = rng.integers(-2, 3, (nrows, ncols)).astype(float)
+        cost = rng.integers(-3, 4, ncols).astype(float)
+        lp = _lp(cost, lhs, ["<="] * nrows, np.zeros(nrows),
+                 lower=-np.ones(ncols), upper=np.ones(ncols))
+        out = solve_lp(lp)
+        status, fun = _linprog(lp, cost)
+        assert out.status == status == "optimal", f"trial {trial}"
+        assert cost @ out.x == pytest.approx(fun, abs=1e-7), f"trial {trial}"
 
 
 def test_start_point_satisfying_every_row_needs_no_pivot():

@@ -266,6 +266,17 @@ def test_cli_numerical_trouble_exit_four(tmp_path, capsys, monkeypatch):
     assert "phase-1 simplex stalled numerically" in capsys.readouterr().err
 
 
+def test_cli_failed_lemke_recheck_exit_four(tmp_path, capsys):
+    # (qbar, ubar) times 1e-6 and M times 1e6: Lemke's point fails its own
+    # recheck, numerical trouble reported as a limit with its reason
+    inst = parse_instance(generate_random("uncertain-q", 3, seed=0, regime="psd"))
+    scaled = UncertainLcpQ(m=1e6 * inst.m, qbar=1e-6 * inst.qbar,
+                           ubar=1e-6 * inst.ubar, h=inst.h)
+    path = _write(tmp_path, "scaled.txt", serialize_instance(scaled))
+    assert main(["solve", path, "--pathway", "psd-lp"]) == 4
+    assert "pivoting produced M z + q with entry" in capsys.readouterr().err
+
+
 def test_cli_choices_come_from_their_owners():
     commands = next(a for a in _build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices

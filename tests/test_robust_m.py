@@ -9,8 +9,8 @@ from aarlcp.boxopt import BoxBudgetError
 from aarlcp.cli import main
 from aarlcp.robust_m import (AffineSolutionM, UncertainLcpM,
                              characterize_for_J, check_box_conditions,
-                             check_kernel_condition, check_necessary_m,
-                             mtilde, sample_violation_m, solve_enumeration_m,
+                             check_kernel_condition, mtilde,
+                             sample_violation_m, solve_enumeration_m,
                              solve_enumeration_m_detailed, uniqueness_m,
                              verify_affine_m)
 from aarlcp.tolerances import TOL_FEAS, TOL_SUPPORT
@@ -39,18 +39,26 @@ def test_matrix_at():
         np.array([[4.0, 1.5], [0.0, 4.0]]))
 
 
+def _active_rows_vanish(inst, sol):
+    """verify_affine_m's check that the support rows of M(zeta) z(zeta)
+    + q vanish as a polynomial in zeta."""
+    check, = [c for c in verify_affine_m(inst, sol).checks
+              if c.condition == "active-rows-vanish"]
+    return check
+
+
 def test_necessary_conditions_hold_on_worked_solution():
-    assert check_necessary_m(INST, SOL)
+    assert _active_rows_vanish(INST, SOL).passed
 
 
 def test_necessary_conditions_catch_wrong_r():
     bad = AffineSolutionM(d=SOL.d, r=np.array([1.0, 5.0]))
-    assert not check_necessary_m(INST, bad)
+    assert not _active_rows_vanish(INST, bad).passed
 
 
 def test_necessary_conditions_vacuous_on_empty_support():
     zero = AffineSolutionM(d=np.zeros((2, 1)), r=np.zeros(2))
-    assert check_necessary_m(INST, zero)
+    assert _active_rows_vanish(INST, zero).passed
 
 
 def test_characterize_full_support():
@@ -299,7 +307,7 @@ def test_enumeration_random_instances_pass_sampling():
         for sol in solve_enumeration_m(inst):
             accepted += 1
             assert sample_violation_m(inst, sol, count=1000) <= 1e-8
-            assert check_necessary_m(inst, sol)
+            assert _active_rows_vanish(inst, sol).passed
             assert verify_affine_m(inst, sol).overall
     assert accepted >= 8
 
@@ -367,6 +375,35 @@ def test_verify_affine_m_passes_and_fails():
     assert verify_affine_m(INST, SOL).overall
     bad = AffineSolutionM(d=np.array([[-1.2], [0.0]]), r=np.array([1.0, 4.0]))
     assert not verify_affine_m(INST, bad).overall
+
+
+def test_verify_affine_m_fails_a_nan_active_coefficient():
+    # a NaN perturbation entry, set after validation, makes the linear and
+    # quadratic coefficients of support row 0 NaN while its constant stays
+    # finite; the NaN must fail the check, not drop out of the maximum
+    inst = UncertainLcpM(m0=INST.m0, perturbations=[INST.perturbations[0].copy()],
+                         q=INST.q, h=0)
+    inst.perturbations[0][0, 0] = np.nan
+    report = verify_affine_m(inst, SOL)
+    check = _active_rows_vanish(inst, SOL)
+    assert not report.overall and not check.passed
+    assert np.isnan(check.worst_value)
+
+
+def test_active_rows_check_matches_the_coefficient_loop():
+    # reference: the largest of max|const|, max|lin| and max|quad| over
+    # the support rows, each reduced on its own
+    rng = np.random.default_rng(22)
+    for _ in range(100):
+        n, k = int(rng.integers(1, 5)), int(rng.integers(1, 4))
+        inst = UncertainLcpM(m0=rng.uniform(-2, 2, (n, n)),
+                             perturbations=list(rng.uniform(-1, 1, (k, n, n))),
+                             q=rng.uniform(-2, 2, n), h=0)
+        sol = AffineSolutionM(d=rng.uniform(-1, 1, (n, k)),
+                              r=np.where(rng.random(n) < 0.6, 1.0, 0.0))
+        coefficients = robust_m._residual_coefficients(inst, sol, sol.support())
+        worst = max(float(np.max(np.abs(c), initial=0.0)) for c in coefficients)
+        assert _active_rows_vanish(inst, sol).worst_value == worst
 
 
 def test_verify_affine_m_structural_errors():

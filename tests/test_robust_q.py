@@ -4,8 +4,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aarlcp import (DispatchError, build_lcp, dispatch_solve, generate_random, lcp, linalg,
-                    parse_instance, robust_q)
+from aarlcp import (DispatchError, NumericalError, SolveOptions, build_lcp,
+                    dispatch_solve, generate_random, lcp, linalg, parse_instance,
+                    robust_q)
 from aarlcp.lcp import (NominalLcp, compute_support_P, describe_solution_set,
                         lcp_residuals, solve_lemke)
 from aarlcp.lp import LinearProgram, check_feasibility, solve_lp
@@ -80,6 +81,78 @@ def test_verify_trivial_zero_rule():
                          ubar=np.array([1.0, 1.0]), h=0)
     zero = AffineSolutionQ(d=np.zeros((2, 2)), r=np.zeros(2))
     assert verify_affine_q(inst, zero).overall
+
+
+def _check(report, condition):
+    check, = [c for c in report.checks if c.condition == condition]
+    return check
+
+
+def test_verify_fails_an_overflowing_active_row():
+    # row 0 of M r + qbar overflows, to NaN or +-inf by summation order;
+    # both fail, though sampling is the only other check that sees it
+    m = np.eye(4)
+    m[0] = [1e308, -1e308, 1e308, -1e308]
+    inst = UncertainLcpQ(m=m, qbar=np.array([0.0, -1.0, -1.0, -1.0]),
+                         ubar=np.full(4, 1e-3), h=0)
+    d = -np.eye(4)
+    d[0] = [-1e-308, -1.0, 1.0, -1.0]
+    sol = AffineSolutionQ(d=d, r=np.ones(4))
+    with np.errstate(all="ignore"):
+        report = verify_affine_q(inst, sol)
+        assert sample_violation_q(inst, sol) > 1e200
+    check = _check(report, "active-rows-vanish")
+    assert not report.overall and not check.passed
+    assert not np.isfinite(check.worst_value)
+
+
+def test_verify_fails_a_nan_active_row():
+    # NaN coefficients, set after validation, reach the reduction as NaN
+    # whatever the summation order
+    inst = replace(MULTI, m=MULTI.m.copy())
+    inst.m[0, 1] = np.nan
+    report = verify_affine_q(inst, SOL_1)
+    check = _check(report, "active-rows-vanish")
+    assert not report.overall and not check.passed
+    assert np.isnan(check.worst_value)
+
+
+def test_verify_active_rows_worst_point():
+    # the first row with the largest residual; zeros, never -0.0, when
+    # every support row vanishes
+    check = _check(verify_affine_q(MULTI, SOL_1), "active-rows-vanish")
+    assert check.worst_value == 0.0
+    assert np.array_equal(check.worst_point, np.zeros(2))
+    assert not np.any(np.signbit(check.worst_point))
+    both = AffineSolutionQ(d=np.zeros((2, 2)), r=np.array([1.0, 1.0]))
+    # M r + qbar = (-86, -19) with u-coefficients I: row 0 is worst, at
+    # the vertex sign(-86) sign(coefficients) ubar
+    check = _check(verify_affine_q(MULTI, both), "active-rows-vanish")
+    assert check.worst_value == 86.0
+    assert np.array_equal(check.worst_point, [-1.0, 0.0])
+
+
+def test_active_rows_check_matches_the_row_loop():
+    # reference: per support row max(|const|, max |coeff|), the first row
+    # strictly above the running worst (from 0.0) winning
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        n = int(rng.integers(1, 6))
+        inst = _random_instance(rng, n, 0)
+        r = np.where(rng.random(n) < 0.6, rng.uniform(0.5, 2.0, n), 0.0)
+        d = np.where(rng.random((n, n)) < 0.5, rng.integers(-1, 2, (n, n)), 0.0)
+        sol = AffineSolutionQ(d=d, r=r)
+        coeff = inst.m @ sol.d + np.eye(n)
+        const = inst.m @ sol.r + inst.qbar
+        worst_val, worst_u = 0.0, np.zeros(n)
+        for i in sol.support():
+            resid = max(abs(const[i]), float(np.max(np.abs(coeff[i]))))
+            if resid > worst_val:
+                worst_val = resid
+                worst_u = (1.0 if const[i] >= 0 else -1.0) * np.sign(coeff[i]) * inst.ubar
+        check = _check(verify_affine_q(inst, sol), "active-rows-vanish")
+        assert check.worst_value == worst_val
+        assert check.worst_point.tobytes() == worst_u.tobytes()
 
 
 def test_verify_structural_errors():
@@ -339,6 +412,19 @@ def test_psd_pathway_proves_nonexistence():
 def test_psd_pathway_rejects_indefinite():
     with pytest.raises(ValueError):
         solve_psd(MULTI)
+
+
+def test_numerical_trouble_is_a_typed_limit():
+    # (qbar, ubar) times 1e-6 and M times 1e6: Lemke's point fails its own
+    # recheck of M z + q, a limit of the solver rather than an input error
+    inst = parse_instance(generate_random("uncertain-q", 3, seed=0, regime="psd"))
+    scaled = UncertainLcpQ(m=1e6 * inst.m, qbar=1e-6 * inst.qbar,
+                           ubar=1e-6 * inst.ubar, h=inst.h)
+    with pytest.raises(NumericalError, match=r"pivoting produced M z \+ q with entry"):
+        solve_psd(scaled)
+    with pytest.raises(DispatchError) as err:
+        dispatch_solve(scaled, SolveOptions(pathway="psd-lp"))
+    assert err.value.is_limit and isinstance(err.value.cause, NumericalError)
 
 
 def test_uniqueness_verdicts():
