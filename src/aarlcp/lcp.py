@@ -6,8 +6,9 @@ vector on a dense tableau, one rank-1 update per pivot. The ratio test
 is lexicographic over (rhs | initial identity columns), which breaks
 every degenerate tie deterministically and prevents cycling. Ray
 termination certifies that no solution exists only for positive
-semidefinite (more generally copositive-plus) M; for other matrices a
-ray is reported as such and the caller decides.
+semidefinite (more generally copositive-plus) M, and only on a finite
+tableau; for other matrices a ray is reported as such and the caller
+decides, and on an overflowed tableau it raises NumericalError.
 
 describe_solution_set encodes, for PSD M, the full solution set as a
 polyhedron around any one solution; compute_support_P takes that
@@ -104,8 +105,10 @@ def solve_lemke(prob: NominalLcp) -> LemkeOutcome:
     Returns status "solution" with a validated LcpSolution, or "ray" when
     the entering column has no positive entries (secondary ray). The
     returned solution is re-checked against the original data,
-    independently of the tableau arithmetic. More than
-    max(200, 25 n^2) pivots raise IterationLimitError.
+    independently of the tableau arithmetic. A ray is returned only from
+    a finite tableau; one that holds inf or NaN raises
+    linalg.NumericalError instead. More than max(200, 25 n^2) pivots
+    raise IterationLimitError.
     """
     n = prob.n
     max_iterations = max(200, 25 * n * n)
@@ -139,6 +142,10 @@ def solve_lemke(prob: NominalLcp) -> LemkeOutcome:
         if row is None:
             rows = np.flatnonzero(t[:, entering] > TOL_LEMKE_PIVOT)
             if rows.size == 0:
+                # a ray proves nothing when the tableau has overflowed
+                if not np.isfinite(t).all():
+                    raise linalg.NumericalError(
+                        "lemke tableau holds inf or NaN at a ray")
                 return LemkeOutcome("ray", None, iterations)
             row = rows[_lex_argmin(t[rows, : n + 1] / t[rows, entering][:, None])]
         # pivot on (row, entering)

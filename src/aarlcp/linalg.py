@@ -9,12 +9,12 @@ numpy's inverse when its size bounds every pivot away from the pivot
 rule, the one-block stacked LU otherwise (see invert).
 
 All matrices are dense float64 numpy arrays. Index sets are strictly
-increasing integer arrays; submatrix extraction preserves that order.
-Singularity is decided against a pivot threshold that scales with the
-largest absolute entry of the matrix, so the zero matrix is singular and
-scaling a matrix does not flip the verdict. One rule (_singular_pivots)
-states it for the stacked LU, and invert returns numpy's inverse only
-where a bound puts every pivot past it.
+increasing integer arrays. Singularity is decided against a pivot
+threshold that scales with the largest absolute entry of the matrix, so
+the zero matrix is singular and scaling a matrix does not flip the
+verdict. One rule (_singular_pivots) states it for the stacked LU, and
+invert returns numpy's inverse only where a bound puts every pivot past
+it.
 
 The support sweeps visit every subset J of a coordinate range and need
 the principal block a[J, J] of each. support_chunks hands them the
@@ -39,13 +39,11 @@ __all__ = [
     "as_vector",
     "index_set",
     "complement",
-    "submatrix",
     "invert",
     "support_chunks",
     "factor_stack",
     "solve_stack",
     "symmetric_eigenvalues",
-    "min_symmetric_eigenvalue",
     "is_psd",
 ]
 
@@ -104,14 +102,6 @@ def complement(idx: np.ndarray, n: int) -> np.ndarray:
     mask = np.ones(n, dtype=bool)
     mask[np.asarray(idx, dtype=int)] = False
     return np.flatnonzero(mask)
-
-
-def submatrix(a: np.ndarray, rows, cols) -> np.ndarray:
-    """Extract a[rows, cols] with index validation, preserving order."""
-    a = np.asarray(a, dtype=float)
-    r = index_set(rows, a.shape[0])
-    c = index_set(cols, a.shape[1])
-    return a[np.ix_(r, c)]
 
 
 # supports per chunk of the stacked sweeps. It bounds the (C, s, s)
@@ -241,12 +231,6 @@ def symmetric_eigenvalues(a) -> np.ndarray:
     return np.linalg.eigvalsh(0.5 * a + 0.5 * a.T)
 
 
-def min_symmetric_eigenvalue(a) -> float:
-    """Smallest eigenvalue of the symmetric part of `a`."""
-    ev = symmetric_eigenvalues(a)
-    return float(ev[0]) if ev.size else 0.0
-
-
 def is_positive_definite(a) -> bool:
     """True if the symmetric part s of `a` is positive definite: every
     s_ii > 0, and the smallest eigenvalue of s_ij / sqrt(s_ii s_jj)
@@ -268,4 +252,4 @@ def is_psd(a) -> bool:
     z^T a z = z^T sym(a) z, so positive semidefiniteness of a (as a
     quadratic form) reduces to its symmetric part.
     """
-    return min_symmetric_eigenvalue(a) >= -TOL_PSD
+    return bool(np.all(symmetric_eigenvalues(a) >= -TOL_PSD))

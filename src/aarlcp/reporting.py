@@ -219,15 +219,12 @@ def auto_pathway(inst: UncertainLcpQ) -> str:
     return "mip"
 
 
-def _record_q(inst: UncertainLcpQ, sol: AffineSolutionQ, pathway: str,
-              report, extra_sets: dict | None = None) -> SolutionRecord:
-    """A rule and its verify_affine_q report (from the solver for psd-lp, mip)."""
+def _record(pathway: str, sol, report, sets: dict) -> SolutionRecord:
+    """A rule of either kind with its verification report and index
+    sets; a report that fails means the solver is at fault."""
     if not report.overall:
         raise DispatchError(pathway, RuntimeError(
             "solver returned a solution that fails verification"))
-    sets = _sets_q(inst, sol)
-    if extra_sets:
-        sets.update(extra_sets)
     return SolutionRecord(sol, report, sets)
 
 
@@ -243,8 +240,8 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
     try:
         if pathway == "enumeration":
             sols = solve_enumeration(inst)
-            report.solutions = [_record_q(inst, s, pathway, verify_affine_q(inst, s))
-                                for s in sols]
+            report.solutions = [_record(pathway, s, verify_affine_q(inst, s),
+                                        _sets_q(inst, s)) for s in sols]
             report.status = "solution" if sols else "no-solution"
             if sols:
                 report.uniqueness = "unique" if len(sols) == 1 else "multiple"
@@ -255,8 +252,9 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
                 report.psd_info = {"P": _one_based(out.support_p),
                                    "L": _one_based(out.support_l)}
             if out.solution is not None:
-                report.solutions = [_record_q(inst, out.solution, pathway,
-                                              out.verification, report.psd_info)]
+                report.solutions = [_record(pathway, out.solution, out.verification,
+                                            {**_sets_q(inst, out.solution),
+                                             **report.psd_info})]
             report.uniqueness = uniqueness_check_psd(inst, out)
         elif pathway == "mip":
             kwargs = {}
@@ -270,8 +268,8 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
                 "fallback_used": out.fallback_used,
             }
             if out.solution is not None:
-                report.solutions = [_record_q(inst, out.solution, pathway,
-                                              out.verification)]
+                report.solutions = [_record(pathway, out.solution, out.verification,
+                                            _sets_q(inst, out.solution))]
             if out.status == "no-solution" and out.certificate == "big-M bounded":
                 report.caveat = ("nonexistence is relative to the bounded "
                                  "big-M search, not a proof")
@@ -294,13 +292,8 @@ def _solve_m(inst: UncertainLcpM, options: SolveOptions,
         out = solve_enumeration_m_detailed(inst)
     except (ValueError, RuntimeError) as exc:
         raise DispatchError("uncertain-m", exc) from exc
-    records = []
-    for sol in out.solutions:
-        ver = verify_affine_m(inst, sol)
-        if not ver.overall:
-            raise DispatchError("uncertain-m", RuntimeError(
-                "solver returned a solution that fails verification"))
-        records.append(SolutionRecord(sol, ver, _sets_m(inst, sol)))
+    records = [_record("uncertain-m", sol, verify_affine_m(inst, sol), _sets_m(inst, sol))
+               for sol in out.solutions]
     report.solutions = records
     report.status = "solution" if records else "no-solution"
     report.uniqueness = uniqueness_m(inst)

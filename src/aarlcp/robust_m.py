@@ -43,7 +43,7 @@ from . import linalg
 from .boxopt import (BoxBudgetError, min_affine_over_box,
                      min_quadratic_over_box)
 from .robust_q import (ENUMERATION_SIZE_CAP, ConditionCheck, SizeLimitError,
-                       VerificationReport)
+                       VerificationReport, _structural_check)
 from .tolerances import TOL_FEAS, TOL_SUPPORT
 
 __all__ = [
@@ -146,7 +146,7 @@ def mtilde(inst: UncertainLcpM, j_set, i: int) -> np.ndarray:
     solve = _m0_solver(inst, j)
     if solve is None:
         raise linalg.SingularMatrixError(f"m0 block of support {j.tolist()} is singular")
-    return solve(linalg.submatrix(inst.perturbations[i], j, j) @ solve(np.eye(j.size)))
+    return solve(inst.perturbations[i][np.ix_(j, j)] @ solve(np.eye(j.size)))
 
 
 def _residual_coefficients(inst: UncertainLcpM, sol: AffineSolutionM,
@@ -252,15 +252,6 @@ def check_box_conditions(inst: UncertainLcpM, j_set,
     return VerificationReport(all(c.passed for c in checks), checks, certified)
 
 
-def _structural_check_m(inst: UncertainLcpM, sol: AffineSolutionM):
-    if sol.r.size != inst.n or sol.d.shape != (inst.n, inst.k):
-        raise ValueError("solution dimensions do not match the instance")
-    if np.any(sol.r < -TOL_FEAS):
-        raise ValueError("r must be nonnegative")
-    if inst.h and np.max(np.abs(sol.d[: inst.h, :]), initial=0.0) > TOL_FEAS:
-        raise ValueError("here-and-now rows of D must be zero")
-
-
 def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM) -> VerificationReport:
     """Direct check of an arbitrary rule against every realization.
 
@@ -277,7 +268,7 @@ def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM) -> VerificationRe
     Structural violations (wrong shapes, negative r, nonzero
     here-and-now rows of D) raise ValueError.
     """
-    _structural_check_m(inst, sol)
+    _structural_check(inst.h, sol, (inst.n, inst.k), np.zeros(0, dtype=int))
     n, k = inst.n, inst.k
     j_set = sol.support()
     n_set = linalg.complement(j_set, n)

@@ -141,16 +141,19 @@ class VerificationReport:
     certified: bool = True  # False when a box check ran out of budget undecided
 
 
-def _structural_check(inst: UncertainLcpQ, sol: AffineSolutionQ):
-    n = inst.n
-    if sol.r.size != n:
-        raise ValueError("solution dimension does not match the instance")
+def _structural_check(h: int, sol, d_shape: tuple, zero_cols: np.ndarray):
+    """The structural rules of a rule z = D u + r under either kind of
+    uncertainty: D of shape d_shape, r nonnegative, the first h
+    (here-and-now) rows of D zero, and the columns zero_cols of D zero
+    (the certain coordinates for uncertain q, none for uncertain M).
+    A violation raises ValueError."""
+    if sol.d.shape != d_shape:
+        raise ValueError("solution dimensions do not match the instance")
     if np.any(sol.r < -TOL_FEAS):
         raise ValueError("r must be nonnegative")
-    if inst.h and np.max(np.abs(sol.d[: inst.h, :]), initial=0.0) > TOL_FEAS:
+    if h and np.max(np.abs(sol.d[:h, :]), initial=0.0) > TOL_FEAS:
         raise ValueError("here-and-now rows of D must be zero")
-    s = inst.certain_set()
-    if s.size and np.max(np.abs(sol.d[:, s]), initial=0.0) > TOL_FEAS:
+    if zero_cols.size and np.max(np.abs(sol.d[:, zero_cols]), initial=0.0) > TOL_FEAS:
         raise ValueError("columns of D on certain coordinates must be zero")
 
 
@@ -186,7 +189,7 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ) -> VerificationRe
     support to a zero affine part, which the support-only reading would
     let slip.
     """
-    _structural_check(inst, sol)
+    _structural_check(inst.h, sol, (inst.n, inst.n), inst.certain_set())
     n = inst.n
     u_set = inst.uncertain_set()
     k_set = sol.support()
@@ -500,7 +503,7 @@ def solve_mip_q(inst: UncertainLcpQ,
     prob, lay = build_mip(inst, b)
     out = solve_mip_feasibility(prob, node_limit=node_limit)
     if out.status == "feasible":
-        sol = _clean_solution(inst, lay.extract(out.x))
+        sol = _clean_solution(lay.extract(out.x))
         report = verify_affine_q(inst, sol)
         if report.overall:
             return MipPathOutcome("solution", sol, report, "verified", b, out.nodes)
@@ -516,17 +519,15 @@ def solve_mip_q(inst: UncertainLcpQ,
     return MipPathOutcome("no-solution", None, None, "big-M bounded", b, out.nodes)
 
 
-def _clean_solution(inst: UncertainLcpQ, sol: AffineSolutionQ) -> AffineSolutionQ:
-    """Snap numerical dust to the structural zeros before verification."""
+def _clean_solution(sol: AffineSolutionQ) -> AffineSolutionQ:
+    """Snap numerical dust (and -0.0) to zero before verification. The
+    structural zeros are exact already: the mip pins those columns at
+    lower = upper = 0, and solve_psd writes D only on A x U."""
     d = sol.d.copy()
     r = sol.r.copy()
     r[np.abs(r) <= TOL_FEAS] = 0.0
     r[r < 0] = 0.0
     d[np.abs(d) <= TOL_FEAS] = 0.0
-    d[: inst.h, :] = 0.0
-    s = inst.certain_set()
-    if s.size:
-        d[:, s] = 0.0
     return AffineSolutionQ(d, r)
 
 
@@ -592,10 +593,11 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     and for r Lemke's nominal solution or one small linear program.
 
     The nominal problem is solved by complementary pivoting (a ray
-    certifies nonexistence outright for PSD data). P collects the
-    coordinates positive somewhere in the nominal solution set, L the
-    rest, K the rows of M z + q that vanish on all of it, and A the
-    adjustable part of P. A positive definite M (by
+    certifies nonexistence outright for PSD data; solve_lemke returns
+    one only from a finite tableau). P collects the coordinates
+    positive somewhere in the nominal solution set, L the rest, K the
+    rows of M z + q that vanish on all of it, and A the adjustable part
+    of P. A positive definite M (by
     linalg.is_positive_definite) with a strictly complementary zbar
     gives P = K = {i : zbar_i > 0} (_strict_support);
     otherwise compute_support_P finds them with one LP over the nominal
@@ -663,7 +665,7 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     d[np.ix_(a_set, u_set)] = x0 + kernel @ t
     sol = AffineSolutionQ(d, r)
     if not unique:
-        sol = _clean_solution(inst, sol)
+        sol = _clean_solution(sol)
     report = verify_affine_q(inst, sol)
     if report.overall:
         return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, k_set)

@@ -134,6 +134,8 @@ def test_parse_diagnostics_carry_line_numbers():
         parse_instance(UQ_TEXT.replace("qbar", "qvec"))
     with pytest.raises(InstanceFormatError, match="line 2: n must be at least 1"):
         parse_instance("kind uncertain-q\nn 0\n")
+    with pytest.raises(InstanceFormatError, match="line 2: expected 'n <value>', got 'n 2 3'"):
+        parse_instance(UQ_TEXT.replace("n 2", "n 2 3"))
     um_text = "kind uncertain-m\nn 1\nk 1\nh 0\nm0\n2\nperturbation 1\n0.5\nq\n-1\n"
     parse_instance(um_text)
     with pytest.raises(InstanceFormatError,
@@ -205,6 +207,11 @@ def test_errors_are_value_errors():
     assert issubclass(InstanceFormatError, ValueError)
 
 
+def test_serialize_rejects_foreign_types():
+    with pytest.raises(TypeError, match="cannot serialize dict"):
+        serialize_instance({"kind": "uncertain-q"})
+
+
 def test_generator_deterministic():
     for kind in ("uncertain-q", "uncertain-m", "market"):
         a = generate_random(kind, n=4, k=2, h=1, seed=123)
@@ -242,3 +249,8 @@ def test_generator_bounds():
         generate_random("market", n=3, regime="pmatrix")
     with pytest.raises(ValueError):
         generate_random("solution-q", n=3)
+    for k in (0, 51):
+        with pytest.raises(ValueError, match=r"k must lie in \[1, 50\]"):
+            generate_random("uncertain-m", n=3, k=k)
+    with pytest.raises(ValueError, match="unknown regime 'dense'"):
+        generate_random("uncertain-q", n=3, regime="dense")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from aarlcp import linalg
 from aarlcp.lcp import (NominalLcp, _lex_argmin, compute_support_P,
                         describe_solution_set, lcp_residuals, solve_lemke)
 from aarlcp.linalg import NumericalError
@@ -217,6 +218,16 @@ def test_overflowing_tableau_ends_in_an_outcome_or_a_typed_limit():
     assert outcomes <= {"solution", "ray", "limit"}
 
 
+def test_ray_from_an_overflowed_tableau_is_a_typed_limit():
+    # PSD by is_psd; the pivots overflow the tableau to inf and NaN before
+    # the entering column runs out of positive entries
+    m = np.array([[9e278, -0.02, -2e214], [-0.02, 8e-282, 0.0], [-2e214, 0.0, 1.2e151]])
+    q = np.array([-4e78, -2e243, 3e54])
+    assert linalg.is_psd(m)
+    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="inf or NaN at a ray"):
+        solve_lemke(NominalLcp(m, q))
+
+
 def test_describe_solution_set_singleton():
     prob = NominalLcp(np.array([[1.0]]), np.array([-1.0]))
     skeleton = describe_solution_set(prob, np.array([1.0]))
@@ -241,6 +252,13 @@ def test_describe_solution_set_rejects_indefinite():
     with pytest.raises(ValueError):
         describe_solution_set(NominalLcp(np.array([[4.0, 10.0], [1.0, 2.0]]),
                                          np.zeros(2)), np.zeros(2))
+
+
+def test_describe_solution_set_rejects_a_non_solution():
+    prob = NominalLcp(np.eye(2), np.array([-1.0, -1.0]))
+    with pytest.raises(ValueError, match="zbar does not solve the instance"):
+        describe_solution_set(prob, np.zeros(2))  # w = q < 0
+    describe_solution_set(prob, np.ones(2))
 
 
 def test_support_p_singleton():

@@ -6,35 +6,26 @@ import pytest
 from aarlcp import linalg
 
 
-def test_submatrix_identity_slice():
-    a = np.eye(2)
-    assert linalg.submatrix(a, [0], [1]) == pytest.approx(np.array([[0.0]]))
+def test_index_set_rejects_out_of_range():
+    with pytest.raises(ValueError, match="out of range"):
+        linalg.index_set([2], 2)
+    with pytest.raises(ValueError, match="out of range"):
+        linalg.index_set([-1, 0], 2)
 
 
-def test_submatrix_single_entry():
-    a = np.array([[4.0, 10.0], [1.0, 2.0]])
-    assert linalg.submatrix(a, [0], [0]) == pytest.approx(np.array([[4.0]]))
+def test_index_set_rejects_duplicates():
+    with pytest.raises(ValueError, match="duplicate indices"):
+        linalg.index_set([1, 0, 1], 3)
+    assert linalg.index_set([2, 0], 3).tolist() == [0, 2]
 
 
-def test_submatrix_full_slice_is_identity_op():
-    rng = np.random.default_rng(0)
-    a = rng.normal(size=(5, 5))
-    full = np.arange(5)
-    assert np.array_equal(linalg.submatrix(a, full, full), a)
-
-
-def test_submatrix_composes():
-    rng = np.random.default_rng(1)
-    a = rng.normal(size=(6, 6))
-    r, c = np.array([0, 2, 5]), np.array([1, 3, 4])
-    r2, c2 = np.array([0, 2]), np.array([1])
-    inner = linalg.submatrix(linalg.submatrix(a, r, c), r2, c2)
-    assert np.array_equal(inner, linalg.submatrix(a, r[r2], c[c2]))
-
-
-def test_submatrix_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        linalg.submatrix(np.eye(2), [2], [0])
+def test_coercions_reject_wrong_shapes():
+    with pytest.raises(ValueError, match="expected a matrix, got ndim=1"):
+        linalg.as_matrix([1.0, 2.0])
+    with pytest.raises(ValueError, match=r"expected a square matrix, got shape \(2, 3\)"):
+        linalg.as_matrix(np.zeros((2, 3)), square=True)
+    with pytest.raises(ValueError, match="expected a vector, got ndim=2"):
+        linalg.as_vector(np.zeros((2, 2)))
 
 
 def test_solve_identity():
@@ -137,7 +128,7 @@ def test_empty_conventions():
     assert linalg.invert(e).shape == (0, 0)
     assert linalg.is_psd(e)
     assert linalg.symmetric_eigenvalues(e).shape == (0,)
-    assert linalg.min_symmetric_eigenvalue(e) == 0.0
+    assert not linalg.is_positive_definite(e)
 
 
 def test_invert_scalars():
@@ -236,7 +227,8 @@ def test_eigenvalues_of_nonsymmetric_input_are_those_of_its_symmetric_part():
     ev = linalg.symmetric_eigenvalues(a)
     disc = np.sqrt(1.0 + 5.5 ** 2)
     assert ev == pytest.approx([3.0 - disc, 3.0 + disc])
-    assert linalg.min_symmetric_eigenvalue(a) == pytest.approx(3.0 - disc)
+    # 3 - disc < 0, so neither a nor its symmetric part is PSD
+    assert not linalg.is_psd(a) and not linalg.is_psd(0.5 * (a + a.T))
 
 
 def test_complement():

@@ -308,6 +308,19 @@ def test_rejects_crossed_bounds():
         _lp([1.0], [[1.0]], ["<="], [1.0], lower=[2.0], upper=[1.0])
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("lower", np.zeros(2), "expected a bound vector of length 3"),
+    ("upper", np.array([1.0, np.nan, 1.0]), "bound vector has NaN entries"),
+    ("senses", ["<=", "<="], "one sense per row required"),
+    ("lower", np.array([0.0, np.inf, 0.0]), r"lower bound of \+inf is ill-formed"),
+])
+def test_rejects_malformed_bounds_and_senses(field, value, message):
+    args = {"objective": np.zeros(3), "lhs": np.ones((1, 3)), "senses": ["<="],
+            "rhs": np.zeros(1), "lower": np.zeros(3), "upper": np.ones(3)}
+    with pytest.raises(ValueError, match=message):
+        LinearProgram(**{**args, field: value})
+
+
 @pytest.mark.parametrize("sense", ["==", "<", ">", "=<"])
 def test_rejects_unknown_senses(sense):
     with pytest.raises(ValueError, match="unknown row sense"):

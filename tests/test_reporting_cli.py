@@ -137,6 +137,16 @@ def test_dispatch_pathway_override_rejected():
     assert err.value.is_input and not err.value.is_limit
 
 
+@pytest.mark.parametrize("inst, pathway", [
+    (MULTI, "uncertain-m"),
+    *((WORKED_M, p) for p in ("enumeration", "psd-lp", "mip")),
+])
+def test_dispatch_rejects_the_other_kinds_pathway(inst, pathway):
+    with pytest.raises(DispatchError) as err:
+        dispatch_solve(inst, SolveOptions(pathway=pathway))
+    assert err.value.is_input and err.value.pathway == pathway
+
+
 def test_dispatch_node_limit_is_limit_error():
     text = generate_random("uncertain-q", n=6, seed=0)
     inst = parse_instance(text)
@@ -277,6 +287,20 @@ def test_cli_failed_lemke_recheck_exit_four(tmp_path, capsys):
     assert "pivoting produced M z + q with entry" in capsys.readouterr().err
 
 
+def test_cli_overflowed_lemke_ray_exit_four(tmp_path, capsys):
+    # PSD by is_psd, but Lemke's tableau overflows before it reaches a
+    # ray: that ray proves nothing, so the solve is a limit, not a
+    # nonexistence verdict
+    inst = UncertainLcpQ(m=np.array([[9e278, -0.02, -2e214],
+                                     [-0.02, 8e-282, 0.0],
+                                     [-2e214, 0.0, 1.2e151]]),
+                         qbar=np.array([-4e78, -2e243, 3e54]), ubar=np.ones(3))
+    path = _write(tmp_path, "overflow.txt", serialize_instance(inst))
+    with np.errstate(all="ignore"):
+        assert main(["solve", path]) == 4
+    assert "psd-lp: lemke tableau holds inf or NaN at a ray" in capsys.readouterr().err
+
+
 def test_cli_choices_come_from_their_owners():
     commands = next(a for a in _build_parser()._actions
                     if isinstance(a, argparse._SubParsersAction)).choices
@@ -364,6 +388,21 @@ def test_cli_market_build(tmp_path, capsys):
     assert main(["market-build", mk_path]) == 0
     streamed = capsys.readouterr().out
     assert isinstance(parse_instance(streamed), UncertainLcpQ)
+
+
+def test_cli_verify_market_rule_in_permuted_coordinates(tmp_path, capsys):
+    # a market's rule lives in the LCP that market-build writes
+    mk_path = _write(tmp_path, "mk.txt", serialize_instance(MARKET))
+    rule = dispatch_solve(MARKET).solutions[0].solution
+    sol_path = _write(tmp_path, "sol.txt", serialize_instance(rule))
+    assert main(["verify", mk_path, sol_path]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "verified"
+
+
+def test_cli_market_build_rejects_other_kinds(tmp_path, capsys):
+    path = _write(tmp_path, "multi.txt", serialize_instance(MULTI))
+    assert main(["market-build", path]) == 3
+    assert "market-build expects a market instance file" in capsys.readouterr().err
 
 
 def test_cli_solve_rejects_solution_file(tmp_path, capsys):

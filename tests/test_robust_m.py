@@ -4,7 +4,8 @@ import json
 import numpy as np
 import pytest
 
-from aarlcp import boxopt, linalg, robust_m, serialize_instance
+from aarlcp import (DispatchError, SizeLimitError, boxopt, dispatch_solve, linalg,
+                    robust_m, serialize_instance)
 from aarlcp.boxopt import BoxBudgetError
 from aarlcp.cli import main
 from aarlcp.robust_m import (AffineSolutionM, UncertainLcpM,
@@ -287,6 +288,19 @@ def test_enumeration_reports_singular_supports():
     assert [0] in reported and [0, 1] in reported
 
 
+@pytest.mark.parametrize("n, h", [(21, 0), (25, 5)])
+def test_sweep_size_guard_on_both_conditions(n, h):
+    # n - h above ENUMERATION_SIZE_CAP = 20; then n above TOTAL_SIZE_CAP_M
+    # = 24 with n - h at the cap. Both refuse before any support is built
+    inst = UncertainLcpM(m0=np.eye(n), perturbations=[np.zeros((n, n))],
+                         q=-np.ones(n), h=h)
+    with pytest.raises(SizeLimitError, match="refused"):
+        solve_enumeration_m_detailed(inst)
+    with pytest.raises(DispatchError) as err:
+        dispatch_solve(inst)
+    assert err.value.is_limit and err.value.pathway == "uncertain-m"
+
+
 def _solvable_instance(rng, n):
     """Upper-triangular nominal matrix with the perturbation confined to
     the last column: the kernel condition then holds for any q, and
@@ -407,9 +421,11 @@ def test_active_rows_check_matches_the_coefficient_loop():
 
 
 def test_verify_affine_m_structural_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="solution dimensions do not match the instance"):
         verify_affine_m(INST, AffineSolutionM(d=np.zeros((3, 1)),
                                               r=np.zeros(3)))
+    with pytest.raises(ValueError, match="r must be nonnegative"):
+        verify_affine_m(INST, AffineSolutionM(d=SOL.d, r=np.array([1.0, -1.0])))
     h1 = UncertainLcpM(m0=INST.m0, perturbations=INST.perturbations,
                        q=INST.q, h=1)
     with pytest.raises(ValueError):

@@ -156,13 +156,17 @@ def test_active_rows_check_matches_the_row_loop():
 
 
 def test_verify_structural_errors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="solution dimensions do not match the instance"):
         verify_affine_q(MULTI, AffineSolutionQ(d=np.zeros((3, 3)),
                                                r=np.zeros(3)))
     h1 = UncertainLcpQ(m=MULTI.m, qbar=MULTI.qbar, ubar=MULTI.ubar, h=1)
     with pytest.raises(ValueError):
         # first row must be zero when it is a here-and-now coordinate
         verify_affine_q(h1, SOL_1)
+    # coordinate 0 is certain, and SOL_1 moves z_0 with u_0
+    certain = UncertainLcpQ(m=MULTI.m, qbar=MULTI.qbar, ubar=np.array([0.0, 1.0]))
+    with pytest.raises(ValueError, match="columns of D on certain coordinates must be zero"):
+        verify_affine_q(certain, SOL_1)
 
 
 def test_char_system_examples():
@@ -251,6 +255,27 @@ def test_build_mip_pins_here_and_now_rows():
         assert prob.lp.upper[idx] == 0.0
     out = solve_mip_feasibility(prob)
     assert out.status == "feasible"  # constant r = 0 is robust here
+
+
+def test_build_mip_rejects_a_nonpositive_big_m():
+    for big_m in (0.0, -1.0):
+        with pytest.raises(ValueError, match="big_m must be positive"):
+            build_mip(MULTI, big_m)
+
+
+@pytest.mark.parametrize("seed, regime", [(0, "pmatrix"), (10, "general")])
+def test_mip_point_is_exactly_zero_on_its_pinned_columns(seed, regime):
+    # the structural zeros of a mip rule (here-and-now row 0, certain
+    # column 2) come from the bounds lower = upper = 0 alone: the found
+    # point needs no cleanup there
+    inst = parse_instance(generate_random("uncertain-q", 3, h=1, seed=seed, regime=regime))
+    inst = UncertainLcpQ(inst.m, inst.qbar, np.array([*inst.ubar[:2], 0.0]), h=1)
+    prob, lay = build_mip(inst, default_big_m(inst))
+    out = solve_mip_feasibility(prob)
+    assert out.status == "feasible"
+    d = lay.extract(out.x).d
+    assert np.all(d[0] == 0.0) and np.all(d[:, 2] == 0.0)
+    assert solve_mip_q(inst).status == "solution"
 
 
 def _build_mip_oracle(inst, big_m):
@@ -575,7 +600,7 @@ def _count_psd_dispatch(monkeypatch, inst):
     """dispatch_solve on inst with its nominal-set work counted: LPs of
     robust_q and of the support-P sweep, describe_solution_set, and
     eigenvalue decompositions (each linalg.is_psd or
-    min_symmetric_eigenvalue call makes one)."""
+    is_positive_definite call makes one)."""
     calls = []
 
     def counted(name, fn):
@@ -828,7 +853,7 @@ def test_psd_lp_is_an_lp_in_r_alone(monkeypatch):
                         lambda lp: lps.append(lp) or check_feasibility(lp))
     for rank, lp_count in ((20, 1), (None, 0)):
         inst, d, r = _planted_psd(np.random.default_rng(30), 30, 12, rank)
-        lam = linalg.min_symmetric_eigenvalue(inst.m)
+        lam = linalg.symmetric_eigenvalues(inst.m)[0]
         assert abs(lam) <= 1e-9 if rank else lam > 0.5
         lps.clear()
         out = solve_psd(inst)
