@@ -4,8 +4,8 @@ The format is line oriented: `#` starts a comment, blank lines are
 skipped, the first line names the kind, integer headers are `key value`
 lines, and each section key stands alone on its line followed by rows of
 whitespace-separated decimals. Indices inside files are 1-based.
-Serialization uses 17 significant digits, enough for exact float
-round-trips.
+Serialization writes each float as its shortest round-trip text, so
+parsing gives back the same floats bit for bit.
 
 One table, _LAYOUTS, gives each kind's integer headers and its sections
 in file order; parse_instance reads by walking it and serialize_instance
@@ -17,6 +17,7 @@ cases.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple
 
 import numpy as np
@@ -92,12 +93,17 @@ class InstanceFormatError(ValueError):
     """Malformed instance text; the message carries the line number."""
 
 
+# the ".0" that repr gives an integral float, dropped so that 1.0 and
+# -10.0 are written 1 and -10
+_INTEGRAL_TAIL = re.compile(r"\.0(?= |$)")
+
+
 def _rows(a: np.ndarray) -> list:
     """The lines of a matrix, one per row, or the one line of a vector,
-    in 17 significant digits."""
-    line = " ".join(["%.17g"] * a.shape[-1])
-    rows = a.tolist()
-    return [line % tuple(rows)] if a.ndim == 1 else [line % tuple(r) for r in rows]
+    each entry the shortest text that parses back to the same float
+    (repr)."""
+    rows = [a.tolist()] if a.ndim == 1 else a.tolist()
+    return [_INTEGRAL_TAIL.sub("", " ".join(map(repr, r))) for r in rows]
 
 
 class _Reader:

@@ -147,13 +147,18 @@ def solve_lemke(prob: NominalLcp) -> LemkeOutcome:
                     raise linalg.NumericalError(
                         "lemke tableau holds inf or NaN at a ray")
                 return LemkeOutcome("ray", None, iterations)
-            row = rows[_lex_argmin(t[rows, : n + 1] / t[rows, entering][:, None])]
+            # an overflowed tableau is caught at a ray or by the
+            # solution's check, without a warning on the way
+            with np.errstate(all="ignore"):
+                keys = t[rows, : n + 1] / t[rows, entering][:, None]
+            row = rows[_lex_argmin(keys)]
         # pivot on (row, entering)
         leaving = basis[row]
-        t[row] /= t[row, entering]
-        col = t[:, entering].copy()
-        col[row] = 0.0
-        t -= np.outer(col, t[row])
+        with np.errstate(all="ignore"):
+            t[row] /= t[row, entering]
+            col = t[:, entering].copy()
+            col[row] = 0.0
+            t -= np.outer(col, t[row])
         basis[row] = entering
         if leaving == z0:
             z = np.zeros(n)

@@ -1,27 +1,30 @@
-"""Dense linear-algebra substrate: validated arrays, index sets, an
-inverse and symmetric eigenvalues for the definiteness tests, both on
-numpy's LAPACK, and a stacked LU that factors many small blocks at once.
+"""Dense linear-algebra substrate: validated arrays, index sets,
+inverses and symmetric eigenvalues for the definiteness tests, all on
+numpy's LAPACK, and a stacked LU that decides the blocks LAPACK's
+inverse cannot certify.
 
 The package never imports scipy.linalg, which costs more import time
 than the rest of the package and about 26 MB of resident memory. Within
-the package only the simplex's basis refactorization (lp) calls invert:
-numpy's inverse when its size bounds every pivot away from the pivot
-rule, the one-block stacked LU otherwise (see invert).
+the package the simplex's basis refactorization (lp) calls invert, and
+the support sweeps call invert_stack.
 
 All matrices are dense float64 numpy arrays. Index sets are strictly
 increasing integer arrays. Singularity is decided against a pivot
 threshold that scales with the largest absolute entry of the matrix, so
 the zero matrix is singular and scaling a matrix does not flip the
-verdict. One rule (_singular_pivots) states it for the stacked LU, and
-invert returns numpy's inverse only where a bound puts every pivot past
-it.
+verdict. One rule (_singular_pivots) states it for the stacked LU
+(factor_stack), the arbiter. invert_stack keeps numpy's batched inverse
+of a block only where a bound puts every pivot past that rule, and
+hands every other block to the stacked LU; invert is invert_stack on a
+stack of one.
 
 The support sweeps visit every subset J of a coordinate range and need
-the principal block a[J, J] of each. support_chunks hands them the
-subsets of one size in lexicographic order, at most _SUPPORT_CHUNK at a
-time, which bounds the memory of the stacked blocks; factor_stack and
-solve_stack then do each chunk's LU and solves with one numpy
-expression per elimination step instead of one LAPACK call per block.
+the inverse of the principal block a[J, J] of each. support_chunks
+hands them the subsets of one size in lexicographic order, at most
+_SUPPORT_CHUNK at a time, which bounds the memory of the stacked
+blocks; invert_stack then inverts each chunk with one LAPACK call. The
+stacked LU does its elimination with one numpy expression per step for
+all the blocks it decides.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ __all__ = [
     "index_set",
     "complement",
     "invert",
+    "invert_stack",
     "support_chunks",
     "factor_stack",
     "solve_stack",
@@ -121,46 +125,64 @@ def _singular_pivots(diag: np.ndarray, scale) -> np.ndarray:
 
 
 def invert(a) -> np.ndarray:
-    """Inverse of square a under the pivot rule of factor_stack: a pivot
-    of partial-pivoting LU with magnitude <= TOL_PIVOT_FACTOR * max|a|,
-    an infinite one, or NaN raises SingularMatrixError, and so does a
-    non-finite entry. The 0 x 0 matrix is its own inverse, which keeps
-    callers that slice by possibly-empty index sets uniform.
-
-    numpy's LAPACK inverse comes first. With PA = LU, 1/u_kk is an entry
-    of inv(U) = inv(A) P^T L, and L has entries of magnitude at most 1,
-    so every pivot is at least 1 / (n max|inv(a)|). Its result stands
-    when max|inv(a)| max|a| n^1.5 TOL_PIVOT_FACTOR < 1, a margin of
-    sqrt(n) over that bound for rounding, and when max|a| 2^(n-1), the
-    largest an entry can grow to during the elimination, is finite.
-    Otherwise the one-block factor_stack decides and solve_stack gives
-    the inverse.
+    """Inverse of square a: invert_stack on a stack of one block, so a
+    pivot of partial-pivoting LU with magnitude <= TOL_PIVOT_FACTOR *
+    max|a|, an infinite one, or NaN raises SingularMatrixError, and so
+    does a non-finite entry. The 0 x 0 matrix is its own inverse, which
+    keeps callers that slice by possibly-empty index sets uniform.
     """
     a = np.array(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    n = a.shape[0]
-    if n == 0:
-        return np.zeros((0, 0))
-    scale = np.max(np.abs(a))
-    with np.errstate(all="ignore"):
-        if np.isfinite(np.ldexp(scale, n - 1)):
-            try:
-                inv = np.linalg.inv(a)
-            except np.linalg.LinAlgError:  # an exactly zero pivot
-                inv = None
-            if (inv is not None
-                    and np.max(np.abs(inv)) * scale * n**1.5 * TOL_PIVOT_FACTOR < 1.0):
-                return inv
-    lu, perm, singular = factor_stack(a[None])
+    inv, singular = invert_stack(a[None])
     if singular[0]:
-        diag = np.diagonal(lu[..., 0])
+        # the failing pivot, for the message; only a singular block pays
+        # for this second factorization
+        diag = np.diagonal(factor_stack(a[None])[0][..., 0])
+        scale = np.max(np.abs(a))
         k = int(np.flatnonzero(_singular_pivots(diag, scale))[0])
         raise SingularMatrixError(
             f"pivot {diag[k]:.3e} at column {k}: magnitude not in "
             f"({TOL_PIVOT_FACTOR * scale:.3e}, inf)"
         )
-    return solve_stack(lu, perm, np.eye(n)[None])[0]
+    return inv[0]
+
+
+def invert_stack(a):
+    """Inverses of a stack of square blocks a (C, s, s) under the pivot
+    rule of factor_stack: returns (inv, singular), where singular[c] is
+    factor_stack's verdict on block c and the entries of inv[c] are
+    meaningless where it is True.
+
+    numpy's LAPACK inverse of the whole stack comes first. With PA = LU,
+    1/u_kk is an entry of inv(U) = inv(A) P^T L, and L has entries of
+    magnitude at most 1, so every pivot is at least 1 / (s max|inv(a)|).
+    A block's LAPACK inverse stands when max|inv| max|a| s^1.5
+    TOL_PIVOT_FACTOR < 1, a margin of sqrt(s) over that bound for
+    rounding, and when max|a| 2^(s-1), the largest an entry can grow to
+    during the elimination, is finite. factor_stack decides every other
+    block, and solve_stack gives its inverse; so does the whole stack
+    when LAPACK meets an exactly zero pivot, which it reports for the
+    stack as a whole.
+    """
+    a = np.asarray(a, dtype=float)
+    c, s = a.shape[0], a.shape[-1]
+    scale = np.max(np.abs(a), axis=(1, 2), initial=0.0)
+    with np.errstate(all="ignore"):
+        try:
+            inv = np.linalg.inv(a)
+        except np.linalg.LinAlgError:  # an exactly zero pivot somewhere
+            inv, certified = np.empty_like(a), np.zeros(c, dtype=bool)
+        else:
+            bound = np.max(np.abs(inv), axis=(1, 2), initial=0.0) * scale
+            certified = ((bound * s**1.5 * TOL_PIVOT_FACTOR < 1.0)
+                         & np.isfinite(np.ldexp(scale, s - 1)))
+    singular = np.zeros(c, dtype=bool)
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        lu, perm, singular[rest] = factor_stack(a[rest])
+        inv[rest] = solve_stack(lu, perm, np.broadcast_to(np.eye(s), (rest.size, s, s)))
+    return inv, singular
 
 
 def support_chunks(items, size: int):

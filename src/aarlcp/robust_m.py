@@ -19,18 +19,21 @@ identically zero. The first h coordinates are here-and-now decisions:
 their D rows must be zero, which is checked on each closed-form
 candidate and rejects supports whose rows refuse to comply.
 
-The sweep screens the supports of one size in chunks: one stacked LU of
-the blocks m0_J (linalg.factor_stack) finds the singular supports and
-solves for r_J. A support whose r_J can be positive is then held to the
-nominal condition w_N(0) = m0[N, J] r_J + q_N >= 0 on its off-support
-rows N, one batched product per chunk: zeta = 0 is a point of the box,
-so a support that fails it there fails check_box_conditions. Only the
-survivors get the closed form and the checks above, one support at a
-time; the off-support rows of a candidate go to min_quadratic_over_box
-as one stack. The closed form factors its block with the same stacked
-LU (a stack of one), so the screen and the closed form share one pivot
-rule and the same r_J. A box check that passes undecided (out of
-boxopt.BOX_BUDGET) stops the sweep with BoxBudgetError, a limit.
+The sweep screens the supports of one size in chunks: one batched
+inverse of the blocks m0_J (linalg.invert_stack: numpy's LAPACK
+inverse, with the stacked LU deciding the blocks it cannot certify)
+finds the singular supports and gives r_J. A support whose r_J can be
+positive is then held to the nominal condition w_N(0) = m0[N, J] r_J +
+q_N >= 0 on its off-support rows N, one batched product per chunk:
+zeta = 0 is a point of the box, so a support that fails it there fails
+check_box_conditions. Only the survivors get the closed form and the
+checks above, one support at a time; the off-support rows of a
+candidate go to min_quadratic_over_box as one stack. The closed form
+inverts its block with the same invert_stack (a stack of one), so the
+screen and the closed form share one pivot rule; their r_J differ only
+by rounding, which the screen's margins are there to absorb. A box check
+that passes undecided (out of boxopt.BOX_BUDGET) stops the sweep with
+BoxBudgetError, a limit.
 """
 
 from __future__ import annotations
@@ -127,15 +130,12 @@ class AffineSolutionM:
         return self.d @ np.asarray(zeta, dtype=float) + self.r
 
 
-def _m0_solver(inst: UncertainLcpM, j: np.ndarray):
-    """x = solve(b) with m0_J x = b, b of shape (|J|,) or (|J|, m): the
-    LU of linalg.factor_stack on a stack of one block, so the pivot rule
-    and r_J are those of the sweep's screen. None when m0_J is
+def _m0_inverse(inst: UncertainLcpM, j: np.ndarray):
+    """inv(m0_J) from linalg.invert_stack on a stack of one block, so
+    the pivot rule is that of the sweep's screen. None when m0_J is
     singular."""
-    lu, perm, singular = linalg.factor_stack(inst.m0[np.ix_(j, j)][None])
-    if singular[0]:
-        return None
-    return lambda b: linalg.solve_stack(lu, perm, np.asarray(b)[None])[0]
+    inv, singular = linalg.invert_stack(inst.m0[np.ix_(j, j)][None])
+    return None if singular[0] else inv[0]
 
 
 def mtilde(inst: UncertainLcpM, j_set, i: int) -> np.ndarray:
@@ -143,10 +143,10 @@ def mtilde(inst: UncertainLcpM, j_set, i: int) -> np.ndarray:
     closed-form D columns: D_{J,i} = mtilde(inst, J, i) @ q_J. A
     singular m0_J raises linalg.SingularMatrixError."""
     j = linalg.index_set(j_set, inst.n)
-    solve = _m0_solver(inst, j)
-    if solve is None:
+    inv = _m0_inverse(inst, j)
+    if inv is None:
         raise linalg.SingularMatrixError(f"m0 block of support {j.tolist()} is singular")
-    return solve(inst.perturbations[i][np.ix_(j, j)] @ solve(np.eye(j.size)))
+    return inv @ inst.perturbations[i][np.ix_(j, j)] @ inv
 
 
 def _residual_coefficients(inst: UncertainLcpM, sol: AffineSolutionM,
@@ -202,12 +202,12 @@ def characterize_for_J(inst: UncertainLcpM, j_set) -> AffineSolutionM | None:
     r = np.zeros(inst.n)
     if j.size == 0:
         return AffineSolutionM(d, r)
-    solve = _m0_solver(inst, j)
-    if solve is None:
+    inv = _m0_inverse(inst, j)
+    if inv is None:
         return None
-    v = solve(inst.q[j])  # equals -r_J
+    v = inv @ inst.q[j]  # equals -r_J
     r[j] = -v
-    d[j] = solve(np.column_stack([p[np.ix_(j, j)] @ v for p in inst.perturbations]))
+    d[j] = inv @ np.column_stack([p[np.ix_(j, j)] @ v for p in inst.perturbations])
     return AffineSolutionM(d, r)
 
 
@@ -321,9 +321,9 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
     """Sweep supports J by cardinality; keep candidates that pass every
     gate. Supports with a singular m0_J have no characterization and
     are collected, not searched (the caller may report the caveat).
-    A stacked LU per chunk of supports screens out the singular ones,
-    those whose r_J is not positive and those that fail the nominal
-    condition (see the module docstring). A box check that passes
+    A batched inverse per chunk of supports screens out the singular
+    ones, those whose r_J is not positive and those that fail the
+    nominal condition (see the module docstring). A box check that passes
     undecided raises BoxBudgetError."""
     n = inst.n
     if n - inst.h > ENUMERATION_SIZE_CAP or n > TOTAL_SIZE_CAP_M:
@@ -334,12 +334,12 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
     scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
     for size in range(n + 1):
         for chunk in linalg.support_chunks(range(n), size):
-            lu, perm, singular = linalg.factor_stack(
+            inv, singular = linalg.invert_stack(
                 inst.m0[chunk[:, :, None], chunk[:, None, :]])
             out.singular_supports.extend(chunk[singular])
-            r = -linalg.solve_stack(lu, perm, inst.q[chunk])
+            r = -np.einsum("cij,cj->ci", inv, inst.q[chunk])
             # a superset of the supports with r_J > TOL_SUPPORT: the
-            # closed form below solves with the same LU and tests its r_J
+            # closed form below inverts the block again and tests its r_J
             live = ~singular & ~np.any(r <= 0.5 * TOL_SUPPORT, axis=1)
             # for the zero rule w is q on the whole box, so the screen
             # makes check_box_conditions' decision

@@ -23,11 +23,13 @@ the pinned block free of a kernel) or one small linear program over
 the nominal solution set (exact both ways; see solve_psd).
 
 Enumeration visits 2^(n-h) supports J, each fixing D[J, J] =
--inv(M[J, J]) and r_J. It works per support size in chunks: one stacked
-LU of the chunk's principal blocks (linalg.factor_stack) decides
-singularity by the pivot rule of linalg.invert and yields the inverses,
-and both box conditions are array expressions over the chunk: no
-LAPACK call per support, and Python work only per rule that passes.
+-inv(M[J, J]) and r_J. It works per support size in chunks: numpy's
+batched LAPACK inverse of the chunk's principal blocks
+(linalg.invert_stack) yields the inverses, the stacked LU deciding
+singularity by the pivot rule of linalg.invert for every block whose
+pivots the LAPACK inverse cannot certify, and both box conditions are
+array expressions over the chunk: one LAPACK call per chunk, and Python
+work only per rule that passes.
 """
 
 from __future__ import annotations
@@ -303,9 +305,7 @@ def solve_enumeration(inst: UncertainLcpQ) -> list:
     found: list[AffineSolutionQ] = []
     for size in range(n - inst.h + 1):
         for j in linalg.support_chunks(range(inst.h, n), size):
-            lu, perm, singular = linalg.factor_stack(m[j[:, :, None], j[:, None, :]])
-            eye = np.broadcast_to(np.eye(size), (j.shape[0], size, size))
-            inv = linalg.solve_stack(lu, perm, eye)
+            inv, singular = linalg.invert_stack(m[j[:, :, None], j[:, None, :]])
             inv[singular] = 0.0  # no inverse there; dropped below
             r_j = -np.einsum("cij,cj->ci", inv, qbar[j])
             # own rows: min z_J(u) = r_J - |inv| ubar_J rowwise

@@ -192,6 +192,22 @@ def test_serialize_inverts_parse_on_every_kind():
         assert serialize_instance(parse_instance(text)) == text
 
 
+def test_hostile_floats_round_trip_bit_for_bit():
+    # each entry is written as its shortest round-trip text: a signed
+    # zero, the smallest subnormal, a value near the float max, a sum
+    # that is not its decimal, and exponents either side of the decimal
+    # point's reach; integral values keep their short form
+    hostile = [-0.0, 5e-324, 1.797e308, 0.1 + 0.2, 1e16, 1e-7, 2.3456, -10.0]
+    sol = AffineSolutionQ(d=np.diag(hostile), r=np.array(hostile))
+    text = serialize_instance(sol)
+    back = parse_instance(text)
+    for got, want in ((back.r, sol.r), (back.d, sol.d)):
+        assert got.tobytes() == want.tobytes()
+    assert serialize_instance(back) == text
+    r_line = text.split("\nr\n", 1)[1].split("\n", 1)[0].split()
+    assert r_line[0] == "-0" and r_line[6] == "2.3456" and r_line[7] == "-10"
+
+
 def test_non_finite_solution_entries_are_format_errors():
     texts = {"solution-q": "kind solution-q\nn 1\nr\n{r}\nd\n{d}\n",
              "solution-m": "kind solution-m\nn 1\nk 1\nr\n{r}\nd\n{d}\n"}

@@ -202,29 +202,33 @@ def test_lex_argmin_matches_the_pairwise_scan():
         assert _lex_argmin(keys) == _lex_argmin_pairwise(keys), keys
 
 
+@pytest.mark.filterwarnings("error")
 def test_overflowing_tableau_ends_in_an_outcome_or_a_typed_limit():
-    # entries near 1e308 overflow the tableau to inf and NaN
+    # entries near 1e308 overflow the tableau to inf and NaN, silently:
+    # warnings are errors here
     rng = np.random.default_rng(3)
     outcomes = set()
-    with np.errstate(all="ignore"):
-        for n in range(2, 8):
-            for _ in range(10):
-                m = rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(0.5, 1.0, (n, n)) * 1e308
-                q = rng.normal(size=n) * 10.0 ** rng.integers(0, 300, n)
-                try:
-                    outcomes.add(solve_lemke(NominalLcp(m, q)).status)
-                except NumericalError:
-                    outcomes.add("limit")
+    for n in range(2, 8):
+        for _ in range(10):
+            m = rng.choice([-1.0, 1.0], (n, n)) * rng.uniform(0.5, 1.0, (n, n)) * 1e308
+            q = rng.normal(size=n) * 10.0 ** rng.integers(0, 300, n)
+            try:
+                outcomes.add(solve_lemke(NominalLcp(m, q)).status)
+            except NumericalError:
+                outcomes.add("limit")
     assert outcomes <= {"solution", "ray", "limit"}
 
 
+@pytest.mark.filterwarnings("error")
 def test_ray_from_an_overflowed_tableau_is_a_typed_limit():
     # PSD by is_psd; the pivots overflow the tableau to inf and NaN before
-    # the entering column runs out of positive entries
+    # the entering column runs out of positive entries. The overflow is
+    # reported by the NumericalError alone: with warnings as errors, a
+    # RuntimeWarning from the pivot would fail the test first
     m = np.array([[9e278, -0.02, -2e214], [-0.02, 8e-282, 0.0], [-2e214, 0.0, 1.2e151]])
     q = np.array([-4e78, -2e243, 3e54])
     assert linalg.is_psd(m)
-    with np.errstate(all="ignore"), pytest.raises(NumericalError, match="inf or NaN at a ray"):
+    with pytest.raises(NumericalError, match="inf or NaN at a ray"):
         solve_lemke(NominalLcp(m, q))
 
 

@@ -5,8 +5,8 @@ _enumeration_oracle and _enumeration_m_oracle are those loops as they
 stood before the sweeps were stacked: one factorization per support and
 every test in Python. Only a branch counter was added. The uncertain-q
 oracle inverts each block with linalg.invert; the uncertain-M oracle
-takes each support's closed form from characterize_for_J, which factors
-its block with linalg.factor_stack (a stack of one), and it has no
+takes each support's closed form from characterize_for_J, which inverts
+its block with linalg.invert_stack (a stack of one), and it has no
 nominal screen. On a seeded sweep of instances, run with a chunk size
 that splits every support size across chunks, the stacked sweeps must
 return the same rules in the same order, the same singular supports and
@@ -329,6 +329,80 @@ def test_stacked_pivot_rule_matches_invert():
                 raised = True
             assert flagged == raised, block
     assert linalg.factor_stack(1e308 * OVERFLOW[None])[2].tolist() == [True]
+
+
+_factor_stack = linalg.factor_stack
+
+
+def _counting_factor_stack(monkeypatch):
+    """Patch linalg.factor_stack to record how many blocks each call
+    from invert_stack decides; returns that list."""
+    sent = []
+    monkeypatch.setattr(linalg, "factor_stack",
+                        lambda a: sent.append(len(a)) or _factor_stack(a))
+    return sent
+
+
+def _assert_decides_as_the_stacked_lu(stack):
+    inv, singular = linalg.invert_stack(stack)
+    lu, perm, want = _factor_stack(stack)
+    assert singular.tolist() == want.tolist(), stack
+    lu_inv = linalg.solve_stack(lu, perm, np.broadcast_to(np.eye(stack.shape[-1]), stack.shape))
+    for c in np.flatnonzero(~singular):
+        # rounding moves an inverse by about inv (eps a) inv
+        big = np.max(np.abs(lu_inv[c]))
+        assert np.max(np.abs(inv[c] - lu_inv[c])) <= 1e-13 * (np.max(np.abs(stack[c])) * big) * big
+
+
+def test_stacked_inverse_decides_as_the_stacked_lu(monkeypatch):
+    # invert_stack keeps a block's LAPACK inverse only where a bound puts
+    # every pivot past the rule, so its verdicts are factor_stack's block
+    # for block, whole families at once (each holds an exactly singular
+    # block, so LAPACK refuses them), in chunks of 7 and one at a time
+    sent = _counting_factor_stack(monkeypatch)
+    blocks = _blocks(np.random.default_rng(72))
+    for stack in blocks.values():
+        for chunk in (len(stack), 7):
+            for i in range(0, len(stack), chunk):
+                _assert_decides_as_the_stacked_lu(stack[i:i + chunk])
+    sent.clear()
+    for stack in blocks.values():
+        for block in stack:
+            _assert_decides_as_the_stacked_lu(block[None])
+    # on their own, most blocks keep their LAPACK inverse: the stacked LU
+    # decides the singular ones and those near the rule
+    assert 0 < len(sent) < sum(map(len, blocks.values())) / 3
+
+
+def test_stacked_inverse_at_the_edges_of_its_bound(monkeypatch):
+    sent = _counting_factor_stack(monkeypatch)
+    rng = np.random.default_rng(75)
+    good = rng.uniform(-1.0, 1.0, (6, 3, 3)) + 3.0 * np.eye(3)
+    # one exactly singular block: LAPACK refuses the whole chunk and the
+    # stacked LU decides every block
+    chunk = np.concatenate([good, [[[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [0.0, 0.0, 1.0]]]])
+    inv, singular = linalg.invert_stack(chunk)
+    assert singular.tolist() == [False] * 6 + [True]
+    assert sent == [7]
+    for c in range(6):
+        assert np.allclose(inv[c], np.linalg.inv(good[c]), rtol=1e-12, atol=1e-12)
+    # without it, LAPACK's inverses stand and nothing is refactored
+    sent.clear()
+    assert not linalg.invert_stack(good)[1].any() and sent == []
+    # the overflow family: 2^(s-1) max|a| is finite up to 1e307, and at
+    # 1e308 the elimination overflows, singular in the stacked LU
+    family = np.array([10.0 ** e * OVERFLOW for e in (-300, 0, 300, 306, 307, 308)])
+    _assert_decides_as_the_stacked_lu(family)
+    assert linalg.invert_stack(family)[1].tolist() == [False] * 5 + [True]
+    # pivots either side of TOL_PIVOT_FACTOR max|a|, as they are and
+    # turned by an orthogonal similarity; only blocks well past the rule
+    # keep their LAPACK inverse
+    q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    near = [np.diag([2.0, 1.0, 2e-10 * t]) for t in (0.5, 0.99, 1.01, 2.0, 1e2, 1e4, 1e6)]
+    near = np.array(near + [q @ b @ q.T for b in near])
+    sent.clear()
+    _assert_decides_as_the_stacked_lu(near)
+    assert 0 < sent[0] < len(near)
 
 
 def test_stacked_solves_match_lapack():
