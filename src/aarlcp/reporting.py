@@ -72,7 +72,7 @@ class DispatchError(RuntimeError):
         super().__init__(f"pathway {pathway}: {cause}")
 
 
-@dataclass
+@dataclass(slots=True)
 class SolutionRecord:
     """One robust solution plus its passing verification."""
 
@@ -113,7 +113,7 @@ def check_lines(report) -> list:
             f"(worst {c.worst_value:.3e})" for c in report.checks]
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveReport:
     kind: str  # uncertain-q | uncertain-m | market
     pathway: str  # enumeration | psd-lp | mip | uncertain-m

@@ -22,6 +22,12 @@ solution (M positive definite, that solution strictly complementary,
 the pinned block free of a kernel) or one small linear program over
 the nominal solution set (exact both ways; see solve_psd).
 
+Every rule has z(0) = r, so r solves the nominal LCP (M, qbar), and the
+support P of a strictly complementary nominal solution zbar pins D by
+linear algebra. _nominal_candidate builds that rule (r = zbar on P);
+solve_psd takes it as its one candidate, and solve_mip_q tries it
+before it builds the big-M program.
+
 Enumeration visits 2^(n-h) supports J, each fixing D[J, J] =
 -inv(M[J, J]) and r_J. It works per support size in chunks: numpy's
 batched LAPACK inverse of the chunk's principal blocks
@@ -34,6 +40,7 @@ work only per rule that passes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +50,8 @@ from .boxopt import min_affine_over_box
 from .lcp import NominalLcp, compute_support_P, describe_solution_set, solve_lemke
 # solve_lp is not called here, but perfbench/spans.py traces LPs by
 # patching robust_q.solve_lp
-from .lp import LinearProgram, solve_lp, check_feasibility  # noqa: F401
+from .lp import (LinearProgram, IterationLimitError, solve_lp,  # noqa: F401
+                 check_feasibility)
 from .mip import DEFAULT_NODE_LIMIT, MixedBinaryProgram, solve_mip_feasibility
 from .tolerances import (TOL_DEDUP, TOL_FEAS, TOL_RANK, TOL_STRICT,
                          TOL_SUPPORT)
@@ -109,7 +117,7 @@ class UncertainLcpQ:
         return np.flatnonzero(self.ubar == 0)
 
 
-@dataclass
+@dataclass(slots=True)
 class AffineSolutionQ:
     """Affine rule z(u) = d u + r."""
 
@@ -128,7 +136,7 @@ class AffineSolutionQ:
         return self.d @ np.asarray(u, dtype=float) + self.r
 
 
-@dataclass
+@dataclass(slots=True)
 class ConditionCheck:
     condition: str
     passed: bool
@@ -136,7 +144,7 @@ class ConditionCheck:
     worst_point: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class VerificationReport:
     overall: bool
     checks: list = field(default_factory=list)
@@ -336,13 +344,17 @@ def solve_enumeration(inst: UncertainLcpQ) -> list:
 
 
 def default_big_m(inst: UncertainLcpQ) -> float:
-    """100 (1 + |qbar|_inf + |ubar|_inf) (1 + max |M_ij|)."""
-    return float(
-        100.0
-        * (1.0 + np.max(np.abs(inst.qbar), initial=0.0)
-           + np.max(np.abs(inst.ubar), initial=0.0))
-        * (1.0 + np.max(np.abs(inst.m), initial=0.0))
-    )
+    """100 (1 + |qbar|_inf + |ubar|_inf) (1 + max |M_ij|), in Python
+    floats (no numpy overflow warning); linalg.NumericalError when that
+    exceeds the float range."""
+    big_m = (100.0
+             * (1.0 + float(np.max(np.abs(inst.qbar), initial=0.0))
+                + float(np.max(np.abs(inst.ubar), initial=0.0)))
+             * (1.0 + float(np.max(np.abs(inst.m), initial=0.0))))
+    if not math.isfinite(big_m):
+        raise linalg.NumericalError("default big-M overflows: the data's scale "
+                                    "exceeds the float range")
+    return big_m
 
 
 @dataclass
@@ -489,16 +501,31 @@ class MipPathOutcome:
 
 def solve_mip_q(inst: UncertainLcpQ,
                 node_limit: int = DEFAULT_NODE_LIMIT) -> MipPathOutcome:
-    """General pathway: one mixed-binary search over supports at the
-    scale-derived big-M of default_big_m.
+    """General pathway: the rule the nominal solution names, else one
+    mixed-binary search over supports at the scale-derived big-M of
+    default_big_m.
 
-    A feasible point is extracted and re-verified analytically, so a
-    rule is sound at any big-M. A search that finds no verified point is
-    inconclusive: when the instance fits the enumeration pathway (S
-    empty, n - h small) enumeration runs as the definitive fallback and
-    the answer becomes exact; otherwise the verdict is "no-solution"
-    with the certificate "big-M bounded".
+    First Lemke solves the nominal LCP (M, qbar); a strictly
+    complementary solution zbar names the rule of _nominal_candidate.
+    When that rule passes verify_affine_q it is the verdict (certificate
+    "verified") and no program is built: nodes and big_m_final read 0.
+    A ray, a Lemke iteration limit or NumericalError, a zbar that is not
+    strictly complementary, an inconsistent block or a failed check
+    prove nothing, and the search runs as if the candidate had not been
+    tried.
+
+    A feasible point of the search is extracted and re-verified
+    analytically, so a rule is sound at any big-M. A search that finds
+    no verified point is inconclusive: when the instance fits the
+    enumeration pathway (S empty, n - h small) enumeration runs as the
+    definitive fallback and the answer becomes exact; otherwise the
+    verdict is "no-solution" with the certificate "big-M bounded". A
+    big-M beyond the float range raises linalg.NumericalError.
     """
+    found = _nominal_rule(inst)
+    if found is not None:
+        sol, report = found
+        return MipPathOutcome("solution", sol, report, "verified")
     b = default_big_m(inst)
     prob, lay = build_mip(inst, b)
     out = solve_mip_feasibility(prob, node_limit=node_limit)
@@ -517,6 +544,25 @@ def solve_mip_q(inst: UncertainLcpQ,
         return MipPathOutcome("no-solution", None, None, "exact",
                               b, out.nodes, fallback_used=True)
     return MipPathOutcome("no-solution", None, None, "big-M bounded", b, out.nodes)
+
+
+def _nominal_rule(inst: UncertainLcpQ):
+    """solve_mip_q's first try: (rule, report) for the rule of
+    _nominal_candidate at Lemke's nominal solution when it passes
+    verify_affine_q, else None."""
+    try:
+        nominal = solve_lemke(NominalLcp(inst.m, inst.qbar))
+    except (IterationLimitError, linalg.NumericalError):
+        return None
+    if nominal.status == "ray":
+        return None
+    zbar = nominal.solution.z
+    p_set = _strict_support(inst, zbar)
+    found = None if p_set is None else _nominal_candidate(inst, p_set, zbar)
+    if found is None:
+        return None
+    report = verify_affine_q(inst, found[0])
+    return (found[0], report) if report.overall else None
 
 
 def _clean_solution(sol: AffineSolutionQ) -> AffineSolutionQ:
@@ -569,6 +615,27 @@ def _pinned_block(m_pa: np.ndarray, e: np.ndarray):
     return x0, kernel
 
 
+def _nominal_candidate(inst: UncertainLcpQ, p_set: np.ndarray, zbar: np.ndarray):
+    """The rule that the nominal solution zbar names through the support
+    P: D[A, U] = x0 of _pinned_block (A the adjustable part of P; x0 of
+    least norm when the block has a kernel) and r = zbar on P, exact
+    zeros elsewhere. Returns (rule, x0, kernel), or None when M[P, A] X
+    = -E[P, U] has no solution."""
+    a_set = p_set[p_set >= inst.h]
+    u_set = inst.uncertain_set()
+    block = _pinned_block(inst.m[np.ix_(p_set, a_set)],
+                          (p_set[:, None] == u_set).astype(float))
+    if block is None:
+        return None
+    x0, kernel = block
+    n = inst.n
+    d, r = np.zeros((n, n)), np.zeros(n)
+    d[np.ix_(a_set, u_set)] = x0
+    d += 0.0  # normalize -0.0 entries
+    r[p_set] = zbar[p_set]
+    return AffineSolutionQ(d, r), x0, kernel
+
+
 def _strict_support(inst: UncertainLcpQ, zbar: np.ndarray):
     """{i : zbar_i > 0} when the nominal solution zbar is strictly
     complementary, else None. Strict: each i has exactly one of zbar_i
@@ -611,7 +678,8 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
 
     With P from zbar, zbar is the one nominal solution (Cottle, Pang &
     Stone 1992, Thm 3.3.7); with no kernel N either, the one candidate
-    (X0, zbar) passes verify_affine_q or no rule exists, and no LP runs.
+    (X0, zbar) of _nominal_candidate, which solve_mip_q tries first too,
+    passes verify_affine_q or no rule exists, and no LP runs.
     Otherwise one feasibility LP over the nominal solution set decides r
     and T. Rows that T does not move have closed-form box conditions:
     z_A(u) >= 0 is the bound r_A >= |X0| ubar_U, and (M z(u) + q(u))_L
@@ -643,29 +711,24 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     nothing = PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
                              nominal=zbar, vanishing_rows=k_set)
 
-    block = _pinned_block(inst.m[np.ix_(p_set, a_set)],
-                          (p_set[:, None] == u_set).astype(float))
-    if block is None:
+    found = _nominal_candidate(inst, p_set, zbar)
+    if found is None:
         return nothing
-    x0, kernel = block
+    # the candidate has exact zeros off A x U and off P: nothing for
+    # _clean_solution to snap, whose absolute TOL_FEAS would erase a rule
+    # in small units
+    sol, x0, kernel = found
     unique = nominal_set is None and not kernel.shape[1]
-    if unique:
-        # exact zeros off A x U and off P: nothing for _clean_solution to
-        # snap, whose absolute TOL_FEAS would erase a rule in small units
-        r, t = np.zeros(n), np.zeros((0, u_set.size))
-        r[p_set] = zbar[p_set]
-    else:
+    if not unique:
         if nominal_set is None:
             nominal_set = describe_solution_set(prob, zbar)
         found = _envelope_lp(inst, nominal_set, a_set, l_set, u_set, x0, kernel)
         if found is None:
             return nothing
         r, t = found
-    d = np.zeros((n, n))
-    d[np.ix_(a_set, u_set)] = x0 + kernel @ t
-    sol = AffineSolutionQ(d, r)
-    if not unique:
-        sol = _clean_solution(sol)
+        d = np.zeros((n, n))
+        d[np.ix_(a_set, u_set)] = x0 + kernel @ t
+        sol = _clean_solution(AffineSolutionQ(d, r))
     report = verify_affine_q(inst, sol)
     if report.overall:
         return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, k_set)

@@ -255,9 +255,9 @@ def test_psd_lp_solve_leaves_scipy_unloaded():
 
 
 def test_mip_solve_leaves_scipy_unloaded():
-    # some node LP of the big-M search runs past the refactorization
-    # interval
-    cases = [("uncertain-q", 3, 1, "general", "mip")]
+    # the nominal rule fails, and some node LP of the big-M search runs
+    # past the refactorization interval
+    cases = [("uncertain-q", 3, 4, "general", "mip")]
     assert _run_fresh(SIMPLEX_SOLVES.format(cases=cases))[0] == "True False"
 
 

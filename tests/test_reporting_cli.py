@@ -271,7 +271,8 @@ def test_cli_numerical_trouble_exit_four(tmp_path, capsys, monkeypatch):
         raise RuntimeError("phase-1 simplex stalled numerically")
 
     monkeypatch.setattr("aarlcp.mip.check_feasibility", stalled)
-    path = _write(tmp_path, "multi.txt", serialize_instance(MULTI))
+    # the rule its nominal solution names fails, so the search runs
+    path = _write(tmp_path, "search.txt", generate_random("uncertain-q", 3, seed=4))
     assert main(["solve", path, "--pathway", "mip"]) == 4
     assert "phase-1 simplex stalled numerically" in capsys.readouterr().err
 
@@ -299,6 +300,20 @@ def test_cli_overflowed_lemke_ray_exit_four(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["solve", path]) == 4
     assert "psd-lp: lemke tableau holds inf or NaN at a ray" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_big_m_overflow_exit_four(tmp_path, capsys):
+    # the overflowed-ray instance on the mip pathway: the nominal rule
+    # proves nothing, and the big-M of its scale exceeds the float range,
+    # a limit with its reason and no numpy warning
+    inst = UncertainLcpQ(m=np.array([[9e278, -0.02, -2e214],
+                                     [-0.02, 8e-282, 0.0],
+                                     [-2e214, 0.0, 1.2e151]]),
+                         qbar=np.array([-4e78, -2e243, 3e54]), ubar=np.ones(3))
+    path = _write(tmp_path, "overflow.txt", serialize_instance(inst))
+    assert main(["solve", path, "--pathway", "mip"]) == 4
+    assert "mip: default big-M overflows" in capsys.readouterr().err
 
 
 def test_cli_choices_come_from_their_owners():

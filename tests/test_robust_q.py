@@ -9,7 +9,8 @@ from aarlcp import (DispatchError, NumericalError, SolveOptions, build_lcp,
                     robust_q)
 from aarlcp.lcp import (NominalLcp, compute_support_P, describe_solution_set,
                         lcp_residuals, solve_lemke)
-from aarlcp.lp import LinearProgram, check_feasibility, solve_lp
+from aarlcp.lp import (IterationLimitError, LinearProgram, check_feasibility,
+                       solve_lp)
 from aarlcp.mip import solve_mip_feasibility
 from aarlcp.robust_q import (AffineSolutionQ, PsdPathOutcome, SizeLimitError,
                              UncertainLcpQ, build_mip, check_char_system,
@@ -385,8 +386,9 @@ def test_mip_nonexistence_big_m_caveat_without_fallback():
     assert out.certificate == "big-M bounded"
 
 
-def test_mip_builds_and_searches_once(monkeypatch):
-    # one big-M, one search, whichever way the verdict goes
+def _spy_search(monkeypatch):
+    """Record every build_mip (with its big-M) and search solve_mip_q
+    makes."""
     calls = []
 
     def spy(name, fn):
@@ -397,14 +399,86 @@ def test_mip_builds_and_searches_once(monkeypatch):
 
     spy("build_mip", build_mip)
     spy("solve_mip_feasibility", solve_mip_feasibility)
-    for inst, certificate in ((MULTI, "verified"), (NONE_PD, "exact"),
-                              (BLOCKED, "big-M bounded")):
+    return calls
+
+
+def test_mip_builds_and_searches_once(monkeypatch):
+    # one big-M, one search when the search runs; none when the rule the
+    # nominal solution names decides. The search runs on BLOCKED, whose
+    # Lemke ends in a ray, and on NONE_PD, whose zbar is strictly
+    # complementary but names a rule that fails the box check
+    assert solve_lemke(NominalLcp(BLOCKED.m, BLOCKED.qbar)).status == "ray"
+    zbar = solve_lemke(NominalLcp(NONE_PD.m, NONE_PD.qbar)).solution.z
+    rule = robust_q._nominal_candidate(NONE_PD, robust_q._strict_support(NONE_PD, zbar),
+                                       zbar)[0]
+    assert not verify_affine_q(NONE_PD, rule).overall
+    calls = _spy_search(monkeypatch)
+    for inst, certificate, searched in ((MULTI, "verified", False),
+                                        (NONE_PD, "exact", True),
+                                        (BLOCKED, "big-M bounded", True)):
         calls.clear()
         out = solve_mip_q(inst)
         assert out.certificate == certificate
-        assert calls == [("build_mip", default_big_m(inst)),
-                         ("solve_mip_feasibility", None)]
-        assert out.big_m_final == default_big_m(inst)
+        if searched:
+            assert calls == [("build_mip", default_big_m(inst)),
+                             ("solve_mip_feasibility", None)]
+            assert out.big_m_final == default_big_m(inst)
+        else:
+            assert calls == []
+            assert (out.big_m_final, out.nodes) == (0.0, 0)
+
+
+@pytest.mark.parametrize("error", [IterationLimitError("lemke pivoting exceeded"),
+                                   NumericalError("lemke tableau holds inf or NaN")])
+def test_mip_search_runs_when_lemke_fails(monkeypatch, error):
+    # a Lemke limit or numerical trouble leaves the verdict to the search
+    def failing(prob):
+        raise error
+
+    monkeypatch.setattr(robust_q, "solve_lemke", failing)
+    calls = _spy_search(monkeypatch)
+    out = solve_mip_q(MULTI)
+    assert (out.status, out.certificate) == ("solution", "verified")
+    assert out.nodes >= 1 and out.big_m_final == default_big_m(MULTI)
+    assert [name for name, _ in calls] == ["build_mip", "solve_mip_feasibility"]
+
+
+def _certain_instance(seed):
+    """n = 2..5 with at least one certain coordinate and h < n."""
+    rng = np.random.default_rng([7, seed])
+    n = 2 + seed % 4
+    ubar = rng.uniform(0.1, 1.0, n).round(2)
+    certain = rng.random(n) < 0.4
+    certain[rng.integers(n)] = True
+    ubar[certain] = 0.0
+    return UncertainLcpQ(m=rng.uniform(-3.0, 3.0, (n, n)).round(2),
+                         qbar=rng.uniform(-5.0, 3.0, n).round(2), ubar=ubar,
+                         h=int(rng.integers(0, n)))
+
+
+def test_nominal_rule_keeps_the_search_verdicts():
+    # with a certain coordinate there is no enumeration fallback, so the
+    # bare search's verdict is final: the nominal rule may only reach it
+    # sooner, and every rule it returns passes both independent checks
+    decided = 0
+    for seed in range(300):
+        inst = _certain_instance(seed)
+        prob, lay = build_mip(inst, default_big_m(inst))
+        found = solve_mip_feasibility(prob)
+        searched = ("no-solution", "big-M bounded")
+        if found.status == "feasible" and verify_affine_q(
+                inst, robust_q._clean_solution(lay.extract(found.x))).overall:
+            searched = ("solution", "verified")
+        out = solve_mip_q(inst)
+        assert (out.status, out.certificate) == searched, f"seed {seed}"
+        if out.status == "solution" and out.nodes == 0:
+            decided += 1
+            sol = out.solution
+            assert verify_affine_q(inst, sol).overall
+            zmax = float(np.max(sol.r + np.abs(sol.d) @ inst.ubar))
+            scale = (1.0 + float(np.max(np.abs(inst.qbar)))) * (1.0 + zmax)
+            assert sample_violation_q(inst, sol) <= 1e-9 * scale, f"seed {seed}"
+    assert decided >= 30
 
 
 def test_mip_agrees_with_enumeration_on_small_random_instances():
