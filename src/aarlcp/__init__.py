@@ -28,8 +28,8 @@ from .robust_m import (AffineSolutionM, EnumerationOutcomeM, UncertainLcpM,
 from .market import MarketBlockMap, MarketModel, build_lcp
 from .instances import (InstanceFormatError, generate_random, parse_instance,
                         serialize_instance)
-from .reporting import (DispatchError, SolveOptions, SolveReport,
-                        auto_pathway, dispatch_solve)
+from .reporting import (DispatchError, SolveReport, auto_pathway,
+                        dispatch_solve)
 
 __version__ = "0.1.0"
 
@@ -54,7 +54,6 @@ __all__ = [
     "MarketModel", "MarketBlockMap", "build_lcp",
     "InstanceFormatError", "parse_instance", "serialize_instance",
     "generate_random",
-    "SolveOptions", "SolveReport", "DispatchError", "auto_pathway",
-    "dispatch_solve",
+    "SolveReport", "DispatchError", "auto_pathway", "dispatch_solve",
     "__version__",
 ]

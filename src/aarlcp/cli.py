@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: solve, verify, gen, market-build, report. Exit codes:
+Subcommands: solve (--json for the JSON report), verify, gen,
+market-build. Exit codes:
 0 solution found / verified, 1 no solution (proved) or verification
 failed, 2 no solution found but nonexistence not proved (the report's
 caveat says why), 3 input error, 4 internal limit hit (a budget, such
@@ -17,8 +18,8 @@ import sys
 from .instances import (GENERATOR_KINDS, REGIMES, InstanceFormatError,
                         generate_random, parse_instance, serialize_instance)
 from .market import MarketModel, build_lcp
-from .reporting import (PATHWAYS, SCHEMA_VERSION, DispatchError, SolveOptions,
-                        check_lines, dispatch_solve, verification_json)
+from .reporting import (PATHWAYS, SCHEMA_VERSION, DispatchError, check_lines,
+                        dispatch_solve, verification_json)
 from .robust_m import AffineSolutionM, UncertainLcpM, verify_affine_m
 from .robust_q import AffineSolutionQ, UncertainLcpQ, verify_affine_q
 
@@ -57,16 +58,6 @@ def _write_out(text: str, path: str | None):
             fh.write(text)
 
 
-def _add_solve_flags(p: argparse.ArgumentParser):
-    p.add_argument("--pathway", default="auto", choices=PATHWAYS)
-    p.add_argument("--node-limit", type=int, default=None,
-                   help="branch-and-bound node budget")
-
-
-def _options(args) -> SolveOptions:
-    return SolveOptions(pathway=args.pathway, node_limit=args.node_limit)
-
-
 def _finite(obj):
     """obj with every non-finite float replaced by None."""
     if isinstance(obj, float):
@@ -84,12 +75,12 @@ def _print_json(obj) -> None:
     print(json.dumps(_finite(obj), indent=2, allow_nan=False))
 
 
-def _cmd_solve(args, as_json: bool) -> int:
+def _cmd_solve(args) -> int:
     instance = parse_instance(_read(args.instance))
     if isinstance(instance, (AffineSolutionQ, AffineSolutionM)):
         raise UsageError("expected an instance file, got a solution file")
-    report = dispatch_solve(instance, _options(args))
-    if as_json:
+    report = dispatch_solve(instance, args.pathway)
+    if args.json:
         _print_json(report.to_json())
     else:
         sys.stdout.write(report.to_text())
@@ -153,7 +144,7 @@ def _build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="solve an instance file")
     p_solve.add_argument("instance", help="instance file ('-' for stdin)")
-    _add_solve_flags(p_solve)
+    p_solve.add_argument("--pathway", default="auto", choices=PATHWAYS)
     p_solve.add_argument("--json", action="store_true",
                          help="machine-readable report")
 
@@ -178,28 +169,15 @@ def _build_parser() -> _Parser:
                           help="turn a market file into an uncertain-q file")
     p_mb.add_argument("instance")
     p_mb.add_argument("-o", "--output", default=None)
-
-    p_report = sub.add_parser("report",
-                              help="solve and print the JSON report")
-    p_report.add_argument("instance")
-    _add_solve_flags(p_report)
     return parser
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        if args.command == "solve":
-            return _cmd_solve(args, as_json=args.json)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "market-build":
-            return _cmd_market_build(args)
-        if args.command == "report":
-            return _cmd_solve(args, as_json=True)
-        raise UsageError(f"unknown command {args.command!r}")
+        command = {"solve": _cmd_solve, "verify": _cmd_verify, "gen": _cmd_gen,
+                   "market-build": _cmd_market_build}[args.command]
+        return command(args)
     except (UsageError, InstanceFormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

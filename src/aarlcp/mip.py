@@ -8,8 +8,8 @@ direct check of the original rows. Otherwise the most fractional binary is branc
 (ties to the lowest variable index), exploring the nearer integer value
 first. A point whose binaries are integral but not all fixed first
 tries one more node with every binary pinned at its rounding, then
-branches on its lowest unfixed binary. Every node counts against the
-node limit. Runs are deterministic.
+branches on its lowest unfixed binary. Every node counts against
+NODE_LIMIT, read at call time. Runs are deterministic.
 
 A child differs from its parent only in its binaries' bounds, so the
 tree standardizes its rows once (lp.standardize) and each node LP is
@@ -31,13 +31,14 @@ from .lp import LinearProgram, check_feasibility, check_point, standardize
 from .tolerances import TOL_FEAS, TOL_INT
 
 __all__ = [
+    "NODE_LIMIT",
     "NodeLimitError",
     "MixedBinaryProgram",
     "MipOutcome",
     "solve_mip_feasibility",
 ]
 
-DEFAULT_NODE_LIMIT = 100_000
+NODE_LIMIT = 100_000
 
 
 class NodeLimitError(RuntimeError):
@@ -74,19 +75,14 @@ class MipOutcome:
     nodes: int = 0
 
 
-def solve_mip_feasibility(
-    prob: MixedBinaryProgram,
-    node_limit: int = DEFAULT_NODE_LIMIT,
-) -> MipOutcome:
+def solve_mip_feasibility(prob: MixedBinaryProgram) -> MipOutcome:
     """Find any point satisfying all constraints, binaries integral to TOL_INT.
 
     Returns MipOutcome("feasible", x, nodes) or MipOutcome("infeasible",
-    None, nodes). Raises NodeLimitError if the budget runs out first.
-    Every feasible answer is re-checked against the original rows and
-    bounds directly, independent of the simplex bookkeeping.
+    None, nodes). Raises NodeLimitError when NODE_LIMIT nodes run out
+    first. Every feasible answer is re-checked against the original rows
+    and bounds directly, independent of the simplex bookkeeping.
     """
-    if node_limit < 1:
-        raise ValueError(f"node_limit must be at least 1, got {node_limit}")
     lp = prob.lp
     bins = prob.binaries
     scale = 1.0 + float(np.max(np.abs(lp.rhs), initial=0.0))
@@ -98,7 +94,7 @@ def solve_mip_feasibility(
     stack = [(lp.lower[bins].copy(), lp.upper[bins].copy(), None)]
     while stack:
         blo, bup, start = stack.pop()
-        if nodes >= node_limit:
+        if nodes >= NODE_LIMIT:
             raise NodeLimitError(nodes)
         nodes += 1
         out = check_feasibility(form.with_bounds(bins, blo, bup), start=start)

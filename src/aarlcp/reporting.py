@@ -24,7 +24,6 @@ from .robust_q import (AffineSolutionQ, UncertainLcpQ,
                        solve_psd, uniqueness_check_psd, verify_affine_q)
 
 __all__ = [
-    "SolveOptions",
     "SolutionRecord",
     "SolveReport",
     "DispatchError",
@@ -35,25 +34,6 @@ __all__ = [
 SCHEMA_VERSION = 1
 
 PATHWAYS = ("auto", "enumeration", "psd-lp", "mip", "uncertain-m")
-
-
-@dataclass
-class SolveOptions:
-    """Dispatch knobs.
-
-    pathway: one of auto, enumeration, psd-lp, mip, uncertain-m
-    node_limit: branch-and-bound node budget (None = solver default)
-    """
-
-    pathway: str = "auto"
-    node_limit: int | None = None
-
-    def __post_init__(self):
-        if self.pathway not in PATHWAYS:
-            raise ValueError(f"unknown pathway {self.pathway!r} "
-                             f"(choose from {', '.join(PATHWAYS)})")
-        if self.node_limit is not None and self.node_limit < 1:
-            raise ValueError(f"node_limit must be at least 1, got {self.node_limit}")
 
 
 class DispatchError(RuntimeError):
@@ -228,9 +208,7 @@ def _record(pathway: str, sol, report, sets: dict) -> SolutionRecord:
     return SolutionRecord(sol, report, sets)
 
 
-def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
-             report: SolveReport) -> None:
-    pathway = options.pathway
+def _solve_q(inst: UncertainLcpQ, pathway: str, report: SolveReport) -> None:
     if pathway == "auto":
         pathway = auto_pathway(inst)
     if pathway == "uncertain-m":
@@ -256,11 +234,8 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
                                             {**_sets_q(inst, out.solution),
                                              **report.psd_info})]
             report.uniqueness = uniqueness_check_psd(inst, out)
-        elif pathway == "mip":
-            kwargs = {}
-            if options.node_limit is not None:
-                kwargs["node_limit"] = options.node_limit
-            out = solve_mip_q(inst, **kwargs)
+        else:  # mip
+            out = solve_mip_q(inst)
             report.status = out.status
             report.mip_info = {
                 "big_m_final": out.big_m_final,
@@ -274,18 +249,15 @@ def _solve_q(inst: UncertainLcpQ, options: SolveOptions,
                 report.caveat = ("nonexistence is relative to the bounded "
                                  "big-M search, not a proof")
             report.uniqueness = "unknown" if out.status == "solution" else None
-        else:
-            raise ValueError(f"unknown pathway {pathway!r}")
     except DispatchError:
         raise
     except (ValueError, RuntimeError) as exc:
         raise DispatchError(pathway, exc) from exc
 
 
-def _solve_m(inst: UncertainLcpM, options: SolveOptions,
-             report: SolveReport) -> None:
-    if options.pathway not in ("auto", "uncertain-m"):
-        raise DispatchError(options.pathway, ValueError(
+def _solve_m(inst: UncertainLcpM, pathway: str, report: SolveReport) -> None:
+    if pathway not in ("auto", "uncertain-m"):
+        raise DispatchError(pathway, ValueError(
             "uncertain-m instances support only the uncertain-m pathway"))
     report.pathway = "uncertain-m"
     try:
@@ -307,11 +279,14 @@ def _solve_m(inst: UncertainLcpM, options: SolveOptions,
                          "skipped; further solutions could hide there")
 
 
-def dispatch_solve(instance, options: SolveOptions | None = None) -> SolveReport:
-    """Route an instance to a solver pathway and assemble the report."""
+def dispatch_solve(instance, pathway: str = "auto") -> SolveReport:
+    """Route an instance to a solver pathway (one of PATHWAYS; auto
+    picks by auto_pathway) and assemble the report."""
     from .instances import serialize_instance
 
-    options = options or SolveOptions()
+    if pathway not in PATHWAYS:
+        raise DispatchError(pathway, ValueError(
+            f"unknown pathway {pathway!r} (choose from {', '.join(PATHWAYS)})"))
     start = time.perf_counter()
     if isinstance(instance, MarketModel):
         inst, bmap = build_lcp(instance)
@@ -323,15 +298,15 @@ def dispatch_solve(instance, options: SolveOptions | None = None) -> SolveReport
             "n_duals": bmap.n_duals,
             "n_prices": bmap.n_prices,
         }
-        _solve_q(inst, options, report)
+        _solve_q(inst, pathway, report)
     elif isinstance(instance, UncertainLcpM):
         report = SolveReport(kind="uncertain-m", pathway="", status="")
-        _solve_m(instance, options, report)
+        _solve_m(instance, pathway, report)
     elif isinstance(instance, UncertainLcpQ):
         report = SolveReport(kind="uncertain-q", pathway="", status="")
-        _solve_q(instance, options, report)
+        _solve_q(instance, pathway, report)
     else:
-        raise DispatchError(options.pathway, ValueError(
+        raise DispatchError(pathway, ValueError(
             f"cannot dispatch {type(instance).__name__}"))
     report.timing_seconds = time.perf_counter() - start
     report.instance_text = serialize_instance(instance)

@@ -52,7 +52,7 @@ from .lcp import NominalLcp, compute_support_P, describe_solution_set, solve_lem
 # patching robust_q.solve_lp
 from .lp import (LinearProgram, IterationLimitError, solve_lp,  # noqa: F401
                  check_feasibility)
-from .mip import DEFAULT_NODE_LIMIT, MixedBinaryProgram, solve_mip_feasibility
+from .mip import MixedBinaryProgram, solve_mip_feasibility
 from .tolerances import (TOL_DEDUP, TOL_FEAS, TOL_RANK, TOL_STRICT,
                          TOL_SUPPORT)
 
@@ -499,8 +499,7 @@ class MipPathOutcome:
     fallback_used: bool = False
 
 
-def solve_mip_q(inst: UncertainLcpQ,
-                node_limit: int = DEFAULT_NODE_LIMIT) -> MipPathOutcome:
+def solve_mip_q(inst: UncertainLcpQ) -> MipPathOutcome:
     """General pathway: the rule the nominal solution names, else one
     mixed-binary search over supports at the scale-derived big-M of
     default_big_m.
@@ -520,7 +519,9 @@ def solve_mip_q(inst: UncertainLcpQ,
     enumeration pathway (S empty, n - h small) enumeration runs as the
     definitive fallback and the answer becomes exact; otherwise the
     verdict is "no-solution" with the certificate "big-M bounded". A
-    big-M beyond the float range raises linalg.NumericalError.
+    big-M beyond the float range raises linalg.NumericalError, and a
+    search that spends mip.NODE_LIMIT nodes undecided raises
+    mip.NodeLimitError.
     """
     found = _nominal_rule(inst)
     if found is not None:
@@ -528,7 +529,7 @@ def solve_mip_q(inst: UncertainLcpQ,
         return MipPathOutcome("solution", sol, report, "verified")
     b = default_big_m(inst)
     prob, lay = build_mip(inst, b)
-    out = solve_mip_feasibility(prob, node_limit=node_limit)
+    out = solve_mip_feasibility(prob)
     if out.status == "feasible":
         sol = _clean_solution(lay.extract(out.x))
         report = verify_affine_q(inst, sol)

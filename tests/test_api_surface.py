@@ -37,6 +37,13 @@ def test_no_tolerance_parameters():
             assert param != "tol" and not param.endswith("_tol"), (name, param)
 
 
+def test_no_budget_parameters():
+    # budgets are module constants (mip.NODE_LIMIT, boxopt.BOX_BUDGET)
+    for name, func in _public_callables():
+        for param in inspect.signature(func).parameters:
+            assert not param.endswith("_limit") and "budget" not in param, (name, param)
+
+
 def test_required_inputs_have_no_default():
     empty = inspect.Parameter.empty
     outcome = inspect.signature(aarlcp.uniqueness_check_psd).parameters["outcome"]
@@ -64,10 +71,10 @@ def test_support_p_returns_index_sets_only():
 
 def test_mip_search_has_no_big_m_knobs(tmp_path, capsys):
     # one search at the scale-derived big-M: no starting value, no ladder
-    fields = [f.name for f in dataclasses.fields(aarlcp.SolveOptions)]
-    assert fields == ["pathway", "node_limit"]
+    params = list(inspect.signature(aarlcp.dispatch_solve).parameters)
+    assert params == ["instance", "pathway"]
     params = list(inspect.signature(aarlcp.solve_mip_q).parameters)
-    assert params == ["inst", "node_limit"]
+    assert params == ["inst"]
     fields = {f.name for f in dataclasses.fields(aarlcp.MipPathOutcome)}
     assert "doublings" not in fields and "big_m_final" in fields
     path = tmp_path / "inst.txt"

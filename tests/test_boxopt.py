@@ -217,7 +217,7 @@ ENUMERATION_SOLVES = """\
 import sys, aarlcp
 print('scipy.linalg' in sys.modules)
 for text, pathway in {cases}:
-    aarlcp.dispatch_solve(aarlcp.parse_instance(text), aarlcp.SolveOptions(pathway=pathway))
+    aarlcp.dispatch_solve(aarlcp.parse_instance(text), pathway)
 print(sorted(m for m in sys.modules if m.startswith('scipy')))
 """
 
@@ -241,7 +241,7 @@ linalg.invert = lambda a: sizes.append(len(a)) or invert(a)
 for kind, n, seed, regime, pathway in {cases}:
     sizes.clear()
     text = aarlcp.generate_random(kind, n, k=3, seed=seed, regime=regime)
-    aarlcp.dispatch_solve(aarlcp.parse_instance(text), aarlcp.SolveOptions(pathway=pathway))
+    aarlcp.dispatch_solve(aarlcp.parse_instance(text), pathway)
     print(len(sizes) > 0, 'scipy.linalg' in sys.modules)
 """
 

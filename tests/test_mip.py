@@ -276,28 +276,30 @@ def test_cold_fallback_keeps_branch_and_bound_verdicts(monkeypatch, give_up):
     assert len(builds) > len(probs)  # more cold solves than roots
 
 
-def test_node_limit_raises():
+def test_node_limit_raises(monkeypatch):
     # every branch is LP-feasible but fractional until pinned; a limit of
     # one node cannot finish
     rng = np.random.default_rng(7)
     lhs = rng.uniform(0.4, 1.0, (1, 6))
     p = _prob(lhs, ["="], [float(lhs.sum()) / 2.0], np.zeros(6), np.ones(6),
               np.arange(6))
+    monkeypatch.setattr(mip_module, "NODE_LIMIT", 1)
     with pytest.raises(NodeLimitError):
+        solve_mip_feasibility(p)
+    with pytest.raises(TypeError):  # the budget is a constant, not a knob
         solve_mip_feasibility(p, node_limit=1)
-    for budget in (0, -5):
-        with pytest.raises(ValueError, match="node_limit must be at least 1"):
-            solve_mip_feasibility(p, node_limit=budget)
 
 
-def test_pinned_rounding_counts_against_node_limit():
+def test_pinned_rounding_counts_against_node_limit(monkeypatch):
     # the root point x0 = 1, y = 0 is integral with x0 unfixed, so the
     # search needs a second node: the pinned rounding
     p = _prob([[1.0, 1.0]], ["="], [1.0], [0.0, 0.0], [1.0, INF], [0])
+    monkeypatch.setattr(mip_module, "NODE_LIMIT", 1)
     with pytest.raises(NodeLimitError) as exc:
-        solve_mip_feasibility(p, node_limit=1)
+        solve_mip_feasibility(p)
     assert exc.value.nodes == 1
-    out = solve_mip_feasibility(p, node_limit=2)
+    monkeypatch.setattr(mip_module, "NODE_LIMIT", 2)
+    out = solve_mip_feasibility(p)
     assert (out.status, out.nodes) == ("feasible", 2)
 
 

@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from aarlcp import (
+    AffineSolutionQ,
     DispatchError,
     MarketModel,
-    SolveOptions,
     UncertainLcpM,
     UncertainLcpQ,
     auto_pathway,
@@ -20,6 +20,7 @@ from aarlcp import (
     serialize_instance,
     solve_enumeration,
 )
+from aarlcp import mip, reporting
 from aarlcp.cli import _build_parser, main
 from aarlcp.instances import GENERATOR_KINDS, KINDS, REGIMES
 from aarlcp.reporting import PATHWAYS, SCHEMA_VERSION
@@ -133,7 +134,7 @@ def test_dispatch_big_m_caveat_exit_two():
 
 def test_dispatch_pathway_override_rejected():
     with pytest.raises(DispatchError) as err:
-        dispatch_solve(MULTI, SolveOptions(pathway="psd-lp"))
+        dispatch_solve(MULTI, "psd-lp")
     assert err.value.is_input and not err.value.is_limit
 
 
@@ -143,22 +144,38 @@ def test_dispatch_pathway_override_rejected():
 ])
 def test_dispatch_rejects_the_other_kinds_pathway(inst, pathway):
     with pytest.raises(DispatchError) as err:
-        dispatch_solve(inst, SolveOptions(pathway=pathway))
+        dispatch_solve(inst, pathway)
     assert err.value.is_input and err.value.pathway == pathway
 
 
-def test_dispatch_node_limit_is_limit_error():
+def test_dispatch_node_limit_is_limit_error(monkeypatch):
     text = generate_random("uncertain-q", n=6, seed=0)
     inst = parse_instance(text)
     inst.ubar[0] = 0.0  # keeps the exact fallback out of reach
+    monkeypatch.setattr(mip, "NODE_LIMIT", 1)
     with pytest.raises(DispatchError) as err:
-        dispatch_solve(inst, SolveOptions(node_limit=1))
+        dispatch_solve(inst)
     assert err.value.is_limit
 
 
 def test_options_validate_pathway():
-    with pytest.raises(ValueError):
-        SolveOptions(pathway="simplex")
+    with pytest.raises(DispatchError) as err:
+        dispatch_solve(MULTI, "simplex")
+    assert err.value.is_input and isinstance(err.value.cause, ValueError)
+    assert "unknown pathway 'simplex'" in str(err.value)
+
+
+def test_dispatch_unverified_rule_is_limit_error(tmp_path, capsys, monkeypatch):
+    # a pathway that hands back a rule failing verification is a solver
+    # fault: dispatch refuses to report it
+    bad = AffineSolutionQ(d=np.zeros((2, 2)), r=np.zeros(2))  # w(0) = qbar < 0
+    monkeypatch.setattr(reporting, "solve_enumeration", lambda inst: [bad])
+    with pytest.raises(DispatchError) as err:
+        dispatch_solve(MULTI, "enumeration")
+    assert err.value.is_limit and err.value.pathway == "enumeration"
+    path = _write(tmp_path, "multi.txt", serialize_instance(MULTI))
+    assert main(["solve", path]) == 4
+    assert "fails verification" in capsys.readouterr().err
 
 
 # --------------------------------------------------------------------- cli
@@ -187,10 +204,13 @@ def test_cli_solve_json(tmp_path, capsys):
 
 
 def test_cli_report_subcommand(tmp_path, capsys):
+    # the JSON report is solve --json; there is no report subcommand
     path = _write(tmp_path, "multi.txt", serialize_instance(MULTI))
-    assert main(["report", path]) == 0
+    assert main(["solve", path, "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["pathway"] == "enumeration"
+    assert main(["report", path]) == 3
+    assert "invalid choice: 'report'" in capsys.readouterr().err
 
 
 def test_cli_solve_from_stdin(capsys, monkeypatch):
@@ -232,10 +252,9 @@ def test_cli_input_errors_exit_three(tmp_path, capsys):
     assert main(["solve", bad]) == 3
     multi = _write(tmp_path, "multi.txt", serialize_instance(MULTI))
     assert main(["solve", multi, "--pathway", "psd-lp"]) == 3
-    for budget in ("-5", "0"):  # a node budget below 1 is an input error
-        assert main(["solve", multi, "--pathway", "mip",
-                     "--node-limit", budget]) == 3
-    assert main(["report", multi, "--json"]) == 3
+    # the node budget is mip.NODE_LIMIT, not a flag
+    assert main(["solve", multi, "--pathway", "mip", "--node-limit", "1"]) == 3
+    assert main(["solve", multi, "--json", "--pathway", "simplex"]) == 3
     assert main(["market-build", multi, "--artificial-halfwidth", "1"]) == 3
     nan_sol = _write(tmp_path, "nan.txt", "kind solution-q\nn 1\nr\nnan\nd\n1\n")
     assert main(["verify", multi, nan_sol]) == 3
@@ -244,25 +263,41 @@ def test_cli_input_errors_exit_three(tmp_path, capsys):
     assert "error:" in err and "non-finite" in err
 
 
-def test_cli_node_limit_exit_four(tmp_path, capsys):
+def test_cli_node_limit_exit_four(tmp_path, capsys, monkeypatch):
     inst = parse_instance(generate_random("uncertain-q", n=6, seed=0))
     inst.ubar[0] = 0.0
     path = _write(tmp_path, "limit.txt", serialize_instance(inst))
-    assert main(["solve", path, "--node-limit", "1"]) == 4
+    monkeypatch.setattr(mip, "NODE_LIMIT", 1)
+    assert main(["solve", path]) == 4
     assert "limit" in capsys.readouterr().err
 
 
-def test_cli_scaled_worked_example_mip_falls_back(tmp_path, capsys):
-    # (qbar, ubar) scaled by 1e9: the MIP is infeasible at the first rung
-    # and the enumeration fallback answers with enumeration's first rule
-    scaled = UncertainLcpQ(m=MULTI.m, qbar=1e9 * MULTI.qbar,
-                           ubar=1e9 * MULTI.ubar, h=0)
-    path = _write(tmp_path, "scaled.txt", serialize_instance(scaled))
+def _assert_mip_falls_back(tmp_path, capsys, inst):
+    # the nominal rule fails, the big-M search finds nothing, and the
+    # enumeration fallback answers with enumeration's first rule
+    path = _write(tmp_path, "inst.txt", serialize_instance(inst))
     assert main(["solve", path, "--pathway", "mip", "--json"]) == 0
-    rule = json.loads(capsys.readouterr().out)["solutions"][0]
-    expected = solve_enumeration(scaled)[0]
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["mip"]["fallback_used"] is True and doc["mip"]["nodes"] >= 1
+    rule = doc["solutions"][0]
+    expected = solve_enumeration(inst)[0]
     np.testing.assert_allclose(rule["d"], expected.d, rtol=1e-12)
     np.testing.assert_allclose(rule["r"], expected.r, rtol=1e-12)
+
+
+def test_cli_scaled_worked_example_mip_falls_back(tmp_path, capsys):
+    # (qbar, ubar) scaled by 1e9: the search spends 8 nodes in vain
+    inst = parse_instance(generate_random("uncertain-q", 2, seed=21))
+    scaled = UncertainLcpQ(m=inst.m, qbar=1e9 * inst.qbar,
+                           ubar=1e9 * inst.ubar, h=inst.h)
+    _assert_mip_falls_back(tmp_path, capsys, scaled)
+
+
+def test_cli_default_big_m_misses_a_rule_mip_falls_back(tmp_path, capsys):
+    # unit-scale data: default_big_m (about 2412) cuts off the one rule
+    # that enumeration finds, and the root LP is already infeasible
+    inst = parse_instance(generate_random("uncertain-q", 4, seed=103))
+    _assert_mip_falls_back(tmp_path, capsys, inst)
 
 
 def test_cli_numerical_trouble_exit_four(tmp_path, capsys, monkeypatch):
@@ -326,7 +361,8 @@ def test_cli_choices_come_from_their_owners():
     assert choices("gen", "kind") == GENERATOR_KINDS
     assert set(GENERATOR_KINDS) <= set(KINDS)
     assert choices("gen", "regime") == REGIMES
-    assert choices("solve", "pathway") == choices("report", "pathway") == PATHWAYS
+    assert choices("solve", "pathway") == PATHWAYS
+    assert set(commands) == {"solve", "verify", "gen", "market-build"}
 
 
 def test_cli_gen_deterministic(capsys):

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from aarlcp import (DispatchError, NumericalError, SolveOptions, build_lcp,
+from aarlcp import (DispatchError, NumericalError, build_lcp,
                     dispatch_solve, generate_random, lcp, linalg, parse_instance,
                     robust_q)
 from aarlcp.lcp import (NominalLcp, compute_support_P, describe_solution_set,
@@ -522,7 +522,7 @@ def test_numerical_trouble_is_a_typed_limit():
     with pytest.raises(NumericalError, match=r"pivoting produced M z \+ q with entry"):
         solve_psd(scaled)
     with pytest.raises(DispatchError) as err:
-        dispatch_solve(scaled, SolveOptions(pathway="psd-lp"))
+        dispatch_solve(scaled, "psd-lp")
     assert err.value.is_limit and isinstance(err.value.cause, NumericalError)
 
 

@@ -75,7 +75,7 @@ def test_patches_are_on_the_call_path(pathway):
                   if mod_name == "robust_m" or span.startswith("robust_m.")}
     tracer = spans.Tracer()
     with tracer.patched(aarlcp):
-        report = aarlcp.dispatch_solve(inst, aarlcp.SolveOptions(pathway=pathway))
+        report = aarlcp.dispatch_solve(inst, pathway)
     assert report.status == "solution"
     names = [s[spans.NAME] for s in tracer.spans]
     assert wanted <= set(names), wanted - set(names)
