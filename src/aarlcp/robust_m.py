@@ -19,6 +19,23 @@ identically zero. The first h coordinates are here-and-now decisions:
 their D rows must be zero, which is checked on each closed-form
 candidate and rejects supports whose rows refuse to comply.
 
+When m0 is positive definite (linalg.is_positive_definite) the nominal
+LCP (m0, q) has exactly one solution zbar (Cottle, Pang & Stone 1992,
+Thm 3.3.7), and every rule has r = z(0) = zbar: only the support of
+zbar can carry a rule. Lemke finds zbar, and its strict support is
+read as for uncertain q (robust_q._nominal_solution). The coordinates
+that the floor TOL_FEAS (1 + max|q|) cannot decide (_nominal_chunks)
+are tried both ways, every subset of them, and each candidate goes
+through the screen and the gates of the sweep below, in its order: the
+route stands in for the sweep, with no size cap. Lemke's ray
+or failure, a zbar that is not strictly complementary, or more than
+ENUMERATION_SIZE_CAP undecided coordinates fall back to the sweep; the
+sweep alone is refused past n - h = ENUMERATION_SIZE_CAP or n =
+TOTAL_SIZE_CAP_M. Supports with a singular m0_J, which the report
+names in a caveat, come from the sweep, or on the route from a block
+of a positive definite m0 that the pivot rule still flags (a badly
+scaled diagonal, or entries that overflow).
+
 The sweep screens the supports of one size in chunks: one batched
 inverse of the blocks m0_J (linalg.invert_stack: numpy's LAPACK
 inverse, with the stacked LU deciding the blocks it cannot certify)
@@ -42,7 +59,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import linalg
+from . import linalg, robust_q
 from .boxopt import (BoxBudgetError, min_affine_over_box,
                      min_quadratic_over_box)
 from .robust_q import (ENUMERATION_SIZE_CAP, ConditionCheck, SizeLimitError,
@@ -317,54 +334,107 @@ def _nominal_screen(inst: UncertainLcpM, supports: np.ndarray,
     return ~np.any(low, axis=1)
 
 
-def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
-    """Sweep supports J by cardinality; keep candidates that pass every
-    gate. Supports with a singular m0_J have no characterization and
-    are collected, not searched (the caller may report the caveat).
-    A batched inverse per chunk of supports screens out the singular
-    ones, those whose r_J is not positive and those that fail the
-    nominal condition (see the module docstring). A box check that passes
-    undecided raises BoxBudgetError."""
+def _decide(inst: UncertainLcpM, chunks) -> EnumerationOutcomeM:
+    """Hold each support of chunks, stacks (C, s) of supports of one
+    size in the sweep's order, to the screen and the gates of the sweep
+    (see solve_enumeration_m_detailed)."""
+    out = EnumerationOutcomeM()
+    scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
+    for chunk in chunks:
+        inv, singular = linalg.invert_stack(
+            inst.m0[chunk[:, :, None], chunk[:, None, :]])
+        out.singular_supports.extend(chunk[singular])
+        r = -np.einsum("cij,cj->ci", inv, inst.q[chunk])
+        # a superset of the supports with r_J > TOL_SUPPORT: the
+        # closed form below inverts the block again and tests its r_J
+        live = ~singular & ~np.any(r <= 0.5 * TOL_SUPPORT, axis=1)
+        # for the zero rule w is q on the whole box, so the screen
+        # makes check_box_conditions' decision
+        live[live] = _nominal_screen(inst, chunk[live], r[live], scale)
+        for j in chunk[live]:
+            cand = characterize_for_J(inst, j)
+            if j.size and np.min(cand.r[j]) <= TOL_SUPPORT:
+                continue  # support demands strictly positive r
+            rows = j[j < inst.h]
+            if rows.size and np.max(np.abs(cand.d[rows, :])) > TOL_FEAS:
+                continue  # here-and-now rows refuse to stay fixed
+            if not check_kernel_condition(inst, j, cand):
+                continue
+            cand.d[: inst.h, :] = 0.0
+            box = check_box_conditions(inst, j, cand)
+            if not box.overall:
+                continue
+            if not box.certified:
+                raise BoxBudgetError(
+                    f"box check of support {(j + 1).tolist()} ran out "
+                    "of its box budget undecided")
+            if sample_violation_m(inst, cand, count=1000, seed=0) > TOL_FEAS * 10:
+                continue  # sampling backstop against tolerance leaks
+            out.solutions.append(cand)
+    return out
+
+
+def _support_sweep(inst: UncertainLcpM) -> EnumerationOutcomeM:
+    """_decide on all 2^n supports, in chunks of linalg.support_chunks;
+    refused past the caps."""
     n = inst.n
     if n - inst.h > ENUMERATION_SIZE_CAP or n > TOTAL_SIZE_CAP_M:
         raise SizeLimitError(
-            f"enumeration over 2^{n} supports refused "
-            f"(limit n - h <= {ENUMERATION_SIZE_CAP}, n <= {TOTAL_SIZE_CAP_M})")
-    out = EnumerationOutcomeM()
-    scale = 1.0 + float(np.max(np.abs(inst.q), initial=0.0))
-    for size in range(n + 1):
-        for chunk in linalg.support_chunks(range(n), size):
-            inv, singular = linalg.invert_stack(
-                inst.m0[chunk[:, :, None], chunk[:, None, :]])
-            out.singular_supports.extend(chunk[singular])
-            r = -np.einsum("cij,cj->ci", inv, inst.q[chunk])
-            # a superset of the supports with r_J > TOL_SUPPORT: the
-            # closed form below inverts the block again and tests its r_J
-            live = ~singular & ~np.any(r <= 0.5 * TOL_SUPPORT, axis=1)
-            # for the zero rule w is q on the whole box, so the screen
-            # makes check_box_conditions' decision
-            live[live] = _nominal_screen(inst, chunk[live], r[live], scale)
-            for j in chunk[live]:
-                cand = characterize_for_J(inst, j)
-                if j.size and np.min(cand.r[j]) <= TOL_SUPPORT:
-                    continue  # support demands strictly positive r
-                rows = j[j < inst.h]
-                if rows.size and np.max(np.abs(cand.d[rows, :])) > TOL_FEAS:
-                    continue  # here-and-now rows refuse to stay fixed
-                if not check_kernel_condition(inst, j, cand):
-                    continue
-                cand.d[: inst.h, :] = 0.0
-                box = check_box_conditions(inst, j, cand)
-                if not box.overall:
-                    continue
-                if not box.certified:
-                    raise BoxBudgetError(
-                        f"box check of support {(j + 1).tolist()} ran out "
-                        "of its box budget undecided")
-                if sample_violation_m(inst, cand, count=1000, seed=0) > TOL_FEAS * 10:
-                    continue  # sampling backstop against tolerance leaks
-                out.solutions.append(cand)
-    return out
+            f"enumeration over 2^{n} supports refused (limit n - h <= "
+            f"{ENUMERATION_SIZE_CAP}, n <= {TOTAL_SIZE_CAP_M}; the caps apply "
+            "when m0 is not positive definite, or when its nominal solution "
+            "cannot name the supports)")
+    return _decide(inst, (chunk for size in range(n + 1)
+                          for chunk in linalg.support_chunks(range(n), size)))
+
+
+def _nominal_chunks(inst: UncertainLcpM):
+    """The supports that can carry a rule when m0 is positive definite,
+    as chunks for _decide, or None when Lemke's nominal solution zbar
+    cannot name them: a ray, a failure, a zbar that is not strictly
+    complementary, or more than ENUMERATION_SIZE_CAP ambiguous
+    coordinates. Those are the coordinates that the floor TOL_FEAS (1 +
+    max|q|) of the sweep cannot decide: on the support P of zbar the
+    swing zbar_i max_t |m0[t, i]| of dropping i, off it w_i = (m0 zbar
+    + q)_i, at or below the floor. The chunks are P less the ambiguous
+    coordinates joined with every subset of them, in the sweep's order:
+    a fixed disjoint part keeps the lexicographic order of the
+    subsets."""
+    found = robust_q._nominal_solution(inst.m0, inst.q)
+    if found is None:
+        return None
+    zbar, p_set = found
+    floor = TOL_FEAS * (1.0 + float(np.max(np.abs(inst.q), initial=0.0)))
+    on_p = np.isin(np.arange(inst.n), p_set)
+    with np.errstate(all="ignore"):
+        swing = np.where(on_p, zbar * np.max(np.abs(inst.m0), axis=0),
+                         inst.m0 @ zbar + inst.q)
+    ambiguous = np.flatnonzero(swing <= floor)
+    if ambiguous.size > ENUMERATION_SIZE_CAP:
+        return None
+    base = np.flatnonzero(on_p & (swing > floor))
+    return (np.sort(np.hstack([np.tile(base, (len(chunk), 1)), chunk]), axis=1)
+            for size in range(ambiguous.size + 1)
+            for chunk in linalg.support_chunks(ambiguous, size))
+
+
+def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
+    """Supports J that pass every gate, by cardinality then
+    lexicographically. A positive definite m0 takes the supports of
+    _nominal_chunks, with no size cap; any other m0, or one whose
+    nominal solution cannot name them, takes the sweep of all 2^n,
+    refused past n - h = ENUMERATION_SIZE_CAP or n = TOTAL_SIZE_CAP_M.
+    Supports with a singular m0_J have no characterization and are
+    collected, not searched (the caller may report the caveat). A
+    batched inverse per chunk of supports screens out the singular
+    ones, those whose r_J is not positive and those that fail the
+    nominal condition (see the module docstring). A box check that
+    passes undecided raises BoxBudgetError."""
+    if linalg.is_positive_definite(inst.m0):
+        chunks = _nominal_chunks(inst)
+        if chunks is not None:
+            return _decide(inst, chunks)
+    return _support_sweep(inst)
 
 
 def solve_enumeration_m(inst: UncertainLcpM) -> list:

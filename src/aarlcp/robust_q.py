@@ -26,7 +26,9 @@ Every rule has z(0) = r, so r solves the nominal LCP (M, qbar), and the
 support P of a strictly complementary nominal solution zbar pins D by
 linear algebra. _nominal_candidate builds that rule (r = zbar on P);
 solve_psd takes it as its one candidate, and solve_mip_q tries it
-before it builds the big-M program.
+before it builds the big-M program. _nominal_solution (Lemke and
+_strict_support) serves uncertain M too: robust_m decides a positive
+definite m0 at the support of its one nominal solution.
 
 Enumeration visits 2^(n-h) supports J, each fixing D[J, J] =
 -inv(M[J, J]) and r_J. It works per support size in chunks: numpy's
@@ -547,19 +549,32 @@ def solve_mip_q(inst: UncertainLcpQ) -> MipPathOutcome:
     return MipPathOutcome("no-solution", None, None, "big-M bounded", b, out.nodes)
 
 
-def _nominal_rule(inst: UncertainLcpQ):
-    """solve_mip_q's first try: (rule, report) for the rule of
-    _nominal_candidate at Lemke's nominal solution when it passes
-    verify_affine_q, else None."""
+def _nominal_solution(m: np.ndarray, q: np.ndarray):
+    """(zbar, P) for Lemke's solution zbar of the nominal LCP (m, q) and
+    its strict support P (_strict_support), or None when Lemke ends in a
+    ray or fails (IterationLimitError, linalg.NumericalError) or zbar is
+    not strictly complementary. Both kinds of uncertainty call it, so
+    every such Lemke call is robust_q.solve_lemke."""
     try:
-        nominal = solve_lemke(NominalLcp(inst.m, inst.qbar))
+        nominal = solve_lemke(NominalLcp(m, q))
     except (IterationLimitError, linalg.NumericalError):
         return None
     if nominal.status == "ray":
         return None
     zbar = nominal.solution.z
-    p_set = _strict_support(inst, zbar)
-    found = None if p_set is None else _nominal_candidate(inst, p_set, zbar)
+    p_set = _strict_support(m, q, zbar)
+    return None if p_set is None else (zbar, p_set)
+
+
+def _nominal_rule(inst: UncertainLcpQ):
+    """solve_mip_q's first try: (rule, report) for the rule of
+    _nominal_candidate at Lemke's nominal solution when it passes
+    verify_affine_q, else None."""
+    nominal = _nominal_solution(inst.m, inst.qbar)
+    if nominal is None:
+        return None
+    zbar, p_set = nominal
+    found = _nominal_candidate(inst, p_set, zbar)
     if found is None:
         return None
     report = verify_affine_q(inst, found[0])
@@ -637,11 +652,11 @@ def _nominal_candidate(inst: UncertainLcpQ, p_set: np.ndarray, zbar: np.ndarray)
     return AffineSolutionQ(d, r), x0, kernel
 
 
-def _strict_support(inst: UncertainLcpQ, zbar: np.ndarray):
-    """{i : zbar_i > 0} when the nominal solution zbar is strictly
-    complementary, else None. Strict: each i has exactly one of zbar_i
-    (above TOL_STRICT times max_j zbar_j) and w_i = (M zbar + qbar)_i
-    (above TOL_STRICT times the largest entry of |M zbar| and |qbar|,
+def _strict_support(m: np.ndarray, q: np.ndarray, zbar: np.ndarray):
+    """{i : zbar_i > 0} when the solution zbar of the nominal LCP (m, q)
+    is strictly complementary, else None. Strict: each i has exactly one
+    of zbar_i (above TOL_STRICT times max_j zbar_j) and w_i = (m zbar +
+    q)_i (above TOL_STRICT times the largest entry of |m zbar| and |q|,
     the terms it sums) positive, thresholds that move with the data.
 
     For PSD M the set is then both P and K of the nominal solution set:
@@ -649,10 +664,10 @@ def _strict_support(inst: UncertainLcpQ, zbar: np.ndarray):
     z2) >= 0, which is also -z1.w2 - z2.w1 <= 0, so z1.w2 = z2.w1 = 0.
     With z1 = zbar, every solution is zero where w_i > 0 and has w_i = 0
     where zbar_i > 0."""
-    mz = inst.m @ zbar
-    wscale = max(np.max(np.abs(mz), initial=0.0), np.max(np.abs(inst.qbar), initial=0.0))
+    mz = m @ zbar
+    wscale = max(np.max(np.abs(mz), initial=0.0), np.max(np.abs(q), initial=0.0))
     z_pos = zbar > TOL_STRICT * np.max(zbar, initial=0.0)
-    w_pos = mz + inst.qbar > TOL_STRICT * wscale
+    w_pos = mz + q > TOL_STRICT * wscale
     return None if np.any(z_pos == w_pos) else np.flatnonzero(z_pos)
 
 
@@ -702,7 +717,7 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     n = inst.n
     nominal_set = p_set = None
     if definite:
-        p_set = k_set = _strict_support(inst, zbar)
+        p_set = k_set = _strict_support(inst.m, inst.qbar, zbar)
     if p_set is None:
         nominal_set = describe_solution_set(prob, zbar)
         p_set, k_set = compute_support_P(nominal_set)

@@ -291,8 +291,10 @@ def test_enumeration_reports_singular_supports():
 @pytest.mark.parametrize("n, h", [(21, 0), (25, 5)])
 def test_sweep_size_guard_on_both_conditions(n, h):
     # n - h above ENUMERATION_SIZE_CAP = 20; then n above TOTAL_SIZE_CAP_M
-    # = 24 with n - h at the cap. Both refuse before any support is built
-    inst = UncertainLcpM(m0=np.eye(n), perturbations=[np.zeros((n, n))],
+    # = 24 with n - h at the cap. Both refuse before any support is built.
+    # -I is not positive definite, so the sweep runs (I takes the route
+    # through its nominal solution, which has no cap)
+    inst = UncertainLcpM(m0=-np.eye(n), perturbations=[np.zeros((n, n))],
                          q=-np.ones(n), h=h)
     with pytest.raises(SizeLimitError, match="refused"):
         solve_enumeration_m_detailed(inst)
@@ -554,7 +556,9 @@ def test_sweep_inverts_each_surviving_support_once(monkeypatch):
     assert solve_enumeration_m(insts[0])
     for inst in insts:
         closed.clear()
-        solve_enumeration_m(inst)
+        # every m0 here is positive definite: call the sweep of all
+        # supports, not the route through the nominal solution
+        robust_m._support_sweep(inst)
         assert len(set(closed)) == len(closed)
         threshold = -TOL_FEAS * (1.0 + np.max(np.abs(inst.q)))
         for size in range(inst.n + 1):

@@ -409,8 +409,8 @@ def test_mip_builds_and_searches_once(monkeypatch):
     # complementary but names a rule that fails the box check
     assert solve_lemke(NominalLcp(BLOCKED.m, BLOCKED.qbar)).status == "ray"
     zbar = solve_lemke(NominalLcp(NONE_PD.m, NONE_PD.qbar)).solution.z
-    rule = robust_q._nominal_candidate(NONE_PD, robust_q._strict_support(NONE_PD, zbar),
-                                       zbar)[0]
+    p_set = robust_q._strict_support(NONE_PD.m, NONE_PD.qbar, zbar)
+    rule = robust_q._nominal_candidate(NONE_PD, p_set, zbar)[0]
     assert not verify_affine_q(NONE_PD, rule).overall
     calls = _spy_search(monkeypatch)
     for inst, certificate, searched in ((MULTI, "verified", False),
@@ -1055,7 +1055,7 @@ def _strictly_complementary_psd():
     for inst in insts:
         nominal = solve_lemke(NominalLcp(inst.m, inst.qbar))
         if nominal.status == "solution":
-            p_set = robust_q._strict_support(inst, nominal.solution.z)
+            p_set = robust_q._strict_support(inst.m, inst.qbar, nominal.solution.z)
             if p_set is not None:
                 yield inst, nominal.solution.z, p_set
 

@@ -18,7 +18,7 @@ from collections import Counter
 import numpy as np
 
 from aarlcp import linalg, reporting
-from aarlcp.robust_m import (EnumerationOutcomeM, UncertainLcpM,
+from aarlcp.robust_m import (EnumerationOutcomeM, UncertainLcpM, _support_sweep,
                              characterize_for_J, check_box_conditions,
                              check_kernel_condition, sample_violation_m,
                              solve_enumeration_m_detailed)
@@ -266,6 +266,10 @@ def test_stacked_m_sweep_matches_the_per_support_loop(monkeypatch):
         want = _enumeration_m_oracle(inst, branches)
         got = solve_enumeration_m_detailed(inst)
         _assert_same_rules(got.solutions, want.solutions)
+        if linalg.is_positive_definite(inst.m0):
+            # got came from the route through the nominal solution (or
+            # from its fallback); the sweep of all supports agrees too
+            _assert_same_rules(_support_sweep(inst).solutions, want.solutions)
         assert [s.tolist() for s in got.singular_supports] == \
             [s.tolist() for s in want.singular_supports]
         # the caveat and the singular supports of the report
@@ -281,9 +285,10 @@ def test_stacked_m_sweep_matches_the_per_support_loop(monkeypatch):
         assert branches[branch] >= 5, branches
 
 
-def test_overflow_block_dispatches_with_a_uniqueness_verdict():
+def test_overflow_block_dispatches_with_a_uniqueness_verdict(monkeypatch):
     # the symmetric part of the 1e308 block is finite and positive
-    # definite, so uniqueness holds; the singular supports get a caveat
+    # definite, so m0 is, and uniqueness holds: only the support {4} of
+    # the one nominal solution is decided, and no block overflows there
     m0 = np.zeros((4, 4))
     m0[:3, :3] = 1e308 * OVERFLOW
     m0[3, 3] = 1.0
@@ -292,7 +297,16 @@ def test_overflow_block_dispatches_with_a_uniqueness_verdict():
     report = reporting.dispatch_solve(inst)
     assert report.status == "solution"
     assert report.uniqueness == "unique-if-exists"
-    assert report.caveat is not None
+    assert report.caveat is None
+    assert report.singular_supports is None
+    # the sweep of all 2^4 supports still collects the overflowing
+    # blocks, and the report then carries the caveat
+    monkeypatch.setattr(reporting, "solve_enumeration_m_detailed", _support_sweep)
+    report = reporting.dispatch_solve(inst)
+    assert report.status == "solution"
+    assert [1, 2, 3] in report.singular_supports
+    assert report.caveat == ("supports with a singular nominal block were "
+                             "skipped; further solutions could hide there")
 
 
 def _blocks(rng):

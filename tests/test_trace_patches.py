@@ -27,21 +27,34 @@ def test_patched_names_resolve():
     assert callable(aarlcp.reporting.SolveReport.to_json)
 
 
-# per pathway: a small instance and the spans its solve must record
-# besides those of dispatch (for uncertain-m: every robust_m patch)
+# per case: the pathway, a small instance and the spans its solve must
+# record besides those of dispatch (for uncertain-m, every robust_m patch
+# too)
 CASES = {
-    # the zero rule fails the nominal screen (q_0 < 0); the support {0}
-    # (r_0 = 2) reaches the box check with the off-support row w_1 = 2
-    # zeta + 4, so min_quadratic_over_box runs on a nonempty support
+    # the support {0} (r_0 = 2) reaches the box check with the
+    # off-support row w_1 = 2 zeta + 4, so min_quadratic_over_box runs on
+    # a nonempty support. m0 is positive definite, so the support is
+    # that of Lemke's nominal solution
     "uncertain-m": (
+        "uncertain-m",
         aarlcp.UncertainLcpM(m0=np.array([[4.0, 1.0], [0.0, 4.0]]),
                              perturbations=[np.array([[0.0, 1.0], [1.0, 0.0]])],
                              q=np.array([-8.0, 4.0]), h=0),
-        None),
+        {"lcp.solve_lemke"}),
+    # the same rule with m0 indefinite (m0[0, 1] = 9 does not touch it):
+    # the chunked sweep of all supports runs, and the zero rule fails its
+    # nominal screen (q_0 < 0)
+    "uncertain-m-sweep": (
+        "uncertain-m",
+        aarlcp.UncertainLcpM(m0=np.array([[4.0, 9.0], [0.0, 4.0]]),
+                             perturbations=[np.array([[0.0, 1.0], [1.0, 0.0]])],
+                             q=np.array([-8.0, 4.0]), h=0),
+        set()),
     # positive semidefinite and singular, so solve_psd takes its LP route;
     # a one-point nominal set, so the uniqueness check reaches its rank
     # test
     "psd-lp": (
+        "psd-lp",
         aarlcp.UncertainLcpQ(m=np.array([[1.0, 0.0], [0.0, 0.0]]),
                              qbar=np.array([-1.0, 1.0]),
                              ubar=np.array([0.1, 0.1])),
@@ -54,6 +67,7 @@ CASES = {
     # node LP runs past the refactorization interval, so the simplex
     # reaches linalg.invert
     "mip": (
+        "mip",
         aarlcp.UncertainLcpQ(m=np.array([[2.6583, 0.068, 2.8575],
                                          [-2.515, 0.6441, -0.7411],
                                          [1.8114, -1.9528, 2.2298]]),
@@ -66,19 +80,21 @@ CASES = {
 }
 
 
-@pytest.mark.parametrize("pathway", sorted(CASES))
-def test_patches_are_on_the_call_path(pathway):
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_patches_are_on_the_call_path(case):
     spans = _spans()
-    inst, wanted = CASES[pathway]
-    if wanted is None:
-        wanted = {span for mod_name, _, span in spans.PATCHES
-                  if mod_name == "robust_m" or span.startswith("robust_m.")}
+    pathway, inst, wanted = CASES[case]
+    if pathway == "uncertain-m":
+        wanted = wanted | {span for mod_name, _, span in spans.PATCHES
+                           if mod_name == "robust_m" or span.startswith("robust_m.")}
     tracer = spans.Tracer()
     with tracer.patched(aarlcp):
         report = aarlcp.dispatch_solve(inst, pathway)
     assert report.status == "solution"
     names = [s[spans.NAME] for s in tracer.spans]
     assert wanted <= set(names), wanted - set(names)
+    if case == "uncertain-m-sweep":
+        assert "lcp.solve_lemke" not in names
 
     def lps_under(parent):
         return sum(1 for s in tracer.spans if s[spans.NAME] == "lp.solve_lp"
@@ -92,7 +108,7 @@ def test_patches_are_on_the_call_path(pathway):
     assert support == names.count("lcp.compute_support_P")
     assert uniqueness == 0
     assert names.count("lp.solve_lp") == support + uniqueness
-    if pathway == "psd-lp":
+    if case == "psd-lp":
         # perfbench's lp.check_feasibility.* metrics measure the psd-lp LP:
         # exactly one per solve, under solve_psd
         psd = [k for k, name in enumerate(names) if name == "robust_q.solve_psd"]
