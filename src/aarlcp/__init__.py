@@ -8,7 +8,8 @@ file format (instances), and solver dispatch with reports (reporting).
 """
 
 from .lcp import (LcpSolution, LemkeOutcome, NominalLcp, compute_support_P,
-                  describe_solution_set, lcp_residuals, solve_lemke)
+                  describe_solution_set, lcp_residuals, solve_block_pivoting,
+                  solve_lemke)
 from .linalg import NumericalError, SingularMatrixError, is_psd
 from .lp import (IterationLimitError, LinearProgram, LpOutcome,
                  check_feasibility, check_point, solve_lp)
@@ -35,6 +36,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "NominalLcp", "LcpSolution", "LemkeOutcome", "solve_lemke",
+    "solve_block_pivoting",
     "lcp_residuals", "compute_support_P", "describe_solution_set",
     "SingularMatrixError", "NumericalError", "is_psd",
     "LinearProgram", "LpOutcome", "solve_lp", "check_feasibility",

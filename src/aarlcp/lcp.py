@@ -10,6 +10,15 @@ semidefinite (more generally copositive-plus) M, and only on a finite
 tableau; for other matrices a ray is reported as such and the caller
 decides, and on an overflowed tableau it raises NumericalError.
 
+solve_block_pivoting serves a positive definite M, whose LCP has
+exactly one solution: block principal pivoting (Judice & Pires, Comput.
+Oper. Res. 21(5), 1994) guesses which coordinates are free, solves the
+principal block of those by LAPACK, and exchanges every coordinate of
+the wrong sign at once, or by Murty's single-pivot rule when that does
+not shrink their number. It takes a few block solves where Lemke takes
+a pivot per coordinate, and it hands back only a point that passes the
+same recheck as Lemke's; when it gives up, the caller runs Lemke.
+
 describe_solution_set encodes, for PSD M, the full solution set as a
 polyhedron around any one solution; compute_support_P takes that
 LinearProgram and, with one LP over its homogenization, returns P, the
@@ -21,8 +30,9 @@ fixes D from P by linear algebra and, unless that leaves one candidate
 (r the one solution), decides the rest with one feasibility LP built
 from the same polyhedron in r alone, stated at most once per instance,
 its bounds and right-hand sides raised by the box envelopes. Its
-uniqueness check is a rank test on the affine hull that P and K span,
-with no LP.
+uniqueness verdict needs no computation when M is positive definite and
+P came from the one nominal solution, and is otherwise a rank test on
+the affine hull that P and K span, with no LP.
 """
 
 from __future__ import annotations
@@ -42,6 +52,7 @@ __all__ = [
     "LemkeOutcome",
     "lcp_residuals",
     "solve_lemke",
+    "solve_block_pivoting",
     "describe_solution_set",
     "compute_support_P",
 ]
@@ -170,6 +181,55 @@ def solve_lemke(prob: NominalLcp) -> LemkeOutcome:
         row = None
 
 
+def solve_block_pivoting(prob: NominalLcp) -> LcpSolution | None:
+    """The solution of the LCP of a positive definite M by block
+    principal pivoting, or None when the method gives up.
+
+    F holds the coordinates where z is free, z_F solving M[F, F] z_F =
+    -q_F, and z is zero off F; F starts as {i : q_i < 0}. The infeasible
+    set H holds the i in F with z_i < 0 and the i outside F with w_i =
+    (M z + q)_i < 0. While H is smaller than every H before it, all of H
+    changes sides at once; otherwise only its largest index does
+    (Murty's rule, which ends for every P-matrix). An empty H gives the
+    solution, which must pass the recheck solve_lemke applies to its own.
+
+    None, for the caller to run solve_lemke instead, after n + 50
+    iterations (a stall, which rounding can cause on a degenerate
+    instance), on a block LAPACK finds singular, on a non-finite iterate
+    and on a point that fails the recheck.
+    """
+    n = prob.n
+    m, q = prob.m, prob.q
+    free = q < 0
+    fewest = n + 1
+    with np.errstate(all="ignore"):
+        for _ in range(n + 50):
+            f = np.flatnonzero(free)
+            z = np.zeros(n)
+            if f.size:
+                try:
+                    z[f] = np.linalg.solve(m[f[:, None], f], -q[f])
+                except np.linalg.LinAlgError:
+                    return None
+            w = m @ z + q
+            if not (np.isfinite(z).all() and np.isfinite(w).all()):
+                return None
+            wrong = np.where(free, z < 0, w < 0)
+            count = int(np.count_nonzero(wrong))
+            if count == 0:
+                try:
+                    return _validate_solution(prob, z)
+                except linalg.NumericalError:
+                    return None
+            if count < fewest:
+                fewest = count
+                free ^= wrong
+            else:
+                last = np.flatnonzero(wrong)[-1]
+                free[last] = not free[last]
+    return None
+
+
 def _lex_argmin(keys: np.ndarray) -> int:
     """Index of the lexicographically smallest row of keys. Column by
     column, the rows within TOL_LEX_TIE of the smallest value left in
@@ -200,9 +260,10 @@ def describe_solution_set(prob: NominalLcp, zbar) -> LinearProgram:
 
     The returned LinearProgram has a zero objective; callers set one.
     Raises ValueError when M is not positive semidefinite or zbar fails
-    the check solve_lemke applies to its own solutions.
+    the check solve_lemke applies to its own solutions. Within one
+    dispatch the definiteness of M is decided once (linalg._definiteness).
     """
-    if not linalg.is_psd(prob.m):
+    if linalg._definiteness(prob.m) is None:
         raise ValueError("solution-set description requires a PSD matrix")
     zbar = linalg.as_vector(zbar, prob.n)
     try:

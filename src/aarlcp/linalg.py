@@ -29,6 +29,8 @@ all the blocks it decides.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import itertools
 
 import numpy as np
@@ -261,8 +263,8 @@ def is_positive_definite(a) -> bool:
     rescaled, by one factor or by a positive diagonal D a D, and a block
     of large entries does not hide a small one."""
     a = as_matrix(a, square=True)
-    d = np.diagonal(a)  # that of the symmetric part too
-    if not d.size or np.any(d <= 0):
+    d = a.diagonal()  # that of the symmetric part too
+    if not d.size or d.min() <= 0:
         return False
     r = 1.0 / np.sqrt(d)
     return float(symmetric_eigenvalues(a * r[:, None] * r)[0]) > TOL_PD
@@ -274,4 +276,39 @@ def is_psd(a) -> bool:
     z^T a z = z^T sym(a) z, so positive semidefiniteness of a (as a
     quadratic form) reduces to its symmetric part.
     """
-    return bool(np.all(symmetric_eigenvalues(a) >= -TOL_PSD))
+    # eigvalsh sorts them in increasing order
+    eig = symmetric_eigenvalues(a)
+    return bool(not eig.size or eig[0] >= -TOL_PSD)
+
+
+# the verdicts of _definiteness, while a _definiteness_once block is open
+_VERDICTS = contextvars.ContextVar("definiteness_verdicts", default=None)
+
+
+@contextlib.contextmanager
+def _definiteness_once():
+    """Within the block, _definiteness decides each matrix once: a
+    dispatch (reporting) opens one, so that the pathway choice, the
+    psd-lp solve and its solution-set description share one verdict."""
+    token = _VERDICTS.set([])
+    try:
+        yield
+    finally:
+        _VERDICTS.reset(token)
+
+
+def _definiteness(a) -> str | None:
+    """"definite" when is_positive_definite(a), else "semidefinite" when
+    is_psd(a), else None. The definite test comes first: it exits on a
+    nonpositive diagonal with no eigendecomposition, and a positive
+    definite matrix is semidefinite. Inside a _definiteness_once block a
+    matrix equal to one decided there takes that verdict."""
+    seen = _VERDICTS.get()
+    for b, verdict in seen or ():
+        if np.array_equal(b, a):
+            return verdict
+    verdict = ("definite" if is_positive_definite(a)
+               else "semidefinite" if is_psd(a) else None)
+    if seen is not None:
+        seen.append((a, verdict))
+    return verdict

@@ -32,7 +32,11 @@ With zero cost every basis is dual feasible, so there is no dual ratio
 test: the basic variable with the worst bound violation leaves at the
 bound it violates, and the sign-compatible nonbasic column with the
 largest entry in its tableau row enters (Koberstein, The dual simplex
-method, PhD thesis, Paderborn 2005). When no column is eligible, that
+method, PhD thesis, Paderborn 2005). Before each pivot its value from
+the row (binv[r] a) and from the column (binv a[:, e]) must agree to
+within the pivot tolerance, relatively; an inaccurate product-form binv
+is refactored once, and a disagreement that survives ends the warm
+attempt as non-finite basic values do. When no column is eligible, that
 row's multipliers y prove the LP infeasible if y.b lies outside the
 range of (y A) x over the bounds by more than the phase-1 threshold. A
 failed proof, a start from other rows or more pivots than
@@ -436,13 +440,15 @@ class _Simplex:
         docstring). Returns "optimal" once every basic value is within
         1e-9 (1 + |bound|) of its bounds; "infeasible" when the worst
         row has no eligible column, with that row of binv in self.y (to
-        be certified); None after pivot_cap pivots or when the basic
-        values stop being finite."""
+        be certified); None after pivot_cap pivots, when the basic
+        values stop being finite, or when the row and the column of a
+        pivot still disagree on its value after a refactorization."""
         lo, up = self.lo, self.up
         lo_tol = 1e-9 * (1 + np.abs(lo))
         up_tol = 1e-9 * (1 + np.abs(up))
         movable = up - lo > _PTOL
         pivots = 0
+        refactored = False
         while True:
             self.iterations += 1
             xb = self._basic_values()
@@ -472,9 +478,20 @@ class _Simplex:
                 self.y = self.binv[r].copy()
                 return "infeasible"
             e = int(cand[np.argmax(np.abs(alpha[cand]))])
+            w = self.binv @ self.a[:, e]
+            # the pivot from the row (alpha[e]) and from the column (w[r])
+            # must agree; an inaccurate binv is refactored and the step
+            # taken again, and one that still disagrees ends the attempt
+            if abs(alpha[e] - w[r]) > _PTOL * abs(alpha[e]):
+                if refactored:
+                    return None
+                self._refactor()
+                refactored = True
+                continue
+            refactored = False
             target = lo[basis[r]] if rising else up[basis[r]]
             self.val[e] += (xb[r] - target) / alpha[e]
-            self._pivot(r, e, self.binv @ self.a[:, e], target)
+            self._pivot(r, e, w, target)
             pivots += 1
 
     def pin_artificials(self):

@@ -4,7 +4,9 @@ dispatch_solve routes a parsed instance to a pathway (auto selection or
 an explicit override), re-verifies every solution analytically, and
 packages the result as a SolveReport that renders to human-readable
 text or versioned JSON (schema 1). A report never carries a solution
-whose verification failed.
+whose verification failed. Within one dispatch the definiteness of a
+matrix is decided once (linalg._definiteness), whether the pathway
+choice or the psd-lp solve asks first.
 """
 
 from __future__ import annotations
@@ -17,8 +19,7 @@ import numpy as np
 from . import linalg
 from .market import MarketModel, build_lcp
 from .robust_m import (AffineSolutionM, UncertainLcpM,
-                       solve_enumeration_m_detailed, uniqueness_m,
-                       verify_affine_m)
+                       solve_enumeration_m_detailed, verify_affine_m)
 from .robust_q import (AffineSolutionQ, UncertainLcpQ,
                        ENUMERATION_SIZE_CAP, solve_enumeration, solve_mip_q,
                        solve_psd, uniqueness_check_psd, verify_affine_q)
@@ -190,9 +191,10 @@ def _sets_m(inst: UncertainLcpM, sol: AffineSolutionM) -> dict:
 
 
 def auto_pathway(inst: UncertainLcpQ) -> str:
-    """psd-lp when M allows it, enumeration when every coordinate is
-    uncertain and the adjustable block is small, mip otherwise."""
-    if linalg.is_psd(inst.m):
+    """psd-lp when M is positive semidefinite, enumeration when every
+    coordinate is uncertain and the adjustable block is small, mip
+    otherwise."""
+    if linalg._definiteness(inst.m) is not None:
         return "psd-lp"
     if inst.certain_set().size == 0 and inst.n - inst.h <= ENUMERATION_SIZE_CAP:
         return "enumeration"
@@ -268,7 +270,7 @@ def _solve_m(inst: UncertainLcpM, pathway: str, report: SolveReport) -> None:
                for sol in out.solutions]
     report.solutions = records
     report.status = "solution" if records else "no-solution"
-    report.uniqueness = uniqueness_m(inst)
+    report.uniqueness = out.uniqueness
     if out.singular_supports:
         report.singular_supports = [_one_based(s) for s in out.singular_supports]
         report.caveat = ("enumeration skipped supports with a singular "
@@ -288,6 +290,14 @@ def dispatch_solve(instance, pathway: str = "auto") -> SolveReport:
         raise DispatchError(pathway, ValueError(
             f"unknown pathway {pathway!r} (choose from {', '.join(PATHWAYS)})"))
     start = time.perf_counter()
+    with linalg._definiteness_once():
+        report = _dispatch(instance, pathway)
+    report.timing_seconds = time.perf_counter() - start
+    report.instance_text = serialize_instance(instance)
+    return report
+
+
+def _dispatch(instance, pathway: str) -> SolveReport:
     if isinstance(instance, MarketModel):
         inst, bmap = build_lcp(instance)
         report = SolveReport(kind="market", pathway="", status="")
@@ -308,6 +318,4 @@ def dispatch_solve(instance, pathway: str = "auto") -> SolveReport:
     else:
         raise DispatchError(pathway, ValueError(
             f"cannot dispatch {type(instance).__name__}"))
-    report.timing_seconds = time.perf_counter() - start
-    report.instance_text = serialize_instance(instance)
     return report

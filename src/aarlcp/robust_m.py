@@ -311,10 +311,12 @@ def verify_affine_m(inst: UncertainLcpM, sol: AffineSolutionM) -> VerificationRe
 
 @dataclass
 class EnumerationOutcomeM:
-    """Everything the subset sweep learned."""
+    """Everything the subset sweep learned, and uniqueness_m's verdict
+    from the sweep's own test of m0."""
 
     solutions: list = field(default_factory=list)
     singular_supports: list = field(default_factory=list)
+    uniqueness: str = "unknown"
 
 
 def _nominal_screen(inst: UncertainLcpM, supports: np.ndarray,
@@ -430,11 +432,11 @@ def solve_enumeration_m_detailed(inst: UncertainLcpM) -> EnumerationOutcomeM:
     ones, those whose r_J is not positive and those that fail the
     nominal condition (see the module docstring). A box check that
     passes undecided raises BoxBudgetError."""
-    if linalg.is_positive_definite(inst.m0):
-        chunks = _nominal_chunks(inst)
-        if chunks is not None:
-            return _decide(inst, chunks)
-    return _support_sweep(inst)
+    definite = linalg.is_positive_definite(inst.m0)
+    chunks = _nominal_chunks(inst) if definite else None
+    out = _support_sweep(inst) if chunks is None else _decide(inst, chunks)
+    out.uniqueness = _uniqueness(definite)
+    return out
 
 
 def solve_enumeration_m(inst: UncertainLcpM) -> list:
@@ -445,10 +447,13 @@ def solve_enumeration_m(inst: UncertainLcpM) -> list:
 
 def uniqueness_m(inst: UncertainLcpM) -> str:
     """"unique-if-exists" when the symmetric part of m0 is positive
-    definite by linalg.is_positive_definite, else "unknown"."""
-    if linalg.is_positive_definite(inst.m0):
-        return "unique-if-exists"
-    return "unknown"
+    definite by linalg.is_positive_definite, else "unknown". A dispatch
+    reads the same verdict off solve_enumeration_m_detailed's outcome."""
+    return _uniqueness(linalg.is_positive_definite(inst.m0))
+
+
+def _uniqueness(definite: bool) -> str:
+    return "unique-if-exists" if definite else "unknown"
 
 
 def sample_violation_m(inst: UncertainLcpM, sol: AffineSolutionM,

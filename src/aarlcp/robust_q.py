@@ -49,7 +49,8 @@ import numpy as np
 
 from . import linalg
 from .boxopt import min_affine_over_box
-from .lcp import NominalLcp, compute_support_P, describe_solution_set, solve_lemke
+from .lcp import (NominalLcp, compute_support_P, describe_solution_set,
+                  solve_block_pivoting, solve_lemke)
 # solve_lp is not called here, but perfbench/spans.py traces LPs by
 # patching robust_q.solve_lp
 from .lp import (LinearProgram, IterationLimitError, solve_lp,  # noqa: F401
@@ -169,18 +170,29 @@ def _structural_check(h: int, sol, d_shape: tuple, zero_cols: np.ndarray):
         raise ValueError("columns of D on certain coordinates must be zero")
 
 
-def _worst_vertex(inst: UncertainLcpQ, u_set: np.ndarray, coeff: np.ndarray,
-                  const: np.ndarray):
-    """(smallest minimum over the box of const_t + coeff_t . u_U among
-    the rows t, a full-length u attaining it), the first smallest row
-    winning; (0.0, zeros) for no rows."""
+def _box_rows_check(inst: UncertainLcpQ, condition: str, u_set: np.ndarray,
+                    coeff: np.ndarray, const: np.ndarray, terms, cap: float
+                    ) -> ConditionCheck:
+    """Whether every row t of const_t + coeff_t . u_U stays nonnegative
+    over the box, each held to its own floor: a negative minimum must be
+    at least -TOL_FEAS min(cap, envelope_t). The envelope bounds the
+    magnitude of the terms the row sums: terms() (what sums to const) at
+    t plus the swing |coeff_t| . ubar_U, which is const_t less the
+    minimum. So a row in small units is held to its own scale, and no
+    floor is looser than -TOL_FEAS cap. terms is called only when some
+    minimum is negative. The worst row is the first smallest minimum; its
+    minimum and a full-length u attaining it are reported, 0.0 and zeros
+    for no rows."""
     worst_u = np.zeros(inst.n)
     if const.size == 0:
-        return 0.0, worst_u
+        return ConditionCheck(condition, True, 0.0, worst_u)
     vals, args = min_affine_over_box(coeff, const, inst.ubar[u_set])
     t = int(np.argmin(vals))
     worst_u[u_set] = args[t]
-    return float(vals[t]), worst_u
+    # fmin: an overflowed envelope (NaN) takes the cap; a NaN minimum fails
+    passed = vals[t] >= 0 or np.all(
+        vals >= -TOL_FEAS * np.fmin(cap, terms() + (const - vals)))
+    return ConditionCheck(condition, bool(passed), float(vals[t]), worst_u)
 
 
 def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ) -> VerificationReport:
@@ -193,6 +205,13 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ) -> VerificationRe
       active-rows-vanish   (M z(u) + q(u))_i identically zero, rows with
                            r_i != 0 (constant and u-coefficients vanish)
       inactive-rows-nonneg min over the box of (M z(u) + q(u))_i, other rows
+
+    The two box minima are held to row-relative floors (_box_rows_check):
+    z_i(u) >= -TOL_FEAS min(1, |r_i| + |D_i,U| ubar_U), and (M z(u) +
+    q(u))_i >= -TOL_FEAS min(1 + max|qbar|, |M_i| |r| + |qbar_i| +
+    |(M D + I)_i,U| ubar_U), never looser than the fixed floors -TOL_FEAS
+    and -TOL_FEAS (1 + max|qbar|). The vanishing rows are held to TOL_FEAS
+    (1 + max|qbar|).
 
     Structural violations (nonzero here-and-now rows, nonzero columns on
     certain coordinates, negative r) raise ValueError; the report is
@@ -210,9 +229,8 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ) -> VerificationRe
     checks = []
 
     # z_i(u) >= 0 for all rows
-    worst_val, worst_row_u = _worst_vertex(inst, u_set, sol.d[:, u_set], sol.r)
-    checks.append(ConditionCheck(
-        "z-nonnegative", bool(worst_val >= -TOL_FEAS), float(worst_val), worst_row_u))
+    checks.append(_box_rows_check(inst, "z-nonnegative", u_set, sol.d[:, u_set],
+                                  sol.r, lambda: np.abs(sol.r), 1.0))
 
     # (M z(u) + q(u)) = (M d + I) u + (M r + qbar); rows split by support
     coeff = inst.m @ sol.d + np.eye(n)
@@ -221,7 +239,7 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ) -> VerificationRe
     # per support row the largest |constant| or |u-coefficient|; the worst
     # row is the first NaN one (which fails), else the first largest, and
     # none (t = -1) when every row vanishes
-    resid = np.max(np.abs(np.column_stack([const[k_set], coeff[np.ix_(k_set, u_set)]])),
+    resid = np.max(np.abs(np.column_stack([const[k_set], coeff[k_set[:, None], u_set]])),
                    axis=1)
     t = int(np.argmax(np.append(0.0, resid))) - 1
     worst_val, worst_row_u = 0.0, np.zeros(n)
@@ -234,11 +252,10 @@ def verify_affine_q(inst: UncertainLcpQ, sol: AffineSolutionQ) -> VerificationRe
         "active-rows-vanish", bool(worst_val <= TOL_FEAS * wscale), float(worst_val),
         worst_row_u))
 
-    worst_val, worst_row_u = _worst_vertex(inst, u_set, coeff[np.ix_(n_set, u_set)],
-                                           const[n_set])
-    checks.append(ConditionCheck(
-        "inactive-rows-nonnegative", bool(worst_val >= -TOL_FEAS * wscale),
-        float(worst_val), worst_row_u))
+    checks.append(_box_rows_check(
+        inst, "inactive-rows-nonnegative", u_set, coeff[n_set[:, None], u_set],
+        const[n_set], lambda: np.abs(inst.m[n_set]) @ np.abs(sol.r)
+        + np.abs(inst.qbar[n_set]), wscale))
 
     return VerificationReport(overall=all(c.passed for c in checks), checks=checks)
 
@@ -602,6 +619,9 @@ class PsdPathOutcome:
     support_l: np.ndarray | None = None
     nominal: np.ndarray | None = None
     vanishing_rows: np.ndarray | None = None
+    # True when nominal is the only solution of the nominal LCP: M
+    # positive definite and P read off nominal by _strict_support
+    sole_nominal: bool = False
 
 
 def _rank(s: np.ndarray) -> int:
@@ -639,14 +659,14 @@ def _nominal_candidate(inst: UncertainLcpQ, p_set: np.ndarray, zbar: np.ndarray)
     = -E[P, U] has no solution."""
     a_set = p_set[p_set >= inst.h]
     u_set = inst.uncertain_set()
-    block = _pinned_block(inst.m[np.ix_(p_set, a_set)],
+    block = _pinned_block(inst.m[p_set[:, None], a_set],
                           (p_set[:, None] == u_set).astype(float))
     if block is None:
         return None
     x0, kernel = block
     n = inst.n
     d, r = np.zeros((n, n)), np.zeros(n)
-    d[np.ix_(a_set, u_set)] = x0
+    d[a_set[:, None], u_set] = x0
     d += 0.0  # normalize -0.0 entries
     r[p_set] = zbar[p_set]
     return AffineSolutionQ(d, r), x0, kernel
@@ -673,11 +693,15 @@ def _strict_support(m: np.ndarray, q: np.ndarray, zbar: np.ndarray):
 
 def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     """Exact pathway for positive semidefinite M: linear algebra for D,
-    and for r Lemke's nominal solution or one small linear program.
+    and for r the nominal solution or one small linear program.
 
-    The nominal problem is solved by complementary pivoting (a ray
-    certifies nonexistence outright for PSD data; solve_lemke returns
-    one only from a finite tableau). P collects the coordinates
+    The definiteness of M is decided once per dispatch
+    (linalg._definiteness). For a positive definite M the nominal
+    problem is solved by block principal pivoting
+    (lcp.solve_block_pivoting); when that gives up, and for every other
+    PSD M, by complementary pivoting (a ray certifies nonexistence
+    outright for PSD data; solve_lemke returns one only from a finite
+    tableau). P collects the coordinates
     positive somewhere in the nominal solution set, L the rest, K the
     rows of M z + q that vanish on all of it, and A the adjustable part
     of P. A positive definite M (by
@@ -706,14 +730,18 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     columns for T and envelope columns for the rows it moves.
     Infeasibility proves nonexistence (no big-M caveat).
     """
-    definite = linalg.is_positive_definite(inst.m)
-    if not definite and not linalg.is_psd(inst.m):
+    definiteness = linalg._definiteness(inst.m)
+    if definiteness is None:
         raise ValueError("psd pathway requires a positive semidefinite matrix")
+    definite = definiteness == "definite"
     prob = NominalLcp(inst.m, inst.qbar)
-    nominal = solve_lemke(prob)
-    if nominal.status == "ray":
-        return PsdPathOutcome("no-solution")
-    zbar = nominal.solution.z
+    nominal = solve_block_pivoting(prob) if definite else None
+    if nominal is None:
+        lemke = solve_lemke(prob)
+        if lemke.status == "ray":
+            return PsdPathOutcome("no-solution")
+        nominal = lemke.solution
+    zbar = nominal.z
     n = inst.n
     nominal_set = p_set = None
     if definite:
@@ -724,8 +752,9 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     l_set = linalg.complement(p_set, n)
     a_set = p_set[p_set >= inst.h]
     u_set = inst.uncertain_set()
+    sole = nominal_set is None
     nothing = PsdPathOutcome("no-solution", support_p=p_set, support_l=l_set,
-                             nominal=zbar, vanishing_rows=k_set)
+                             nominal=zbar, vanishing_rows=k_set, sole_nominal=sole)
 
     found = _nominal_candidate(inst, p_set, zbar)
     if found is None:
@@ -734,7 +763,7 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
     # _clean_solution to snap, whose absolute TOL_FEAS would erase a rule
     # in small units
     sol, x0, kernel = found
-    unique = nominal_set is None and not kernel.shape[1]
+    unique = sole and not kernel.shape[1]
     if not unique:
         if nominal_set is None:
             nominal_set = describe_solution_set(prob, zbar)
@@ -747,7 +776,7 @@ def solve_psd(inst: UncertainLcpQ) -> PsdPathOutcome:
         sol = _clean_solution(AffineSolutionQ(d, r))
     report = verify_affine_q(inst, sol)
     if report.overall:
-        return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, k_set)
+        return PsdPathOutcome("solution", sol, report, p_set, l_set, zbar, k_set, sole)
     if unique:
         return nothing  # the one candidate fails: no rule exists
     raise linalg.NumericalError("psd pathway produced a point that fails verification")
@@ -811,19 +840,22 @@ def uniqueness_check_psd(inst: UncertainLcpQ, outcome: PsdPathOutcome) -> str:
     "unique-if-exists". Instances with certain coordinates:
     "not-applicable".
 
-    outcome, solve_psd's result on the same instance, supplies P and K,
-    the rows of M z + q that vanish on the whole set. Those and the
-    coordinates outside P are the constraints active everywhere, so the
-    affine hull of the set is {z : z_L = 0, (M z + q)_K = 0, q.(z -
-    zbar) = 0, (M + M^T)(z - zbar) = 0}, and the set is one point
-    exactly when A = [M[K, P]; qbar[P]; (M + M^T)[:, P]] has rank |P|.
-    One SVD of A, its rows scaled to unit norm, decides that by _rank
-    (TOL_RANK). No LP is solved.
+    outcome, solve_psd's result on the same instance, supplies the
+    verdict outright when it records its nominal solution as the only
+    one (sole_nominal: M positive definite, Cottle, Pang & Stone 1992,
+    Thm 3.3.7). Otherwise it supplies P and K, the rows of M z + q that
+    vanish on the whole set. Those and the coordinates outside P are the
+    constraints active everywhere, so the affine hull of the set is
+    {z : z_L = 0, (M z + q)_K = 0, q.(z - zbar) = 0, (M + M^T)(z -
+    zbar) = 0}, and the set is one point exactly when A = [M[K, P];
+    qbar[P]; (M + M^T)[:, P]] has rank |P|. One SVD of A, its rows
+    scaled to unit norm, decides that by _rank (TOL_RANK). No LP is
+    solved.
     """
     if inst.certain_set().size:
         return "not-applicable"
     p_set = outcome.support_p
-    if outcome.nominal is None or p_set.size == 0:
+    if outcome.sole_nominal or outcome.nominal is None or p_set.size == 0:
         return "unique-if-exists"  # no nominal solution, or only zbar
     m = inst.m[:, p_set]
     a = np.vstack([m[outcome.vanishing_rows], inst.qbar[p_set],

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from aarlcp import linalg
+from aarlcp import lcp
 from aarlcp.lcp import (NominalLcp, _lex_argmin, compute_support_P,
-                        describe_solution_set, lcp_residuals, solve_lemke)
+                        describe_solution_set, lcp_residuals,
+                        solve_block_pivoting, solve_lemke)
 from aarlcp.linalg import NumericalError
 from aarlcp.lp import LinearProgram, solve_lp
 from conftest import is_p_matrix, lcp_brute_force, random_low_rank_psd_lcp, \
@@ -85,6 +87,64 @@ def test_p_matrix_solutions_match_brute_force():
         out = solve_lemke(NominalLcp(m, q))
         assert out.status == "solution"
         assert out.solution.z == pytest.approx(ref[0], abs=1e-8)
+
+
+def test_block_pivoting_matches_brute_force_on_positive_definite():
+    # skew parts make M nonsymmetric; its symmetric part stays definite
+    rng = np.random.default_rng(14)
+    for trial in range(40):
+        n = int(rng.integers(1, 8))
+        c = rng.uniform(-1.0, 1.0, (n, n))
+        m = random_psd_matrix(rng, n, ridge=0.25) + (c - c.T) * (trial % 2)
+        q = rng.uniform(-5.0, 3.0, n).round(2)
+        ref = lcp_brute_force(m, q)
+        assert len(ref) == 1
+        out = solve_block_pivoting(NominalLcp(m, q))
+        assert out is not None, trial
+        assert out.z == pytest.approx(ref[0], abs=1e-8)
+        assert out.comp_residual == lcp_residuals(NominalLcp(m, q), out.z)[2]
+
+
+def test_block_pivoting_nonnegative_q_is_zero():
+    out = solve_block_pivoting(NominalLcp(np.eye(3), np.array([1.0, 0.0, 2.0])))
+    assert np.array_equal(out.z, np.zeros(3))
+
+
+def _gives_up_when(monkeypatch, solve):
+    """solve_block_pivoting's result on a positive definite instance
+    whose block solves go through `solve`."""
+    monkeypatch.setattr(lcp.np.linalg, "solve", solve)
+    m = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
+    return solve_block_pivoting(NominalLcp(m, np.array([-1.0, -2.0, 1.0])))
+
+
+@pytest.mark.filterwarnings("error")
+def test_block_pivoting_gives_up_instead_of_guessing(monkeypatch):
+    real = np.linalg.solve
+
+    def singular(a, b):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    assert _gives_up_when(monkeypatch, singular) is None
+    assert _gives_up_when(monkeypatch, lambda a, b: np.full(b.shape, np.inf)) is None
+    assert _gives_up_when(monkeypatch, lambda a, b: np.full(b.shape, np.nan)) is None
+    # every free coordinate comes back negative: the infeasible set never
+    # empties, and the iteration cap ends the attempt
+    assert _gives_up_when(monkeypatch, lambda a, b: -np.ones(b.shape)) is None
+    # a point off by more than the recheck allows
+    assert _gives_up_when(monkeypatch, lambda a, b: real(a, b) * (1 + 1e-3)) is None
+    assert _gives_up_when(monkeypatch, real) is not None
+
+
+def test_block_pivoting_overflow_is_not_an_answer():
+    # the overflowed-ray instance of the psd-lp pathway: positive
+    # definite, but a block solve overflows to inf; no warning, no point
+    m = np.array([[9e278, -0.02, -2e214], [-0.02, 8e-282, 0.0],
+                  [-2e214, 0.0, 1.2e151]])
+    assert linalg.is_positive_definite(m)
+    prob = NominalLcp(m, np.array([-4e78, -2e243, 3e54]))
+    with np.errstate(all="raise"):
+        assert solve_block_pivoting(prob) is None
 
 
 def test_psd_cross_complementarity():

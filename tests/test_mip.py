@@ -5,8 +5,8 @@ import pytest
 
 from aarlcp import dispatch_solve, lp as lp_module, mip as mip_module, parse_instance
 from aarlcp.instances import generate_random
-from aarlcp.lp import (LinearProgram, StandardForm, _Simplex, check_feasibility,
-                       check_point, standardize)
+from aarlcp.lp import (_REFRESH, LinearProgram, StandardForm, _Simplex,
+                       check_feasibility, check_point, standardize)
 from aarlcp.mip import (MixedBinaryProgram, NodeLimitError,
                         solve_mip_feasibility)
 from aarlcp.robust_q import build_mip, default_big_m
@@ -377,3 +377,58 @@ def test_fixed_producer_market_decided_without_stall():
     assert report.pathway == "mip"
     assert report.status == "no-solution"
     assert "big-M" in report.caveat
+
+
+def _drifting_warm_pivot():
+    """generate_random("uncertain-q", 6, seed=26, regime="psd") with
+    (qbar, ubar) times 1e-3: on the mip pathway one node's warm dual
+    simplex meets a product-form inverse whose row and column disagree on
+    the pivot (-0.289 from the row, 0.0 from the column)."""
+    inst = parse_instance(generate_random("uncertain-q", 6, seed=26, regime="psd"))
+    return type(inst)(m=inst.m, qbar=1e-3 * inst.qbar, ubar=1e-3 * inst.ubar, h=inst.h)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_warm_pivot_rechecks_a_drifted_inverse(monkeypatch):
+    # the check refactors and repairs on; dividing by the column's zero
+    # would warn, and the verdict is enumeration's, after 13 nodes
+    refactored = []
+    refactor = _Simplex._refactor
+    monkeypatch.setattr(_Simplex, "_refactor",
+                        lambda self: refactored.append(1) or refactor(self))
+    report = dispatch_solve(_drifting_warm_pivot(), "mip")
+    assert report.status == "no-solution" and report.caveat is None
+    assert report.mip_info["fallback_used"] and report.mip_info["nodes"] == 13
+    assert refactored
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_warm_pivot_that_stays_inaccurate_ends_the_attempt(monkeypatch):
+    # the pivot check's refactorization is made to change nothing, so the
+    # row and the column still disagree: the warm attempt ends, the node
+    # solves cold, and the verdict stands
+    outcomes, skipped, active = [], [], []
+    repair, refactor = _Simplex.repair, _Simplex._refactor
+
+    def repair_spy(self, cap):
+        active.append(1)
+        try:
+            outcomes.append(repair(self, cap))
+        finally:
+            active.pop()
+        return outcomes[-1]
+
+    def refactor_spy(self):
+        # the scheduled refresh of _pivot comes at _REFRESH pivots
+        if active and self.pivots_since_refresh < _REFRESH:
+            skipped.append(1)
+            assert len(skipped) < 100, "the check retried without end"
+            return
+        refactor(self)
+
+    monkeypatch.setattr(_Simplex, "repair", repair_spy)
+    monkeypatch.setattr(_Simplex, "_refactor", refactor_spy)
+    report = dispatch_solve(_drifting_warm_pivot(), "mip")
+    assert report.status == "no-solution"
+    assert report.mip_info["fallback_used"]
+    assert skipped and None in outcomes

@@ -157,3 +157,25 @@ def test_more_undecided_coordinates_than_the_cap_fall_back(monkeypatch):
     monkeypatch.setattr(robust_m, "ENUMERATION_SIZE_CAP", 0)
     with pytest.raises(SizeLimitError):
         solve_enumeration_m_detailed(DEGENERATE)
+
+
+def test_dispatch_tests_m0_once(monkeypatch):
+    # the route's own test of m0 carries the uniqueness verdict: one
+    # is_positive_definite call per dispatch, the verdict uniqueness_m's
+    insts = [_planted(np.random.default_rng(5), 6, 2)[0],
+             parse_instance(generate_random("uncertain-m", 4, k=2, seed=3))]
+    insts.append(UncertainLcpM(m0=-insts[0].m0, perturbations=insts[0].perturbations,
+                               q=insts[0].q, h=0))
+    verdicts = []
+    for inst in insts:
+        calls = []
+        test = linalg.is_positive_definite
+        with monkeypatch.context() as mp:
+            mp.setattr(linalg, "is_positive_definite",
+                       lambda a: calls.append(1) or test(a))
+            report = dispatch_solve(inst)
+        assert len(calls) == 1
+        assert report.uniqueness == robust_m.uniqueness_m(inst)
+        assert solve_enumeration_m_detailed(inst).uniqueness == report.uniqueness
+        verdicts.append(report.uniqueness)
+    assert set(verdicts) == {"unique-if-exists", "unknown"}

@@ -24,6 +24,7 @@ from aarlcp import mip, reporting
 from aarlcp.cli import _build_parser, main
 from aarlcp.instances import GENERATOR_KINDS, KINDS, REGIMES
 from aarlcp.reporting import PATHWAYS, SCHEMA_VERSION
+from test_robust_q import _lemke_recheck_fails
 
 MULTI = UncertainLcpQ(m=np.array([[4.0, 10.0], [1.0, 2.0]]),
                       qbar=np.array([-100.0, -22.0]),
@@ -313,14 +314,17 @@ def test_cli_numerical_trouble_exit_four(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_failed_lemke_recheck_exit_four(tmp_path, capsys):
-    # (qbar, ubar) times 1e-6 and M times 1e6: Lemke's point fails its own
-    # recheck, numerical trouble reported as a limit with its reason
-    inst = parse_instance(generate_random("uncertain-q", 3, seed=0, regime="psd"))
-    scaled = UncertainLcpQ(m=1e6 * inst.m, qbar=1e-6 * inst.qbar,
-                           ubar=1e-6 * inst.ubar, h=inst.h)
-    path = _write(tmp_path, "scaled.txt", serialize_instance(scaled))
+    # Lemke solves the singular instance's nominal LCP, and its point
+    # fails its own recheck: numerical trouble reported as a limit with
+    # its reason
+    singular, scaled = _lemke_recheck_fails()
+    path = _write(tmp_path, "singular.txt", serialize_instance(singular))
     assert main(["solve", path, "--pathway", "psd-lp"]) == 4
     assert "pivoting produced M z + q with entry" in capsys.readouterr().err
+    # the positive definite instance alone: block pivoting's point passes
+    # the recheck, and the verdict is the unit-scale one, no-solution
+    path = _write(tmp_path, "scaled.txt", serialize_instance(scaled))
+    assert main(["solve", path, "--pathway", "psd-lp"]) == 1
 
 
 def test_cli_overflowed_lemke_ray_exit_four(tmp_path, capsys):

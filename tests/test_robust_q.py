@@ -513,17 +513,35 @@ def test_psd_pathway_rejects_indefinite():
         solve_psd(MULTI)
 
 
-def test_numerical_trouble_is_a_typed_limit():
-    # (qbar, ubar) times 1e-6 and M times 1e6: Lemke's point fails its own
-    # recheck of M z + q, a limit of the solver rather than an input error
+def _lemke_recheck_fails():
+    """Seed 0 of the psd regime with (qbar, ubar) times 1e-6 and M times
+    1e6, plus a decoupled last coordinate whose zero diagonal makes M
+    singular, so that Lemke solves the nominal LCP: its point fails its
+    own recheck of M z + q. Also returns the scaled instance alone, which
+    block pivoting solves."""
     inst = parse_instance(generate_random("uncertain-q", 3, seed=0, regime="psd"))
     scaled = UncertainLcpQ(m=1e6 * inst.m, qbar=1e-6 * inst.qbar,
                            ubar=1e-6 * inst.ubar, h=inst.h)
+    m = np.zeros((4, 4))
+    m[:3, :3] = scaled.m
+    singular = UncertainLcpQ(m=m, qbar=np.append(scaled.qbar, 1e-6),
+                             ubar=np.append(scaled.ubar, 1e-6), h=inst.h)
+    return singular, scaled
+
+
+def test_numerical_trouble_is_a_typed_limit():
+    # Lemke's point fails its own recheck of M z + q, a limit of the
+    # solver rather than an input error
+    singular, scaled = _lemke_recheck_fails()
     with pytest.raises(NumericalError, match=r"pivoting produced M z \+ q with entry"):
-        solve_psd(scaled)
+        solve_psd(singular)
     with pytest.raises(DispatchError) as err:
-        dispatch_solve(scaled, "psd-lp")
+        dispatch_solve(singular, "psd-lp")
     assert err.value.is_limit and isinstance(err.value.cause, NumericalError)
+    # positive definite alone: block pivoting's point passes the recheck,
+    # and the verdict is that of the unit-scale instance
+    assert solve_psd(scaled).status == "no-solution"
+    assert dispatch_solve(scaled, "psd-lp").status == "no-solution"
 
 
 def test_uniqueness_verdicts():
@@ -672,13 +690,14 @@ def test_uniqueness_reuses_the_psd_outcome(monkeypatch):
 
 def _count_psd_dispatch(monkeypatch, inst):
     """dispatch_solve on inst with its nominal-set work counted: LPs of
-    robust_q and of the support-P sweep, describe_solution_set, and
+    robust_q and of the support-P sweep, describe_solution_set,
     eigenvalue decompositions (each linalg.is_psd or
-    is_positive_definite call makes one)."""
+    is_positive_definite call that gets past the diagonal makes one) and
+    SVDs (the pinned block's, and the uniqueness rank test's)."""
     calls = []
 
     def counted(name, fn):
-        return lambda *args: calls.append(name) or fn(*args)
+        return lambda *args, **kwargs: calls.append(name) or fn(*args, **kwargs)
 
     describe = counted("describe", lcp.describe_solution_set)
     for module in (lcp, robust_q):
@@ -687,36 +706,43 @@ def _count_psd_dispatch(monkeypatch, inst):
     monkeypatch.setattr(lcp, "solve_lp", counted("support lp", lcp.solve_lp))
     monkeypatch.setattr(linalg, "symmetric_eigenvalues",
                         counted("eig", linalg.symmetric_eigenvalues))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
     report = dispatch_solve(inst)
     assert (report.pathway, report.status) == ("psd-lp", "solution")
-    # a one-point nominal set: the uniqueness check reaches its rank test
+    # a one-point nominal set
     assert report.uniqueness == "unique-if-exists"
     assert calls.count("lp") == 0  # the uniqueness check is a rank test
     return calls
 
 
 def test_psd_dispatch_states_the_nominal_set_once(monkeypatch):
-    # positive definite and strictly complementary: Lemke's zbar gives P,
-    # K and the one candidate rule, with no LP and no solution-set
-    # description; M is decomposed by auto_pathway and once by solve_psd
+    # positive definite and strictly complementary: the nominal zbar
+    # gives P, K and the one candidate rule, with no LP and no
+    # solution-set description; auto_pathway's definite test decomposes
+    # M once for the whole dispatch, and the uniqueness verdict is read
+    # off the solve, so the one SVD is the pinned block's
     inst = UncertainLcpQ(m=np.array([[2.0, 1.0], [1.0, 2.0]]),
                          qbar=np.array([-3.0, -3.0]), ubar=np.array([0.1, 0.1]))
     calls = _count_psd_dispatch(monkeypatch, inst)
     assert calls.count("support lp") == 0
     assert calls.count("describe") == 0
-    assert calls.count("eig") == 2
+    assert calls.count("eig") == 1
+    assert calls.count("svd") == 1
 
 
 def test_psd_singular_dispatch_states_the_nominal_set_once(monkeypatch):
     # positive semidefinite and singular: the LP route finds P and K with
-    # one LP over the one solution-set description, whose input guard
-    # decomposes M a third time
+    # one LP over the one solution-set description. The zero diagonal
+    # ends the definite test before any decomposition, so is_psd's is the
+    # only one, for auto_pathway, solve_psd and the description's guard;
+    # the uniqueness check reaches its rank test
     inst = UncertainLcpQ(m=np.array([[1.0, 0.0], [0.0, 0.0]]),
                          qbar=np.array([-1.0, 1.0]), ubar=np.array([0.1, 0.1]))
     calls = _count_psd_dispatch(monkeypatch, inst)
     assert calls.count("support lp") == 1
     assert calls.count("describe") == 1
-    assert calls.count("eig") == 3
+    assert calls.count("eig") == 1
+    assert calls.count("svd") == 2
 
 
 def _psd_lp_oracle(inst, zbar, p_set):
